@@ -5,8 +5,8 @@ Two questions from the ROADMAP's "Fast sweeps" section:
 1. **Array backends**: the batch kernel now runs on a pluggable
    :class:`repro.sim.backends.ArrayBackend`.  This benchmark times the
    same grid on every backend available on this machine (NumPy always;
-   CuPy/JAX when installed) and checks the accelerators stay within
-   binomial tolerance of the NumPy reference.
+   any registered accelerator too) and checks the accelerators stay
+   within binomial tolerance of the NumPy reference.
 
 2. **Result transport**: process fan-out can return results either by
    pickling them through the executor pipe (historical) or by writing

@@ -20,7 +20,7 @@ The package is organized by subsystem:
 * :mod:`repro.core` — the two transceiver generations, link simulation and
   the power/QoS/data-rate adaptation controller.
 * :mod:`repro.sim` — the batched Monte-Carlo sweep engine, the scenario
-  registry, pluggable array backends (NumPy / CuPy / JAX) and the
+  registry, the pluggable array-backend seam (NumPy reference) and the
   shared-memory process fan-out (the fast path for BER grids across many
   environments).
 * :mod:`repro.runs` — persistent sweep runs: the content-addressed result
@@ -45,7 +45,7 @@ Quick start::
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.8.0"
+__version__ = "1.10.0"
 
 from repro import (
     adc,

@@ -138,8 +138,8 @@ class _Transceiver:
         transceiver's configuration — the batch-capable kernel the sweep
         engine uses, with ``simulate_packet`` remaining the per-packet
         reference implementation.  ``array_backend`` selects the array
-        backend the kernel runs on (``None``, a name like ``"cupy"``, or
-        an :class:`repro.sim.backends.ArrayBackend`).
+        backend the kernel runs on (``None``, a registered name such as
+        ``"numpy"``, or an :class:`repro.sim.backends.ArrayBackend`).
         """
         from repro.sim.batch import BatchedLinkModel
         return BatchedLinkModel(self.config, modulation=modulation,

@@ -5,10 +5,11 @@ flushes its :class:`~repro.obs.recorder.Recorder` into two artifacts in
 the run directory, next to ``manifest.json``:
 
 ``events.jsonl``
-    The append-only raw ledger — one JSON event per line, appended as a
-    single ``O_APPEND`` write + fsync per batch (the same discipline as
-    the result store), so concurrent shard processes never interleave
-    partial lines and a crash loses at most the final batch.  Because
+    The append-only raw ledger — one JSON event per line, written
+    through :class:`repro.utils.io.AppendLog` (the same primitive as the
+    result store and the broker journal), so concurrent shard processes
+    never interleave partial lines, a crash loses at most the final
+    batch, and the next append heals a torn tail.  Because
     the driver flushes in a ``finally`` block, a crashed run still
     leaves the events recorded up to the failure on disk — the partial
     ledger is valid and :func:`EventLedger.read` tolerates a truncated
@@ -31,11 +32,9 @@ ledgers with it.
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 from repro.obs.recorder import EVENT_SCHEMA_VERSION
-from repro.utils.io import atomic_write_text
+from repro.utils.io import AppendLog, atomic_write_text
 
 __all__ = [
     "LEDGER_NAME",
@@ -55,8 +54,8 @@ SUMMARY_NAME = "telemetry.json"
 _KINDS = ("span", "counter", "gauge")
 
 
-def validate_event(event) -> None:
-    """Raise ``ValueError`` unless ``event`` is a valid schema-1 event.
+def validate_event(event) -> dict:
+    """Validate a schema-1 event; return it unchanged or raise ValueError.
 
     Checks the common envelope (``schema`` == 1, known ``kind``,
     non-empty ``name``, numeric ``ts``, integer ``pid``, dict ``attrs``)
@@ -93,63 +92,22 @@ def validate_event(event) -> None:
         json.dumps(event)
     except (TypeError, ValueError) as error:
         raise ValueError(f"event is not JSON-serializable: {error}") from None
+    return event
 
 
-class EventLedger:
-    """The append-only ``events.jsonl`` file of one run directory."""
+class EventLedger(AppendLog):
+    """The append-only ``events.jsonl`` file of one run directory.
+
+    An :class:`~repro.utils.io.AppendLog` of schema-1 events:
+    :meth:`append` validates the whole batch before one atomic, fsynced
+    write and returns the count; :meth:`read` returns ``(events,
+    corrupt_count)``, skipping corrupt or truncated lines (e.g. the tail
+    of a crashed write) — mirroring the result store's damaged-cache
+    policy.
+    """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-
-    def append(self, events) -> int:
-        """Validate and append a batch of events; returns the count.
-
-        The whole batch goes out as one ``os.write`` on an ``O_APPEND``
-        descriptor followed by fsync — atomic with respect to concurrent
-        shard appenders, durable up to the last completed batch.
-        """
-        events = list(events)
-        if not events:
-            return 0
-        lines = []
-        for event in events:
-            validate_event(event)
-            lines.append(json.dumps(event, sort_keys=True))
-        payload = "\n".join(lines) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor = os.open(self.path,
-                             os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(descriptor, payload.encode("utf-8"))
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
-        return len(events)
-
-    def read(self) -> tuple[list[dict], int]:
-        """Load the ledger; returns ``(events, corrupt_count)``.
-
-        Corrupt or truncated lines (e.g. the tail of a crashed write)
-        are skipped and counted, never fatal — mirroring the result
-        store's damaged-cache policy.
-        """
-        if not self.path.exists():
-            return [], 0
-        events: list[dict] = []
-        corrupt = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                    validate_event(event)
-                except (json.JSONDecodeError, ValueError):
-                    corrupt += 1
-                    continue
-                events.append(event)
-        return events, corrupt
+        super().__init__(path, validate_event)
 
 
 def summarize(events) -> dict:

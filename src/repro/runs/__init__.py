@@ -44,15 +44,17 @@ Command line (same store format)::
 
 from repro.runs.artifacts import Artifact, export_curves, load_artifact
 from repro.runs.driver import RunDriver, RunManifest, RunReport
-from repro.runs.store import (STORE_FORMATS, ResultStore, StoredChunk,
-                              default_store_format, detect_store_format,
-                              measurement_key)
+from repro.runs.store import (STORE_FORMATS, ChunkPlan, ResultStore,
+                              StoredChunk, default_store_format,
+                              detect_store_format, measurement_key,
+                              plan_missing_chunks)
 from repro.runs.warehouse import (SQLiteResultStore, gc_store, migrate_run,
                                   migrate_store, query_store,
                                   validate_store)
 
 __all__ = [
     "Artifact",
+    "ChunkPlan",
     "ResultStore",
     "RunDriver",
     "RunManifest",
@@ -68,6 +70,7 @@ __all__ = [
     "measurement_key",
     "migrate_run",
     "migrate_store",
+    "plan_missing_chunks",
     "query_store",
     "validate_store",
 ]

@@ -229,12 +229,10 @@ def _add_grid_arguments(command: argparse.ArgumentParser) -> None:
                               "'packet' the per-packet reference stack "
                               "(default: batch)")
     command.add_argument("--array-backend",
-                         choices=("numpy", "cupy", "jax"), default=None,
+                         choices=("numpy",), default=None,
                          help="array backend the batch kernel runs on "
                               "(default: the REPRO_ARRAY_BACKEND "
-                              "environment variable, else numpy); an "
-                              "explicitly named accelerator must be "
-                              "importable")
+                              "environment variable, else numpy)")
     command.add_argument("--no-quantize", action="store_true",
                          help="batch backend: skip AGC + ADC quantization")
 

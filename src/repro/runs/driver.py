@@ -34,11 +34,10 @@ from repro.core.metrics import BERPoint
 from repro.obs.ledger import (LEDGER_NAME, SUMMARY_NAME, EventLedger,
                               write_summary)
 from repro.obs.recorder import activate
-from repro.sim.engine import (SweepEngine, SweepPoint, SweepResult,
-                              chunk_spans)
+from repro.sim.engine import SweepEngine, SweepPoint, SweepResult
 from repro.runs.store import (STORE_FORMATS, ResultStore,
                               default_store_format, detect_store_format,
-                              measurement_key)
+                              measurement_key, plan_missing_chunks)
 from repro.utils.io import atomic_write_text
 from repro.utils.validation import require_int
 
@@ -54,19 +53,6 @@ _ARTIFACTS_DIR = "artifacts"
 def _code_version() -> str:
     import repro
     return getattr(repro, "__version__", "unknown")
-
-
-def _point_to_dict(point: SweepPoint) -> dict:
-    return {"ebn0_db": float(point.ebn0_db), "scenario": point.scenario,
-            "modulation": point.modulation, "adc_bits": point.adc_bits}
-
-
-def _point_from_dict(data: dict) -> SweepPoint:
-    adc_bits = data["adc_bits"]
-    return SweepPoint(ebn0_db=float(data["ebn0_db"]),
-                      scenario=str(data["scenario"]),
-                      modulation=str(data["modulation"]),
-                      adc_bits=None if adc_bits is None else int(adc_bits))
 
 
 @dataclass(frozen=True)
@@ -146,7 +132,7 @@ class RunManifest:
         """
         import hashlib
         payload = json.dumps({
-            "points": [_point_to_dict(point) for point in self.points],
+            "points": [point.to_dict() for point in self.points],
             "config": self.config_digest,
             "payload_bits_per_packet": self.payload_bits_per_packet,
         }, sort_keys=True)
@@ -190,7 +176,7 @@ class RunManifest:
             "array_backend": self.array_backend,
             "chunk_packets": self.chunk_packets,
             "store_format": self.store_format,
-            "points": [_point_to_dict(point) for point in self.points],
+            "points": [point.to_dict() for point in self.points],
         }
 
     @classmethod
@@ -216,7 +202,7 @@ class RunManifest:
                 chunk_packets=(None if data.get("chunk_packets") is None
                                else int(data["chunk_packets"])),
                 store_format=str(data.get("store_format", "jsonl")),
-                points=tuple(_point_from_dict(point)
+                points=tuple(SweepPoint.from_dict(point)
                              for point in data["points"]))
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed run manifest: {error}") from None
@@ -494,17 +480,19 @@ class RunDriver:
                   on_point=None, on_chunk=None, on_plan=None) -> RunReport:
         """Execute one shard: cached chunks are served, the rest simulated.
 
-        Each missing point's uncovered tail is decomposed into the
-        manifest's chunk layout; chunks already in the store (even beyond
-        a coverage gap left by a crashed or faulted run) are skipped, so
-        a resume re-runs *only* the missing chunks.  The chunk tasks of
-        all points fan out together when ``max_workers`` is set (through
-        :meth:`repro.sim.SweepEngine.measure_points`, shared-memory
-        input/result transport) — results are bit-identical to a serial
-        run of the same layout, and every completed chunk is persisted
-        even when another chunk's worker fails mid-shard.  Safe to
-        re-run after a crash — completed chunks are already in the store
-        and skipped.
+        Each point is planned with
+        :func:`repro.runs.store.plan_missing_chunks` (the broker's
+        planner too): its uncovered tail is decomposed into the
+        manifest's chunk layout and chunks already in the store (even
+        beyond a coverage gap left by a crashed or faulted run) are
+        skipped, so a resume re-runs *only* the missing chunks.  The
+        chunk tasks of all points fan out together when ``max_workers``
+        is set (through :meth:`repro.sim.SweepEngine.measure_points`,
+        shared-memory input/result transport) — results are
+        bit-identical to a serial run of the same layout, and every
+        completed chunk is persisted even when another chunk's worker
+        fails mid-shard.  Safe to re-run after a crash — completed chunks
+        are already in the store and skipped.
 
         Progress hooks (all optional; what ``--progress`` drives):
         ``on_plan(num_chunks, packets_cached)`` once after cache
@@ -544,32 +532,24 @@ class RunDriver:
         payload_bits = manifest.payload_bits_per_packet
 
         resolved: dict[int, BERPoint] = {}
-        jobs: list[tuple[int, SweepPoint, str, int]] = []
+        jobs: list[tuple[int, str]] = []
         chunk_jobs: list[tuple[SweepPoint, int, int]] = []
         key_by_point: dict[SweepPoint, str] = {}
         chunks_resumed = 0
         for index, point in enumerate(points):
             key = self._key_for(point)
             key_by_point[point] = key
-            cached = store.lookup(key, requested)
-            if cached is not None:
-                resolved[index] = cached
+            plan = plan_missing_chunks(store, key, requested,
+                                       manifest.chunk_packets)
+            report.packets_cached += plan.packets_stored
+            if plan.cached is not None:
+                resolved[index] = plan.cached
                 report.points_cached += 1
-                report.packets_cached += cached.packets_sent
                 continue
-            covered = store.coverage(key)
-            stored = store.chunks_for(key)
-            spans = chunk_spans(requested - covered,
-                                manifest.chunk_packets, covered)
-            missing = [(offset, packets) for offset, packets in spans
-                       if stored.get(offset) != packets]
-            chunks_resumed += len(spans) - len(missing)
-            jobs.append((index, point, key, covered))
+            chunks_resumed += plan.resumed
+            jobs.append((index, key))
             chunk_jobs.extend((point, packets, offset)
-                              for offset, packets in missing)
-            report.packets_cached += covered + sum(
-                packets for offset, packets in stored.items()
-                if offset >= covered)
+                              for offset, packets in plan.missing)
         recorder.counter("cache.points_hit", report.points_cached)
         recorder.counter("cache.points_missed", len(jobs))
         recorder.counter("cache.chunks_resumed", chunks_resumed)
@@ -597,12 +577,12 @@ class RunDriver:
                 max_workers=max_workers, chunk_packets=requested,
                 on_chunk=persist)
 
-        for index, point, key, covered in jobs:
+        for index, key in jobs:
             resolved[index] = store.lookup(key, requested)
             report.points_simulated += 1
 
         if on_point is not None:
-            simulated = {index for index, *_ in jobs}
+            simulated = {index for index, _ in jobs}
             for index, point in enumerate(points):
                 source = "simulated" if index in simulated else "cached"
                 on_point(point, resolved[index], source)

@@ -20,11 +20,10 @@ Two persistence backends implement the same store contract
 ``tests/runs/store_contract.py``):
 
 ``"jsonl"`` (this module, the historical default)
-    Append-only JSONL — one record per line, one file per writer — with
-    each append issued as a single ``write`` on an ``O_APPEND``
-    descriptor followed by fsync, so concurrent shard processes never
-    interleave partial lines and a crash can at worst lose the final
-    record.
+    Append-only JSONL — one record per line, one file per writer —
+    written through :class:`repro.utils.io.AppendLog`, so concurrent
+    shard processes never interleave partial lines, a crash can at worst
+    lose the final record, and the next append heals the torn line.
 ``"sqlite"`` (:mod:`repro.runs.warehouse`)
     A single WAL-mode SQLite database with transactional multi-chunk
     ingest and indexed point metadata powering cross-run queries,
@@ -53,14 +52,18 @@ from pathlib import Path
 
 from repro.core.metrics import BERPoint
 from repro.obs.recorder import active
+from repro.sim.engine import chunk_spans
+from repro.utils.io import AppendLog
 
 __all__ = [
+    "ChunkPlan",
     "ResultStore",
     "STORE_FORMATS",
     "StoredChunk",
     "default_store_format",
     "detect_store_format",
     "measurement_key",
+    "plan_missing_chunks",
 ]
 
 _SCHEMA_VERSION = 1
@@ -120,6 +123,52 @@ def measurement_key(point_digest: str, config_digest: str,
         "schema": _SCHEMA_VERSION,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class ChunkPlan:
+    """What one point still needs: see :func:`plan_missing_chunks`."""
+
+    #: The pooled measurement when the store already covers the request.
+    cached: BERPoint | None
+    #: Packets contiguously covered from offset 0.
+    covered: int
+    #: ``(packet_offset, num_packets)`` chunks to simulate, offset order.
+    missing: tuple[tuple[int, int], ...]
+    #: Chunks of the layout already stored beyond a coverage gap.
+    resumed: int
+    #: Packets the store already holds for the key (prefix and beyond).
+    packets_stored: int
+
+
+def plan_missing_chunks(store, key: str, requested: int,
+                        chunk_packets: int | None) -> ChunkPlan:
+    """Plan one point against ``store``: a cache hit, or its missing chunks.
+
+    A hit (contiguous coverage >= ``requested``) returns the pooled
+    measurement.  Otherwise the uncovered tail is decomposed with
+    :func:`repro.sim.engine.chunk_spans` in the ``chunk_packets`` layout
+    and every span already stored (even beyond a gap a faulted run left)
+    is dropped, so only the truly missing chunks are simulated.  The
+    local :class:`repro.runs.RunDriver` and the fleet
+    :class:`repro.serve.Broker` both plan with this one function, which
+    is what keeps fleet and local runs of a grid bit-identical.
+    """
+    cached = store.lookup(key, requested)
+    if cached is not None:
+        return ChunkPlan(cached=cached, covered=cached.packets_sent,
+                         missing=(), resumed=0,
+                         packets_stored=cached.packets_sent)
+    covered = store.coverage(key)
+    stored = store.chunks_for(key)
+    spans = chunk_spans(requested - covered, chunk_packets, covered)
+    missing = tuple((offset, packets) for offset, packets in spans
+                    if stored.get(offset) != packets)
+    return ChunkPlan(
+        cached=None, covered=covered, missing=missing,
+        resumed=len(spans) - len(missing),
+        packets_stored=covered + sum(packets for offset, packets
+                                     in stored.items() if offset >= covered))
 
 
 @dataclass(frozen=True)
@@ -232,20 +281,10 @@ class ResultStore:
         if not self.directory.is_dir():
             return
         for path in sorted(self.directory.glob("*.jsonl")):
-            self._load_file(path)
-
-    def _load_file(self, path: Path) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    chunk = StoredChunk.from_record(json.loads(line))
-                except (json.JSONDecodeError, ValueError) as error:
-                    self._note_corrupt_record(
-                        f"{path.name}:{line_number}", error)
-                    continue
+            chunks, _ = AppendLog(path, StoredChunk.from_record).read(
+                on_corrupt=lambda line, error: self._note_corrupt_record(
+                    f"{path.name}:{line}", error))
+            for chunk in chunks:
                 self._index(chunk)
 
     def _note_corrupt_record(self, location: str, error) -> None:
@@ -369,10 +408,10 @@ class ResultStore:
         measurement) raises ``ValueError`` and leaves the store
         untouched.  Replays — chunks already present with identical
         measurements — are idempotent and skipped.  The fresh remainder
-        persists as one unit: the JSONL backend serializes the batch
-        into a single ``os.write`` on an ``O_APPEND`` descriptor + fsync
-        (atomic with respect to concurrent appenders, torn at worst at
-        the final record on crash), the SQLite backend commits one
+        persists as one unit: the JSONL backend appends the batch as
+        one :class:`repro.utils.io.AppendLog` write + fsync (atomic with
+        respect to concurrent appenders, torn at worst at the final
+        record on crash), the SQLite backend commits one
         transaction (all rows or none).  Returns the stored chunk per
         item, in input order.
         """
@@ -413,15 +452,7 @@ class ResultStore:
 
     def _persist(self, chunks: list[StoredChunk]) -> None:
         # The JSONL backend's write primitive: the whole batch as one
-        # O_APPEND write + fsync on this store's writer file.
-        text = "".join(json.dumps(chunk.to_record(), sort_keys=True) + "\n"
-                       for chunk in chunks)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / self.writer_name
-        descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                             0o644)
-        try:
-            os.write(descriptor, text.encode("utf-8"))
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
+        # durable AppendLog append on this store's writer file.
+        AppendLog(self.directory / self.writer_name,
+                  StoredChunk.from_record).append(
+            [chunk.to_record() for chunk in chunks])

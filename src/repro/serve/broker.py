@@ -1,13 +1,12 @@
 """The sweep broker: grids in, chunk leases out, curves assembled.
 
 The broker is the service-side twin of :class:`repro.runs.RunDriver`:
-it plans work the exact same way — per-point
-:func:`repro.runs.store.measurement_key` content addresses, the
-uncovered tail decomposed with :func:`repro.sim.engine.chunk_spans`,
-already-stored chunks skipped — but instead of simulating the missing
-chunks itself it queues them as :class:`ChunkTask` units and hands them
-to pull-based workers under time-limited leases
-(:class:`repro.serve.leases.LeaseTable`).
+it plans work with the very same code — per-point
+:func:`repro.runs.store.measurement_key` content addresses fed to
+:func:`repro.runs.store.plan_missing_chunks` — but instead of
+simulating the missing chunks itself it queues them as
+:class:`ChunkTask` units and hands them to pull-based workers under
+time-limited leases (:class:`repro.serve.leases.LeaseTable`).
 
 Because tasks are keyed by ``(measurement key, packet offset)`` they are
 shared *across jobs*: two clients submitting overlapping grids against
@@ -44,10 +43,11 @@ from pathlib import Path
 
 from repro.core.metrics import BERPoint
 from repro.obs.recorder import Recorder, activate
-from repro.runs.store import ResultStore, measurement_key
+from repro.runs.store import (ResultStore, measurement_key,
+                              plan_missing_chunks)
 from repro.serve.journal import JOURNAL_NAME, BrokerJournal
 from repro.serve.leases import LeaseTable, UnknownLeaseError
-from repro.sim.engine import SweepEngine, SweepPoint, SweepResult, chunk_spans
+from repro.sim.engine import SweepEngine, SweepPoint, SweepResult
 
 __all__ = ["Broker", "BrokerDrainingError", "BrokerError", "ChunkTask",
            "CommitConflictError", "JobSpec", "UnknownJobError",
@@ -63,7 +63,7 @@ def result_from_curve_payload(payload: dict) -> SweepResult:
     """
     result = SweepResult()
     for entry in payload.get("points", ()):
-        result.entries.append((_point_from_dict(entry["point"]),
+        result.entries.append((SweepPoint.from_dict(entry["point"]),
                                BERPoint.from_dict(entry["measurement"])))
     return result
 
@@ -98,27 +98,6 @@ def _id_serial(identifier: str) -> int:
         return 0
 
 
-def _point_to_dict(point: SweepPoint) -> dict:
-    return {"ebn0_db": float(point.ebn0_db), "scenario": point.scenario,
-            "modulation": point.modulation, "adc_bits": point.adc_bits}
-
-
-def _point_from_dict(data) -> SweepPoint:
-    if not isinstance(data, dict):
-        raise BrokerError("each grid point must be an object with "
-                          "ebn0_db/scenario/modulation/adc_bits")
-    try:
-        adc_bits = data.get("adc_bits")
-        return SweepPoint(
-            ebn0_db=float(data["ebn0_db"]),
-            scenario=str(data.get("scenario", "awgn")),
-            modulation=str(data.get("modulation", "bpsk")),
-            adc_bits=None if adc_bits is None else int(adc_bits))
-    except (KeyError, TypeError, ValueError) as error:
-        raise BrokerError(f"malformed grid point {data!r}: {error}") \
-            from None
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One submitted grid: the points plus everything that shapes results.
@@ -149,7 +128,11 @@ class JobSpec:
         points_data = data.get("points")
         if not isinstance(points_data, list) or not points_data:
             raise BrokerError("job spec needs a non-empty 'points' list")
-        points = tuple(_point_from_dict(entry) for entry in points_data)
+        try:
+            points = tuple(SweepPoint.from_dict(entry)
+                           for entry in points_data)
+        except ValueError as error:
+            raise BrokerError(str(error)) from None
         try:
             spec = cls(
                 points=points,
@@ -184,7 +167,7 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         """The submission payload this spec round-trips through."""
-        return {"points": [_point_to_dict(point) for point in self.points],
+        return {"points": [point.to_dict() for point in self.points],
                 "num_packets": self.num_packets,
                 "payload_bits_per_packet": self.payload_bits_per_packet,
                 "chunk_packets": self.chunk_packets,
@@ -233,7 +216,7 @@ class ChunkTask:
     def descriptor(self) -> dict:
         """The self-contained work order a worker receives with a lease."""
         return {"task_id": self.task_id,
-                "point": _point_to_dict(self.point),
+                "point": self.point.to_dict(),
                 "packet_offset": self.packet_offset,
                 "num_packets": self.num_packets,
                 "payload_bits_per_packet": self.payload_bits_per_packet,
@@ -349,8 +332,9 @@ class Broker:
     def submit(self, spec_data) -> dict:
         """Plan a submitted grid into tasks; returns the job descriptor.
 
-        Planning mirrors :meth:`repro.runs.RunDriver.run_shard` exactly:
-        fully covered points are cache hits, partially covered points
+        Planning is :func:`repro.runs.store.plan_missing_chunks`, the
+        same call :meth:`repro.runs.RunDriver.run_shard` makes: fully
+        covered points are cache hits, partially covered points
         contribute only their missing chunks, and chunks already queued
         by an earlier overlapping job are attached rather than
         duplicated.  A grid that is entirely cached completes without a
@@ -381,7 +365,6 @@ class Broker:
         engine = spec.build_engine()
         engine._validate_modulations(spec.points)
         config_digest = engine.config_digest()
-        requested = spec.num_packets
         keys = []
         task_ids: list[str] = []
         points_cached = 0
@@ -391,27 +374,22 @@ class Broker:
                                   config_digest,
                                   spec.payload_bits_per_packet)
             keys.append(key)
-            if self.store.lookup(key, requested) is not None:
+            plan = plan_missing_chunks(self.store, key, spec.num_packets,
+                                       spec.chunk_packets)
+            if plan.cached is not None:
                 points_cached += 1
                 continue
-            covered = self.store.coverage(key)
-            stored = self.store.chunks_for(key)
-            spans = chunk_spans(requested - covered,
-                                spec.chunk_packets, covered)
-            missing = [(offset, packets) for offset, packets in spans
-                       if stored.get(offset) != packets]
-            for offset, packets in missing:
+            for offset, packets in plan.missing:
                 task_id = f"{key}:{offset}"
                 task = self._tasks.get(task_id)
                 if task is not None and task.state != "failed":
                     chunks_shared += 1
                 else:
-                    payload_bits = spec.payload_bits_per_packet
                     task = ChunkTask(
                         task_id=task_id, key=key, point=point,
                         packet_offset=int(offset),
                         num_packets=int(packets),
-                        payload_bits_per_packet=payload_bits,
+                        payload_bits_per_packet=spec.payload_bits_per_packet,
                         engine_params=spec.engine_params())
                     self._tasks[task_id] = task
                     self._queue.append(task_id)
@@ -728,7 +706,7 @@ class Broker:
             descriptor["points_measured"] = len(entries)
             descriptor["complete"] = len(entries) == len(job.spec.points)
             descriptor["points"] = [
-                {"point": _point_to_dict(point),
+                {"point": point.to_dict(),
                  "measurement": measurement.to_dict()}
                 for point, measurement in entries]
             return descriptor

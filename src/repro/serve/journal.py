@@ -4,12 +4,13 @@ The broker's queue — submitted :class:`~repro.serve.broker.JobSpec`\\ s,
 task attempt counts, lease grants, terminal failures — used to live
 only in memory; a broker crash dropped every queued job even though the
 committed chunks themselves are durable in the content-addressed store.
-``journal.jsonl`` closes that gap with the same write discipline as the
-result store and :class:`repro.obs.ledger.EventLedger`: every record is
-one JSON line, appended with a single ``os.write`` on an ``O_APPEND``
-descriptor followed by ``fsync``, so concurrent appends never interleave
-partial lines and a crash tears at worst the final line — which
-:meth:`BrokerJournal.read` skips and counts, never fatal.
+``journal.jsonl`` closes that gap with the primitive the result store
+and :class:`repro.obs.ledger.EventLedger` also use,
+:class:`repro.utils.io.AppendLog`: every record is one JSON line,
+appended in one atomic fsynced batch, so concurrent appends never
+interleave partial lines and a crash tears at worst the final line —
+which :meth:`BrokerJournal.read` skips and counts, never fatal, and the
+next append heals.
 
 The journal is a *redo log of intent*, not a state snapshot: recovery
 (:meth:`repro.serve.Broker` with ``state_dir=``) replays the records
@@ -48,8 +49,8 @@ Record kinds (all carry ``schema`` + ``kind``):
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
+
+from repro.utils.io import AppendLog
 
 __all__ = ["JOURNAL_NAME", "JOURNAL_SCHEMA_VERSION", "BrokerJournal",
            "validate_record"]
@@ -72,8 +73,8 @@ _REQUIRED_FIELDS = {
 }
 
 
-def validate_record(record) -> None:
-    """Raise ``ValueError`` unless ``record`` is a valid journal record.
+def validate_record(record) -> dict:
+    """Validate a journal record; return it unchanged or raise ValueError.
 
     Checks the envelope (``schema`` pin, known ``kind``), the
     kind-specific required fields, and JSON-serializability — the single
@@ -105,18 +106,23 @@ def validate_record(record) -> None:
     except (TypeError, ValueError) as error:
         raise ValueError(
             f"journal record is not JSON-serializable: {error}") from None
+    return record
 
 
 class BrokerJournal:
     """The append-only ``journal.jsonl`` of one broker state directory.
 
-    Writes are validated, serialized with sorted keys, and flushed with
-    the store's ``O_APPEND`` + ``fsync`` discipline; reads tolerate (and
-    count) a torn tail line from a crashed append.
+    Holds a :class:`repro.utils.io.AppendLog` of journal records:
+    writes are validated, serialized with sorted keys and fsynced in one
+    atomic batch, a torn tail from a crashed append is healed by the
+    next one, and reads skip (and count) corrupt lines.  Losing the
+    final grant or requeue record to a tear costs at most one redundant
+    (and bit-identical) chunk re-execution, exactly like a worker death.
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
+        self._log = AppendLog(path, validate_record)
+        self.path = self._log.path
 
     def record(self, kind: str, **fields) -> dict:
         """Append one record of ``kind`` with ``fields``; returns it."""
@@ -125,70 +131,9 @@ class BrokerJournal:
         return record
 
     def append(self, records) -> int:
-        """Validate and append a batch of records; returns the count.
-
-        The whole batch goes out as one ``os.write`` on an ``O_APPEND``
-        descriptor followed by ``fsync`` — atomic with respect to
-        concurrent appenders, durable up to the last completed batch.
-
-        Unlike the run ledger (one writer, one run), the journal is
-        re-opened for appending after a crash, so a torn tail left
-        without its newline would glue the next record onto the corrupt
-        bytes and destroy it too.  The first append to a file whose last
-        byte is not a newline therefore terminates the torn line first,
-        confining the damage to the line that was already lost.
-        """
-        records = list(records)
-        if not records:
-            return 0
-        lines = []
-        for record in records:
-            validate_record(record)
-            lines.append(json.dumps(record, sort_keys=True))
-        payload = "\n".join(lines) + "\n"
-        if self._tail_is_torn():
-            payload = "\n" + payload
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor = os.open(self.path,
-                             os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(descriptor, payload.encode("utf-8"))
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
-        return len(records)
-
-    def _tail_is_torn(self) -> bool:
-        """Whether the file ends mid-line (crashed append, no newline)."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (OSError, ValueError):
-            return False  # missing or empty file: nothing to heal
+        """Validate and append a batch of records; returns the count."""
+        return self._log.append(records)
 
     def read(self) -> tuple[list[dict], int]:
-        """Load the journal; returns ``(records, corrupt_count)``.
-
-        Corrupt or truncated lines — the torn tail of a crashed append,
-        or bit rot — are skipped and counted, never fatal: losing the
-        final grant or requeue record costs at most one redundant (and
-        bit-identical) chunk re-execution, exactly like a worker death.
-        """
-        if not self.path.exists():
-            return [], 0
-        records: list[dict] = []
-        corrupt = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    validate_record(record)
-                except (json.JSONDecodeError, ValueError):
-                    corrupt += 1
-                    continue
-                records.append(record)
-        return records, corrupt
+        """Load the journal; returns ``(records, corrupt_count)``."""
+        return self._log.read()

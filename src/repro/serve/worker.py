@@ -353,13 +353,7 @@ class Worker:
     def simulate(self, task: dict) -> BERPoint:
         """Simulate exactly the leased chunk, bit-identical to the local
         driver's execution of the same span."""
-        point_data = task["point"]
-        adc_bits = point_data.get("adc_bits")
-        point = SweepPoint(
-            ebn0_db=float(point_data["ebn0_db"]),
-            scenario=str(point_data["scenario"]),
-            modulation=str(point_data["modulation"]),
-            adc_bits=None if adc_bits is None else int(adc_bits))
+        point = SweepPoint.from_dict(task["point"])
         packets = int(task["num_packets"])
         offset = int(task["packet_offset"])
         engine = self._engine_for(task["engine"])

@@ -46,9 +46,10 @@ fullstack backend is pinned against).
 
 Orthogonal to that choice, the batch kernel's array operations run on a
 pluggable *array backend* (:mod:`repro.sim.backends`): the NumPy
-reference (bit-identical to the historical code), CuPy (CUDA GPUs), or
-JAX — ``SweepEngine(array_backend="cupy")``, ``--array-backend`` on the
-CLI, or the ``REPRO_ARRAY_BACKEND`` environment variable.  Process
+reference (bit-identical to the historical code) or any backend added
+with :func:`register_backend` — ``SweepEngine(array_backend=...)``,
+``--array-backend`` on the CLI, or the ``REPRO_ARRAY_BACKEND``
+environment variable.  Process
 fan-out (``max_workers``) returns results through
 ``multiprocessing.shared_memory`` blocks (:mod:`repro.sim.shm`) instead
 of pickles, bit-identical to a serial run.
@@ -56,8 +57,6 @@ of pickles, bit-identical to a serial run.
 
 from repro.sim.backends import (
     ArrayBackend,
-    CupyBackend,
-    JaxBackend,
     NumpyBackend,
     available_backends,
     get_backend,
@@ -82,8 +81,6 @@ __all__ = [
     "BatchedLinkModel",
     "FullStackBatchResult",
     "ChunkResultBlock",
-    "CupyBackend",
-    "JaxBackend",
     "NumpyBackend",
     "SCENARIOS",
     "Scenario",

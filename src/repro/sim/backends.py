@@ -3,41 +3,23 @@
 The vectorized kernel (:class:`repro.sim.batch.BatchedLinkModel`) is a
 pipeline of plain ``ndarray`` operations — array creation, broadcasting,
 FFT convolution, ``einsum``, random draws.  An :class:`ArrayBackend`
-bundles exactly that surface behind one object, so the same kernel code
-runs on
+bundles exactly that surface behind one object.  :class:`NumpyBackend`
+is the reference implementation: it delegates straight to
+``numpy``/``scipy`` and is **bit-identical** to the historical
+module-level ``np`` code path (golden-fixture guarded).
 
-* :class:`NumpyBackend` — the reference implementation.  Delegates
-  straight to ``numpy``/``scipy`` and is **bit-identical** to the
-  historical module-level ``np`` code path (golden-fixture guarded).
-* :class:`CupyBackend` — CUDA GPUs via `CuPy <https://cupy.dev>`_, when
-  ``cupy`` is importable.  Waveform-scale operations stay on the device;
-  the IIR notch falls back to the host when ``cupyx.scipy.signal`` does
-  not provide ``lfilter``.
-* :class:`JaxBackend` — CPU/GPU/TPU via `JAX <https://jax.dev>`_, when
-  ``jax`` is importable.  Enables 64-bit mode for parity with the NumPy
-  reference; the IIR notch and the uniform quantizer reference run on
-  the host.
-
-Accelerator backends are *import-gated*: constructing one on a machine
-without the library raises a clear ``ImportError``, and resolving a
-backend from the ``REPRO_ARRAY_BACKEND`` environment variable falls back
-to NumPy with a warning instead of failing, so the same script runs
-everywhere.  Accelerator random streams are seeded from the caller's
-NumPy generator but draw natively on the device, so their Monte-Carlo
-results agree with NumPy statistically (BER within binomial tolerance),
-not bit-for-bit.
-
-Select a backend explicitly::
-
-    from repro.sim import SweepEngine
-    engine = SweepEngine(array_backend="cupy")      # raises if no cupy
-
-or ambiently::
-
-    REPRO_ARRAY_BACKEND=jax python -m repro sweep --ebn0 0:12:1 ...
-
-Custom backends: subclass :class:`ArrayBackend`, then
+The seam stays open for accelerators: subclass :class:`ArrayBackend`
+(set ``xp`` to an array-API-style module, provide ``random_source``,
+override the helpers whose tuned form differs), then
 :func:`register_backend` it so worker processes can resolve it by name.
+A backend whose library is missing should raise ``ImportError`` from its
+constructor: explicit selection then fails loudly, while resolving it
+from the ``REPRO_ARRAY_BACKEND`` environment variable falls back to
+NumPy with a warning, so the same script runs everywhere::
+
+    from repro.sim import SweepEngine, register_backend
+    register_backend(MyDeviceBackend)
+    engine = SweepEngine(array_backend="my-device")
 """
 
 from __future__ import annotations
@@ -55,8 +37,6 @@ from repro.adc.quantizer import UniformQuantizer
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
-    "CupyBackend",
-    "JaxBackend",
     "available_backends",
     "get_backend",
     "reference_backend",
@@ -71,7 +51,7 @@ class ArrayBackend:
     """The array namespace and helper operations the batched kernel uses.
 
     Subclasses set :attr:`xp` to an array-API-style module (``numpy``,
-    ``cupy``, ``jax.numpy``) and override the helpers whose accelerated
+    or a device array library) and override the helpers whose accelerated
     form differs from the generic implementation.  The generic
     implementations below are written against ``self.xp`` only, so a
     minimal subclass just provides ``xp`` plus host transfer.
@@ -79,7 +59,7 @@ class ArrayBackend:
     Attributes
     ----------
     name:
-        Registry name (``"numpy"``, ``"cupy"``, ``"jax"``), also what
+        Registry name (``"numpy"`` or a registered one), also what
         :class:`repro.sim.SweepEngine` records in config digests.
     xp:
         The backend's array namespace module.
@@ -301,198 +281,8 @@ class NumpyBackend(ArrayBackend):
         return rng if rng is not None else np.random.default_rng()
 
 
-class _SeededDeviceSource:
-    """Adapter exposing ``integers``/``standard_normal`` on a device RNG,
-    falling back to host draws + transfer when the device generator lacks
-    a method (keeps older accelerator releases working)."""
-
-    def __init__(self, backend: ArrayBackend, device_rng,
-                 host_rng: np.random.Generator) -> None:
-        self._backend = backend
-        self._device_rng = device_rng
-        self._host_rng = host_rng
-
-    def integers(self, low, high=None, size=None, dtype=np.int64):
-        """Uniform integers in ``[low, high)`` as a device array."""
-        try:
-            draw = self._device_rng.integers(low, high, size=size)
-        except (AttributeError, TypeError):
-            return self._backend.asarray(
-                self._host_rng.integers(low, high, size=size, dtype=dtype))
-        return self._backend.asarray(draw, dtype=dtype)
-
-    def standard_normal(self, size=None):
-        """Standard normal draws as a device array."""
-        try:
-            return self._device_rng.standard_normal(size=size)
-        except (AttributeError, TypeError):
-            return self._backend.asarray(
-                self._host_rng.standard_normal(size=size))
-
-
-class CupyBackend(ArrayBackend):
-    """CUDA backend backed by ``cupy`` (import-gated).
-
-    Waveform-scale operations (synthesis, convolution, noise, matched
-    filtering, quantization) run on the GPU; ray bookkeeping and the
-    modulator symbol maps stay on the host where they are O(packets), not
-    O(samples).  Random streams are device-native, seeded from the host
-    generator, so results agree with NumPy statistically rather than
-    bit-for-bit.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        try:
-            import cupy
-        except ImportError as error:
-            raise ImportError(
-                "the 'cupy' array backend needs CuPy (pip install "
-                "cupy-cuda12x for CUDA 12); use array_backend='numpy' or "
-                "unset REPRO_ARRAY_BACKEND") from error
-        # CuPy importing is not enough — without a usable CUDA device the
-        # first kernel launch would die deep in the sweep.  Raise the same
-        # ImportError the registry's fallback path understands.
-        try:
-            device_count = cupy.cuda.runtime.getDeviceCount()
-        except Exception as error:
-            raise ImportError(
-                "cupy imports but CUDA is unusable "
-                f"({type(error).__name__}: {error}); use "
-                "array_backend='numpy' or unset "
-                "REPRO_ARRAY_BACKEND") from error
-        if device_count < 1:
-            raise ImportError(
-                "cupy imports but no CUDA device is visible; use "
-                "array_backend='numpy' or unset REPRO_ARRAY_BACKEND")
-        self.xp = cupy
-        self._cupy = cupy
-        try:
-            from cupyx.scipy import signal as cupyx_signal
-        except ImportError:
-            cupyx_signal = None
-        self._signal = cupyx_signal
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """True when ``cupy`` imports and sees at least one CUDA device."""
-        try:
-            import cupy
-            return cupy.cuda.runtime.getDeviceCount() > 0
-        except Exception:
-            return False
-
-    def to_numpy(self, array) -> np.ndarray:
-        """Device-to-host copy via ``cupy.asnumpy``."""
-        return self._cupy.asnumpy(array)
-
-    def fftconvolve_full(self, signals, kernel):
-        """``cupyx.scipy.signal.fftconvolve`` when present, else generic FFT."""
-        if self._signal is not None and hasattr(self._signal, "fftconvolve"):
-            return self._signal.fftconvolve(signals, kernel, mode="full",
-                                            axes=-1)
-        return super().fftconvolve_full(signals, kernel)
-
-    def lfilter(self, b, a, samples):
-        """``cupyx.scipy.signal.lfilter`` when present, else host fallback."""
-        if self._signal is not None and hasattr(self._signal, "lfilter"):
-            return self._signal.lfilter(
-                self.asarray(np.asarray(b)), self.asarray(np.asarray(a)),
-                samples, axis=-1)
-        return super().lfilter(b, a, samples)
-
-    def random_source(self, rng: np.random.Generator | None):
-        """A device generator seeded from the host generator's stream."""
-        host = rng if rng is not None else np.random.default_rng()
-        seed = int(host.integers(0, 2 ** 63 - 1))
-        return _SeededDeviceSource(self, self._cupy.random.default_rng(seed),
-                                   np.random.default_rng(seed))
-
-
-class _JaxRandomSource:
-    """Functional JAX PRNG behind the imperative draw interface the
-    kernel expects (one key split per draw)."""
-
-    def __init__(self, jax_module, xp, seed: int) -> None:
-        self._jax = jax_module
-        self._xp = xp
-        self._key = jax_module.random.PRNGKey(seed)
-
-    def _next_key(self):
-        self._key, sub = self._jax.random.split(self._key)
-        return sub
-
-    def integers(self, low, high=None, size=None, dtype=np.int64):
-        """Uniform integers in ``[low, high)`` as a device array."""
-        shape = () if size is None else tuple(np.atleast_1d(size))
-        return self._jax.random.randint(self._next_key(), shape, low, high,
-                                        dtype=self._xp.int64)
-
-    def standard_normal(self, size=None):
-        """Standard normal draws as a device array."""
-        shape = () if size is None else tuple(np.atleast_1d(size))
-        return self._jax.random.normal(self._next_key(), shape,
-                                       dtype=self._xp.float64)
-
-
-class JaxBackend(ArrayBackend):
-    """JAX backend (CPU/GPU/TPU, import-gated).
-
-    Runs eagerly with 64-bit mode enabled so dtypes match the NumPy
-    reference.  ``jax.scipy.signal.fftconvolve`` is used when it accepts
-    ``axes``; otherwise the generic frequency-domain convolution applies.
-    The IIR notch and the reference quantizer round-trip through the host
-    (inherited generic implementations).
-    """
-
-    name = "jax"
-
-    def __init__(self) -> None:
-        try:
-            import jax
-        except ImportError as error:
-            raise ImportError(
-                "the 'jax' array backend needs JAX (pip install jax for "
-                "the CPU wheel); use array_backend='numpy' or unset "
-                "REPRO_ARRAY_BACKEND") from error
-        jax.config.update("jax_enable_x64", True)
-        import jax.numpy as jnp
-        self.xp = jnp
-        self._jax = jax
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """True when ``jax`` is importable."""
-        try:
-            import jax  # noqa: F401
-            return True
-        except Exception:
-            return False
-
-    def to_numpy(self, array) -> np.ndarray:
-        """Blocks on the device value and copies it to host memory."""
-        return np.asarray(array)
-
-    def fftconvolve_full(self, signals, kernel):
-        """``jax.scipy.signal.fftconvolve`` if it supports ``axes``."""
-        try:
-            from jax.scipy.signal import fftconvolve
-            return fftconvolve(signals, kernel, mode="full", axes=-1)
-        except (ImportError, TypeError):
-            return super().fftconvolve_full(signals, kernel)
-
-    def random_source(self, rng: np.random.Generator | None):
-        """A split-per-draw JAX PRNG seeded from the host generator."""
-        host = rng if rng is not None else np.random.default_rng()
-        return _JaxRandomSource(self._jax, self.xp,
-                                int(host.integers(0, 2 ** 31 - 1)))
-
-
 _REGISTRY: dict[str, type[ArrayBackend]] = {
     NumpyBackend.name: NumpyBackend,
-    CupyBackend.name: CupyBackend,
-    JaxBackend.name: JaxBackend,
 }
 _INSTANCES: dict[str, ArrayBackend] = {}
 _LOCK = threading.Lock()
@@ -577,8 +367,8 @@ def get_backend(backend=None, strict: bool = True) -> ArrayBackend:
         When the backend's library is missing: ``True`` raises the
         underlying ``ImportError``; ``False`` warns and falls back to
         NumPy.  Environment-variable resolution is never strict, so an
-        exported ``REPRO_ARRAY_BACKEND=cupy`` cannot break a
-        CPU-only machine.
+        exported ``REPRO_ARRAY_BACKEND`` naming an accelerator cannot
+        break a machine without it.
     """
     if isinstance(backend, ArrayBackend):
         with _LOCK:

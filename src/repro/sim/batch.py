@@ -18,8 +18,8 @@ handful of array operations instead of a Python loop:
 Every array operation routes through an
 :class:`repro.sim.backends.ArrayBackend`, so the same kernel runs on the
 NumPy reference (bit-identical to the historical module-level ``np``
-code), on a CUDA device via CuPy, or under JAX — pass ``backend=`` (a
-name or an :class:`~repro.sim.backends.ArrayBackend`) or set the
+code) or on any registered backend — pass ``backend=`` (a name or an
+:class:`~repro.sim.backends.ArrayBackend`) or set the
 ``REPRO_ARRAY_BACKEND`` environment variable.  Host-side work (modulator
 symbol maps, channel ray bookkeeping, the final error count) is
 O(packets); everything O(samples) runs on the backend's device.
@@ -128,7 +128,7 @@ class BatchedLinkModel:
     backend:
         Array backend carrying every waveform-scale operation: ``None``
         (environment default, normally NumPy), a registered backend name
-        (``"numpy"``, ``"cupy"``, ``"jax"``), or an
+        (``"numpy"`` or a registered accelerator), or an
         :class:`~repro.sim.backends.ArrayBackend` instance.
     """
 

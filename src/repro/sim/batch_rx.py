@@ -38,7 +38,7 @@ Monte-Carlo batch:
 
 The batched stages route their array work through an
 :class:`~repro.sim.backends.ArrayBackend`, so the full-stack fast path
-inherits the NumPy/CuPy/JAX selection, shared-memory fan-out and
+inherits the array-backend selection, shared-memory fan-out and
 ``repro.runs`` caching the genie kernel already has.  Bit decisions are
 identical to the per-packet loop; intermediate floats can differ at
 rounding level (batched FFT widths and einsum reduction orders), which is

@@ -19,9 +19,10 @@ side: duplicated points in one grid share a stream and return identical
 measurements — use different seeds (or engines) to replicate a point.
 
 Array backends: the batch kernel's array operations run on a pluggable
-:class:`repro.sim.backends.ArrayBackend` — NumPy (reference,
-bit-identical to the historical code), CuPy, or JAX — selected with
-``array_backend=`` or the ``REPRO_ARRAY_BACKEND`` environment variable.
+:class:`repro.sim.backends.ArrayBackend` — the NumPy reference
+(bit-identical to the historical code) or any registered backend —
+selected with ``array_backend=`` or the ``REPRO_ARRAY_BACKEND``
+environment variable.
 
 Parallelism: the schedulable unit is the seeded *packet chunk* — a
 ``(point, num_packets, packet_offset)`` span with its own content-keyed
@@ -36,10 +37,10 @@ chunks are still harvested when a sibling's worker raises or dies.  For
 a fixed chunk layout, results are bitwise identical however the chunks
 are scheduled — serial, any worker count, any completion order; the
 default layout (``chunk_packets=None``, one chunk per point at offset 0)
-is bit-exact with the historical unchunked engine.  ``shared_memory=
-False`` falls back to the pickling pool.  Scenarios shipped to workers
-must be picklable — every built-in scenario is; custom scenarios should
-use module-level factory functions rather than lambdas.
+is bit-exact with the historical unchunked engine.  Scenarios shipped
+to workers must be picklable — every built-in scenario is; custom
+scenarios should use module-level factory functions rather than
+lambdas.
 """
 
 from __future__ import annotations
@@ -94,6 +95,31 @@ class SweepPoint:
     def curve_key(self) -> tuple[str, str, int | None]:
         """Grouping key: all points sharing it belong to one BER curve."""
         return (self.scenario, self.modulation, self.adc_bits)
+
+    def to_dict(self) -> dict:
+        """The plain-JSON form run manifests, job specs and leases carry."""
+        return {"ebn0_db": float(self.ebn0_db), "scenario": self.scenario,
+                "modulation": self.modulation, "adc_bits": self.adc_bits}
+
+    @classmethod
+    def from_dict(cls, data) -> "SweepPoint":
+        """Parse :meth:`to_dict` output (the one point codec).
+
+        ``scenario``/``modulation`` default to ``"awgn"``/``"bpsk"``;
+        anything malformed raises ``ValueError``.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("each grid point must be an object with "
+                             "ebn0_db/scenario/modulation/adc_bits")
+        try:
+            adc_bits = data.get("adc_bits")
+            return cls(ebn0_db=float(data["ebn0_db"]),
+                       scenario=str(data.get("scenario", "awgn")),
+                       modulation=str(data.get("modulation", "bpsk")),
+                       adc_bits=None if adc_bits is None else int(adc_bits))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"malformed grid point {data!r}: {error}") \
+                from None
 
 
 def sweep_grid(ebn0_values_db, scenarios=("awgn",), modulations=("bpsk",),
@@ -316,12 +342,6 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
     return measurement, errors_per_packet
 
 
-def _run_point(task: _PointTask) -> BERPoint:
-    """Measure one grid point (the scalar-result variant of
-    :func:`_run_point_record`, used by ``measure_point``)."""
-    return _run_point_record(task)[0]
-
-
 # ----------------------------------------------------------------------
 # Chunk decomposition and scheduling
 # ----------------------------------------------------------------------
@@ -349,15 +369,10 @@ def chunk_spans(num_packets: int, chunk_packets: int | None,
         for start in range(0, num_packets, chunk_packets))
 
 
-#: Backwards-compatible alias from before :func:`chunk_spans` became part
-#: of the public chunk-planning surface (the serve broker plans with it).
-_chunk_spans = chunk_spans
-
-
 #: Test-only fault-injection hook.  When set (in the parent process,
 #: before the worker pool forks), it is called as ``hook(task)``
-#: immediately before every chunk task body — on the serial, pickling-pool
-#: and shared-memory paths alike.  Raising (or killing the process) from
+#: immediately before every chunk task body — on the serial and
+#: shared-memory paths alike.  Raising (or killing the process) from
 #: it makes exactly that chunk fail, which is how the fault-injection
 #: suite exercises per-chunk isolation.  Never set this outside tests.
 _chunk_task_hook = None
@@ -415,8 +430,17 @@ def _run_chunk_traced(task: _PointTask, packet_offset: int, recorder,
             return _run_chunk_task(task)
 
 
-def _worker_telemetry(telemetry: bool, submit_t: float | None):
-    """A worker-process recorder plus the chunk's pool queue wait.
+def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
+                   record_errors: bool, telemetry: bool = False,
+                   submit_t: float | None = None) -> tuple[int, list | None]:
+    """Worker body: rebuild chunk task ``slot`` from the shared task
+    block, simulate it, write its record into the shared result block.
+
+    Only two block names and a slot index cross the pickle boundary —
+    the task inputs stream through shared memory, and the per-fan-out
+    prototypes are unpickled once per worker process (``_proto_cache``).
+    Returns ``(slot, events)`` where ``events`` is the worker-side
+    telemetry batch (``None`` when telemetry is off).
 
     Workers never record into the recorder a fork inherited from the
     parent — each task gets a fresh one (or the null recorder) and ships
@@ -429,22 +453,6 @@ def _worker_telemetry(telemetry: bool, submit_t: float | None):
     queue_wait = None
     if telemetry and submit_t is not None:
         queue_wait = max(time.monotonic() - float(submit_t), 0.0)
-    return recorder, queue_wait
-
-
-def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
-                   record_errors: bool, telemetry: bool = False,
-                   submit_t: float | None = None) -> tuple[int, list | None]:
-    """Worker body: rebuild chunk task ``slot`` from the shared task
-    block, simulate it, write its record into the shared result block.
-
-    Only two block names and a slot index cross the pickle boundary —
-    the task inputs stream through shared memory, and the per-fan-out
-    prototypes are unpickled once per worker process (``_proto_cache``).
-    Returns ``(slot, events)`` where ``events`` is the worker-side
-    telemetry batch (``None`` when telemetry is off).
-    """
-    recorder, queue_wait = _worker_telemetry(telemetry, submit_t)
     with activate(recorder):
         prototypes = _proto_cache.get(task_block_name)
         with ChunkTaskBlock.attach(task_block_name) as tasks:
@@ -462,17 +470,6 @@ def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
             results.write_result(slot, measurement,
                                  errors if record_errors else None)
     return slot, (recorder.drain() if telemetry else None)
-
-
-def _run_chunk_task_events(task: _PointTask, packet_offset: int,
-                           telemetry: bool = False,
-                           submit_t: float | None = None) -> tuple:
-    """Pickling-pool worker body: run one chunk, return ``(record,
-    events)`` where ``events`` is the worker-side telemetry batch
-    (``None`` when telemetry is off)."""
-    recorder, queue_wait = _worker_telemetry(telemetry, submit_t)
-    record = _run_chunk_traced(task, packet_offset, recorder, queue_wait)
-    return record, (recorder.drain() if telemetry else None)
 
 
 def _run_chunks_shared(prototypes, rows, error_packets: int,
@@ -609,17 +606,12 @@ class SweepEngine:
     array_backend:
         Array backend the batch kernel runs on: ``None`` (the
         ``REPRO_ARRAY_BACKEND`` environment variable, defaulting to the
-        bit-identical NumPy reference), a registered name (``"numpy"``,
-        ``"cupy"``, ``"jax"``), or an
-        :class:`~repro.sim.backends.ArrayBackend` instance (cached by
-        name so forked workers resolve to the same object).  Explicit
+        bit-identical NumPy reference), a registered name (``"numpy"``
+        or one added with :func:`~repro.sim.backends.register_backend`),
+        or an :class:`~repro.sim.backends.ArrayBackend` instance (cached
+        by name so forked workers resolve to the same object).  Explicit
         names raise when the library is missing; the environment variable
         falls back to NumPy with a warning.
-    shared_memory:
-        Process fan-out transport: ``True`` (default) returns worker
-        results through :mod:`repro.sim.shm` blocks; ``False`` pickles
-        them through the executor (the slower historical path, kept for
-        comparison and as an escape hatch).
     recorder:
         Optional :class:`repro.obs.Recorder` collecting run telemetry
         (chunk latency spans, pool queue waits, shm block sizes,
@@ -636,7 +628,6 @@ class SweepEngine:
                  backend: str = "batch", quantize: bool = True,
                  max_workers: int | None = None,
                  array_backend: str | ArrayBackend | None = None,
-                 shared_memory: bool = True,
                  chunk_packets: int | None = None,
                  recorder=None) -> None:
         if generation not in ("gen1", "gen2"):
@@ -656,7 +647,6 @@ class SweepEngine:
         self.quantize = bool(quantize)
         self.max_workers = max_workers
         self.array_backend = get_backend(array_backend).name
-        self.shared_memory = bool(shared_memory)
         self.chunk_packets = chunk_packets
         # Never part of config_digest(): telemetry is observability, not
         # identity — recording on/off must not split the result cache.
@@ -765,9 +755,9 @@ class SweepEngine:
                     minimum=1)
         require_int(packet_offset, "packet_offset", minimum=0)
         self._validate_modulations((point,))
-        return _run_point(self._task_for(point, num_packets,
-                                         payload_bits_per_packet,
-                                         packet_offset))
+        return _run_point_record(self._task_for(point, num_packets,
+                                                payload_bits_per_packet,
+                                                packet_offset))[0]
 
     def _chunk_layout(self, chunk_packets) -> int | None:
         """The effective chunk layout for one call (``None`` = engine's)."""
@@ -809,14 +799,14 @@ class SweepEngine:
 
     def _execute_chunks(self, prototypes, rows, error_packets: int,
                         max_workers: int | None):
-        """Run the chunk-task schedule serially or over a worker pool.
+        """Run the chunk-task schedule serially or over the shm pool.
 
         Returns ``(records, failure)`` exactly like
-        :func:`_run_chunks_shared`; the serial and pickling-pool paths
-        produce the same per-chunk records (same seeds, same layout), so
+        :func:`_run_chunks_shared`; the serial and pooled paths produce
+        the same per-chunk records (same seeds, same layout), so
         scheduling is bitwise invisible for a fixed chunk layout.  On the
         serial path a failing chunk stops the schedule (later rows record
-        ``None``); on the pools every chunk fails independently.  Before
+        ``None``); on the pool every chunk fails independently.  Before
         a failure is returned, every failed chunk is logged with its
         identity — point digest, scenario, Eb/N0, packet offset — and
         the identities are attached to the exception as a note (Python
@@ -824,41 +814,11 @@ class SweepEngine:
         knowing *which* chunk died.
         """
         recorder = self.recorder
-        telemetry = recorder.enabled
         if max_workers is not None and max_workers > 1 and len(rows) > 1:
-            if self.shared_memory:
-                records, failure = _run_chunks_shared(
-                    prototypes, rows, error_packets, max_workers, recorder)
-                failed = [i for i, record in enumerate(records)
-                          if record is None]
-            else:
-                tasks = [(_materialize_chunk(prototypes[index], packets,
-                                             offset), offset)
-                         for index, packets, offset in rows]
-                records = []
-                failure = None
-                workers = min(max_workers, len(tasks))
-                recorder.gauge("pool.workers", workers)
-                with recorder.span("pool.run", workers=workers,
-                                   tasks=len(tasks)):
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        futures = [
-                            pool.submit(_run_chunk_task_events, task, offset,
-                                        telemetry,
-                                        time.monotonic() if telemetry
-                                        else None)
-                            for task, offset in tasks]
-                        for future in futures:
-                            try:
-                                record, events = future.result()
-                                records.append(record)
-                                recorder.absorb(events)
-                            except BaseException as error:  # noqa: BLE001
-                                records.append(None)
-                                if failure is None:
-                                    failure = error
-                failed = [i for i, record in enumerate(records)
-                          if record is None]
+            records, failure = _run_chunks_shared(
+                prototypes, rows, error_packets, max_workers, recorder)
+            failed = [i for i, record in enumerate(records)
+                      if record is None]
         else:
             records = []
             failure = None
@@ -979,7 +939,7 @@ class SweepEngine:
             Overrides the engine-level ``max_workers`` for this call;
             when the effective value exceeds 1, the chunk tasks of all
             points fan out over worker processes with shared-memory
-            input/result transport (see ``shared_memory``).
+            input/result transport (:mod:`repro.sim.shm`).
         collect_errors_per_packet:
             Also record each point's per-packet bit-error counts in
             ``SweepResult.errors_per_packet`` (transported through shared

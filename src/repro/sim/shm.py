@@ -34,9 +34,7 @@ is reported as ``None`` — never garbage — while every completed sibling
 is harvested.  Used by :meth:`repro.sim.SweepEngine.run`,
 :meth:`repro.sim.SweepEngine.measure_points` and
 :class:`repro.runs.RunDriver` whenever ``max_workers`` fans chunks out
-over processes; disable with ``SweepEngine(shared_memory=False)`` to
-fall back to the pickling pool (the comparison
-``benchmarks/test_bench_backends.py`` measures).
+over processes — the only process fan-out transport the engine has.
 """
 
 from __future__ import annotations

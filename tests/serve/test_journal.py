@@ -3,7 +3,9 @@
 The journal carries the broker's whole recovery story, so its unit
 contract mirrors the store's: appends are atomic batches, reads
 tolerate (and count) a torn tail line, and every record passes one
-shared validator on both the write and the read path.
+shared validator on both the write and the read path.  Torn tails,
+garbage lines and short writes are covered once for every append-log
+user in ``tests/utils/test_append_log.py``.
 """
 
 import json
@@ -69,44 +71,6 @@ class TestRoundTrip:
         assert len(lines) == len(SAMPLE_RECORDS)
         for line in lines:
             json.loads(line)  # every line is standalone-parseable
-
-
-class TestTornTail:
-    def test_truncated_tail_line_is_skipped_and_counted(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.record("commit", task_id="abc:0")
-        journal.record("commit", task_id="abc:4")
-        # A crash mid-append tears the final line.
-        with open(journal.path, "r+") as handle:
-            content = handle.read()
-            handle.seek(0)
-            handle.truncate()
-            handle.write(content[:-15])
-        records, corrupt = journal.read()
-        assert corrupt == 1
-        assert [r["task_id"] for r in records] == ["abc:0"]
-
-    def test_garbage_line_is_skipped_not_fatal(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.record("commit", task_id="abc:0")
-        with open(journal.path, "a") as handle:
-            handle.write("{not json at all\n")
-        journal.record("commit", task_id="abc:4")
-        records, corrupt = journal.read()
-        assert corrupt == 1
-        assert [r["task_id"] for r in records] == ["abc:0", "abc:4"]
-
-    def test_appends_survive_a_torn_tail(self, tmp_path):
-        # New records after a torn line still read back (the tear only
-        # costs its own line, exactly like the store's policy).
-        journal = make_journal(tmp_path)
-        journal.record("commit", task_id="abc:0")
-        with open(journal.path, "a") as handle:
-            handle.write('{"schema": 1, "kind": "com')  # torn, no newline
-        journal.record("commit", task_id="abc:4")
-        records, corrupt = journal.read()
-        assert corrupt == 1
-        assert len(records) == 2
 
 
 class TestValidation:

@@ -8,8 +8,6 @@ from repro.adc.quantizer import UniformQuantizer
 from repro.sim import (
     ArrayBackend,
     BatchedLinkModel,
-    CupyBackend,
-    JaxBackend,
     NumpyBackend,
     SweepEngine,
     available_backends,
@@ -21,9 +19,10 @@ from repro.sim.backends import BACKEND_ENV_VAR, _INSTANCES, _REGISTRY
 
 
 class GenericNumpyBackend(ArrayBackend):
-    """NumPy with every *generic* base-class helper (the code paths CuPy
-    and JAX inherit): FFT-based convolution instead of scipy, gather-based
-    symbol windows instead of strided views, the xp quantizer mirror.
+    """NumPy with every *generic* base-class helper (the code paths an
+    accelerator backend inherits): FFT-based convolution instead of
+    scipy, gather-based symbol windows instead of strided views, the xp
+    quantizer mirror.
     Registered by the ``mirror_backend`` fixture as an accelerator
     stand-in that needs no accelerator."""
 
@@ -36,6 +35,28 @@ class GenericNumpyBackend(ArrayBackend):
 
     def random_source(self, rng):
         return rng if rng is not None else np.random.default_rng()
+
+
+class MissingLibraryBackend(GenericNumpyBackend):
+    """An accelerator whose library is not installed: constructing it
+    raises ``ImportError``, exactly like an import-gated backend would."""
+
+    name = "missing-lib"
+
+    def __init__(self):
+        raise ImportError("the 'missing-lib' array backend needs a library "
+                          "this machine does not have")
+
+
+@pytest.fixture
+def missing_backend():
+    """Temporarily register the backend whose constructor raises."""
+    register_backend(MissingLibraryBackend)
+    try:
+        yield MissingLibraryBackend.name
+    finally:
+        _REGISTRY.pop(MissingLibraryBackend.name, None)
+        _INSTANCES.pop(MissingLibraryBackend.name, None)
 
 
 @pytest.fixture
@@ -70,14 +91,12 @@ class TestResolution:
         with pytest.raises(TypeError, match="backend must be"):
             get_backend(42)
 
-    def test_missing_accelerator_strict_raises_lenient_falls_back(self):
-        for name, cls in (("cupy", CupyBackend), ("jax", JaxBackend)):
-            if cls.is_available():
-                continue
-            with pytest.raises(ImportError, match=name):
-                get_backend(name)
-            with pytest.warns(UserWarning, match="falling back"):
-                assert get_backend(name, strict=False).name == "numpy"
+    def test_missing_accelerator_strict_raises_lenient_falls_back(
+            self, missing_backend):
+        with pytest.raises(ImportError, match=missing_backend):
+            get_backend(missing_backend)
+        with pytest.warns(UserWarning, match="falling back"):
+            assert get_backend(missing_backend, strict=False).name == "numpy"
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
@@ -88,10 +107,9 @@ class TestResolution:
         with pytest.warns(UserWarning, match="names no registered"):
             assert get_backend(None).name == "numpy"
 
-    def test_env_var_unavailable_backend_warns_not_raises(self, monkeypatch):
-        if CupyBackend.is_available():
-            pytest.skip("cupy present; fallback path not reachable")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cupy")
+    def test_env_var_unavailable_backend_warns_not_raises(
+            self, monkeypatch, missing_backend):
+        monkeypatch.setenv(BACKEND_ENV_VAR, missing_backend)
         with pytest.warns(UserWarning, match="falling back"):
             assert get_backend(None).name == "numpy"
 
@@ -184,16 +202,12 @@ class TestBackendHelpers:
             self.generic.interleave_streams([], 4)
 
 
-ACCELERATORS = [name for name in available_backends() if name != "numpy"]
-
-
 class TestBackendParity:
-    """NumPy vs accelerator agreement on measured BER.
+    """NumPy vs generic-path agreement on measured BER.
 
-    Accelerator random streams are device-native, so parity is
-    statistical (binomial 3-sigma), not bit-exact.  The ``mirror``
-    stand-in runs the same generic code paths with NumPy's RNG and is
-    asserted exactly, so these tests bite even on CPU-only machines.
+    The ``mirror`` stand-in runs the generic code paths an accelerator
+    backend inherits, with NumPy's RNG, so its counts are asserted
+    exactly — on any machine.
     """
 
     GRID_KWARGS = dict(scenarios=("awgn", "two_ray"),
@@ -215,36 +229,6 @@ class TestBackendParity:
             # decision statistics may differ by ~1e-15, the error counts
             # must not.
             assert got == expected, f"mirror backend diverged at {point}"
-
-    @pytest.mark.skipif(not ACCELERATORS,
-                        reason="no accelerator backend installed")
-    @pytest.mark.parametrize("name", ACCELERATORS)
-    def test_accelerator_ber_within_binomial_tolerance(self, name):
-        reference = self._run("numpy")
-        accelerated = self._run(name)
-        for (point, expected), (_, got) in zip(reference.entries,
-                                               accelerated.entries):
-            assert got.total_bits == expected.total_bits
-            pooled = (expected.bit_errors + got.bit_errors) / (
-                expected.total_bits + got.total_bits)
-            sigma = np.sqrt(max(pooled * (1.0 - pooled), 1e-9)
-                            / expected.total_bits)
-            tolerance = 4.0 * sigma + 2.0 / expected.total_bits
-            assert abs(got.ber - expected.ber) <= tolerance, (
-                f"{name} backend BER {got.ber} vs numpy {expected.ber} "
-                f"at {point}")
-
-    @pytest.mark.skipif(not ACCELERATORS,
-                        reason="no accelerator backend installed")
-    @pytest.mark.parametrize("name", ACCELERATORS)
-    def test_accelerator_kernel_tracks_theory_unquantized(self, name):
-        from repro.core.metrics import theoretical_bpsk_ber
-        engine = SweepEngine(seed=5, quantize=False, array_backend=name)
-        point = engine.ber_curve([4.0], num_packets=60,
-                                 payload_bits_per_packet=100).points[0]
-        theory = float(theoretical_bpsk_ber(4.0))
-        sigma = np.sqrt(theory * (1.0 - theory) / point.total_bits)
-        assert abs(point.ber - theory) <= 4.0 * sigma
 
 
 class TestEngineIntegration:

@@ -24,7 +24,7 @@ import pytest
 import repro.sim.engine as engine_module
 from repro.runs import RunDriver
 from repro.sim import SweepEngine, SweepPoint, sweep_grid
-from repro.sim.engine import _chunk_spans, _point_spawn_key
+from repro.sim.engine import chunk_spans, _point_spawn_key
 
 
 # ----------------------------------------------------------------------
@@ -32,23 +32,23 @@ from repro.sim.engine import _chunk_spans, _point_spawn_key
 # ----------------------------------------------------------------------
 class TestChunkSpans:
     def test_none_layout_is_one_span(self):
-        assert _chunk_spans(10, None) == ((0, 10),)
-        assert _chunk_spans(10, None, packet_offset=7) == ((7, 10),)
+        assert chunk_spans(10, None) == ((0, 10),)
+        assert chunk_spans(10, None, packet_offset=7) == ((7, 10),)
 
     def test_exact_division(self):
-        assert _chunk_spans(12, 4) == ((0, 4), (4, 4), (8, 4))
+        assert chunk_spans(12, 4) == ((0, 4), (4, 4), (8, 4))
 
     def test_ragged_tail(self):
-        assert _chunk_spans(10, 4) == ((0, 4), (4, 4), (8, 2))
+        assert chunk_spans(10, 4) == ((0, 4), (4, 4), (8, 2))
 
     def test_chunk_size_one(self):
-        assert _chunk_spans(3, 1) == ((0, 1), (1, 1), (2, 1))
+        assert chunk_spans(3, 1) == ((0, 1), (1, 1), (2, 1))
 
     def test_chunk_larger_than_budget_degenerates_to_unchunked(self):
-        assert _chunk_spans(5, 100) == _chunk_spans(5, None) == ((0, 5),)
+        assert chunk_spans(5, 100) == chunk_spans(5, None) == ((0, 5),)
 
     def test_offset_shifts_every_span(self):
-        assert _chunk_spans(10, 4, packet_offset=6) == \
+        assert chunk_spans(10, 4, packet_offset=6) == \
             ((6, 4), (10, 4), (14, 2))
 
     def test_spans_partition_the_budget(self):
@@ -57,7 +57,7 @@ class TestChunkSpans:
             budget = int(rng.integers(1, 200))
             size = int(rng.integers(1, 40))
             offset = int(rng.integers(0, 1000))
-            spans = _chunk_spans(budget, size, offset)
+            spans = chunk_spans(budget, size, offset)
             assert sum(packets for _, packets in spans) == budget
             cursor = offset
             for start, packets in spans:
@@ -67,11 +67,11 @@ class TestChunkSpans:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            _chunk_spans(0, 4)
+            chunk_spans(0, 4)
         with pytest.raises(ValueError):
-            _chunk_spans(8, 0)
+            chunk_spans(8, 0)
         with pytest.raises(ValueError):
-            _chunk_spans(8, 4, packet_offset=-1)
+            chunk_spans(8, 4, packet_offset=-1)
 
     def test_offset_keys_an_independent_stream(self):
         point = SweepPoint(ebn0_db=4.0)
@@ -191,7 +191,7 @@ class TestChunkLayoutContracts:
         manual = []
         for point, num_packets, packet_offset in jobs:
             merged = None
-            for offset, packets in _chunk_spans(num_packets, 4,
+            for offset, packets in chunk_spans(num_packets, 4,
                                                 packet_offset):
                 chunk = engine.measure_point(point, num_packets=packets,
                                              payload_bits_per_packet=32,
@@ -217,7 +217,7 @@ class TestChunkLayoutContracts:
             manual = []
             for point, num_packets, packet_offset in jobs:
                 merged = None
-                for offset, packets in _chunk_spans(
+                for offset, packets in chunk_spans(
                         num_packets, chunk_packets, packet_offset):
                     chunk = engine.measure_point(
                         point, num_packets=packets,
@@ -233,7 +233,7 @@ class TestChunkLayoutContracts:
         expected = []
         for point, num_packets, packet_offset in jobs:
             expected.extend((point, offset) for offset, _ in
-                            _chunk_spans(num_packets, 2, packet_offset))
+                            chunk_spans(num_packets, 2, packet_offset))
         for workers in (None, 3):
             seen = []
             engine.measure_points(

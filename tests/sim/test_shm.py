@@ -157,15 +157,6 @@ class TestSharedMemoryFanOut:
         assert shared == serial
         assert set(shared.errors_per_packet) == set(small_sweep_grid)
 
-    def test_shared_and_pickling_transports_agree(self, engine_factory,
-                                                  small_sweep_grid):
-        shared = engine_factory(seed=4, max_workers=2).run(
-            small_sweep_grid, num_packets=6)
-        pickled = engine_factory(seed=4, max_workers=2,
-                                 shared_memory=False).run(
-            small_sweep_grid, num_packets=6)
-        assert shared == pickled
-
     def test_measure_points_parallel_matches_measure_point(self,
                                                            engine_factory):
         engine = engine_factory(seed=9)

@@ -61,6 +61,7 @@ PUBLIC_MODULES = (
     "repro.obs.ledger",
     "repro.obs.progress",
     "repro.obs.report",
+    "repro.utils.io",
 )
 
 DEFAULT_OUTPUT = Path("docs/api.md")
