@@ -52,24 +52,49 @@ class UniformQuantizer:
         """LSB size."""
         return 2.0 * self.full_scale / self.num_levels
 
+    def _float_codes(self, x, out: np.ndarray) -> np.ndarray:
+        """Saturated codes as floats, computed in ``out``.
+
+        Clipping in float (before any integer cast) saturates every
+        out-of-range input, ``±inf`` included, to the nearest end code.
+        """
+        np.add(x, self.full_scale, out=out, dtype=float)
+        out /= self.step
+        np.floor(out, out=out)
+        return np.clip(out, 0, self.num_levels - 1, out=out)
+
     def quantize_codes(self, x) -> np.ndarray:
         """Quantize to integer codes in ``[0, num_levels - 1]`` with saturation."""
         x = np.asarray(x, dtype=float)
-        codes = np.floor((x + self.full_scale) / self.step).astype(np.int64)
-        return np.clip(codes, 0, self.num_levels - 1)
+        return self._float_codes(x, np.empty(x.shape)).astype(np.int64)
 
     def codes_to_values(self, codes) -> np.ndarray:
         """Reconstruction values (bin centres) for integer codes."""
         codes = np.asarray(codes, dtype=np.int64)
         return (codes.astype(float) + 0.5) * self.step - self.full_scale
 
+    def _reconstruct(self, x, out: np.ndarray) -> np.ndarray:
+        """Bin centres of real ``x``, written into the float array ``out``."""
+        self._float_codes(x, out)
+        out += 0.5
+        out *= self.step
+        out -= self.full_scale
+        return out
+
     def quantize(self, x) -> np.ndarray:
-        """Quantize real input (or complex input component-wise)."""
+        """Quantize real input (or complex input component-wise).
+
+        Out-of-range values, ``±inf`` included, saturate to the end
+        codes; NaN propagates to the output.  Complex input is quantized
+        straight into the real and imaginary parts of one output array.
+        """
         x = np.asarray(x)
         if np.iscomplexobj(x):
-            return (self.codes_to_values(self.quantize_codes(x.real))
-                    + 1j * self.codes_to_values(self.quantize_codes(x.imag)))
-        return self.codes_to_values(self.quantize_codes(x))
+            out = np.empty(x.shape, dtype=complex)
+            self._reconstruct(x.real, out.real)
+            self._reconstruct(x.imag, out.imag)
+            return out
+        return self._reconstruct(x, np.empty(x.shape))
 
     def quantization_noise_power(self) -> float:
         """Theoretical in-range quantization noise power, step^2 / 12."""

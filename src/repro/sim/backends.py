@@ -114,16 +114,17 @@ class ArrayBackend:
         host = sp_signal.lfilter(b, a, self.to_numpy(samples), axis=-1)
         return self.asarray(host)
 
-    def symbol_windows(self, samples, positions, length: int):
-        """Gather per-symbol windows: ``(..., n) -> (..., len(positions), length)``.
+    def symbol_windows(self, samples, count: int, step: int, length: int):
+        """Windows on a regular symbol grid: ``(..., n) -> (..., count, length)``.
 
-        ``positions`` is a host integer array of window start indices
-        along the last axis.  The generic implementation materializes the
-        windows with advanced indexing, which every array library
-        supports; NumPy overrides it with a zero-copy strided view.
+        Window ``k`` covers ``samples[..., k * step:k * step + length]``;
+        windows overlap when ``length > step``.  Every window must fit in
+        ``n`` (callers pad the sample batch).  The generic implementation
+        gathers the windows into a new array with advanced indexing, which
+        every array library supports; NumPy overrides it with a zero-copy
+        strided view.
         """
-        xp = self.xp
-        index = (self.asarray(np.asarray(positions, dtype=np.int64))[:, None]
+        index = (self.asarray(np.arange(count, dtype=np.int64) * step)[:, None]
                  + self.asarray(np.arange(length, dtype=np.int64))[None, :])
         return samples[..., index]
 
@@ -237,10 +238,11 @@ class NumpyBackend(ArrayBackend):
         """``scipy.signal.lfilter`` along the last axis, in place on host."""
         return sp_signal.lfilter(b, a, samples, axis=-1)
 
-    def symbol_windows(self, samples, positions, length: int):
-        """Zero-copy strided windows via ``sliding_window_view``."""
+    def symbol_windows(self, samples, count: int, step: int, length: int):
+        """A read-only view of ``samples``: every ``step``-th window of
+        ``sliding_window_view``, so no sample is copied."""
         windows = sliding_window_view(samples, length, axis=-1)
-        return windows[..., np.asarray(positions, dtype=np.int64), :]
+        return windows[..., :(count - 1) * step + 1:step, :]
 
     def gather_windows(self, samples, starts, length: int):
         """Strided-view gather (~4x faster than ``take_along_axis``).

@@ -272,13 +272,14 @@ class BatchedLinkModel:
         """Matched-filter statistic of every symbol of every packet."""
         xp = self.backend.xp
         length = int(reference.shape[-1])
-        positions = np.arange(num_symbols) * self.samples_per_symbol_adc
-        needed = int(positions[-1]) + length
+        step = self.samples_per_symbol_adc
+        needed = (num_symbols - 1) * step + length
         if samples.shape[-1] < needed:
             pad = needed - samples.shape[-1]
             samples = xp.pad(samples,
                              [(0, 0)] * (samples.ndim - 1) + [(0, pad)])
-        windows = self.backend.symbol_windows(samples, positions, length)
+        windows = self.backend.symbol_windows(samples, num_symbols, step,
+                                              length)
         return xp.einsum("psl,l->ps", windows, xp.conj(reference))
 
     # ------------------------------------------------------------------

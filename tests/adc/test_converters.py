@@ -55,6 +55,66 @@ class TestUniformQuantizer:
         assert codes.min() == 0
         assert codes.max() == 7
 
+    @staticmethod
+    def _integer_round_trip(q, x):
+        """The float -> int64 -> float formula the quantizer used to run;
+        defined (and the reference) for finite inputs below ~2**63 LSBs."""
+        codes = np.floor((np.asarray(x, dtype=float) + q.full_scale)
+                         / q.step).astype(np.int64)
+        codes = np.clip(codes, 0, q.num_levels - 1)
+        return (codes.astype(float) + 0.5) * q.step - q.full_scale
+
+    @pytest.mark.parametrize("bits, full_scale", [(1, 1.0), (3, 1.0),
+                                                  (4, 0.5), (8, 2.0)])
+    def test_finite_inputs_match_the_integer_round_trip(self, rng, bits,
+                                                        full_scale):
+        q = UniformQuantizer(bits=bits, full_scale=full_scale)
+        edges = -full_scale + q.step * np.arange(q.num_levels + 1)
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [full_scale, -full_scale, 0.0, -0.0, 3.0 * full_scale,
+             -7.0 * full_scale, 1e6, -1e6],
+            rng.uniform(-1.5 * full_scale, 1.5 * full_scale, 500)])
+        out = q.quantize(x)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, self._integer_round_trip(q, x))
+        np.testing.assert_array_equal(
+            q.quantize_codes(x),
+            np.round((self._integer_round_trip(q, x) + full_scale) / q.step
+                     - 0.5).astype(np.int64))
+        z = x + 1j * rng.permutation(x)
+        quantized = q.quantize(z)
+        assert quantized.dtype == np.complex128
+        np.testing.assert_array_equal(
+            quantized.real, self._integer_round_trip(q, z.real))
+        np.testing.assert_array_equal(
+            quantized.imag, self._integer_round_trip(q, z.imag))
+
+    def test_float32_input_is_quantized_in_double(self):
+        q = UniformQuantizer(bits=6)
+        x = np.linspace(-1.2, 1.2, 301, dtype=np.float32)
+        np.testing.assert_array_equal(q.quantize(x),
+                                      self._integer_round_trip(q, x))
+
+    def test_infinite_and_huge_inputs_saturate_to_the_end_codes(self):
+        q = UniformQuantizer(bits=3)
+        top, bottom = 1.0 - q.step / 2, -1.0 + q.step / 2
+        out = q.quantize([np.inf, 1e300, -np.inf, -1e300])
+        np.testing.assert_array_equal(out, [top, top, bottom, bottom])
+        np.testing.assert_array_equal(
+            q.quantize_codes([np.inf, 1e300, -np.inf, -1e300]), [7, 7, 0, 0])
+        z = q.quantize(np.array([complex(np.inf, -np.inf),
+                                 complex(-1e300, 1e300)]))
+        np.testing.assert_array_equal(z, [complex(top, bottom),
+                                          complex(bottom, top)])
+
+    def test_nan_propagates(self):
+        q = UniformQuantizer(bits=4)
+        out = q.quantize([np.nan, 0.1])
+        assert np.isnan(out[0]) and not np.isnan(out[1])
+        z = q.quantize(np.array([complex(np.nan, 0.1)]))
+        assert np.isnan(z.real[0]) and not np.isnan(z.imag[0])
+
     @given(st.integers(min_value=1, max_value=10),
            st.floats(min_value=-0.999, max_value=0.999))
     @settings(max_examples=40)

@@ -37,6 +37,40 @@ class TestAWGN:
         assert np.std(noisy.imag) == pytest.approx(1 / np.sqrt(2), rel=0.02)
         assert dsp.signal_power(noisy) == pytest.approx(1.0, rel=0.02)
 
+    @staticmethod
+    def _allocating_awgn(signal, noise_std, rng):
+        """The out-of-place formula awgn used to run (the reference)."""
+        if np.iscomplexobj(signal):
+            noise = (rng.standard_normal(signal.shape)
+                     + 1j * rng.standard_normal(signal.shape))
+            return signal + noise * (noise_std / np.sqrt(2.0))
+        return signal + noise_std * rng.standard_normal(signal.shape)
+
+    @pytest.mark.parametrize("dtype", [float, complex, np.float32,
+                                       np.complex64])
+    @pytest.mark.parametrize("std_shape", [(), (3, 1), (3, 50), (2, 3, 1)])
+    def test_matches_the_allocating_formula_bit_for_bit(self, dtype,
+                                                        std_shape):
+        # (2, 3, 1) widens the signal's (3, 50) shape: every leading row
+        # reuses the same draws, scaled by its own noise level.
+        draws = np.random.default_rng(5)
+        signal = draws.standard_normal((3, 50)).astype(dtype)
+        if np.iscomplexobj(signal):
+            signal = signal + 1j * draws.standard_normal((3, 50))
+            signal = signal.astype(dtype)
+        noise_std = draws.uniform(0.1, 2.0, std_shape)
+        noisy = awgn(signal, noise_std, rng=np.random.default_rng(11))
+        expected = self._allocating_awgn(signal, noise_std,
+                                         np.random.default_rng(11))
+        assert noisy.shape == expected.shape
+        assert noisy.dtype == expected.dtype
+        np.testing.assert_array_equal(noisy, expected)
+
+    def test_does_not_modify_the_signal(self, rng):
+        signal = np.ones((2, 8), dtype=complex)
+        awgn(signal, np.array([[0.5], [1.0]]), rng=rng)
+        np.testing.assert_array_equal(signal, 1.0)
+
     def test_negative_std_raises(self):
         with pytest.raises(ValueError):
             awgn(np.ones(4), -0.1)

@@ -146,11 +146,44 @@ class TestBackendHelpers:
 
     def test_symbol_windows_gather_matches_strided_view(self, rng):
         samples = rng.standard_normal((3, 50))
-        positions = np.array([0, 7, 21])
-        expected = self.reference.symbol_windows(samples, positions, 8)
+        expected = self.reference.symbol_windows(samples, 3, 7, 8)
         np.testing.assert_array_equal(
-            self.generic.symbol_windows(samples, positions, 8), expected)
+            self.generic.symbol_windows(samples, 3, 7, 8), expected)
         assert expected.shape == (3, 3, 8)
+
+    @pytest.mark.parametrize("count, step, length", [
+        (6, 8, 8),    # back to back (awgn: reference as long as a symbol)
+        (6, 8, 5),    # gaps between windows
+        (6, 8, 19),   # overlapping (cm1: reference carries a channel tail)
+        (1, 8, 12),   # a single window
+    ])
+    def test_symbol_windows_are_a_view_equal_to_the_gather(
+            self, rng, count, step, length):
+        samples = (rng.standard_normal((2, 3, (count - 1) * step + length))
+                   + 1j * rng.standard_normal((2, 3, (count - 1) * step
+                                                + length)))
+        windows = self.reference.symbol_windows(samples, count, step, length)
+        assert np.shares_memory(windows, samples)
+        assert windows.shape == (2, 3, count, length)
+        np.testing.assert_array_equal(
+            windows, self.generic.symbol_windows(samples, count, step, length))
+        for k in range(count):
+            np.testing.assert_array_equal(
+                windows[..., k, :], samples[..., k * step:k * step + length])
+
+    def test_symbol_windows_over_the_correlators_padded_tail(self, rng):
+        # _correlate zero-pads the batch so the last (overlapping) window
+        # fits; the view must reach into that pad exactly like the gather.
+        samples = rng.standard_normal((4, 40))
+        count, step, length = 5, 8, 13
+        padded = np.pad(samples, [(0, 0), (0, (count - 1) * step + length
+                                           - samples.shape[-1])])
+        windows = self.reference.symbol_windows(padded, count, step, length)
+        assert np.shares_memory(windows, padded)
+        np.testing.assert_array_equal(
+            windows, self.generic.symbol_windows(padded, count, step, length))
+        np.testing.assert_array_equal(windows[:, -1, 8:], 0.0)
+        np.testing.assert_array_equal(windows[:, -1, :8], samples[:, 32:])
 
     def test_quantize_uniform_matches_reference_quantizer(self, rng):
         samples = rng.uniform(-1.5, 1.5, size=(2, 128))
