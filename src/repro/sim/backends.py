@@ -5,8 +5,8 @@ pipeline of plain ``ndarray`` operations — array creation, broadcasting,
 FFT convolution, ``einsum``, random draws.  An :class:`ArrayBackend`
 bundles exactly that surface behind one object.  :class:`NumpyBackend`
 is the reference implementation: it delegates straight to
-``numpy``/``scipy`` and is **bit-identical** to the historical
-module-level ``np`` code path (golden-fixture guarded).
+``numpy``/``scipy``, and the golden fixtures pin its results bit for
+bit.
 
 The seam stays open for accelerators: subclass :class:`ArrayBackend`
 (set ``xp`` to an array-API-style module, provide ``random_source``,
@@ -131,7 +131,7 @@ class ArrayBackend:
     def gather_windows(self, samples, starts, length: int):
         """Gather per-row windows: ``(..., n)`` x ``(..., k)`` -> ``(..., k, length)``.
 
-        Unlike :meth:`symbol_windows` (one shared position list for the
+        Unlike :meth:`symbol_windows` (one regular grid shared by the
         whole batch), every batch row brings its own window start indices
         — what the batched full-stack receiver needs, where each packet's
         acquisition timing shifts its channel-estimation and RAKE windows.
@@ -210,8 +210,9 @@ class ArrayBackend:
 
 
 class NumpyBackend(ArrayBackend):
-    """Reference backend: plain ``numpy`` + ``scipy``, bit-identical to
-    the pre-backend-abstraction kernel (guarded by golden fixtures)."""
+    """Reference backend: plain ``numpy`` + ``scipy``.
+
+    The golden fixtures pin its results bit for bit."""
 
     name = "numpy"
     xp = np
@@ -239,8 +240,10 @@ class NumpyBackend(ArrayBackend):
         return sp_signal.lfilter(b, a, samples, axis=-1)
 
     def symbol_windows(self, samples, count: int, step: int, length: int):
-        """A read-only view of ``samples``: every ``step``-th window of
-        ``sliding_window_view``, so no sample is copied."""
+        """Zero-copy windows: a strided slice of ``sliding_window_view``.
+
+        The result is a read-only view of ``samples`` (every ``step``-th
+        sliding window), so no sample is copied."""
         windows = sliding_window_view(samples, length, axis=-1)
         return windows[..., :(count - 1) * step + 1:step, :]
 

@@ -11,14 +11,19 @@ handful of array operations instead of a Python loop:
 * pulse shaping: an outer product with the per-symbol pulse template;
 * multipath: one FFT convolution over the whole batch
   (:meth:`repro.channel.multipath.MultipathChannel.apply_batch`);
-* AWGN: one broadcasted noise draw with per-packet noise levels;
-* demodulation: a strided matched-filter correlation against the
-  channel-convolved template (the ideal all-finger RAKE).
+* decimation to the ADC rate, *then* AWGN: one broadcasted noise draw
+  with per-packet noise levels, only at the samples the ADC keeps (the
+  level is still set from the simulation-rate energy per bit);
+* ADC: per-packet AGC gains and uniform quantization, then the
+  optional digital notch;
+* demodulation: a matched-filter correlation over zero-copy strided
+  symbol windows against the channel-convolved template (the ideal
+  all-finger RAKE).
 
 Every array operation routes through an
 :class:`repro.sim.backends.ArrayBackend`, so the same kernel runs on the
-NumPy reference (bit-identical to the historical module-level ``np``
-code) or on any registered backend — pass ``backend=`` (a name or an
+NumPy reference (whose error counts the golden fixture pins bit for
+bit) or on any registered backend — pass ``backend=`` (a name or an
 :class:`~repro.sim.backends.ArrayBackend`) or set the
 ``REPRO_ARRAY_BACKEND`` environment variable.  Host-side work (modulator
 symbol maps, channel ray bookkeeping, the final error count) is
@@ -343,13 +348,18 @@ class BatchedLinkModel:
             waveform = waveform + backend.asarray(self._interferer_waveform(
                 interferer, int(waveform.shape[-1]),
                 bool(xp.iscomplexobj(waveform)), rng))
+
+        # Decimate before the noise: white noise is i.i.d. per sample, so
+        # drawing it only at the samples the ADC keeps is distributionally
+        # identical to drawing it at the simulation rate and discarding
+        # the rest.  The level still comes from the sim-rate energy.
+        samples = waveform[..., ::self.decimation]
         if ebn0_db is not None:
             noise_std = noise_std_for_ebn0(energy, float(ebn0_db),
                                            backend=backend)
-            waveform = awgn(waveform, noise_std[..., None], rng=draws,
-                            backend=backend)
+            samples = awgn(samples, noise_std[..., None], rng=draws,
+                           backend=backend)
 
-        samples = waveform[..., ::self.decimation]
         gains = xp.ones(num_packets)
         if self.quantize:
             gains = self._agc_gains(samples)

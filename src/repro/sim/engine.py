@@ -77,6 +77,10 @@ _BACKENDS = ("batch", "packet", "fullstack")
 # packet oracle, but the batch FFT widths shift float intermediates at
 # rounding level, so gen-1 fullstack cache entries must not be reused.
 _FULLSTACK_RX_VERSION = 2
+# 2: the genie kernel draws its noise after decimation, only at the
+# samples the ADC keeps — distributionally identical, but a different
+# random stream, so batch cache entries of version 1 must not be reused.
+_BATCH_KERNEL_VERSION = 2
 _FULL_STACK_BPSK_MESSAGE = (
     "backend={backend!r} drives the full transceiver stack, which is "
     "BPSK-only, but the grid sweeps modulation(s) {modulations}; use "
@@ -671,11 +675,13 @@ class SweepEngine:
 
         Covers the seed, generation, backend, quantization choice, the
         full base configuration (field by field, ``None`` meaning the
-        generation's ``fast_test_config``) and — for non-NumPy array
-        backends, whose random streams are device-native — the array
-        backend name.  The NumPy reference deliberately digests
-        identically to pre-backend-abstraction engines, so existing
-        :mod:`repro.runs` caches stay valid.  Two engines with equal
+        generation's ``fast_test_config``), the version of the batched
+        kernel behind ``backend="batch"`` or ``"fullstack"`` and — for
+        non-NumPy array backends, whose random streams are device-native
+        — the array backend name.  The NumPy reference deliberately
+        digests identically to pre-backend-abstraction engines, so
+        existing :mod:`repro.runs` caches stay valid until a kernel
+        version moves.  Two engines with equal
         digests produce bit-identical measurements for the same point and
         packet budget.
         """
@@ -693,12 +699,14 @@ class SweepEngine:
         }
         if self.array_backend != "numpy":
             payload["array_backend"] = self.array_backend
+        # Version each batched kernel separately: a revision of its random
+        # stream or numerics bumps its component, so stale repro.runs
+        # cache entries can never collide with new measurements.  Packet
+        # digests stay byte-identical to earlier releases.
         if self.backend == "fullstack":
-            # Version the batched receiver separately: a future revision of
-            # its numerics bumps this component, so stale repro.runs cache
-            # entries can never collide with new fullstack measurements.
-            # Batch/packet digests stay byte-identical to earlier releases.
             payload["fullstack_rx"] = _FULLSTACK_RX_VERSION
+        elif self.backend == "batch":
+            payload["batch_kernel"] = _BATCH_KERNEL_VERSION
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 

@@ -1,11 +1,15 @@
-"""Golden regression: the NumPy backend must stay bit-identical.
+"""Golden regression: the NumPy batch kernel must stay bit-identical.
 
-The fixture in ``golden_backend_fixture.json`` was generated *before* the
-array-backend refactor (PR 3) from the then-current ``SweepEngine``.  The
-backend abstraction is allowed to add accelerator paths, but the NumPy
+The fixture in ``golden_backend_fixture.json`` pins the error counts of
+the NumPy genie kernel (``SweepEngine(backend="batch")``) as of
+``batch_kernel`` 2, the revision that draws noise only at the samples the
+ADC keeps.  Refactors may change how the kernel computes, but the NumPy
 reference path must keep producing byte-for-byte the same error counts —
 these tests are the contract that makes cached ``repro.runs`` stores and
-published curves stable across refactors.
+published curves stable across refactors.  A deliberate change of the
+random stream bumps ``_BATCH_KERNEL_VERSION`` in ``repro.sim.engine``
+(which moves every batch ``config_digest``) and regenerates the fixture
+from the same engine, grid and run specs.
 """
 
 import json
@@ -46,7 +50,7 @@ def test_numpy_backend_matches_pre_refactor_golden(name):
         assert point.modulation == modulation
         assert point.adc_bits == adc_bits
         assert measurement.bit_errors == bit_errors, (
-            f"{name}: {point} moved from the pre-refactor golden "
+            f"{name}: {point} moved from the batch_kernel 2 golden "
             f"({measurement.bit_errors} != {bit_errors} bit errors) — the "
             "NumPy backend must stay bit-identical")
         assert measurement.total_bits == total_bits

@@ -1,0 +1,133 @@
+"""The genie kernel works at the ADC rate, and its digests are versioned.
+
+``BatchedLinkModel.simulate`` decimates to the ADC rate before it draws
+noise, so every noise sample it draws reaches the ADC.  The change moved
+the kernel's random stream, so batch-engine ``config_digest`` values
+moved with it while packet and fullstack digests (and their caches and
+pins) must not.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import repro.sim.batch as batch_module
+from repro.channel.saleh_valenzuela import generate_channel
+from repro.core.config import Gen2Config
+from repro.sim import BatchedLinkModel, NumpyBackend, SweepEngine
+from repro.sim.scenarios import SCENARIOS
+
+PACKETS = 3
+PAYLOAD_BITS = 16
+
+
+def _record_shapes(monkeypatch):
+    """Record the shapes ``awgn`` and the batch ADC receive."""
+    shapes = {"awgn": [], "quantize": []}
+    real_awgn = batch_module.awgn
+    real_quantize = NumpyBackend.quantize_uniform
+
+    def awgn(signal, *args, **kwargs):
+        shapes["awgn"].append(tuple(signal.shape))
+        return real_awgn(signal, *args, **kwargs)
+
+    def quantize_uniform(self, samples, *args, **kwargs):
+        shapes["quantize"].append(tuple(samples.shape))
+        return real_quantize(self, samples, *args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "awgn", awgn)
+    monkeypatch.setattr(NumpyBackend, "quantize_uniform", quantize_uniform)
+    return shapes
+
+
+def _scenario_inputs(name):
+    rng = np.random.default_rng(3)
+    if name == "cm1":
+        return generate_channel("CM1", rng=rng, complex_gains=True), None, None
+    if name == "narrowband":
+        scenario = SCENARIOS.get("narrowband")
+        return (None, scenario.make_interferer(rng),
+                scenario.notch_frequency_hz)
+    return None, None, None
+
+
+def _adc_samples(model, channel, notch, interferer):
+    """ADC-rate samples per packet: body, channel tail and notch pad."""
+    sim_samples = model.samples_per_symbol * PAYLOAD_BITS
+    if channel is not None:
+        sim_samples += channel.discrete_impulse_response(
+            model.sim_rate_hz).size - 1
+    adc = math.ceil(sim_samples / model.decimation)
+    if notch is not None and interferer is not None:
+        adc += math.ceil(6.0 / (1.0 - batch_module._NOTCH_POLE_RADIUS))
+    return adc
+
+
+@pytest.mark.parametrize("scenario", ["awgn", "cm1", "narrowband"])
+def test_noise_is_drawn_only_at_the_samples_the_adc_keeps(monkeypatch,
+                                                          scenario):
+    shapes = _record_shapes(monkeypatch)
+    channel, interferer, notch = _scenario_inputs(scenario)
+    model = BatchedLinkModel(Gen2Config.fast_test_config(),
+                             notch_frequency_hz=notch)
+    model.simulate(4.0, PACKETS, PAYLOAD_BITS,
+                   rng=np.random.default_rng(1), channel=channel,
+                   interferer=interferer)
+    assert len(shapes["awgn"]) == 1
+    assert shapes["awgn"] == shapes["quantize"]
+    assert shapes["awgn"][0] == (PACKETS, _adc_samples(model, channel, notch,
+                                                       interferer))
+
+
+@pytest.mark.parametrize("scenario", ["awgn", "cm1", "narrowband"])
+def test_unquantized_noise_runs_at_the_adc_rate(monkeypatch, scenario):
+    shapes = _record_shapes(monkeypatch)
+    channel, interferer, notch = _scenario_inputs(scenario)
+    model = BatchedLinkModel(Gen2Config.fast_test_config(), quantize=False,
+                             notch_frequency_hz=notch)
+    model.simulate(4.0, PACKETS, PAYLOAD_BITS,
+                   rng=np.random.default_rng(1), channel=channel,
+                   interferer=interferer)
+    assert shapes["quantize"] == []
+    body = PAYLOAD_BITS * model.samples_per_symbol_adc
+    expected = _adc_samples(model, channel, notch, interferer)
+    assert shapes["awgn"] == [(PACKETS, expected)]
+    assert expected >= body
+    if channel is None and interferer is None:
+        assert expected == body
+
+
+#: ``config_digest`` values computed before the batch kernel moved to
+#: the ADC rate.  Packet and fullstack engines must keep them (their
+#: caches and the benchmark's exact pins key on them); batch engines
+#: must not (their version-1 cache entries hold the old stream).
+_DIGESTS_BEFORE_BATCH_KERNEL_2 = {
+    ("batch", "gen2", True):
+        "60334c994d154c2770e6778ff9e1c0ae19d36982328a77a22e65d6a545915453",
+    ("batch", "gen1", True):
+        "0b5ed6ad2a57a38a4d53c420e22b41eab891761bf9378135898068e5d8d42a53",
+    ("batch", "gen2", False):
+        "2299b9a0d647ed7196e36ab918d1343d06c9d28072b1a46fc90d37169515289c",
+    ("packet", "gen2", True):
+        "4ea1daa545c2c6e30edd944f2db9f9008eea549c20a4d44ae34d74f4b655935f",
+    ("packet", "gen1", True):
+        "6435e1f4873a2ad9fcb47ccea986cbe4cc1c201167d43afdf35a50e469fcf8c4",
+    ("fullstack", "gen2", True):
+        "92d4cf4a5266ab9f6e6c635a13a01dc85fee19c278b455552407e12cc9edfd16",
+    ("fullstack", "gen1", True):
+        "900ceeca5a97358e45a322d9488ceac73403df30f11f7f56c8cc6dd20961ba94",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_DIGESTS_BEFORE_BATCH_KERNEL_2),
+    ids=lambda key: f"{key[0]}-{key[1]}-{'q' if key[2] else 'ideal'}")
+def test_only_batch_engine_digests_moved(key):
+    backend, generation, quantize = key
+    digest = SweepEngine(seed=1, backend=backend, generation=generation,
+                         quantize=quantize).config_digest()
+    if backend == "batch":
+        assert digest != _DIGESTS_BEFORE_BATCH_KERNEL_2[key]
+    else:
+        assert digest == _DIGESTS_BEFORE_BATCH_KERNEL_2[key]
