@@ -90,9 +90,12 @@ class UniformQuantizer:
         """
         x = np.asarray(x)
         if np.iscomplexobj(x):
+            x = np.asarray(x, dtype=complex, order="C")
             out = np.empty(x.shape, dtype=complex)
-            self._reconstruct(x.real, out.real)
-            self._reconstruct(x.imag, out.imag)
+            # Both parts in one contiguous pass over the interleaved
+            # (real, imag) float view of input and output.
+            self._reconstruct(x[..., None].view(float),
+                              out[..., None].view(float))
             return out
         return self._reconstruct(x, np.empty(x.shape))
 
