@@ -113,24 +113,20 @@ def awgn(signal, noise_std, rng: np.random.Generator | None = None,
         rng = backend.random_source(rng)
     if not bool(xp.any(noise_std > 0)):
         return signal.astype(complex if xp.iscomplexobj(signal) else float)
-    # The noise buffer becomes the result: scaled and summed in place
-    # unless ``noise_std`` widens the signal's shape.
-    shape = np.broadcast_shapes(signal.shape, noise_std.shape)
     if xp.iscomplexobj(signal):
-        scale = noise_std / np.sqrt(2.0)
         noise = xp.empty(signal.shape, dtype=complex)
         noise.real = rng.standard_normal(signal.shape)
         noise.imag = rng.standard_normal(signal.shape)
-        parts = (noise.real, noise.imag)
+        scale = noise_std / np.sqrt(2.0)
     else:
-        scale = noise_std
         noise = rng.standard_normal(signal.shape)
-        parts = (noise,)
-    if noise.shape != shape:
-        noise = noise * scale
+        scale = noise_std
+    # The noise buffer becomes the result, scaled and summed in place,
+    # unless ``noise_std`` widens the signal's shape.
+    if noise.shape == np.broadcast_shapes(signal.shape, noise_std.shape):
+        noise *= scale
     else:
-        for part in parts:
-            part *= scale
+        noise = noise * scale
     noise += signal
     return noise
 
