@@ -29,7 +29,7 @@ import threading
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import signal as sp_signal
 
 from repro.adc.quantizer import UniformQuantizer
@@ -240,12 +240,19 @@ class NumpyBackend(ArrayBackend):
         return sp_signal.lfilter(b, a, samples, axis=-1)
 
     def symbol_windows(self, samples, count: int, step: int, length: int):
-        """Zero-copy windows: a strided slice of ``sliding_window_view``.
+        """Zero-copy windows: one read-only strided view of ``samples``.
 
-        The result is a read-only view of ``samples`` (every ``step``-th
-        sliding window), so no sample is copied."""
-        windows = sliding_window_view(samples, length, axis=-1)
-        return windows[..., :(count - 1) * step + 1:step, :]
+        The view is every ``step``-th sliding window, so no sample is
+        copied; it is built with ``as_strided`` directly (after checking
+        the bounds) because ``sliding_window_view`` costs more per call
+        than the small batches of a service chunk spend on the windows."""
+        samples = np.asarray(samples)
+        if count < 1 or (count - 1) * step + length > samples.shape[-1]:
+            raise ValueError(f"{count} windows of {length} samples at step "
+                             f"{step} do not fit in {samples.shape[-1]}")
+        *lead, inner = samples.strides
+        return as_strided(samples, samples.shape[:-1] + (count, length),
+                          (*lead, step * inner, inner), writeable=False)
 
     def gather_windows(self, samples, starts, length: int):
         """Strided-view gather (~4x faster than ``take_along_axis``).

@@ -8,26 +8,24 @@ that carries a leading batch axis end-to-end, so one grid point becomes a
 handful of array operations instead of a Python loop:
 
 * packet generation: one ``(packets, bits)`` draw, one modulation call;
-* pulse shaping: an outer product with the per-symbol pulse template;
-* multipath: one FFT convolution over the whole batch
-  (:meth:`repro.channel.multipath.MultipathChannel.apply_batch`);
-* decimation to the ADC rate, *then* AWGN: one broadcasted noise draw
-  with per-packet noise levels, only at the samples the ADC keeps (the
-  level is still set from the simulation-rate energy per bit);
+* received signal: synthesized directly at the ADC rate.  Every symbol
+  starts on an ADC sample, so the noiseless ADC samples are
+  ``sum_k a_k g[n - k S]`` with ``g = (template * h)[::decimation]`` the
+  channel-convolved symbol response; one Toeplitz matmul per composite
+  template builds the whole batch (:meth:`BatchedLinkModel.synthesize`),
+  and no simulation-rate (2 GHz) waveform or channel FFT is ever formed;
+* energy per bit in closed form, ``sum_k |a_k|^2 ||template||^2 / bits``;
+* AWGN: one broadcasted noise draw with per-packet noise levels, only at
+  the samples the ADC keeps;
 * ADC: per-packet AGC gains and uniform quantization, then the
   optional digital notch;
 * demodulation: a matched-filter correlation over zero-copy strided
-  symbol windows against the channel-convolved template (the ideal
-  all-finger RAKE).
+  symbol windows against the same ``g`` (the ideal all-finger RAKE).
 
 Every array operation routes through an
-:class:`repro.sim.backends.ArrayBackend`, so the same kernel runs on the
-NumPy reference (whose error counts the golden fixture pins bit for
-bit) or on any registered backend — pass ``backend=`` (a name or an
-:class:`~repro.sim.backends.ArrayBackend`) or set the
-``REPRO_ARRAY_BACKEND`` environment variable.  Host-side work (modulator
-symbol maps, channel ray bookkeeping, the final error count) is
-O(packets); everything O(samples) runs on the backend's device.
+:class:`repro.sim.backends.ArrayBackend` (NumPy; the golden fixture pins
+its error counts bit for bit).  Host-side work (modulator symbol maps,
+channel ray bookkeeping, the final error count) is O(packets).
 
 The model is *genie-aided* on the receiver side — symbol timing and the
 channel impulse response are known exactly, so there is no acquisition or
@@ -161,25 +159,24 @@ class BatchedLinkModel:
                              "ADC sample periods")
         self.samples_per_symbol_adc = self.samples_per_symbol // self.decimation
 
-        # Templates are assembled on the host (tiny arrays, Python loop)
-        # and mirrored onto the backend's device for the batch products.
+        # Templates are tiny host arrays; the batch only ever sees their
+        # channel-convolved ADC-rate versions (reference_templates).
         template = np.zeros(self.samples_per_symbol,
                             dtype=self.pulse.waveform.dtype)
         for rep in range(config.pulses_per_bit):
             start = rep * samples_per_pri
             template[start:start + self.pulse.num_samples] += self.pulse.waveform
         self.symbol_template = template
-        self._symbol_template_dev = self.backend.asarray(template)
 
         offsets = self.modulator.position_offsets
         if offsets is not None:
             self.position_templates = tuple(
                 self._shifted_template(offset) for offset in offsets)
-            self._position_templates_dev = tuple(
-                self.backend.asarray(t) for t in self.position_templates)
         else:
             self.position_templates = None
-            self._position_templates_dev = None
+        # Sim-rate energy of each composite template (energy_per_bit).
+        self._template_energies = tuple(
+            float(np.sum(np.abs(t) ** 2)) for t in self._sim_templates)
 
     def _shifted_template(self, offset_s: float) -> np.ndarray:
         """Host-side symbol template delayed by a PPM position offset."""
@@ -190,6 +187,13 @@ class BatchedLinkModel:
         keep = self.samples_per_symbol - shift
         template[shift:] = self.symbol_template[:keep]
         return template
+
+    @property
+    def _sim_templates(self) -> tuple[np.ndarray, ...]:
+        """Sim-rate composite templates: one per PPM position, else one."""
+        if self.position_templates is not None:
+            return self.position_templates
+        return (self.symbol_template,)
 
     # ------------------------------------------------------------------
     # Transmit side
@@ -210,29 +214,68 @@ class BatchedLinkModel:
         symbols = self.modulator.modulate(bits.ravel())
         return symbols.reshape(packets, num_bits // bps)
 
-    def synthesize(self, symbols: np.ndarray):
-        """Pulse-shape a ``(packets, symbols)`` array into batch waveforms.
+    def _amplitudes(self, symbols: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Host ``(packets, symbols)`` amplitudes, one array per composite
+        template: 0/1 indicators per PPM position, else the modulator's
+        pulse amplitudes."""
+        symbols = np.asarray(symbols)
+        if self.position_templates is not None:
+            return tuple((symbols == position).astype(float)
+                         for position in range(len(self.position_templates)))
+        return (self.modulator.symbols_to_amplitudes(
+            symbols.ravel()).reshape(symbols.shape),)
 
-        The outer products against the symbol template run on the array
-        backend; the returned waveform is a backend (device) array.
+    def synthesize(self, symbols: np.ndarray, references):
+        """Noiseless received ADC-rate waveforms of a symbol batch.
+
+        ``symbols`` is ``(packets, symbols)``; ``references`` are the
+        channel-convolved ADC-rate symbol responses ``g`` from
+        :meth:`reference_templates`, one per composite template.  A symbol
+        lasts ``S`` whole ADC periods, so the received samples are
+        ``sum_k a_k g[n - k S]``.  Cut into ``S``-sample blocks, ``g``
+        becomes a ``(blocks, S)`` matrix and every ``S``-sample output
+        block is a weighted sum of its rows, so one matmul of a
+        ``(packets, symbols + blocks - 1, blocks)`` Toeplitz view of the
+        amplitudes against the reversed blocks builds the batch.  The
+        result is ``(packets, (symbols - 1) * S + len(g))``: exactly the
+        ADC samples of the channel-convolved simulation-rate waveform
+        (tail included), which is never built.
         """
         xp = self.backend.xp
-        symbols = np.asarray(symbols)
-        packets, num_symbols = symbols.shape
-        if self._position_templates_dev is not None:
-            indices = self.backend.asarray(symbols.astype(np.int64))
-            waveform = xp.zeros(
-                (packets, num_symbols, self.samples_per_symbol),
-                dtype=self.symbol_template.dtype)
-            for position, template in enumerate(self._position_templates_dev):
-                mask = (indices == position)[:, :, None]
-                waveform = waveform + mask * template
-        else:
-            amplitudes = self.backend.asarray(
-                self.modulator.symbols_to_amplitudes(
-                    symbols.ravel()).reshape(packets, num_symbols))
-            waveform = amplitudes[:, :, None] * self._symbol_template_dev
-        return waveform.reshape(packets, num_symbols * self.samples_per_symbol)
+        packets, num_symbols = np.shape(symbols)
+        step = self.samples_per_symbol_adc
+        length = int(references[0].shape[-1])
+        blocks = -(-length // step)
+        waveform = None
+        for amplitudes, reference in zip(self._amplitudes(symbols),
+                                         references):
+            # Row j of the Toeplitz view holds a_{j-blocks+1} .. a_j.
+            padded = np.zeros((packets, num_symbols + 2 * (blocks - 1)))
+            padded[:, blocks - 1:blocks - 1 + num_symbols] = amplitudes
+            toeplitz = self.backend.symbol_windows(
+                self.backend.asarray(padded), num_symbols + blocks - 1, 1,
+                blocks)
+            kernel = np.zeros(blocks * step, dtype=reference.dtype)
+            kernel[:length] = reference
+            kernel = self.backend.asarray(
+                np.ascontiguousarray(kernel.reshape(blocks, step)[::-1]))
+            part = xp.matmul(toeplitz, kernel)
+            waveform = part if waveform is None else waveform + part
+        waveform = waveform.reshape(packets, -1)
+        return waveform[:, :(num_symbols - 1) * step + length]
+
+    def energy_per_bit(self, symbols: np.ndarray) -> np.ndarray:
+        """Per-packet transmitted energy per bit of a symbol batch (host).
+
+        ``symbols`` is ``(packets, symbols)``.  Same convention as
+        ``TransmitOutput.energy_per_body_bit`` (the sim-rate sum of
+        squares), in closed form: symbols never overlap at the
+        transmitter, so it is ``sum_k |a_k|^2 ||template||^2 / bits``.
+        """
+        energy = sum(np.sum(np.abs(amplitudes) ** 2, axis=-1) * template
+                     for amplitudes, template in zip(
+                         self._amplitudes(symbols), self._template_energies))
+        return energy / (np.shape(symbols)[1] * self.modulator.bits_per_symbol)
 
     # ------------------------------------------------------------------
     # Receive side
@@ -254,21 +297,21 @@ class BatchedLinkModel:
         return self.backend.lfilter([1.0, -zero], [1.0, -pole],
                                     samples.astype(complex))
 
-    def _reference_templates(self, channel: MultipathChannel | None
-                             ) -> tuple[np.ndarray, ...]:
-        """ADC-rate matched-filter references (per PPM position if any).
+    def reference_templates(self, channel: MultipathChannel | None
+                            ) -> tuple[np.ndarray, ...]:
+        """ADC-rate received symbol responses, one per composite template.
 
-        Built on the host (template-length convolutions) and returned as
-        host arrays; :meth:`simulate` mirrors them onto the device.
+        ``g = (template * h)[::decimation]`` per PPM position (or for the
+        single symbol template), ``h`` the channel's sim-rate impulse
+        response.  They are both what :meth:`synthesize` sums and the
+        matched-filter references of the correlation.  Built on the host
+        (template-length convolutions) and returned as host arrays.
         """
-        if self.position_templates is not None:
-            sim_templates = self.position_templates
-        else:
-            sim_templates = (self.symbol_template,)
+        h = (channel.discrete_impulse_response(self.sim_rate_hz)
+             if channel is not None else None)
         references = []
-        for template in sim_templates:
-            if channel is not None:
-                h = channel.discrete_impulse_response(self.sim_rate_hz)
+        for template in self._sim_templates:
+            if h is not None:
                 template = np.convolve(template, h, mode="full")
             references.append(template[::self.decimation])
         return tuple(references)
@@ -276,15 +319,9 @@ class BatchedLinkModel:
     def _correlate(self, samples, reference, num_symbols: int):
         """Matched-filter statistic of every symbol of every packet."""
         xp = self.backend.xp
-        length = int(reference.shape[-1])
-        step = self.samples_per_symbol_adc
-        needed = (num_symbols - 1) * step + length
-        if samples.shape[-1] < needed:
-            pad = needed - samples.shape[-1]
-            samples = xp.pad(samples,
-                             [(0, 0)] * (samples.ndim - 1) + [(0, pad)])
-        windows = self.backend.symbol_windows(samples, num_symbols, step,
-                                              length)
+        windows = self.backend.symbol_windows(
+            samples, num_symbols, self.samples_per_symbol_adc,
+            int(reference.shape[-1]))
         return xp.einsum("psl,l->ps", windows, xp.conj(reference))
 
     # ------------------------------------------------------------------
@@ -317,21 +354,16 @@ class BatchedLinkModel:
                               dtype=np.int64)
         bits_host = np.asarray(backend.to_numpy(bits), dtype=np.int64)
         symbols = self.modulate(bits_host)
-        clean = self.synthesize(symbols)
+        num_symbols = symbols.shape[1]
+        references = self.reference_templates(channel)
+        samples = self.synthesize(symbols, references)
 
-        # Per-packet transmitted energy per bit, same convention as
-        # TransmitOutput.energy_per_body_bit (sim-rate sum of squares).
-        energy = xp.sum(xp.abs(clean) ** 2, axis=-1) / payload_bits_per_packet
+        energy = self.energy_per_bit(symbols)
         positive = energy > 0
-        if not bool(xp.any(positive)):
+        if not np.any(positive):
             raise ValueError("batch transmitted zero energy; cannot set Eb/N0")
-        energy = xp.where(positive, energy, energy[positive].mean())
-
-        if channel is not None:
-            waveform = channel.apply_batch(clean, self.sim_rate_hz,
-                                           keep_length=False, backend=backend)
-        else:
-            waveform = clean
+        energy = backend.asarray(
+            np.where(positive, energy, energy[positive].mean()))
 
         # The IIR notch needs to settle on the interferer before the body
         # arrives (in the full stack the lead-in and preamble provide that
@@ -340,20 +372,25 @@ class BatchedLinkModel:
         if self.notch_frequency_hz is not None and interferer is not None:
             pad_adc = int(np.ceil(6.0 / (1.0 - _NOTCH_POLE_RADIUS)))
         if pad_adc:
-            pad = xp.zeros((num_packets, pad_adc * self.decimation),
-                           dtype=waveform.dtype)
-            waveform = xp.concatenate((pad, waveform), axis=-1)
+            pad = xp.zeros((num_packets, pad_adc), dtype=samples.dtype)
+            samples = xp.concatenate((pad, samples), axis=-1)
 
         if interferer is not None:
-            waveform = waveform + backend.asarray(self._interferer_waveform(
-                interferer, int(waveform.shape[-1]),
-                bool(xp.iscomplexobj(waveform)), rng))
+            # One host realization over the whole sim-rate span (pad, body
+            # and channel tail), then decimated: decimation commutes with
+            # the addition exactly.
+            taps = (channel.discrete_impulse_response(self.sim_rate_hz).size
+                    if channel is not None else 1)
+            span = (pad_adc * self.decimation
+                    + num_symbols * self.samples_per_symbol + taps - 1)
+            samples = samples + backend.asarray(self._interferer_waveform(
+                interferer, span, bool(xp.iscomplexobj(samples)),
+                rng)[::self.decimation])
 
-        # Decimate before the noise: white noise is i.i.d. per sample, so
-        # drawing it only at the samples the ADC keeps is distributionally
-        # identical to drawing it at the simulation rate and discarding
-        # the rest.  The level still comes from the sim-rate energy.
-        samples = waveform[..., ::self.decimation]
+        # White noise is i.i.d. per sample, so drawing it only at the
+        # samples the ADC keeps is distributionally identical to drawing
+        # it at the simulation rate and discarding the rest.  The level
+        # still comes from the sim-rate energy.
         if ebn0_db is not None:
             noise_std = noise_std_for_ebn0(energy, float(ebn0_db),
                                            backend=backend)
@@ -371,9 +408,8 @@ class BatchedLinkModel:
         if pad_adc:
             samples = samples[..., pad_adc:]
 
-        references = tuple(backend.asarray(reference) for reference
-                           in self._reference_templates(channel))
-        num_symbols = symbols.shape[1]
+        references = tuple(backend.asarray(reference)
+                           for reference in references)
         statistics = [self._correlate(samples, reference, num_symbols)
                       for reference in references]
 

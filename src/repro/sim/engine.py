@@ -80,7 +80,11 @@ _FULLSTACK_RX_VERSION = 2
 # 2: the genie kernel draws its noise after decimation, only at the
 # samples the ADC keeps — distributionally identical, but a different
 # random stream, so batch cache entries of version 1 must not be reused.
-_BATCH_KERNEL_VERSION = 2
+# 3: the received signal is synthesized in closed form at the ADC rate (a
+# Toeplitz matmul instead of the sim-rate channel FFT) and the energy per
+# bit is a closed form — equal to rounding level, but a ULP can still move
+# an AGC peak or a quantizer bin.
+_BATCH_KERNEL_VERSION = 3
 _FULL_STACK_BPSK_MESSAGE = (
     "backend={backend!r} drives the full transceiver stack, which is "
     "BPSK-only, but the grid sweeps modulation(s) {modulations}; use "

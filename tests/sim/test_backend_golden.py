@@ -2,8 +2,9 @@
 
 The fixture in ``golden_backend_fixture.json`` pins the error counts of
 the NumPy genie kernel (``SweepEngine(backend="batch")``) as of
-``batch_kernel`` 2, the revision that draws noise only at the samples the
-ADC keeps.  Refactors may change how the kernel computes, but the NumPy
+``batch_kernel`` 3, the revision that synthesizes the received signal in
+closed form at the ADC rate and draws noise only at the samples the ADC
+keeps.  Refactors may change how the kernel computes, but the NumPy
 reference path must keep producing byte-for-byte the same error counts —
 these tests are the contract that makes cached ``repro.runs`` stores and
 published curves stable across refactors.  A deliberate change of the
@@ -50,7 +51,7 @@ def test_numpy_backend_matches_pre_refactor_golden(name):
         assert point.modulation == modulation
         assert point.adc_bits == adc_bits
         assert measurement.bit_errors == bit_errors, (
-            f"{name}: {point} moved from the batch_kernel 2 golden "
+            f"{name}: {point} moved from the batch_kernel 3 golden "
             f"({measurement.bit_errors} != {bit_errors} bit errors) — the "
             "NumPy backend must stay bit-identical")
         assert measurement.total_bits == total_bits

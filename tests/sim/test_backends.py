@@ -172,8 +172,8 @@ class TestBackendHelpers:
                 windows[..., k, :], samples[..., k * step:k * step + length])
 
     def test_symbol_windows_over_the_correlators_padded_tail(self, rng):
-        # _correlate zero-pads the batch so the last (overlapping) window
-        # fits; the view must reach into that pad exactly like the gather.
+        # A zero-padded batch whose last (overlapping) window reaches
+        # into the pad: the view must read it exactly like the gather.
         samples = rng.standard_normal((4, 40))
         count, step, length = 5, 8, 13
         padded = np.pad(samples, [(0, 0), (0, (count - 1) * step + length

@@ -1,10 +1,11 @@
 """The genie kernel works at the ADC rate, and its digests are versioned.
 
-``BatchedLinkModel.simulate`` decimates to the ADC rate before it draws
-noise, so every noise sample it draws reaches the ADC.  The change moved
-the kernel's random stream, so batch-engine ``config_digest`` values
-moved with it while packet and fullstack digests (and their caches and
-pins) must not.
+``BatchedLinkModel.simulate`` synthesizes the received signal at the ADC
+rate and draws noise there, so every noise sample it draws reaches the
+ADC.  Each such revision (``batch_kernel`` 2: noise after decimation;
+3: closed-form ADC-rate synthesis) can move the kernel's outputs, so
+batch-engine ``config_digest`` values moved with it while packet and
+fullstack digests (and their caches and pins) must not.
 """
 
 import math
@@ -120,6 +121,19 @@ _DIGESTS_BEFORE_BATCH_KERNEL_2 = {
 }
 
 
+#: Batch ``config_digest`` values of ``batch_kernel`` 2 (noise drawn
+#: after decimation, sim-rate synthesis and channel FFT).  The closed-form
+#: ADC-rate synthesis of version 3 must not reuse their cache entries.
+_DIGESTS_AT_BATCH_KERNEL_2 = {
+    ("batch", "gen2", True):
+        "8fbd44f187b9f854c1ceba7c7913f1554c081654e24a1cae7a4912daa65d5948",
+    ("batch", "gen1", True):
+        "604e16a9e2fea45717dbf39e9ffcfa8a649ef3873b70ad6701f6a386f151856b",
+    ("batch", "gen2", False):
+        "6103a1ab0b6a495455acd4086d69cfe81a941b0c37affe4c590cf54b2e748363",
+}
+
+
 @pytest.mark.parametrize(
     "key", sorted(_DIGESTS_BEFORE_BATCH_KERNEL_2),
     ids=lambda key: f"{key[0]}-{key[1]}-{'q' if key[2] else 'ideal'}")
@@ -129,5 +143,6 @@ def test_only_batch_engine_digests_moved(key):
                          quantize=quantize).config_digest()
     if backend == "batch":
         assert digest != _DIGESTS_BEFORE_BATCH_KERNEL_2[key]
+        assert digest != _DIGESTS_AT_BATCH_KERNEL_2[key]
     else:
         assert digest == _DIGESTS_BEFORE_BATCH_KERNEL_2[key]
