@@ -816,10 +816,10 @@ class SweepEngine:
         Returns ``(records, failure)`` exactly like
         :func:`_run_chunks_shared`; the serial and pooled paths produce
         the same per-chunk records (same seeds, same layout), so
-        scheduling is bitwise invisible for a fixed chunk layout.  On the
-        serial path a failing chunk stops the schedule (later rows record
-        ``None``); on the pool every chunk fails independently.  Before
-        a failure is returned, every failed chunk is logged with its
+        scheduling is bitwise invisible for a fixed chunk layout.  On both
+        paths every chunk fails independently: a failed chunk records
+        ``None``, the remaining rows still run, and the first failure (in
+        row order) is returned.  Before a failure is returned, every failed chunk is logged with its
         identity — point digest, scenario, Eb/N0, packet offset — and
         the identities are attached to the exception as a note (Python
         3.11+), so a worker traceback never strands the caller without
@@ -836,18 +836,15 @@ class SweepEngine:
             failure = None
             failed = []
             for index, packets, offset in rows:
-                if failure is not None:
-                    records.append(None)
-                    continue
                 try:
                     records.append(_run_chunk_traced(
                         _materialize_chunk(prototypes[index], packets,
                                            offset), offset, recorder))
                 except BaseException as error:  # noqa: BLE001 - re-raised
-                    # Only this chunk *failed*; later rows are skipped.
                     failed.append(len(records))
                     records.append(None)
-                    failure = error
+                    if failure is None:
+                        failure = error
         if failure is not None and failed:
             self._note_chunk_failures(prototypes, rows, failed, failure)
         return records, failure

@@ -190,6 +190,14 @@ class TestFailureLogging:
         assert any("chunk failed" in record.getMessage()
                    and "offset 0" in record.getMessage()
                    for record in caplog.records)
+        # The serial path isolates the failure like the pool: the rows
+        # after the poisoned chunk still run.
+        pooled, pooled_failure = engine._execute_chunks(prototypes, rows,
+                                                        0, 2)
+        assert isinstance(pooled_failure, RuntimeError)
+        assert ([record is None for record in records]
+                == [record is None for record in pooled] == [True, False])
+        assert records[1][0] == pooled[1][0]
 
     def test_failure_note_names_the_chunk(self, engine_factory, chunk_hook):
         import sys
