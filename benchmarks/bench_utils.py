@@ -4,11 +4,6 @@ Each benchmark regenerates one figure or quantitative claim of the paper
 (see DESIGN.md section 4); these helpers keep the printed output uniform so
 EXPERIMENTS.md can quote it directly.
 
-:func:`append_bench_record` additionally persists each benchmark headline
-to a machine-readable ledger (``BENCH_7.json`` at the repo root, or the
-path in ``REPRO_BENCH_JSON``), so speedup claims can be tracked across
-code revisions instead of scraped from CI logs.
-
 :func:`required_speedup` is the shared timing-floor policy: speedup
 assertions are derated on hosts with fewer than two usable CPUs (where
 measured ratios drift with scheduler contention — the way the fullstack
@@ -17,14 +12,10 @@ benchmarks went flaky inside full-suite runs on small boxes) unless
 correctness assertions are never derated.
 """
 
-import json
 import os
-import subprocess
-from pathlib import Path
 
 __all__ = ["print_header", "print_table", "format_ber",
-           "append_bench_record", "required_speedup", "usable_cpus",
-           "DERATED_SPEEDUP"]
+           "required_speedup", "usable_cpus", "DERATED_SPEEDUP"]
 
 #: Timing floor on hosts that cannot reproduce the calibrated speedups
 #: (< 2 usable CPUs, REPRO_BENCH_STRICT unset): the fast path must still
@@ -61,10 +52,6 @@ def required_speedup(nominal: float) -> tuple[float, str]:
         "(set REPRO_BENCH_STRICT=1 to enforce it anyway)")
 
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_BENCH_LEDGER = "BENCH_7.json"
-
-
 def print_header(experiment_id: str, description: str) -> None:
     """Print a banner naming the experiment being regenerated."""
     print()
@@ -90,61 +77,3 @@ def format_ber(ber: float) -> str:
     if ber <= 0:
         return "<1e-4"
     return f"{ber:.2e}"
-
-
-def _git_rev() -> str:
-    """The repo's short HEAD revision, or ``"unknown"`` outside git."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=_REPO_ROOT,
-            capture_output=True, text=True, timeout=10,
-            check=True).stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-def bench_ledger_path() -> Path:
-    """Where benchmark records accumulate: ``REPRO_BENCH_JSON`` if set,
-    else ``BENCH_7.json`` at the repository root."""
-    override = os.environ.get("REPRO_BENCH_JSON")
-    if override:
-        return Path(override)
-    return _REPO_ROOT / _BENCH_LEDGER
-
-
-def append_bench_record(name: str, wall_time_s: float,
-                        speedup: float | None = None,
-                        backend: str | None = None, **extra) -> dict:
-    """Append one benchmark headline to the JSON bench ledger.
-
-    The ledger is a JSON list; each record carries the benchmark name,
-    its headline wall time in seconds, the asserted speedup (``None``
-    for absolute-time benchmarks), the backend it exercised and the git
-    revision it ran at.  Extra keyword arguments land in the record
-    verbatim.  The file is read-modified-written atomically (write to a
-    sibling temp file, then rename); a corrupt or missing ledger starts
-    a fresh list rather than failing the benchmark.
-    """
-    record = {
-        "name": str(name),
-        "wall_time_s": float(wall_time_s),
-        "speedup": None if speedup is None else float(speedup),
-        "backend": backend,
-        "git_rev": _git_rev(),
-    }
-    record.update(extra)
-    path = bench_ledger_path()
-    records = []
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(loaded, list):
-                records = loaded
-        except (json.JSONDecodeError, OSError):
-            pass  # corrupt ledger: start over rather than fail the bench
-    records.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(path.name + ".tmp")
-    temp.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-    os.replace(temp, path)
-    return record

@@ -34,8 +34,7 @@ from repro.core.metrics import BERPoint
 from repro.sim import SweepEngine, available_backends, sweep_grid
 from repro.sim.shm import ChunkResultBlock
 
-from bench_utils import (append_bench_record, format_ber, print_header,
-                         print_table)
+from bench_utils import format_ber, print_header, print_table
 
 EBN0_GRID_DB = (2.0, 6.0, 10.0)
 NUM_PACKETS = 24
@@ -78,11 +77,6 @@ def test_bench_array_backends(benchmark):
                      format_ber(mid[1].ber)])
     print_table(["backend", "grid time", "vs numpy",
                  f"BER @ {EBN0_GRID_DB[1]:.0f} dB (awgn)"], rows)
-    for name in backends:
-        _, elapsed = results[name]
-        append_bench_record(f"bench-backends/{name}", elapsed,
-                            speedup=reference_s / max(elapsed, 1e-9),
-                            backend=name)
 
     assert "numpy" in backends
     for name in backends:
@@ -178,8 +172,6 @@ def test_bench_shared_memory_beats_pickling_pool(benchmark):
     print(f"shared memory  : {shm_s * 1e3:8.1f} ms "
           f"(min of {TRANSPORT_ROUNDS})")
     print(f"speedup        : {speedup:8.2f}x")
-    append_bench_record("bench-transport/shared-memory", shm_s,
-                        speedup=speedup, backend="shm")
 
     # Both paths pay the identical result-construction cost; the delta is
     # pure transport.  Shared memory must beat the pickling pool.

@@ -60,8 +60,8 @@ import pytest
 from repro.core.config import Gen1Config, Gen2Config
 from repro.sim import SweepEngine, sweep_grid
 
-from bench_utils import (append_bench_record, format_ber, print_header,
-                         print_table, required_speedup as _required_speedup,
+from bench_utils import (format_ber, print_header, print_table,
+                         required_speedup as _required_speedup,
                          usable_cpus as _usable_cpus)
 
 EBN0_DB = 6.0
@@ -155,9 +155,6 @@ def test_bench_fullstack_vs_packet_loop(benchmark):
     speedup = headline[4] / max(headline[6], 1e-9)
     required, floor_note = _required_speedup(REQUIRED_SPEEDUP)
     print(f"timing floor: >= {required:.1f}x [{floor_note}]")
-    append_bench_record("bench-fullstack/gen2-paper-grade", headline[6],
-                        speedup=speedup, backend="fullstack",
-                        required_speedup=required)
     assert speedup >= required, (
         f"batched full-stack receiver managed only {speedup:.1f}x over the "
         f"packet loop on the {HEADLINE!r} CM1 point (acceptance: "
@@ -216,9 +213,6 @@ def test_bench_fullstack_gen1_vs_packet_loop(benchmark):
     speedup = headline[4] / max(headline[6], 1e-9)
     required, floor_note = _required_speedup(GEN1_REQUIRED_SPEEDUP)
     print(f"timing floor: >= {required:.1f}x [{floor_note}]")
-    append_bench_record("bench-fullstack/gen1-paper-grade", headline[6],
-                        speedup=speedup, backend="fullstack",
-                        required_speedup=required)
     assert speedup >= required, (
         f"batched gen-1 front end managed only {speedup:.1f}x over the "
         f"packet loop on the {GEN1_HEADLINE!r} point (acceptance: "
@@ -287,9 +281,6 @@ def test_bench_hot_point_chunk_scaling(benchmark):
     assert results["parallel"].entries == results["serial"].entries
     assert (results["parallel"].errors_per_packet
             == results["serial"].errors_per_packet)
-    append_bench_record("bench-hot-point/chunk-fanout", timings["parallel"],
-                        speedup=speedup, backend="fullstack",
-                        workers=HOT_POINT_WORKERS)
     assert speedup >= HOT_POINT_REQUIRED_SPEEDUP, (
         f"chunk fan-out managed only {speedup:.1f}x at "
         f"{HOT_POINT_WORKERS} workers on the hot CM1 point (acceptance: "
