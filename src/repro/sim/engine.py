@@ -819,11 +819,11 @@ class SweepEngine:
         scheduling is bitwise invisible for a fixed chunk layout.  On both
         paths every chunk fails independently: a failed chunk records
         ``None``, the remaining rows still run, and the first failure (in
-        row order) is returned.  Before a failure is returned, every failed chunk is logged with its
-        identity — point digest, scenario, Eb/N0, packet offset — and
-        the identities are attached to the exception as a note (Python
-        3.11+), so a worker traceback never strands the caller without
-        knowing *which* chunk died.
+        row order) is returned.  Before a failure is returned, every
+        failed chunk is logged with its identity — point digest,
+        scenario, Eb/N0, packet offset — and the identities are attached
+        to the exception as a note (Python 3.11+), so a worker traceback
+        never strands the caller without knowing *which* chunk died.
         """
         recorder = self.recorder
         if max_workers is not None and max_workers > 1 and len(rows) > 1:

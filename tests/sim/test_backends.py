@@ -185,6 +185,13 @@ class TestBackendHelpers:
         np.testing.assert_array_equal(windows[:, -1, 8:], 0.0)
         np.testing.assert_array_equal(windows[:, -1, :8], samples[:, 32:])
 
+    def test_symbol_windows_that_do_not_fit_are_rejected(self, rng):
+        samples = rng.standard_normal((2, 40))
+        with pytest.raises(ValueError, match="do not fit"):
+            self.reference.symbol_windows(samples, 5, 8, 9)
+        assert self.reference.symbol_windows(samples, 5, 8, 8).shape == (
+            2, 5, 8)
+
     def test_quantize_uniform_matches_reference_quantizer(self, rng):
         samples = rng.uniform(-1.5, 1.5, size=(2, 128))
         quantizer = UniformQuantizer(bits=3, full_scale=1.0)
