@@ -243,7 +243,7 @@ class ResultStore:
         self.directory = Path(directory)
         self.writer_name = writer_name
         self.corrupt_records = 0
-        self._chunks: dict[str, list[StoredChunk]] = {}
+        self._clear_index()
         self.reload()
 
     @classmethod
@@ -276,7 +276,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def reload(self) -> None:
         """Re-read every JSONL file in the store directory from scratch."""
-        self._chunks = {}
+        self._clear_index()
         self.corrupt_records = 0
         if not self.directory.is_dir():
             return
@@ -297,7 +297,15 @@ class ResultStore:
             stacklevel=3)
         active().counter("store.corrupt_lines", backend=self.format)
 
+    def _clear_index(self) -> None:
+        self._chunks: dict[str, list[StoredChunk]] = {}
+        # key -> _merge_prefix(key), dropped whenever the key's chunks
+        # change: pooling a long prefix on every lookup dominates cached
+        # queries (a 200-chunk key costs ~0.65 ms to re-merge).
+        self._prefix_memo: dict[str, tuple[BERPoint | None, int]] = {}
+
     def _index(self, chunk: StoredChunk) -> None:
+        self._prefix_memo.pop(chunk.key, None)
         chunks = self._chunks.setdefault(chunk.key, [])
         # Replays (the same chunk appended by a re-run shard, or the same
         # file loaded via reload) are idempotent.
@@ -378,6 +386,11 @@ class ResultStore:
         return merged
 
     def _merge_prefix(self, key: str) -> tuple[BERPoint | None, int]:
+        if key not in self._chunks:
+            return None, 0
+        memo = self._prefix_memo.get(key)
+        if memo is not None:
+            return memo
         merged: BERPoint | None = None
         covered = 0
         for chunk in self._chunks.get(key, ()):
@@ -386,6 +399,7 @@ class ResultStore:
             covered += chunk.num_packets
             merged = (chunk.measurement if merged is None
                       else merged.merge(chunk.measurement))
+        self._prefix_memo[key] = (merged, covered)
         return merged, covered
 
     # ------------------------------------------------------------------

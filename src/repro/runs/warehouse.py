@@ -221,7 +221,7 @@ class SQLiteResultStore(ResultStore):
     # ------------------------------------------------------------------
     def reload(self) -> None:
         """Rebuild the in-memory chunk index from the ``chunks`` table."""
-        self._chunks = {}
+        self._clear_index()
         self.corrupt_records = 0
         connection = self._connect(create=False)
         if connection is None:

@@ -1,9 +1,11 @@
 """Stdlib HTTP front end for the sweep broker.
 
 A thin JSON-over-HTTP veneer on :class:`repro.serve.Broker` built on
-``http.server.ThreadingHTTPServer`` — no framework, no dependency.  One
-handler thread per request; every route delegates to a broker method,
-which does its own locking, so the HTTP layer holds no state at all.
+``http.server.ThreadingHTTPServer`` — no framework, no dependency.  It
+speaks HTTP/1.1 with keep-alive: one handler thread per client
+connection, serving that connection's requests in turn.  Every route
+delegates to a broker method, which does its own locking, so the HTTP
+layer holds no state beyond its open connections.
 
 Routes (all JSON unless noted):
 
@@ -23,12 +25,20 @@ Routes (all JSON unless noted):
 ``POST /api/v1/workers``                         register a worker
 ``POST /api/v1/lease``                           pull the next chunk lease
 ``POST /api/v1/heartbeat``                       renew a lease
-``POST /api/v1/commit``                          commit a simulated chunk
+``POST /api/v1/commit``                          commit a simulated chunk;
+                                                 with ``"next": true`` the
+                                                 reply's ``next`` leases
+                                                 the worker its next chunk
 ``POST /api/v1/fail``                            report a failed chunk
 ``POST /api/v1/release``                         gracefully return a lease
                                                  (shutdown; attempt
                                                  un-counted)
 ===============================================  =========================
+
+The commit's ``next`` is exactly the ``/lease`` reply for the committing
+worker (possibly with ``task: null``); a stale commit gets none, and a
+commit without the flag gets the same reply as before the flag existed,
+so older workers and older brokers interoperate both ways.
 
 Error mapping: malformed requests and unknown ids return 400/404,
 expired or unknown leases 409 (the worker must drop the chunk), commit
@@ -43,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -70,6 +81,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body go out in two writes; with Nagle on, the second
+    # waits for the client's delayed ACK (~40 ms) on a keep-alive socket.
+    disable_nagle_algorithm = True
 
     # The broker is attached to the server object by create_server().
     def _broker(self) -> Broker:
@@ -102,6 +116,8 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             raise _RequestError(400, "request body required")
         if length > _MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
             raise _RequestError(413, "request body too large")
         try:
             data = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -201,7 +217,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(broker.commit(
                     self._required(body, "lease_id"),
                     self._required(body, "task_id"),
-                    self._required(body, "measurement")))
+                    self._required(body, "measurement"),
+                    next_lease=body.get("next") is True))
                 return
             if route == ["fail"]:
                 body = self._read_json()
@@ -278,7 +295,10 @@ class ServeServer(ThreadingHTTPServer):
 
     ``daemon_threads`` keeps an in-flight long-poll from blocking
     shutdown; ``allow_reuse_address`` makes quick restarts in tests and
-    CI painless.
+    CI painless.  Clients keep their connections alive, one handler
+    thread per connection; :meth:`server_close` shuts every open one
+    down, so no handler outlives the server and a client's next request
+    reconnects to whatever listens on the port then.
     """
 
     daemon_threads = True
@@ -288,6 +308,31 @@ class ServeServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.broker = broker
         self.verbose = verbose
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        """Track the connection, then hand it to a handler thread."""
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Forget the connection and close it (its handler is done)."""
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and every open connection."""
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its peer
 
     @property
     def url(self) -> str:

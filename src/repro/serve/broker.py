@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -289,7 +290,7 @@ class Broker:
         self._leases = LeaseTable(timeout_s=lease_timeout_s, clock=clock)
         self._jobs: dict[str, _Job] = {}
         self._tasks: dict[str, ChunkTask] = {}
-        self._queue: list[str] = []
+        self._queue: deque[str] = deque()
         self._workers: dict[str, dict] = {}
         self._job_counter = 0
         self._worker_counter = 0
@@ -515,7 +516,7 @@ class Broker:
             self._touch_worker(worker_id)
             self._reap()
             while self._queue and not self._draining:
-                task = self._tasks.get(self._queue.pop(0))
+                task = self._tasks.get(self._queue.popleft())
                 if task is None or task.state != "pending":
                     continue  # committed or failed while queued
                 task.state = "leased"
@@ -547,7 +548,8 @@ class Broker:
             return {"lease_id": lease.lease_id,
                     "lease_timeout_s": self._leases.timeout_s}
 
-    def commit(self, lease_id: str, task_id: str, measurement_data) -> dict:
+    def commit(self, lease_id: str, task_id: str, measurement_data,
+               next_lease: bool = False) -> dict:
         """Ingest one simulated chunk (the at-most-once commit point).
 
         The happy path releases the lease and stores the chunk.  A
@@ -557,11 +559,17 @@ class Broker:
         counts land as a duplicate (a no-op beyond telemetry), different
         counts raise :class:`CommitConflictError`.  Either way packets
         are never double-counted.
+
+        With ``next_lease`` a commit that is not stale also leases the
+        committing worker its next chunk: the reply's ``"next"`` is the
+        :meth:`lease` reply for the released lease's worker (journaled
+        after the ``commit`` record).  Without it the reply is unchanged.
         """
         measurement = BERPoint.from_dict(measurement_data)
         with self._changed, activate(self.recorder):
             self._reap()
             stale = False
+            worker_id = None
             try:
                 lease = self._leases.release(lease_id)
                 if lease.task_id != task_id:
@@ -570,7 +578,8 @@ class Broker:
                         f"not {task_id}")
                 if lease.expired(self._clock()):
                     stale = True
-                self._touch_worker(lease.worker_id)
+                worker_id = lease.worker_id
+                self._touch_worker(worker_id)
             except UnknownLeaseError:
                 stale = True
             task = self._tasks.get(task_id)
@@ -608,7 +617,10 @@ class Broker:
                     if job.remaining == 0 and job.state == "running":
                         job.state = "done"
                 self._changed.notify_all()
-            return {"ok": True, "duplicate": duplicate, "stale": stale}
+            reply = {"ok": True, "duplicate": duplicate, "stale": stale}
+            if next_lease and not stale:
+                reply["next"] = self.lease(worker_id)
+            return reply
 
     def fail(self, lease_id: str, task_id: str, error: str) -> dict:
         """A worker reporting it cannot complete its chunk.

@@ -1,10 +1,9 @@
 """Pull workers: lease a chunk, simulate it, heartbeat, commit.
 
-:class:`BrokerClient` is a tiny urllib JSON client for the broker's
-HTTP API (:mod:`repro.serve.api`); :class:`Worker` is the loop
-``python -m repro worker`` runs: pull a lease, rebuild the engine the
-task's parameters describe, simulate exactly the leased chunk, and
-commit its measurement.
+:class:`BrokerClient` is a stdlib JSON client for the broker's HTTP API
+(:mod:`repro.serve.api`); :class:`Worker` is the loop ``python -m repro
+worker`` runs: pull a lease, rebuild the engine the task's parameters
+describe, simulate exactly the leased chunk, and commit its measurement.
 
 Determinism is the whole point: a chunk is simulated via
 ``engine.measure_points([(point, packets, offset)], ...,
@@ -13,36 +12,51 @@ chunk_packets=packets)`` — the same seeded-chunk entry point the local
 bit-identical counts for a given chunk, and the broker's merged curve
 matches a local run exactly.
 
-A heartbeat thread renews the lease while the chunk simulates.  If the
-broker reports the lease dead (expired, re-leased elsewhere), the
-worker abandons the chunk: its result is discarded locally rather than
-committed, keeping the at-most-once story clean even before the
-store's idempotency backstop.
+One request per chunk: the commit asks the broker for the next lease
+(``"next": true``) and the worker holds that lease for its next chunk,
+so a busy worker only calls ``POST /api/v1/lease`` when the commit
+reply carries no task (queue empty, broker draining, or an older broker
+that ignores the flag).  Every way out of the loop *releases* a held
+lease, so it requeues at once with its attempt un-counted.
+
+Transport: :class:`BrokerClient` keeps one HTTP/1.1 keep-alive
+connection (``http.client``) per thread.  A reused connection the
+broker closed while idle (a restart, say) fails before any response
+byte; that request is resent once on a fresh connection.  Unlike the
+urllib client this replaced, proxy environment variables
+(``http_proxy``) are not consulted: workers talk to the broker directly.
+
+One heartbeat thread per worker renews the current lease while a chunk
+simulates and parks between chunks.  If the broker reports the lease
+dead (expired, re-leased elsewhere), the worker abandons the chunk: its
+result is discarded locally rather than committed, keeping the
+at-most-once story clean even before the store's idempotency backstop.
 
 Transport resilience: the broker restarting (durable brokers journal
 their queue and come back) or a dropped connection must not kill a
 fleet of workers, so :class:`BrokerClient` retries *transport* errors —
-``URLError``, connection resets, timeouts — with bounded, seeded-jitter
-exponential backoff, raising :class:`BrokerTransportError` loudly only
-after the attempt budget is spent.  HTTP-level rejections
-(:class:`BrokerRequestError`) are never retried: the broker answered;
-retrying the same request cannot change its mind.
+refused or reset connections, timeouts, malformed responses — with
+bounded, seeded-jitter exponential backoff, raising
+:class:`BrokerTransportError` loudly only after the attempt budget is
+spent.  HTTP-level rejections (:class:`BrokerRequestError`) are never
+retried: the broker answered; retrying the same request cannot change
+its mind.
 
 Shutdown: ``python -m repro worker`` installs SIGTERM/SIGINT handlers
 that raise :class:`WorkerShutdown` in the worker loop; the loop
-*releases* its in-flight lease (``POST /api/v1/release`` — the chunk
-requeues immediately and the grant is un-counted) instead of abandoning
-it to the lease timeout, then exits cleanly.
+*releases* its in-flight and held leases (``POST /api/v1/release`` —
+the chunk requeues immediately and the grant is un-counted) instead of
+abandoning them to the lease timeout, then exits cleanly.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from repro.core.metrics import BERPoint
 from repro.sim.engine import SweepEngine, SweepPoint
@@ -84,23 +98,30 @@ class WorkerShutdown(Exception):
     """
 
 
-#: Transport-level exceptions worth retrying.  ``URLError`` covers
-#: refused/reset connections and DNS failures wrapped by urllib;
-#: ``OSError`` covers raw socket errors (``ConnectionResetError``,
-#: ``BrokenPipeError``, ``socket.timeout``) escaping unwrapped.  Note
-#: ``HTTPError`` subclasses ``URLError`` — it is re-raised as a
-#: :class:`BrokerRequestError` *before* the retry check, so an answered
-#: request is never retried.
-_TRANSIENT_ERRORS = (urllib.error.URLError, ConnectionError, OSError)
+#: Transport-level exceptions worth retrying: ``OSError`` covers
+#: refused/reset connections, timeouts and DNS failures;
+#: ``HTTPException`` a response cut short or garbled.  An HTTP error
+#: status is raised as :class:`BrokerRequestError` *before* the retry
+#: check, so an answered request is never retried.
+_TRANSIENT_ERRORS = (OSError, http.client.HTTPException)
+
+#: How a reused keep-alive connection fails when the broker closed it
+#: while idle (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
 class BrokerClient:
-    """JSON-over-HTTP client for the serve API (stdlib urllib only).
+    """JSON-over-HTTP client for the serve API (stdlib ``http.client``).
+
+    Each thread that uses the client gets its own keep-alive connection
+    (a worker's heartbeat thread shares its client); :meth:`close`
+    closes them all.
 
     Parameters
     ----------
     base_url:
-        The broker's base URL (as printed by ``python -m repro serve``).
+        The broker's base URL (as printed by ``python -m repro serve``),
+        ``http://`` or ``https://``.
     timeout_s:
         Per-request socket timeout.
     max_attempts:
@@ -123,6 +144,18 @@ class BrokerClient:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"broker URL must be http:// or https://, "
+                             f"got {base_url!r}")
+        self._connection_class = (http.client.HTTPSConnection
+                                  if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = parts.netloc
+        self._path_prefix = parts.path
+        self._local = threading.local()
+        self._connections: set[http.client.HTTPConnection] = set()
+        self._connections_lock = threading.Lock()
         self.timeout_s = float(timeout_s)
         self.max_attempts = int(max_attempts)
         self.backoff_base_s = float(backoff_base_s)
@@ -132,27 +165,73 @@ class BrokerClient:
         self._sleep = sleep
 
     # -- plumbing ------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._netloc,
+                                                timeout=self.timeout_s)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
+    def _close_thread_connection(self) -> None:
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            del self._local.connection
+            with self._connections_lock:
+                self._connections.discard(connection)
+            connection.close()
+
+    def close(self) -> None:
+        """Close every connection this client opened, in every thread.
+
+        A later request reconnects, so call it once the client's threads
+        are done with it.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
     def _request_once(self, method: str, path: str, payload=None):
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(self.base_url + path, data=data,
-                                         headers=headers, method=method)
+        url = self._path_prefix + path
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout_s) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", errors="replace")
             try:
-                detail = json.loads(body)
-                message = detail.get("error", body)
+                connection.request(method, url, body=body, headers=headers)
+                response = connection.getresponse()
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                # The broker closed this idle connection before reading
+                # the request (it restarted, say): resend once on a
+                # fresh connection.  Not a transport retry.  Should the
+                # broker have died mid-reply instead, the resend is safe
+                # too: commits are idempotent, a duplicate grant expires.
+                connection.close()
+                connection.request(method, url, body=body, headers=headers)
+                response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()  # its state is unknown; never reuse it
+            raise
+        text = data.decode("utf-8", errors="replace")
+        if not 200 <= response.status < 300:
+            try:
+                detail = json.loads(text)
+                message = detail.get("error", text)
                 kind = detail.get("error_kind", "error")
             except json.JSONDecodeError:
-                message, kind = body, "error"
-            raise BrokerRequestError(error.code, message, kind) from None
+                message, kind = text, "error"
+            raise BrokerRequestError(response.status, message, kind)
+        return json.loads(text)
 
     def _request(self, method: str, path: str, payload=None):
         """One logical request: transient transport errors are retried
@@ -232,12 +311,19 @@ class BrokerClient:
         """Renew a lease mid-chunk."""
         return self.post("/api/v1/heartbeat", {"lease_id": lease_id})
 
-    def commit(self, lease_id: str, task_id: str,
-               measurement: dict) -> dict:
-        """Commit a simulated chunk's measurement."""
-        return self.post("/api/v1/commit",
-                         {"lease_id": lease_id, "task_id": task_id,
-                          "measurement": measurement})
+    def commit(self, lease_id: str, task_id: str, measurement: dict,
+               next_lease: bool = False) -> dict:
+        """Commit a simulated chunk's measurement.
+
+        With ``next_lease`` the reply carries ``"next"``: the broker's
+        :meth:`lease` reply for this worker, granted in the same request
+        (absent for a stale commit or from a broker that predates it).
+        """
+        payload = {"lease_id": lease_id, "task_id": task_id,
+                   "measurement": measurement}
+        if next_lease:
+            payload["next"] = True
+        return self.post("/api/v1/commit", payload)
 
     def fail(self, lease_id: str, task_id: str, error: str) -> dict:
         """Report a chunk this worker could not complete."""
@@ -253,45 +339,102 @@ class BrokerClient:
 
 
 class _Heartbeat:
-    """Renews one lease on a background thread while a chunk simulates.
+    """Renews a worker's current lease on one background thread.
 
-    Sets ``abandoned`` when the broker declares the lease dead, which
-    tells the worker loop to discard its in-flight result instead of
-    committing it.
+    The thread starts with the first :meth:`watch` and lives until
+    :meth:`close`; between chunks it parks on a condition.  It sends each
+    renewal without holding the lock, and when the broker declares the
+    watched lease dead it marks that lease ``abandoned``, which tells the
+    worker loop to discard its in-flight result instead of committing it.
     """
 
-    def __init__(self, client: BrokerClient, lease_id: str,
-                 interval_s: float) -> None:
+    #: Longest :meth:`clear` waits for a renewal already on the wire.
+    _VERDICT_WAIT_S = 5.0
+
+    def __init__(self, client: BrokerClient) -> None:
         self._client = client
-        self._lease_id = lease_id
-        self._interval_s = interval_s
-        self._stop = threading.Event()
-        self.abandoned = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"heartbeat-{lease_id}")
+        self._changed = threading.Condition()
+        self._thread: threading.Thread | None = None
+        self._lease_id: str | None = None
+        self._interval_s = 0.0
+        self._abandoned = False
+        self._sending = False
 
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
+    def watch(self, lease_id: str, interval_s: float) -> None:
+        """Renew ``lease_id`` every ``interval_s`` until :meth:`clear`."""
+        with self._changed:
+            self._lease_id = lease_id
+            self._interval_s = interval_s
+            self._abandoned = False
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run,
+                                                daemon=True,
+                                                name="heartbeat")
+                self._thread.start()
+            self._changed.notify_all()
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        return False
+    def clear(self) -> bool:
+        """Stop renewing; True when the broker declared the lease dead.
+
+        A renewal already on the wire is waited for (bounded), so its
+        verdict counts.
+        """
+        with self._changed:
+            self._changed.wait_for(lambda: not self._sending,
+                                   timeout=self._VERDICT_WAIT_S)
+            self._lease_id = None
+            self._changed.notify_all()
+            return self._abandoned
+
+    def close(self) -> None:
+        """Stop the thread (idempotent; the next :meth:`watch` starts a
+        fresh one)."""
+        with self._changed:
+            thread, self._thread = self._thread, None
+            self._lease_id = None
+            self._changed.notify_all()
+        if thread is not None:
+            thread.join(timeout=self._VERDICT_WAIT_S)
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
-                self._client.heartbeat(self._lease_id)
-            except BrokerRequestError as error:
-                if error.kind == "lease":
-                    self.abandoned.set()
-                    return
-            except (BrokerTransportError, OSError):
-                pass  # broker unreachable; keep simulating — if it
-                # stays down past the lease timeout the restarted
-                # broker reaps the lease and our commit lands stale
-                # (an idempotent duplicate at worst)
+        me = threading.current_thread()
+        try:
+            with self._changed:
+                while self._thread is me:
+                    lease_id = self._lease_id
+                    if lease_id is None or self._abandoned:
+                        self._changed.wait()  # parked between chunks
+                        continue
+                    if self._changed.wait_for(
+                            lambda: (self._thread is not me
+                                     or self._lease_id != lease_id),
+                            timeout=self._interval_s):
+                        continue
+                    self._sending = True
+                    self._changed.release()
+                    try:
+                        dead = self._renew(lease_id)
+                    finally:
+                        self._changed.acquire()
+                        self._sending = False
+                        self._changed.notify_all()
+                    if dead and self._lease_id == lease_id:
+                        self._abandoned = True
+        finally:
+            self._client._close_thread_connection()
+
+    def _renew(self, lease_id: str) -> bool:
+        """One renewal; True when the broker says the lease is dead."""
+        try:
+            self._client.heartbeat(lease_id)
+        except BrokerRequestError as error:
+            return error.kind == "lease"
+        except (BrokerTransportError, OSError):
+            pass  # broker unreachable; keep simulating — if it stays
+            # down past the lease timeout the restarted broker reaps the
+            # lease and our commit lands stale (an idempotent duplicate
+            # at worst)
+        return False
 
 
 class Worker:
@@ -313,8 +456,8 @@ class Worker:
     def __init__(self, client, name: str | None = None,
                  poll_interval_s: float = 0.2,
                  exit_when_idle: bool = False) -> None:
-        self.client = (BrokerClient(client) if isinstance(client, str)
-                       else client)
+        self._owns_client = isinstance(client, str)
+        self.client = BrokerClient(client) if self._owns_client else client
         self.name = name
         self.poll_interval_s = float(poll_interval_s)
         self.exit_when_idle = bool(exit_when_idle)
@@ -325,6 +468,8 @@ class Worker:
         self.stopped = False
         self._stop = threading.Event()
         self._inflight: tuple[str, str] | None = None  # (lease, task)
+        self._held: dict | None = None  # a prefetched lease reply
+        self._heartbeat = _Heartbeat(self.client)
         self._engines: dict[tuple, SweepEngine] = {}
 
     def request_stop(self) -> None:
@@ -371,44 +516,55 @@ class Worker:
             self.worker_id = self.client.register(self.name)["worker_id"]
         return self.worker_id
 
-    def _execute(self, response: dict) -> None:
-        """Simulate and commit the chunk a lease response carries."""
+    def _next_lease(self) -> dict:
+        """The held lease if there is one, else a ``POST /lease`` reply."""
+        self._ensure_registered()
+        held, self._held = self._held, None
+        return held or self.client.lease(self.worker_id)
+
+    def _execute(self, response: dict, prefetch: bool) -> None:
+        """Simulate and commit the chunk a lease response carries; with
+        ``prefetch`` (and no stop requested) the commit asks for the
+        next lease, which is held when it carries a task."""
         task = response["task"]
         lease_id = response["lease_id"]
         interval = max(float(response["lease_timeout_s"]) / 3.0, 0.05)
         self._inflight = (lease_id, task["task_id"])
         shutdown = False
         try:
-            with _Heartbeat(self.client, lease_id, interval) as heartbeat:
+            self._heartbeat.watch(lease_id, interval)
+            try:
+                measurement = self.simulate(task)
+            except WorkerShutdown:
+                # A shutdown request is not a chunk failure: let run()
+                # release the lease instead of failing it.
+                shutdown = True
+                raise
+            except Exception as error:
+                # Report the failure so the chunk requeues immediately
+                # (instead of waiting out the lease), then propagate.
+                self.chunks_failed += 1
                 try:
-                    measurement = self.simulate(task)
-                except WorkerShutdown:
-                    # A shutdown request is not a chunk failure: let
-                    # run() release the lease instead of failing it.
-                    shutdown = True
-                    raise
-                except Exception as error:
-                    # Report the failure so the chunk requeues
-                    # immediately (instead of waiting out the lease),
-                    # then propagate.
-                    self.chunks_failed += 1
-                    try:
-                        self.client.fail(lease_id, task["task_id"],
-                                         str(error))
-                    except (BrokerRequestError, BrokerTransportError,
-                            OSError):
-                        pass
-                    raise
-            if heartbeat.abandoned.is_set():
+                    self.client.fail(lease_id, task["task_id"], str(error))
+                except (BrokerRequestError, BrokerTransportError, OSError):
+                    pass
+                raise
+            finally:
+                abandoned = self._heartbeat.clear()
+            if abandoned:
                 # The broker gave the chunk to someone else; our result
                 # is bit-identical anyway, but dropping it keeps this
                 # worker honestly at-most-once without leaning on the
                 # store.
                 self.chunks_abandoned += 1
                 return
-            self.client.commit(lease_id, task["task_id"],
-                               measurement.to_dict())
+            reply = self.client.commit(
+                lease_id, task["task_id"], measurement.to_dict(),
+                next_lease=prefetch and not self._stop.is_set())
             self.chunks_committed += 1
+            following = reply.get("next")
+            if following and following.get("task") is not None:
+                self._held = following  # idle answers are never held
         finally:
             if not shutdown:
                 # Committed, abandoned, or reported failed — the chunk
@@ -416,24 +572,44 @@ class Worker:
                 # stays set so run() can *release* the live lease.
                 self._inflight = None
 
+    def _release(self, lease_id: str, task_id: str) -> None:
+        try:
+            self.client.release(lease_id, task_id)
+        except (BrokerRequestError, BrokerTransportError, OSError):
+            pass  # broker gone or lease reaped; the timeout requeues it
+
     def _release_inflight(self) -> None:
         """Gracefully return the lease of an interrupted chunk."""
         if self._inflight is None:
             return
         lease_id, task_id = self._inflight
         self._inflight = None
-        try:
-            self.client.release(lease_id, task_id)
-        except (BrokerRequestError, BrokerTransportError, OSError):
-            pass  # broker gone or lease reaped; the timeout requeues it
+        self._release(lease_id, task_id)
+
+    def close(self) -> None:
+        """Release a held lease and stop the heartbeat thread.
+
+        A client the worker built from a URL is closed too.  Idempotent;
+        :meth:`run` calls it on every exit; a caller driving
+        :meth:`run_one` calls it when done.
+        """
+        held, self._held = self._held, None
+        if held is not None:
+            self._release(held["lease_id"], held["task"]["task_id"])
+        self._heartbeat.close()
+        if self._owns_client:
+            self.client.close()
 
     def run_one(self) -> bool:
-        """Pull and execute at most one chunk; False when queue is empty."""
-        self._ensure_registered()
-        response = self.client.lease(self.worker_id)
+        """Execute at most one chunk; False when the queue is empty.
+
+        Uses the held lease if there is one, else asks ``/lease``; the
+        commit asks for the next lease and holds it for the next call.
+        """
+        response = self._next_lease()
         if response.get("task") is None:
             return False
-        self._execute(response)
+        self._execute(response, prefetch=True)
         return True
 
     def run(self, max_chunks: int | None = None) -> dict:
@@ -445,9 +621,9 @@ class Worker:
         ``poll_interval_s`` waiting for more work.  A
         :class:`WorkerShutdown` raised into the loop (the CLI's
         SIGTERM/SIGINT handlers) or :meth:`request_stop` stops it
-        cleanly: any in-flight lease is *released* back to the broker —
-        requeued immediately, grant un-counted — rather than abandoned
-        to the lease timeout.
+        cleanly.  On every exit the in-flight and held leases are
+        *released* back to the broker — requeued immediately, grant
+        un-counted — rather than abandoned to the lease timeout.
         """
         try:
             self._ensure_registered()
@@ -455,9 +631,11 @@ class Worker:
                 if self._stop.is_set():
                     self.stopped = True
                     break
-                response = self.client.lease(self.worker_id)
+                response = self._next_lease()
                 if response.get("task") is not None:
-                    self._execute(response)
+                    # Ask for the next lease only if it will be used.
+                    self._execute(response, prefetch=max_chunks is None
+                                  or self.chunks_committed + 1 < max_chunks)
                     continue
                 if self.exit_when_idle \
                         and response.get("outstanding", 0) == 0:
@@ -473,6 +651,8 @@ class Worker:
         except WorkerShutdown:
             self.stopped = True
             self._release_inflight()
+        finally:
+            self.close()
         return {"worker_id": self.worker_id,
                 "chunks_committed": self.chunks_committed,
                 "chunks_abandoned": self.chunks_abandoned,

@@ -36,6 +36,19 @@ KEY_A = measurement_key("a" * 64, "c" * 64, 64)
 KEY_B = measurement_key("b" * 64, "c" * 64, 64)
 
 
+def fresh_merge(store, key):
+    """``(pooled prefix, covered packets)`` merged from the stored chunks
+    — the reference the store's memoised prefix must always equal."""
+    merged, covered = None, 0
+    for chunk in store.stored_chunks(key):
+        if chunk.packet_offset != covered:
+            break
+        covered += chunk.num_packets
+        merged = (chunk.measurement if merged is None
+                  else merged.merge(chunk.measurement))
+    return merged, covered
+
+
 class StoreConformanceContract:
     """The store contract; subclass with ``format`` set to a backend."""
 
@@ -142,6 +155,28 @@ class StoreConformanceContract:
         assert store.lookup(KEY_A, 20) is None
         # But the stranded chunk is visible to resume logic.
         assert store.chunks_for(KEY_A) == {0: 10, 20: 10}
+
+    def test_memoised_prefix_tracks_adds_and_reloads(self, tmp_path):
+        store = self.open_store(tmp_path)
+        store.add_chunk(KEY_A, 0, make_point(bit_errors=1))
+        store.add_chunk(KEY_A, 20, make_point(bit_errors=2))
+        assert store.lookup(KEY_A, 10) == make_point(bit_errors=1)
+        assert store._merge_prefix(KEY_A) == fresh_merge(store, KEY_A)
+        # Filling the gap extends the memoised prefix past it.
+        store.add_chunk(KEY_A, 10, make_point(bit_errors=4))
+        assert store._merge_prefix(KEY_A) == fresh_merge(store, KEY_A)
+        assert store.pooled(KEY_A) == make_point(
+            bit_errors=7, total_bits=1920, packets_sent=30,
+            packets_failed=3)
+        # A second writer's chunk shows up after reload.
+        other = self.open_store(tmp_path, writer_name="other.jsonl")
+        other.add_chunk(KEY_A, 30, make_point(bit_errors=5))
+        other.close()
+        store.reload()
+        assert store._merge_prefix(KEY_A) == fresh_merge(store, KEY_A)
+        assert store.coverage(KEY_A) == 40
+        assert store.lookup(KEY_A, 40).bit_errors == 12
+        store.close()
 
     def test_keys_sorted(self, tmp_path):
         store = self.open_store(tmp_path)

@@ -15,7 +15,7 @@ unfaulted run on the JSONL backend.
 
 import pytest
 
-from store_contract import make_point
+from store_contract import fresh_merge, make_point
 
 import repro.sim.engine as engine_module
 from repro.core.metrics import BERPoint
@@ -173,6 +173,17 @@ class TestGarbageCollection:
         # The prefix is now one pooled row per key.
         for key in keys.values():
             assert store.chunks_for(key) == {0: 30}
+
+    def test_memoised_prefix_matches_fresh_merge_after_gc(self, tmp_path):
+        store, keys = self._store_with_runs(tmp_path)
+        _all_lookups(store, store.keys())  # memoise every prefix
+        gc_store(store, keep_runs=1)
+        for key in keys.values():
+            assert store._merge_prefix(key) == fresh_merge(store, key)
+        reopened = ResultStore.open(tmp_path, format="sqlite")
+        assert _all_lookups(reopened, keys.values()) \
+            == _all_lookups(store, keys.values())
+        reopened.close()
 
     def test_keep_runs_drops_only_dead_keys(self, tmp_path):
         store, keys = self._store_with_runs(tmp_path)

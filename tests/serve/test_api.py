@@ -37,7 +37,9 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return BrokerClient(server.url, timeout_s=10.0)
+    client = BrokerClient(server.url, timeout_s=10.0)
+    yield client
+    client.close()
 
 
 class TestEndToEnd:

@@ -319,3 +319,93 @@ class TestStatus:
         broker.submit(SPEC)
         text = broker.render_metrics()
         assert "serve_jobs_submitted" in text
+
+
+class TestCommitCarriesNextLease:
+    """``commit(..., next_lease=True)``: one request commits a chunk and
+    leases the committing worker its next one."""
+
+    def test_commit_without_flag_replies_as_before(self, broker):
+        broker.submit(SPEC)
+        worker = broker.register_worker("w")["worker_id"]
+        response = broker.lease(worker)
+        task = response["task"]
+        outcome = broker.commit(response["lease_id"], task["task_id"],
+                                make_simulator()(task).to_dict())
+        assert outcome == {"ok": True, "duplicate": False, "stale": False}
+
+    def test_next_is_the_lease_reply_journaled_after_the_commit(
+            self, tmp_path, clock):
+        broker = Broker(tmp_path / "store", lease_timeout_s=10.0,
+                        clock=clock, state_dir=tmp_path / "state")
+        try:
+            job = broker.submit(SPEC)
+            worker = broker.register_worker("w")["worker_id"]
+            simulate = make_simulator()
+            response = broker.lease(worker)
+            granted = [response["task"]["task_id"]]
+            while True:
+                task = response["task"]
+                outcome = broker.commit(response["lease_id"],
+                                        task["task_id"],
+                                        simulate(task).to_dict(),
+                                        next_lease=True)
+                response = outcome["next"]
+                if response["task"] is None:
+                    break
+                assert response["attempt"] == 1
+                assert response["lease_timeout_s"] == 10.0
+                granted.append(response["task"]["task_id"])
+            assert response == {"task": None, "outstanding": 0}
+            assert broker.job_status(job["job_id"])["state"] == "done"
+            records, _ = broker._journal.read()
+        finally:
+            broker.close()
+        # Grants follow planning order, and each carried grant is
+        # journaled after the commit that asked for it.
+        kinds = [(record["kind"], record.get("task_id"))
+                 for record in records]
+        expected = [("job", None), ("grant", granted[0])]
+        for done, following in zip(granted, granted[1:]):
+            expected += [("commit", done), ("grant", following)]
+        expected.append(("commit", granted[-1]))
+        assert kinds == expected
+        assert len(set(granted)) == 6
+
+    def test_stale_commit_gets_no_next(self, broker, clock):
+        broker.submit(SPEC)
+        worker = broker.register_worker("w")["worker_id"]
+        response = broker.lease(worker)
+        task = response["task"]
+        clock.advance(10.5)  # the lease lapses and is reaped
+        outcome = broker.commit(response["lease_id"], task["task_id"],
+                                make_simulator()(task).to_dict(),
+                                next_lease=True)
+        assert outcome == {"ok": True, "duplicate": False, "stale": True}
+        assert broker.status()["leases_active"] == 0
+
+    def test_draining_broker_carries_no_task(self, broker):
+        broker.submit(SPEC)
+        worker = broker.register_worker("w")["worker_id"]
+        response = broker.lease(worker)
+        task = response["task"]
+        broker.begin_shutdown()
+        outcome = broker.commit(response["lease_id"], task["task_id"],
+                                make_simulator()(task).to_dict(),
+                                next_lease=True)
+        assert outcome["next"] == {"task": None, "outstanding": 5,
+                                   "draining": True}
+        assert broker.status()["leases_active"] == 0
+
+
+class TestGrantOrder:
+    def test_grants_are_fifo_and_returns_go_to_the_back(self, broker):
+        job = broker.submit(SPEC)
+        worker = broker.register_worker("w")["worker_id"]
+        first = broker.lease(worker)
+        broker.release(first["lease_id"], first["task"]["task_id"])
+        order = []
+        while (response := broker.lease(worker))["task"] is not None:
+            order.append(response["task"]["task_id"])
+        planned = list(broker._jobs[job["job_id"]].task_ids)
+        assert order == planned[1:] + planned[:1]

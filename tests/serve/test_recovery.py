@@ -368,6 +368,7 @@ def test_sigkilled_broker_restarts_and_fleet_finishes(tmp_path):
             client.commit(response["lease_id"], task["task_id"],
                           _simulate_e2e(task).to_dict())
         client.lease(worker_id)  # orphaned on purpose
+        client.close()
     finally:
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10.0)
@@ -411,6 +412,7 @@ def test_sigkilled_broker_restarts_and_fleet_finishes(tmp_path):
         assert payload["complete"] is True
         assert broker.status()["tasks"] == {"pending": 0, "leased": 0,
                                             "done": 2, "failed": 0}
+        client.close()
     finally:
         server.shutdown()
         server.server_close()

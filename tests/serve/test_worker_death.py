@@ -51,8 +51,15 @@ def server(tmp_path):
     broker.close()
 
 
-def test_killed_worker_lease_expires_and_chunk_reruns(server, tmp_path):
+@pytest.fixture
+def client(server):
     client = BrokerClient(server.url, timeout_s=10.0)
+    yield client
+    client.close()
+
+
+def test_killed_worker_lease_expires_and_chunk_reruns(server, client,
+                                                      tmp_path):
     job = client.submit(SPEC)
     assert job["chunks_total"] == 4
 
@@ -93,8 +100,7 @@ def test_killed_worker_lease_expires_and_chunk_reruns(server, tmp_path):
     assert remote == [m.to_dict() for _, m in reference.entries]
 
 
-def test_retried_chunk_commit_records_second_attempt(server):
-    client = BrokerClient(server.url, timeout_s=10.0)
+def test_retried_chunk_commit_records_second_attempt(server, client):
     client.submit(SPEC)
 
     context = multiprocessing.get_context("fork")

@@ -135,10 +135,16 @@ def server(tmp_path):
     broker.close()
 
 
+@pytest.fixture
+def client(server):
+    client = BrokerClient(server.url, timeout_s=10.0)
+    yield client
+    client.close()
+
+
 class TestWorkerShutdown:
-    def test_shutdown_mid_chunk_releases_the_lease(self, server):
+    def test_shutdown_mid_chunk_releases_the_lease(self, server, client):
         broker = server.broker
-        client = BrokerClient(server.url, timeout_s=10.0)
         client.submit(SPEC)
 
         # Interrupt the first chunk the moment it starts simulating —
@@ -167,8 +173,7 @@ class TestWorkerShutdown:
         follow_up = broker.register_worker("next")["worker_id"]
         assert broker.lease(follow_up)["attempt"] == 1
 
-    def test_request_stop_halts_between_chunks(self, server):
-        client = BrokerClient(server.url, timeout_s=10.0)
+    def test_request_stop_halts_between_chunks(self, server, client):
         client.submit(SPEC)
         worker = Worker(client, name="stopping", poll_interval_s=0.01)
         committed = []
@@ -189,8 +194,7 @@ class TestWorkerShutdown:
         assert tally["chunks_committed"] == 1
         assert server.broker.status()["tasks"]["done"] == 1
 
-    def test_worker_stops_when_broker_drains(self, server):
-        client = BrokerClient(server.url, timeout_s=10.0)
+    def test_worker_stops_when_broker_drains(self, server, client):
         client.submit(SPEC)
         server.broker.begin_shutdown()
         tally = Worker(client, name="drained",
