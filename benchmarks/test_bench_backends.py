@@ -1,27 +1,18 @@
-"""BENCH-BACKENDS — Array backends and result-transport comparison.
+"""BENCH-TRANSPORT — Result transport of the process fan-out.
 
-Two questions from the ROADMAP's "Fast sweeps" section:
+Process fan-out can return results either by pickling them through the
+executor pipe (historical) or by writing them into
+``multiprocessing.shared_memory`` blocks (:mod:`repro.sim.shm`).  For
+small scalar results the two are equivalent; the shared-memory path
+exists for *bulk* results — a million-packet point's per-packet error
+vector is an 8 MB ``int64`` array per point.  The benchmark isolates
+exactly that round trip: a worker produces a 1M-packet result and hands
+it back both ways.  Shared memory must win (acceptance: the shm fan-out
+beats the pickling pool on a 1M-packet point).
 
-1. **Array backends**: the batch kernel now runs on a pluggable
-   :class:`repro.sim.backends.ArrayBackend`.  This benchmark times the
-   same grid on every backend available on this machine (NumPy always;
-   any registered accelerator too) and checks the accelerators stay
-   within binomial tolerance of the NumPy reference.
-
-2. **Result transport**: process fan-out can return results either by
-   pickling them through the executor pipe (historical) or by writing
-   them into ``multiprocessing.shared_memory`` blocks
-   (:mod:`repro.sim.shm`).  For small scalar results the two are
-   equivalent; the shared-memory path exists for *bulk* results — a
-   million-packet point's per-packet error vector is an 8 MB ``int64``
-   array per point.  The transport benchmark isolates exactly that
-   round trip: a worker produces a 1M-packet result and hands it back
-   both ways.  Shared memory must win (acceptance: the shm fan-out
-   beats the pickling pool on a 1M-packet point).
-
-Both sections print tables; the asserts are deliberately conservative
-(min-of-N timing, generous statistical tolerance) because this file runs
-inside the tier-1 suite on loaded single-core CI boxes.
+It prints a table; the assert is deliberately conservative (min-of-N
+timing) because this file runs inside the tier-1 suite on loaded
+single-core CI boxes.
 """
 
 import time
@@ -31,67 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import BERPoint
-from repro.sim import SweepEngine, available_backends, sweep_grid
 from repro.sim.shm import ChunkResultBlock
 
-from bench_utils import format_ber, print_header, print_table
-
-EBN0_GRID_DB = (2.0, 6.0, 10.0)
-NUM_PACKETS = 24
-PAYLOAD_BITS = 48
+from bench_utils import print_header
 
 TRANSPORT_PACKETS = 1_000_000   # "a 1M-packet point"
 TRANSPORT_ROUNDS = 5
-
-
-# ----------------------------------------------------------------------
-# Array-backend comparison
-# ----------------------------------------------------------------------
-def _run_grid(array_backend: str):
-    engine = SweepEngine(generation="gen2", seed=23,
-                         array_backend=array_backend)
-    grid = sweep_grid(EBN0_GRID_DB, scenarios=("awgn", "cm1"))
-    start = time.perf_counter()
-    result = engine.run(grid, num_packets=NUM_PACKETS,
-                        payload_bits_per_packet=PAYLOAD_BITS)
-    elapsed = time.perf_counter() - start
-    return result, elapsed
-
-
-@pytest.mark.benchmark(group="bench-backends")
-def test_bench_array_backends(benchmark):
-    backends = available_backends()
-    results = benchmark.pedantic(
-        lambda: {name: _run_grid(name) for name in backends},
-        rounds=1, iterations=1)
-
-    print_header("BENCH-BACKENDS",
-                 "one grid, every array backend available on this machine")
-    reference, reference_s = results["numpy"]
-    rows = []
-    for name in backends:
-        result, elapsed = results[name]
-        mid = result.entries[1]
-        rows.append([name, f"{elapsed * 1e3:8.1f} ms",
-                     f"{reference_s / max(elapsed, 1e-9):5.2f}x",
-                     format_ber(mid[1].ber)])
-    print_table(["backend", "grid time", "vs numpy",
-                 f"BER @ {EBN0_GRID_DB[1]:.0f} dB (awgn)"], rows)
-
-    assert "numpy" in backends
-    for name in backends:
-        if name == "numpy":
-            continue
-        result, _ = results[name]
-        for (point, expected), (_, got) in zip(reference.entries,
-                                               result.entries):
-            pooled = (expected.bit_errors + got.bit_errors) / (
-                expected.total_bits + got.total_bits)
-            sigma = np.sqrt(max(pooled * (1 - pooled), 1e-9)
-                            / expected.total_bits)
-            tolerance = 4.0 * sigma + 2.0 / expected.total_bits
-            assert abs(got.ber - expected.ber) <= tolerance, (
-                f"{name} diverges from numpy at {point}")
 
 
 # ----------------------------------------------------------------------

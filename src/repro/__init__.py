@@ -20,9 +20,8 @@ The package is organized by subsystem:
 * :mod:`repro.core` — the two transceiver generations, link simulation and
   the power/QoS/data-rate adaptation controller.
 * :mod:`repro.sim` — the batched Monte-Carlo sweep engine, the scenario
-  registry, the pluggable array-backend seam (NumPy reference) and the
-  shared-memory process fan-out (the fast path for BER grids across many
-  environments).
+  registry and the shared-memory process fan-out (the fast path for BER
+  grids across many environments).
 * :mod:`repro.runs` — persistent sweep runs: the content-addressed result
   store (append-only JSONL or the queryable SQLite warehouse with ETL
   migration, compaction/GC and cross-run queries), the sharded/resumable
@@ -45,7 +44,7 @@ Quick start::
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 from repro import (
     adc,

@@ -69,54 +69,36 @@ class FlashADC:
         """The (sorted) comparator thresholds actually in effect."""
         return self._thresholds.copy()
 
-    def convert_codes(self, x, backend=None) -> np.ndarray:
+    def convert_codes(self, x) -> np.ndarray:
         """Convert input voltages to output codes in ``[0, 2^bits - 1]``.
 
         ``x`` may carry any leading batch axes — the thresholds broadcast
         against ``(packets, samples)`` input, which is how the batched
         time-interleaved front end converts a whole Monte-Carlo batch in
-        one call.  ``backend`` selects an optional
-        :class:`~repro.sim.backends.ArrayBackend` to run the search on
-        (``None`` keeps the bit-reproducible NumPy reference path).
+        one call.
         """
-        if backend is None:
-            x = np.asarray(x, dtype=float)
-            x = (1.0 + self.gain_error) * x + self.offset_error
-            # Each sample's code is the number of thresholds below it.
-            return np.searchsorted(self._thresholds, x,
-                                   side="right").astype(np.int64)
-        xp = backend.xp
-        x = backend.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         x = (1.0 + self.gain_error) * x + self.offset_error
-        thresholds = backend.asarray(self._thresholds)
-        return xp.searchsorted(thresholds, x, side="right").astype(xp.int64)
+        # Each sample's code is the number of thresholds below it.
+        return np.searchsorted(self._thresholds, x,
+                               side="right").astype(np.int64)
 
-    def codes_to_values(self, codes, backend=None) -> np.ndarray:
+    def codes_to_values(self, codes) -> np.ndarray:
         """Nominal reconstruction values (ideal bin centres) for codes."""
-        if backend is None:
-            codes = np.asarray(codes, dtype=np.int64)
-            return (codes.astype(float) + 0.5) * self._step - self.full_scale
-        codes = backend.asarray(codes)
+        codes = np.asarray(codes, dtype=np.int64)
         return (codes.astype(float) + 0.5) * self._step - self.full_scale
 
-    def convert(self, x, backend=None) -> np.ndarray:
+    def convert(self, x) -> np.ndarray:
         """Convert and reconstruct (the value the digital back end works with).
 
         Broadcasts like :meth:`convert_codes`, so a ``(packets, samples)``
-        batch converts in one call; ``backend`` routes the array work
-        through an :class:`~repro.sim.backends.ArrayBackend` (``None`` =
-        the NumPy reference path, bit-identical to the historical
-        implementation).
+        batch converts in one call.
         """
-        x = np.asarray(x) if backend is None else backend.asarray(x)
-        iscomplex = (np.iscomplexobj(x) if backend is None
-                     else backend.xp.iscomplexobj(x))
-        if iscomplex:
-            return (self.codes_to_values(self.convert_codes(x.real, backend),
-                                         backend)
-                    + 1j * self.codes_to_values(
-                        self.convert_codes(x.imag, backend), backend))
-        return self.codes_to_values(self.convert_codes(x, backend), backend)
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            return (self.codes_to_values(self.convert_codes(x.real))
+                    + 1j * self.codes_to_values(self.convert_codes(x.imag)))
+        return self.codes_to_values(self.convert_codes(x))
 
     def differential_nonlinearity_lsb(self) -> np.ndarray:
         """DNL of each code bin in LSB (ideal = 0)."""

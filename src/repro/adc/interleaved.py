@@ -16,7 +16,32 @@ from repro.adc.flash import FlashADC
 from repro.adc.jitter import SamplingClock
 from repro.utils.validation import require_int, require_positive
 
-__all__ = ["TimeInterleavedADC"]
+__all__ = ["TimeInterleavedADC", "interleave_streams"]
+
+
+def interleave_streams(parts, width: int) -> np.ndarray:
+    """Round-robin merge of per-slice streams along the last axis.
+
+    The inverse of the strided de-interleave ``samples[..., k::N]``:
+    given ``N`` arrays ``parts`` (slice ``k`` holding the samples at
+    positions ``k, k + N, k + 2N, ...``), produce the ``(..., width)``
+    aggregate stream with ``out[..., k::N] == parts[k]``.  Slice lengths
+    may differ by one when ``width`` is not a multiple of ``N`` (exactly
+    the ``range(k, width, N)`` counts).  The slices are scattered into a
+    preallocated output, with no stacked temporary.
+    """
+    parts = [np.asarray(part) for part in parts]
+    num_slices = len(parts)
+    if num_slices == 0:
+        raise ValueError("interleave_streams needs at least one stream")
+    if num_slices == 1:
+        return parts[0][..., :width]
+    out = np.empty(parts[0].shape[:-1] + (width,),
+                   dtype=np.result_type(*parts))
+    for index, part in enumerate(parts):
+        out[..., index::num_slices] = part[
+            ..., :len(range(index, width, num_slices))]
+    return out
 
 
 @dataclass
@@ -142,7 +167,7 @@ class TimeInterleavedADC:
                 adc.convert(samples[slice_index::self.num_slices])
         return output
 
-    def convert_presampled_batch(self, samples, backend=None) -> np.ndarray:
+    def convert_presampled_batch(self, samples) -> np.ndarray:
         """Convert a batch of already-sampled streams in one pass per slice.
 
         The batched form of :meth:`convert_presampled`: ``samples`` is
@@ -150,22 +175,16 @@ class TimeInterleavedADC:
         slice round-robin is preserved exactly — position ``i`` of every
         row is converted by slice ``i % num_slices``, so each row's codes
         are bitwise what :meth:`convert_presampled` would have produced
-        for it.  ``backend`` routes the conversion and the re-interleave
-        through an :class:`~repro.sim.backends.ArrayBackend` (``None`` =
-        the NumPy reference, used by the per-packet oracle).
+        for it.
         """
-        if backend is None:
-            from repro.sim.backends import reference_backend
-            backend = reference_backend()
-        samples = backend.asarray(samples, dtype=float)
-        parts = [adc.convert(samples[..., index::self.num_slices],
-                             backend=backend)
+        samples = np.asarray(samples, dtype=float)
+        parts = [adc.convert(samples[..., index::self.num_slices])
                  for index, adc in enumerate(self.slices)]
-        return backend.interleave_streams(parts, int(samples.shape[-1]))
+        return interleave_streams(parts, int(samples.shape[-1]))
 
     def sample_and_convert_batch(self, waveforms, waveform_rate_hz: float,
-                                 rng: np.random.Generator | None = None,
-                                 backend=None) -> np.ndarray:
+                                 rng: np.random.Generator | None = None
+                                 ) -> np.ndarray:
         """Sample and convert a batch of equal-length analog waveforms.
 
         Equivalent to stacking ``[self.sample_and_convert(w, rate, rng=rng)
@@ -185,9 +204,6 @@ class TimeInterleavedADC:
                              "sample_and_convert() for a single waveform")
         if rng is None:
             rng = np.random.default_rng()
-        if backend is None:
-            from repro.sim.backends import reference_backend
-            backend = reference_backend()
         num_packets = waveforms.shape[0]
         duration = waveforms.shape[1] / waveform_rate_hz
         total_samples = int(np.floor(duration * self.aggregate_rate_hz))
@@ -212,9 +228,9 @@ class TimeInterleavedADC:
                     waveforms[packet], waveform_rate_hz,
                     num_samples=slice_counts[slice_index], rng=rng,
                     start_time_s=slice_index * aggregate_period)
-        parts = [adc.convert(backend.asarray(analog[index]), backend=backend)
+        parts = [adc.convert(analog[index])
                  for index, adc in enumerate(self.slices)]
-        return backend.interleave_streams(parts, total_samples)
+        return interleave_streams(parts, total_samples)
 
     def parallel_streams(self, samples) -> list[np.ndarray]:
         """Return the per-slice (already parallelized) converted streams.

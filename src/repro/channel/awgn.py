@@ -6,12 +6,6 @@ operating points:
 * directly as a noise standard deviation,
 * as an SNR relative to the signal's measured power,
 * as an Eb/N0 given the signal's energy-per-bit.
-
-:func:`awgn` and :func:`noise_std_for_ebn0` route their array work
-through an :class:`repro.sim.backends.ArrayBackend` (``backend=``), so
-the batched sweep kernel can keep whole noise batches on an accelerator;
-the default backend is the NumPy reference, bit-identical to the
-historical implementation.
 """
 
 from __future__ import annotations
@@ -30,19 +24,6 @@ __all__ = [
 ]
 
 
-def _resolve_backend(backend):
-    """Late-bound backend lookup (avoids a channel <-> sim import cycle).
-
-    ``None`` resolves to :func:`repro.sim.backends.reference_backend`
-    (NumPy — never the ``REPRO_ARRAY_BACKEND`` environment variable),
-    keeping the per-packet reference stack bit-reproducible whatever the
-    environment says; only the batch kernel/engine layer opts into
-    ambient backend selection.
-    """
-    from repro.sim.backends import get_backend, reference_backend
-    return reference_backend() if backend is None else get_backend(backend)
-
-
 def noise_std_for_snr(signal, snr_db: float) -> float:
     """Noise standard deviation that yields ``snr_db`` for the given signal.
 
@@ -56,7 +37,7 @@ def noise_std_for_snr(signal, snr_db: float) -> float:
     return float(np.sqrt(noise_power))
 
 
-def noise_std_for_ebn0(energy_per_bit, ebn0_db, backend=None):
+def noise_std_for_ebn0(energy_per_bit, ebn0_db):
     """Noise standard deviation per sample for a target Eb/N0.
 
     Discrete-time convention: ``energy_per_bit`` is the sum of squared
@@ -70,23 +51,19 @@ def noise_std_for_ebn0(energy_per_bit, ebn0_db, backend=None):
 
     Both arguments may be arrays (they broadcast against each other), in
     which case an array of standard deviations is returned; scalar inputs
-    return a ``float``.  ``backend`` selects the array backend the
-    computation runs on (``energy_per_bit`` may already live on its
-    device); the default is the NumPy reference.
+    return a ``float``.
     """
-    xp = _resolve_backend(backend).xp
-    energy = xp.asarray(energy_per_bit, dtype=float)
-    if bool(xp.any(energy <= 0)):
+    energy = np.asarray(energy_per_bit, dtype=float)
+    if bool(np.any(energy <= 0)):
         raise ValueError("energy_per_bit must be positive")
-    ebn0_linear = xp.asarray(db_to_linear(np.asarray(ebn0_db, dtype=float)))
-    std = xp.sqrt(energy / (2.0 * ebn0_linear))
+    ebn0_linear = np.asarray(db_to_linear(np.asarray(ebn0_db, dtype=float)))
+    std = np.sqrt(energy / (2.0 * ebn0_linear))
     if std.ndim == 0:
         return float(std)
     return std
 
 
-def awgn(signal, noise_std, rng: np.random.Generator | None = None,
-         backend=None):
+def awgn(signal, noise_std, rng: np.random.Generator | None = None):
     """Add white Gaussian noise with the given standard deviation.
 
     For complex input the noise is circularly symmetric with *total*
@@ -96,25 +73,18 @@ def awgn(signal, noise_std, rng: np.random.Generator | None = None,
     samples)``), and ``noise_std`` may be an array broadcastable against
     ``signal.shape`` (e.g. shape ``(packets, 1)`` for a per-packet noise
     level), which is the fast path the batched sweep engine uses.
-
-    ``backend`` selects the array backend (see
-    :mod:`repro.sim.backends`); with a non-NumPy backend the noise is
-    drawn on the device from a stream seeded by ``rng``, and ``rng`` may
-    also be a backend draw source returned by
-    :meth:`~repro.sim.backends.ArrayBackend.random_source`.
+    A negative or NaN ``noise_std`` is rejected.
     """
-    backend = _resolve_backend(backend)
-    xp = backend.xp
-    noise_std = backend.asarray(noise_std, dtype=float)
-    if bool(xp.any(noise_std < 0)):
-        raise ValueError("noise_std must be non-negative")
-    signal = backend.asarray(signal)
-    if rng is None or isinstance(rng, np.random.Generator):
-        rng = backend.random_source(rng)
-    if not bool(xp.any(noise_std > 0)):
-        return signal.astype(complex if xp.iscomplexobj(signal) else float)
-    if xp.iscomplexobj(signal):
-        noise = xp.empty(signal.shape, dtype=complex)
+    noise_std = np.asarray(noise_std, dtype=float)
+    if not bool(np.all(noise_std >= 0)):
+        raise ValueError("noise_std must be non-negative (and not NaN)")
+    signal = np.asarray(signal)
+    if rng is None:
+        rng = np.random.default_rng()
+    if not bool(np.any(noise_std > 0)):
+        return signal.astype(complex if np.iscomplexobj(signal) else float)
+    if np.iscomplexobj(signal):
+        noise = np.empty(signal.shape, dtype=complex)
         noise.real = rng.standard_normal(signal.shape)
         noise.imag = rng.standard_normal(signal.shape)
         scale = noise_std / np.sqrt(2.0)

@@ -15,6 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import signal as sp_signal
 
 from repro.utils import dsp
 from repro.utils.validation import require_int, require_positive
@@ -205,36 +206,25 @@ class MultipathChannel:
                                 keep_length=keep_length)[0]
 
     def apply_batch(self, signals, sample_rate_hz: float,
-                    keep_length: bool = True, backend=None):
+                    keep_length: bool = True) -> np.ndarray:
         """Convolve a batch of waveforms with the channel in one FFT pass.
 
         ``signals`` has shape ``(..., num_samples)``; the channel is applied
-        along the last axis to every waveform in the batch, which is how the
-        sweep engine pushes whole Monte-Carlo batches through the channel
-        without a Python loop.  With ``keep_length`` the output keeps the
-        input sample count, otherwise the convolution tail is returned too.
-
-        ``backend`` selects the array backend the convolution runs on
-        (see :mod:`repro.sim.backends`); ``signals`` may already live on
-        that backend's device and the result stays there.  ``None``
-        means :func:`repro.sim.backends.reference_backend` (NumPy —
-        never the environment variable).  The ray-level impulse response
-        is always assembled on the host — it is O(taps), not O(samples).
+        along the last axis to every waveform in the batch, so a whole
+        Monte-Carlo batch goes through the channel without a Python loop.
+        With ``keep_length`` the output keeps the input sample count,
+        otherwise the convolution tail is returned too.
         """
-        from repro.sim.backends import get_backend, reference_backend
-        backend = (reference_backend() if backend is None
-                   else get_backend(backend))
-        xp = backend.xp
-        signals = backend.asarray(signals)
+        signals = np.asarray(signals)
         if signals.ndim < 2:
             raise ValueError("apply_batch expects a (..., num_samples) batch; "
                              "use apply() for a single waveform")
         h = self.discrete_impulse_response(sample_rate_hz)
-        if xp.iscomplexobj(signals) or np.iscomplexobj(h):
+        if np.iscomplexobj(signals) or np.iscomplexobj(h):
             signals = signals.astype(complex)
             h = h.astype(complex)
-        h = backend.asarray(h).reshape((1,) * (signals.ndim - 1) + h.shape)
-        out = backend.fftconvolve_full(signals, h)
+        h = h.reshape((1,) * (signals.ndim - 1) + h.shape)
+        out = sp_signal.fftconvolve(signals, h, mode="full", axes=-1)
         if keep_length:
             return out[..., : signals.shape[-1]]
         return out
@@ -253,7 +243,7 @@ class MultipathChannel:
 
 
 def apply_channels_batch(channels, signals, sample_rate_hz: float,
-                         valid_lengths=None, backend=None) -> np.ndarray:
+                         valid_lengths=None) -> np.ndarray:
     """Apply one channel per row of a padded waveform batch in one FFT pass.
 
     Where :meth:`MultipathChannel.apply_batch` pushes many waveforms
@@ -262,10 +252,9 @@ def apply_channels_batch(channels, signals, sample_rate_hz: float,
     ``channels`` holds one :class:`MultipathChannel` (or ``None`` for a
     clean link) per row.  Every per-row impulse response is assembled on
     the host (O(taps)), zero-padded to a common tap count, and the whole
-    batch convolves in a single broadcast FFT pass on ``backend``
-    (``None`` = the NumPy reference).  Rows whose channel is ``None``
-    pass through bitwise untouched, exactly like the per-packet flow
-    that skips ``channel.apply`` for them.
+    batch convolves in broadcast FFT passes.  Rows whose channel is
+    ``None`` pass through bitwise untouched, exactly like the per-packet
+    flow that skips ``channel.apply`` for them.
 
     ``valid_lengths`` gives each row's real sample count; convolved rows
     are zeroed beyond it, dropping the convolution energy that leaked
@@ -278,15 +267,11 @@ def apply_channels_batch(channels, signals, sample_rate_hz: float,
     gain are complex, real otherwise (so the carrier-free gen-1 path
     keeps its real-FFT convolution).
 
-    On the NumPy backend the batch convolves in row chunks sized to stay
-    cache-resident — every row's FFT length is fixed by the *global*
-    padded width and tap count, so the chunking changes nothing, not
-    even at the last ulp, while avoiding the memory-bound giant-batch
-    transform.
+    The batch convolves in row chunks sized to stay cache-resident —
+    every row's FFT length is fixed by the *global* padded width and tap
+    count, so the chunking changes nothing, not even at the last ulp,
+    while avoiding the memory-bound giant-batch transform.
     """
-    from repro.sim.backends import NumpyBackend, get_backend, reference_backend
-    backend = (reference_backend() if backend is None
-               else get_backend(backend))
     signals = np.asarray(signals)
     if signals.ndim != 2:
         raise ValueError("apply_channels_batch expects a (packets, "
@@ -322,24 +307,18 @@ def apply_channels_batch(channels, signals, sample_rate_hz: float,
     for index in range(signals.shape[0]):
         if index not in in_channel:
             out[index] = signals[index]
-    if type(backend) is NumpyBackend:
-        # Row-chunked convolution: each chunk's FFT length is the same
-        # global (width + taps_width - 1), so results are bitwise those
-        # of the one-shot batch call, minus its cache-hostile footprint.
-        # The workers context threads scipy's pocketfft across the rows
-        # of each chunk — same per-row transform, so still bitwise.
-        chunk = max(1, (1 << 19) // max(width, 1))
-        with _fft_workers_context():
-            for start in range(0, len(with_channel), chunk):
-                rows = with_channel[start:start + chunk]
-                convolved = backend.fftconvolve_full(
-                    signals[rows], kernels[start:start + chunk])[:, :width]
-                out[rows] = convolved
-    else:
-        convolved = backend.to_numpy(backend.fftconvolve_full(
-            backend.asarray(signals[with_channel]),
-            backend.asarray(kernels)))[:, :width]
-        out[with_channel] = convolved
+    # Row-chunked convolution: each chunk's FFT length is the same
+    # global (width + taps_width - 1), so results are bitwise those of
+    # the one-shot batch call, minus its cache-hostile footprint.  The
+    # workers context threads scipy's pocketfft across the rows of each
+    # chunk — same per-row transform, so still bitwise.
+    chunk = max(1, (1 << 19) // max(width, 1))
+    with _fft_workers_context():
+        for start in range(0, len(with_channel), chunk):
+            rows = with_channel[start:start + chunk]
+            out[rows] = sp_signal.fftconvolve(
+                signals[rows], kernels[start:start + chunk],
+                mode="full", axes=-1)[:, :width]
     if lengths is not None:
         for index in with_channel:
             out[index, lengths[index]:] = 0.0

@@ -130,24 +130,20 @@ class _Transceiver:
         return self.config.data_rate_bps
 
     def batch_model(self, modulation: str = "bpsk", quantize: bool = True,
-                    notch_frequency_hz: float | None = None,
-                    array_backend=None):
+                    notch_frequency_hz: float | None = None):
         """Vectorized fast path for this configuration.
 
         Returns a :class:`repro.sim.batch.BatchedLinkModel` sharing this
         transceiver's configuration — the batch-capable kernel the sweep
         engine uses, with ``simulate_packet`` remaining the per-packet
-        reference implementation.  ``array_backend`` selects the array
-        backend the kernel runs on (``None``, a registered name such as
-        ``"numpy"``, or an :class:`repro.sim.backends.ArrayBackend`).
+        reference implementation.
         """
         from repro.sim.batch import BatchedLinkModel
         return BatchedLinkModel(self.config, modulation=modulation,
                                 quantize=quantize,
-                                notch_frequency_hz=notch_frequency_hz,
-                                backend=array_backend)
+                                notch_frequency_hz=notch_frequency_hz)
 
-    def fullstack_model(self, array_backend=None):
+    def fullstack_model(self):
         """Batched full-stack receiver sharing this transceiver's stack.
 
         Returns a :class:`repro.sim.batch_rx.BatchedFullStackModel` built
@@ -157,11 +153,9 @@ class _Transceiver:
         the same random streams.  Both generations batch end to end:
         the gen-2 SAR front and the gen-1 4 GHz interleaved-flash front
         each have whole-batch transmit/channel/AGC/ADC passes.
-        ``array_backend`` selects the array backend the batched stages
-        run on.
         """
         from repro.sim.batch_rx import BatchedFullStackModel
-        return BatchedFullStackModel(self, backend=array_backend)
+        return BatchedFullStackModel(self)
 
 
 class Gen1Transceiver(_Transceiver):

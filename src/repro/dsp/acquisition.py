@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dsp.correlator import (
-    _resolve_backend,
+    gather_windows,
     normalized_correlation,
     normalized_correlation_batch,
     sliding_correlation,
@@ -183,13 +183,12 @@ class CoarseAcquisition:
             search_time_s=search_time,
             correlation_profile=metric)
 
-    def acquire_batch(self, samples, valid_lengths=None, backend=None,
+    def acquire_batch(self, samples, valid_lengths=None,
                       keep_profiles: bool = False) -> BatchedAcquisitionResult:
         """Search a ``(packets, num_samples)`` batch of buffers at once.
 
         The correlation plane — every packet x every timing hypothesis —
-        is computed in one batched FFT pass on the selected
-        :class:`~repro.sim.backends.ArrayBackend`; the per-packet decision
+        is computed in one batched FFT pass; the per-packet decision
         logic (argmax timing, threshold + CFAR detection) then replicates
         :meth:`acquire` row by row.  ``valid_lengths`` gives each row's
         true sample count when rows were zero-padded to a common width, so
@@ -199,8 +198,7 @@ class CoarseAcquisition:
         ``keep_profiles`` retains the normalized correlation plane (off by
         default — it is the batch's largest array).
         """
-        backend = _resolve_backend(backend)
-        samples = backend.asarray(samples)
+        samples = np.asarray(samples)
         if samples.ndim != 2:
             raise ValueError("acquire_batch expects a (packets, num_samples) "
                              "batch; use acquire() for a single buffer")
@@ -217,14 +215,11 @@ class CoarseAcquisition:
                                                    > num_samples):
                 raise ValueError("valid_lengths must lie in [0, num_samples]")
 
-        raw = np.abs(backend.to_numpy(
-            sliding_correlation_batch(samples, self.template,
-                                      backend=backend)))
+        raw = np.abs(sliding_correlation_batch(samples, self.template))
         profiles = None
         if keep_profiles:
-            profiles = np.abs(backend.to_numpy(
-                normalized_correlation_batch(samples, self.template,
-                                             backend=backend)))
+            profiles = np.abs(normalized_correlation_batch(samples,
+                                                           self.template))
 
         detected = np.zeros(num_packets, dtype=bool)
         timing = np.zeros(num_packets, dtype=np.int64)
@@ -258,13 +253,10 @@ class CoarseAcquisition:
             # packet's raw-correlation peak, so normalize those single
             # offsets instead of the whole plane (one small gather rather
             # than a second batch-wide FFT pass).
-            xp = backend.xp
-            windows = backend.gather_windows(samples, timing[:, None],
-                                             template_size)
-            local_energy = backend.to_numpy(
-                xp.sum(xp.abs(windows) ** 2, axis=-1))[:, 0]
+            windows = gather_windows(samples, timing[:, None], template_size)
+            local_energy = np.sum(np.abs(windows) ** 2, axis=-1)[:, 0]
             template_energy = float(np.sum(np.abs(np.asarray(
-                backend.to_numpy(self.template))) ** 2))
+                self.template)) ** 2))
             denom = np.sqrt(np.maximum(
                 np.maximum(local_energy, 0.0) * template_energy, 1e-30))
             searched = hypotheses > 0

@@ -66,8 +66,8 @@ class AutomaticGainControl:
         return samples * gain, gain
 
     def apply_from_peak_batch(self, samples, full_scale: float,
-                              peak_backoff_db: float = 3.0,
-                              backend=None) -> tuple[np.ndarray, np.ndarray]:
+                              peak_backoff_db: float = 3.0
+                              ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row :meth:`apply_from_peak` over a ``(..., samples)`` batch.
 
         Each row is scaled by its own peak-derived gain, exactly the gain
@@ -77,19 +77,13 @@ class AutomaticGainControl:
         AGC.  Rows padded with trailing zeros are safe — zeros never move
         a peak.  All-zero rows come back unchanged (times ``max_gain``,
         like the scalar method reports).  Returns ``(scaled, gains)`` with
-        ``gains`` shaped like the leading axes.  ``backend`` selects the
-        :class:`~repro.sim.backends.ArrayBackend` the scan runs on
-        (``None`` = the NumPy reference).
+        ``gains`` shaped like the leading axes.
         """
         require_positive(full_scale, "full_scale")
-        if backend is None:
-            from repro.sim.backends import reference_backend
-            backend = reference_backend()
-        xp = backend.xp
-        samples = backend.asarray(samples)
-        peaks = xp.max(xp.abs(samples), axis=-1)
+        samples = np.asarray(samples)
+        peaks = np.max(np.abs(samples), axis=-1)
         target_peak = full_scale * 10.0 ** (-peak_backoff_db / 20.0)
-        gains = xp.clip(target_peak / xp.where(peaks > 0, peaks, 1.0),
+        gains = np.clip(target_peak / np.where(peaks > 0, peaks, 1.0),
                         self.min_gain, self.max_gain)
-        gains = xp.where(peaks > 0, gains, self.max_gain)
+        gains = np.where(peaks > 0, gains, self.max_gain)
         return samples * gains[..., None], gains

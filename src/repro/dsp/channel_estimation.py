@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.correlator import _resolve_backend
+from repro.dsp.correlator import gather_windows
 from repro.utils.fixed_point import FixedPointFormat
 from repro.utils.validation import require_int
 
@@ -208,8 +208,8 @@ class ChannelEstimator:
 
     def estimate_averaged_batch(self, samples, timing_offsets,
                                 sample_rate_hz: float, num_repetitions: int,
-                                valid_lengths=None,
-                                backend=None) -> BatchedChannelEstimate:
+                                valid_lengths=None
+                                ) -> BatchedChannelEstimate:
         """Batched :meth:`estimate_averaged` over ``(packets, num_samples)``.
 
         ``timing_offsets`` holds each packet's coarse-acquisition timing;
@@ -220,15 +220,12 @@ class ChannelEstimator:
         the averaging, exactly like the per-packet ``break``), computes
         the same zero-filled tail for taps beyond the usable window, and
         quantizes with the same per-packet full scale.  All window
-        correlations run as one einsum on the selected
-        :class:`~repro.sim.backends.ArrayBackend`; decisions match the
+        correlations run as one batched reduction; decisions match the
         per-packet path, floats at rounding level.
         """
         require_int(num_repetitions, "num_repetitions", minimum=1)
-        backend = _resolve_backend(backend)
-        xp = backend.xp
 
-        samples = backend.asarray(samples)
+        samples = np.asarray(samples)
         if samples.ndim != 2:
             raise ValueError("estimate_averaged_batch expects a (packets, "
                              "num_samples) batch; use estimate_averaged() "
@@ -265,30 +262,29 @@ class ChannelEstimator:
         # truncated sums the per-packet path computes -- then pad the batch
         # so every gathered window is in bounds.
         column = np.arange(num_samples, dtype=np.int64)
-        samples = xp.where(backend.asarray(column[None, :]
-                                           < valid_lengths[:, None]),
-                           samples, xp.zeros((), dtype=samples.dtype))
+        samples = np.where(column[None, :] < valid_lengths[:, None],
+                           samples, np.zeros((), dtype=samples.dtype))
         max_start = int(rep_offsets.max()) + self.num_taps - 1
         overhang = max(max_start + ref_len - num_samples, 0)
         if overhang:
-            samples = xp.concatenate(
-                (samples, xp.zeros((num_packets, overhang),
+            samples = np.concatenate(
+                (samples, np.zeros((num_packets, overhang),
                                    dtype=samples.dtype)), axis=-1)
 
-        # Window products reduced with sum(axis=-1): on the NumPy
-        # reference this is bit-identical to the per-packet per-tap
-        # np.sum dots (same pairwise reduction) — load-bearing, because
-        # the 4-bit-quantized taps are full of magnitude ties and the
-        # downstream selective-RAKE argsort must break them exactly like
-        # the per-packet path.  (An FFT correlation here would be faster
-        # but epsilon-different, and epsilon flips finger selection.)
+        # Window products reduced with sum(axis=-1): bit-identical to the
+        # per-packet per-tap np.sum dots (same pairwise reduction) —
+        # load-bearing, because the 4-bit-quantized taps are full of
+        # magnitude ties and the downstream selective-RAKE argsort must
+        # break them exactly like the per-packet path.  (An FFT
+        # correlation here would be faster but epsilon-different, and
+        # epsilon flips finger selection.)
         starts = (rep_offsets[:, :, None]
                   + np.arange(self.num_taps, dtype=np.int64)[None, None, :])
-        windows = backend.gather_windows(
+        windows = gather_windows(
             samples, starts.reshape(num_packets, -1), ref_len)
-        reference_conj = backend.asarray(np.conj(reference))
+        reference_conj = np.conj(reference)
         reference_energy = float(np.sum(np.abs(reference) ** 2))
-        raw = xp.sum(windows * reference_conj, axis=-1) / reference_energy
+        raw = np.sum(windows * reference_conj, axis=-1) / reference_energy
         raw = raw.reshape(num_packets, num_repetitions, self.num_taps)
 
         # Zero exactly what the per-packet loop never computes (taps past
@@ -297,16 +293,16 @@ class ChannelEstimator:
         # sum, for the same tie-breaking reason as above.
         available = valid_lengths[:, None] - rep_offsets - ref_len + 1
         usable = np.clip(np.minimum(available, self.num_taps), 0, None)
-        tap_mask = backend.asarray(
-            np.arange(self.num_taps)[None, None, :] < usable[:, :, None])
-        raw = xp.where(tap_mask, raw, xp.zeros((), dtype=raw.dtype))
+        tap_mask = (np.arange(self.num_taps)[None, None, :]
+                    < usable[:, :, None])
+        raw = np.where(tap_mask, raw, np.zeros((), dtype=raw.dtype))
         accumulated = raw[:, 0]
         for repetition in range(1, num_repetitions):
-            include = backend.asarray((used > repetition)[:, None])
-            accumulated = xp.where(include,
+            include = (used > repetition)[:, None]
+            accumulated = np.where(include,
                                    accumulated + raw[:, repetition],
                                    accumulated)
-        taps = backend.to_numpy(accumulated) / used[:, None]
+        taps = accumulated / used[:, None]
 
         if self.quantization_bits is not None:
             for index in range(num_packets):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dsp.channel_estimation import ChannelEstimate
-from repro.dsp.correlator import _resolve_backend
+from repro.dsp.correlator import gather_windows
 from repro.utils.validation import require_int
 
 __all__ = ["RakeFinger", "RakeReceiver", "FINGER_POLICIES",
@@ -54,8 +54,8 @@ def finger_arrays(receivers) -> tuple[np.ndarray, np.ndarray]:
 
 def combine_streams_batch(samples, finger_delays, finger_weights, template,
                           symbol_period_samples: int, first_symbol_samples,
-                          num_symbols: int, valid_lengths=None,
-                          backend=None) -> np.ndarray:
+                          num_symbols: int,
+                          valid_lengths=None) -> np.ndarray:
     """Batched :meth:`RakeReceiver.combine_stream` over a packet batch.
 
     Parameters mirror the per-packet call with one leading batch axis:
@@ -65,18 +65,15 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
     from :func:`finger_arrays`, and ``first_symbol_samples`` holds each
     packet's first symbol start (acquisition timing shifts it per packet).
     Every finger x symbol correlation of every packet is gathered and
-    reduced in one einsum on the selected
-    :class:`~repro.sim.backends.ArrayBackend`.  Fingers that start past a
+    reduced in one einsum.  Fingers that start past a
     packet's valid samples contribute exactly zero — the batched
     equivalent of the per-packet skip/truncate — so decisions match the
     per-packet loop, floats at rounding level.
     """
     require_int(symbol_period_samples, "symbol_period_samples", minimum=1)
     require_int(num_symbols, "num_symbols", minimum=1)
-    backend = _resolve_backend(backend)
-    xp = backend.xp
 
-    samples = backend.asarray(samples)
+    samples = np.asarray(samples)
     if samples.ndim != 2:
         raise ValueError("combine_streams_batch expects a (packets, "
                          "num_samples) batch; use combine_stream() for one")
@@ -99,9 +96,8 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
     if valid_lengths is not None:
         valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
         column = np.arange(num_samples, dtype=np.int64)
-        samples = xp.where(backend.asarray(column[None, :]
-                                           < valid_lengths[:, None]),
-                           samples, xp.zeros((), dtype=samples.dtype))
+        samples = np.where(column[None, :] < valid_lengths[:, None],
+                           samples, np.zeros((), dtype=samples.dtype))
 
     starts = (first_symbol_samples[:, None, None]
               + finger_delays[:, :, None]
@@ -109,20 +105,17 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
               * symbol_period_samples)
     overhang = max(int(starts.max()) + length - num_samples, 0)
     if overhang:
-        samples = xp.concatenate(
-            (samples, xp.zeros((num_packets, overhang),
+        samples = np.concatenate(
+            (samples, np.zeros((num_packets, overhang),
                                dtype=samples.dtype)), axis=-1)
 
-    windows = backend.gather_windows(samples,
-                                     starts.reshape(num_packets, -1), length)
+    windows = gather_windows(samples, starts.reshape(num_packets, -1), length)
     max_fingers = finger_delays.shape[1]
     windows = windows.reshape(num_packets, max_fingers, num_symbols, length)
-    correlations = xp.einsum("pfkl,l->pfk", windows,
-                             xp.conj(backend.asarray(template)))
-    statistics = xp.einsum("pf,pfk->pk",
-                           xp.conj(backend.asarray(finger_weights)),
+    correlations = np.einsum("pfkl,l->pfk", windows, np.conj(template))
+    statistics = np.einsum("pf,pfk->pk", np.conj(finger_weights),
                            correlations)
-    return np.asarray(backend.to_numpy(statistics), dtype=complex)
+    return np.asarray(statistics, dtype=complex)
 
 
 @dataclass(frozen=True)

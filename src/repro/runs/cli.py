@@ -65,14 +65,13 @@ Subcommands:
 Grid axes accept comma-separated lists (``--scenario awgn,cm1``); the
 Eb/N0 axis also accepts ``start:stop[:step]`` with an *inclusive* stop
 and a default step of 1 (``--ebn0 0:12:1`` is the thirteen integer
-points 0..12 dB).  ``--array-backend`` (or ``REPRO_ARRAY_BACKEND``)
-selects the array backend the batch kernel runs on; ``--workers N``
-fans cache misses over worker processes with shared-memory chunk
-transport, and ``--chunk-packets N`` makes the seeded packet chunk the
-unit of scheduling and caching so even a single hot point spreads over
-the pool.  ``--progress`` draws a live one-line status on stderr and
-``--telemetry`` records the run's event ledger (both off by default;
-neither changes results — telemetry is bitwise invisible).
+points 0..12 dB).  ``--workers N`` fans cache misses over worker
+processes with shared-memory chunk transport, and ``--chunk-packets N``
+makes the seeded packet chunk the unit of scheduling and caching so even
+a single hot point spreads over the pool.  ``--progress`` draws a live
+one-line status on stderr and ``--telemetry`` records the run's event
+ledger (both off by default; neither changes results — telemetry is
+bitwise invisible).
 """
 
 from __future__ import annotations
@@ -228,11 +227,6 @@ def _add_grid_arguments(command: argparse.ArgumentParser) -> None:
                               "gen-1 interleaved-flash front end), "
                               "'packet' the per-packet reference stack "
                               "(default: batch)")
-    command.add_argument("--array-backend",
-                         choices=("numpy",), default=None,
-                         help="array backend the batch kernel runs on "
-                              "(default: the REPRO_ARRAY_BACKEND "
-                              "environment variable, else numpy)")
     command.add_argument("--no-quantize", action="store_true",
                          help="batch backend: skip AGC + ADC quantization")
 
@@ -504,7 +498,6 @@ def _engine_from_args(args) -> SweepEngine:
     recorder = Recorder() if args.telemetry else None
     return SweepEngine(generation=args.generation, seed=args.seed,
                        backend=args.backend, quantize=not args.no_quantize,
-                       array_backend=args.array_backend,
                        chunk_packets=args.chunk_packets,
                        recorder=recorder)
 
@@ -864,7 +857,6 @@ def _command_submit(args, out) -> int:
         "generation": args.generation,
         "backend": args.backend,
         "quantize": not args.no_quantize,
-        "array_backend": args.array_backend,
         "name": args.name,
     }
     job = client.submit(spec)

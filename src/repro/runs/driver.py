@@ -59,12 +59,6 @@ def _code_version() -> str:
 class RunManifest:
     """Everything that identifies and reproduces one sharded run.
 
-    ``array_backend`` records which :mod:`repro.sim.backends` backend
-    produced the results (``"numpy"`` for manifests written before the
-    backend abstraction existed); :meth:`RunDriver.open` rebuilds the
-    engine with it so cached measurements are never mixed across
-    backends whose random streams differ.
-
     ``chunk_packets`` records the run's chunk layout — how each point's
     packet budget splits into seeded chunks (``None``, the historical
     default, is one chunk per point).  The layout determines which
@@ -94,7 +88,6 @@ class RunManifest:
     payload_bits_per_packet: int
     num_shards: int
     code_version: str
-    array_backend: str = "numpy"
     chunk_packets: int | None = None
     store_format: str = "jsonl"
     points: tuple[SweepPoint, ...] = field(default_factory=tuple)
@@ -173,7 +166,6 @@ class RunManifest:
             "payload_bits_per_packet": self.payload_bits_per_packet,
             "num_shards": self.num_shards,
             "code_version": self.code_version,
-            "array_backend": self.array_backend,
             "chunk_packets": self.chunk_packets,
             "store_format": self.store_format,
             "points": [point.to_dict() for point in self.points],
@@ -198,7 +190,6 @@ class RunManifest:
                 payload_bits_per_packet=int(data["payload_bits_per_packet"]),
                 num_shards=int(data["num_shards"]),
                 code_version=str(data["code_version"]),
-                array_backend=str(data.get("array_backend", "numpy")),
                 chunk_packets=(None if data.get("chunk_packets") is None
                                else int(data["chunk_packets"])),
                 store_format=str(data.get("store_format", "jsonl")),
@@ -339,7 +330,6 @@ class RunDriver:
             payload_bits_per_packet=payload_bits_per_packet,
             num_shards=num_shards,
             code_version=_code_version(),
-            array_backend=engine.array_backend,
             chunk_packets=engine.chunk_packets,
             store_format=resolved_format,
             points=points)
@@ -400,7 +390,6 @@ class RunDriver:
                                  seed=manifest.seed,
                                  backend=manifest.backend,
                                  quantize=manifest.quantize,
-                                 array_backend=manifest.array_backend,
                                  chunk_packets=manifest.chunk_packets)
         return cls(run_dir, manifest, engine)
 

@@ -99,6 +99,17 @@ def _id_serial(identifier: str) -> int:
         return 0
 
 
+def _integer(data: dict, name: str, default=None) -> int:
+    """``data[name]`` (or ``default``) as an int: a JSON number without
+    a fractional part, never a bool (:class:`BrokerError` otherwise)."""
+    value = data.get(name, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise BrokerError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One submitted grid: the points plus everything that shapes results.
@@ -117,7 +128,6 @@ class JobSpec:
     generation: str = "gen2"
     backend: str = "batch"
     quantize: bool = True
-    array_backend: str | None = None
     name: str | None = None
 
     @classmethod
@@ -134,20 +144,27 @@ class JobSpec:
                            for entry in points_data)
         except ValueError as error:
             raise BrokerError(str(error)) from None
+        quantize = data.get("quantize", True)
+        if not isinstance(quantize, bool):
+            raise BrokerError(f"quantize must be true or false, "
+                              f"not {quantize!r}")
+        # Older clients and journals carry the removed array-backend
+        # field; only the NumPy value it always resolved to is accepted.
+        if data.get("array_backend") not in (None, "numpy"):
+            raise BrokerError(f"array_backend must be null or 'numpy', "
+                              f"not {data['array_backend']!r}")
         try:
             spec = cls(
                 points=points,
-                num_packets=int(data.get("num_packets", 32)),
-                payload_bits_per_packet=int(
-                    data.get("payload_bits_per_packet", 64)),
+                num_packets=_integer(data, "num_packets", 32),
+                payload_bits_per_packet=_integer(
+                    data, "payload_bits_per_packet", 64),
                 chunk_packets=(None if data.get("chunk_packets") is None
-                               else int(data["chunk_packets"])),
-                seed=int(data.get("seed", 0)),
+                               else _integer(data, "chunk_packets")),
+                seed=_integer(data, "seed", 0),
                 generation=str(data.get("generation", "gen2")),
                 backend=str(data.get("backend", "batch")),
-                quantize=bool(data.get("quantize", True)),
-                array_backend=(None if data.get("array_backend") is None
-                               else str(data["array_backend"])),
+                quantize=quantize,
                 name=(None if data.get("name") is None
                       else str(data["name"])))
         except (TypeError, ValueError) as error:
@@ -176,20 +193,17 @@ class JobSpec:
                 "generation": self.generation,
                 "backend": self.backend,
                 "quantize": self.quantize,
-                "array_backend": self.array_backend,
                 "name": self.name}
 
     def engine_params(self) -> dict:
         """The engine-shaping fields a worker needs to replay a chunk."""
         return {"seed": self.seed, "generation": self.generation,
-                "backend": self.backend, "quantize": self.quantize,
-                "array_backend": self.array_backend}
+                "backend": self.backend, "quantize": self.quantize}
 
     def build_engine(self) -> SweepEngine:
         """The engine this spec describes (default base config)."""
         return SweepEngine(generation=self.generation, seed=self.seed,
                            backend=self.backend, quantize=self.quantize,
-                           array_backend=self.array_backend,
                            chunk_packets=self.chunk_packets)
 
 
@@ -595,7 +609,7 @@ class Broker:
                     f"chunk {task_id} commit conflicts with the stored "
                     f"measurement ({error}); the committing worker is "
                     "not bit-reproducing this chunk — check its code "
-                    "version and array backend") from None
+                    "version") from None
             self.recorder.counter("serve.chunks_committed")
             self.recorder.counter("serve.packets_committed",
                                   measurement.packets_sent)

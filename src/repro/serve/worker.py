@@ -484,14 +484,13 @@ class Worker:
 
     def _engine_for(self, params: dict) -> SweepEngine:
         key = (params["seed"], params["generation"], params["backend"],
-               params["quantize"], params.get("array_backend"))
+               params["quantize"])
         engine = self._engines.get(key)
         if engine is None:
             engine = SweepEngine(seed=int(params["seed"]),
                                  generation=str(params["generation"]),
                                  backend=str(params["backend"]),
-                                 quantize=bool(params["quantize"]),
-                                 array_backend=params.get("array_backend"))
+                                 quantize=bool(params["quantize"]))
             self._engines[key] = engine
         return engine
 

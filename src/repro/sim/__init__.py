@@ -44,25 +44,12 @@ at a fraction of its cost; ``backend="packet"`` drives the per-packet
 transceiver stack one packet at a time (the reference oracle the
 fullstack backend is pinned against).
 
-Orthogonal to that choice, the batch kernel's array operations run on a
-pluggable *array backend* (:mod:`repro.sim.backends`): the NumPy
-reference (bit-identical to the historical code) or any backend added
-with :func:`register_backend` — ``SweepEngine(array_backend=...)``,
-``--array-backend`` on the CLI, or the ``REPRO_ARRAY_BACKEND``
-environment variable.  Process
-fan-out (``max_workers``) returns results through
-``multiprocessing.shared_memory`` blocks (:mod:`repro.sim.shm`) instead
-of pickles, bit-identical to a serial run.
+Every kernel runs on NumPy/SciPy on the host.  Process fan-out
+(``max_workers``) returns results through ``multiprocessing.shared_memory``
+blocks (:mod:`repro.sim.shm`) instead of pickles, bit-identical to a
+serial run.
 """
 
-from repro.sim.backends import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    reference_backend,
-    register_backend,
-)
 from repro.sim.batch import BatchedLinkModel, BatchResult, pulse_for_config
 from repro.sim.batch_rx import BatchedFullStackModel, FullStackBatchResult
 from repro.sim.engine import SweepEngine, SweepPoint, SweepResult, sweep_grid
@@ -75,24 +62,18 @@ from repro.sim.scenarios import (
 from repro.sim.shm import ChunkResultBlock
 
 __all__ = [
-    "ArrayBackend",
     "BatchResult",
     "BatchedFullStackModel",
     "BatchedLinkModel",
     "FullStackBatchResult",
     "ChunkResultBlock",
-    "NumpyBackend",
     "SCENARIOS",
     "Scenario",
     "ScenarioRegistry",
     "SweepEngine",
     "SweepPoint",
     "SweepResult",
-    "available_backends",
     "default_registry",
-    "get_backend",
     "pulse_for_config",
-    "reference_backend",
-    "register_backend",
     "sweep_grid",
 ]

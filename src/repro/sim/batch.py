@@ -22,10 +22,9 @@ handful of array operations instead of a Python loop:
 * demodulation: a matched-filter correlation over zero-copy strided
   symbol windows against the same ``g`` (the ideal all-finger RAKE).
 
-Every array operation routes through an
-:class:`repro.sim.backends.ArrayBackend` (NumPy; the golden fixture pins
-its error counts bit for bit).  Host-side work (modulator symbol maps,
-channel ray bookkeeping, the final error count) is O(packets).
+The golden fixture pins its error counts bit for bit.  Host-side work
+(modulator symbol maps, channel ray bookkeeping, the final error count)
+is O(packets).
 
 The model is *genie-aided* on the receiver side — symbol timing and the
 channel impulse response are known exactly, so there is no acquisition or
@@ -49,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal as sp_signal
 
 from repro.channel.awgn import awgn, noise_std_for_ebn0
 from repro.channel.interference import accepts_rng
@@ -57,7 +57,7 @@ from repro.core.config import Gen1Config, Gen2Config
 from repro.core.metrics import BERPoint
 from repro.pulses.modulation import make_modulator
 from repro.pulses.shapes import Pulse, gaussian_derivative_pulse, gaussian_pulse
-from repro.sim.backends import ArrayBackend, get_backend
+from repro.sim.backends import NumpyBackend
 from repro.utils.validation import require_int
 
 __all__ = ["BatchResult", "BatchedLinkModel", "pulse_for_config"]
@@ -65,6 +65,7 @@ __all__ = ["BatchResult", "BatchedLinkModel", "pulse_for_config"]
 _AGC_PEAK_BACKOFF_DB = 1.0
 _AGC_FULL_SCALE = 1.0
 _NOTCH_POLE_RADIUS = 0.995
+_HELPERS = NumpyBackend()
 
 
 def pulse_for_config(config) -> Pulse:
@@ -128,22 +129,15 @@ class BatchedLinkModel:
         to the quantized samples (the batched equivalent of the spectral
         monitor + digital notch control loop, with a genie frequency
         estimate).
-    backend:
-        Array backend carrying every waveform-scale operation: ``None``
-        (environment default, normally NumPy), a registered backend name
-        (``"numpy"`` or a registered accelerator), or an
-        :class:`~repro.sim.backends.ArrayBackend` instance.
     """
 
     def __init__(self, config, modulation: str = "bpsk",
                  quantize: bool = True,
-                 notch_frequency_hz: float | None = None,
-                 backend: str | ArrayBackend | None = None) -> None:
+                 notch_frequency_hz: float | None = None) -> None:
         self.config = config
         self.modulator = make_modulator(modulation)
         self.quantize = bool(quantize)
         self.notch_frequency_hz = notch_frequency_hz
-        self.backend = get_backend(backend)
         self.pulse = pulse_for_config(config)
 
         self.sim_rate_hz = config.simulation_rate_hz
@@ -204,7 +198,7 @@ class BatchedLinkModel:
         Runs on the host — the modulator maps are O(packets x symbols),
         negligible next to the O(samples) waveform work.
         """
-        bits = np.asarray(self.backend.to_numpy(bits), dtype=np.int64)
+        bits = np.asarray(bits, dtype=np.int64)
         packets, num_bits = bits.shape
         bps = self.modulator.bits_per_symbol
         if num_bits % bps != 0:
@@ -241,7 +235,6 @@ class BatchedLinkModel:
         ADC samples of the channel-convolved simulation-rate waveform
         (tail included), which is never built.
         """
-        xp = self.backend.xp
         packets, num_symbols = np.shape(symbols)
         step = self.samples_per_symbol_adc
         length = int(references[0].shape[-1])
@@ -252,14 +245,12 @@ class BatchedLinkModel:
             # Row j of the Toeplitz view holds a_{j-blocks+1} .. a_j.
             padded = np.zeros((packets, num_symbols + 2 * (blocks - 1)))
             padded[:, blocks - 1:blocks - 1 + num_symbols] = amplitudes
-            toeplitz = self.backend.symbol_windows(
-                self.backend.asarray(padded), num_symbols + blocks - 1, 1,
-                blocks)
+            toeplitz = _HELPERS.symbol_windows(
+                padded, num_symbols + blocks - 1, 1, blocks)
             kernel = np.zeros(blocks * step, dtype=reference.dtype)
             kernel[:length] = reference
-            kernel = self.backend.asarray(
-                np.ascontiguousarray(kernel.reshape(blocks, step)[::-1]))
-            part = xp.matmul(toeplitz, kernel)
+            kernel = np.ascontiguousarray(kernel.reshape(blocks, step)[::-1])
+            part = np.matmul(toeplitz, kernel)
             waveform = part if waveform is None else waveform + part
         waveform = waveform.reshape(packets, -1)
         return waveform[:, :(num_symbols - 1) * step + length]
@@ -282,10 +273,9 @@ class BatchedLinkModel:
     # ------------------------------------------------------------------
     def _agc_gains(self, samples):
         """Per-packet feed-forward gains, mirroring the receiver's block AGC."""
-        xp = self.backend.xp
-        peaks = xp.max(xp.abs(samples), axis=-1)
+        peaks = np.max(np.abs(samples), axis=-1)
         target = _AGC_FULL_SCALE * 10.0 ** (-_AGC_PEAK_BACKOFF_DB / 20.0)
-        return xp.where(peaks > 0, target / xp.maximum(peaks, 1e-300), 1.0)
+        return np.where(peaks > 0, target / np.maximum(peaks, 1e-300), 1.0)
 
     def _apply_notch(self, samples):
         """Batched complex one-pole notch (same transfer function as
@@ -294,8 +284,8 @@ class BatchedLinkModel:
               / self.config.adc_rate_hz)
         zero = np.exp(1j * w0)
         pole = _NOTCH_POLE_RADIUS * zero
-        return self.backend.lfilter([1.0, -zero], [1.0, -pole],
-                                    samples.astype(complex))
+        return sp_signal.lfilter([1.0, -zero], [1.0, -pole],
+                                 samples.astype(complex), axis=-1)
 
     def reference_templates(self, channel: MultipathChannel | None
                             ) -> tuple[np.ndarray, ...]:
@@ -318,11 +308,10 @@ class BatchedLinkModel:
 
     def _correlate(self, samples, reference, num_symbols: int):
         """Matched-filter statistic of every symbol of every packet."""
-        xp = self.backend.xp
-        windows = self.backend.symbol_windows(
+        windows = _HELPERS.symbol_windows(
             samples, num_symbols, self.samples_per_symbol_adc,
             int(reference.shape[-1]))
-        return xp.einsum("psl,l->ps", windows, xp.conj(reference))
+        return np.einsum("psl,l->ps", windows, np.conj(reference))
 
     # ------------------------------------------------------------------
     # Full grid point
@@ -337,23 +326,17 @@ class BatchedLinkModel:
         ``channel`` is one impulse-response realization applied to the whole
         batch; ``interferer`` is any generator from
         :mod:`repro.channel.interference` (added once, broadcast to every
-        packet).  ``ebn0_db=None`` disables noise.  ``rng`` seeds the host
-        stream; non-NumPy backends derive their device streams from it.
+        packet).  ``ebn0_db=None`` disables noise.
         """
         require_int(num_packets, "num_packets", minimum=1)
         require_int(payload_bits_per_packet, "payload_bits_per_packet",
                     minimum=1)
-        backend = self.backend
-        xp = backend.xp
         if rng is None:
             rng = np.random.default_rng()
-        draws = backend.random_source(rng)
 
-        bits = draws.integers(0, 2, size=(num_packets,
-                                          payload_bits_per_packet),
-                              dtype=np.int64)
-        bits_host = np.asarray(backend.to_numpy(bits), dtype=np.int64)
-        symbols = self.modulate(bits_host)
+        bits = rng.integers(0, 2, size=(num_packets, payload_bits_per_packet),
+                            dtype=np.int64)
+        symbols = self.modulate(bits)
         num_symbols = symbols.shape[1]
         references = self.reference_templates(channel)
         samples = self.synthesize(symbols, references)
@@ -362,8 +345,7 @@ class BatchedLinkModel:
         positive = energy > 0
         if not np.any(positive):
             raise ValueError("batch transmitted zero energy; cannot set Eb/N0")
-        energy = backend.asarray(
-            np.where(positive, energy, energy[positive].mean()))
+        energy = np.where(positive, energy, energy[positive].mean())
 
         # The IIR notch needs to settle on the interferer before the body
         # arrives (in the full stack the lead-in and preamble provide that
@@ -372,8 +354,8 @@ class BatchedLinkModel:
         if self.notch_frequency_hz is not None and interferer is not None:
             pad_adc = int(np.ceil(6.0 / (1.0 - _NOTCH_POLE_RADIUS)))
         if pad_adc:
-            pad = xp.zeros((num_packets, pad_adc), dtype=samples.dtype)
-            samples = xp.concatenate((pad, samples), axis=-1)
+            pad = np.zeros((num_packets, pad_adc), dtype=samples.dtype)
+            samples = np.concatenate((pad, samples), axis=-1)
 
         if interferer is not None:
             # One host realization over the whole sim-rate span (pad, body
@@ -383,53 +365,49 @@ class BatchedLinkModel:
                     if channel is not None else 1)
             span = (pad_adc * self.decimation
                     + num_symbols * self.samples_per_symbol + taps - 1)
-            samples = samples + backend.asarray(self._interferer_waveform(
-                interferer, span, bool(xp.iscomplexobj(samples)),
-                rng)[::self.decimation])
+            samples = samples + self._interferer_waveform(
+                interferer, span, bool(np.iscomplexobj(samples)),
+                rng)[::self.decimation]
 
         # White noise is i.i.d. per sample, so drawing it only at the
         # samples the ADC keeps is distributionally identical to drawing
         # it at the simulation rate and discarding the rest.  The level
         # still comes from the sim-rate energy.
         if ebn0_db is not None:
-            noise_std = noise_std_for_ebn0(energy, float(ebn0_db),
-                                           backend=backend)
-            samples = awgn(samples, noise_std[..., None], rng=draws,
-                           backend=backend)
+            noise_std = noise_std_for_ebn0(energy, float(ebn0_db))
+            samples = awgn(samples, noise_std[..., None], rng=rng)
 
-        gains = xp.ones(num_packets)
+        gains = np.ones(num_packets)
         if self.quantize:
             gains = self._agc_gains(samples)
-            samples = backend.quantize_uniform(samples * gains[:, None],
-                                               bits=self.config.adc_bits,
-                                               full_scale=_AGC_FULL_SCALE)
+            samples = _HELPERS.quantize_uniform(samples * gains[:, None],
+                                                bits=self.config.adc_bits,
+                                                full_scale=_AGC_FULL_SCALE)
         if self.notch_frequency_hz is not None:
             samples = self._apply_notch(samples)
         if pad_adc:
             samples = samples[..., pad_adc:]
 
-        references = tuple(backend.asarray(reference)
-                           for reference in references)
         statistics = [self._correlate(samples, reference, num_symbols)
                       for reference in references]
 
         if self.position_templates is not None:
             # Binary PPM: the modulator expects late-minus-early statistics.
             early, late = statistics[0], statistics[1]
-            norm = gains[:, None] * xp.sum(xp.abs(references[0]) ** 2)
-            decision = xp.real(late - early) / xp.maximum(norm, 1e-300)
+            norm = gains[:, None] * np.sum(np.abs(references[0]) ** 2)
+            decision = np.real(late - early) / np.maximum(norm, 1e-300)
         else:
-            norm = gains[:, None] * xp.sum(xp.abs(references[0]) ** 2)
-            decision = xp.real(statistics[0]) / xp.maximum(norm, 1e-300)
+            norm = gains[:, None] * np.sum(np.abs(references[0]) ** 2)
+            decision = np.real(statistics[0]) / np.maximum(norm, 1e-300)
 
         received = self.modulator.demodulate(
-            backend.to_numpy(decision).ravel()).reshape(bits_host.shape)
-        errors_per_packet = np.sum(received != bits_host, axis=-1)
+            decision.ravel()).reshape(bits.shape)
+        errors_per_packet = np.sum(received != bits, axis=-1)
         packets_failed = int(np.count_nonzero(errors_per_packet))
         return BatchResult(
             ebn0_db=float(ebn0_db) if ebn0_db is not None else float("inf"),
             bit_errors=int(errors_per_packet.sum()),
-            total_bits=int(bits_host.size),
+            total_bits=int(bits.size),
             packets_sent=num_packets,
             packets_failed=packets_failed,
             errors_per_packet=errors_per_packet)

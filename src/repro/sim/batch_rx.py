@@ -36,9 +36,7 @@ Monte-Carlo batch:
   (:meth:`~repro.phy.coding.ViterbiDecoder.decode_batch` via
   :meth:`~repro.phy.packet.PacketParser.parse_many`).
 
-The batched stages route their array work through an
-:class:`~repro.sim.backends.ArrayBackend`, so the full-stack fast path
-inherits the array-backend selection, shared-memory fan-out and
+The full-stack fast path shares the shared-memory fan-out and
 ``repro.runs`` caching the genie kernel already has.  Bit decisions are
 identical to the per-packet loop; intermediate floats can differ at
 rounding level (batched FFT widths and einsum reduction orders), which is
@@ -65,7 +63,6 @@ from repro.dsp.rake import RakeReceiver, combine_streams_batch, finger_arrays
 from repro.dsp.viterbi import MLSEEqualizer, equalize_to_bits_batch
 from repro.obs.recorder import active
 from repro.phy.packet import HEADER_LENGTH_BITS
-from repro.sim.backends import ArrayBackend, get_backend
 from repro.utils.bits import random_bits
 from repro.utils.validation import require_int
 
@@ -125,18 +122,12 @@ class BatchedFullStackModel:
         receiver (including the hardware-seeded ADC instance) and
         configuration are used directly, so the batch shares every
         modelling choice with ``simulate_packet``.
-    backend:
-        Array backend the batched receive stages run on: ``None``
-        (environment default), a registered name, or an
-        :class:`~repro.sim.backends.ArrayBackend` instance.
     """
 
-    def __init__(self, transceiver,
-                 backend: str | ArrayBackend | None = None) -> None:
+    def __init__(self, transceiver) -> None:
         self.transceiver = transceiver
         self.receiver = transceiver.receiver
         self.config = transceiver.config
-        self.backend = get_backend(backend)
         notch = bool(getattr(self.config, "enable_digital_notch", False))
         # Which batched front half (if any) this stack supports: the gen-2
         # direct-conversion SAR pair or the gen-1 interleaved flash.  A
@@ -226,7 +217,7 @@ class BatchedFullStackModel:
 
         with active().span("rx.acquisition", packets=num_packets):
             acquisition = receiver.acquisition.acquire_batch(
-                batch, valid_lengths=lengths, backend=self.backend)
+                batch, valid_lengths=lengths)
         results: list[ReceiveResult | None] = [None] * num_packets
         detected = np.nonzero(acquisition.detected)[0]
         for index in np.nonzero(~acquisition.detected)[0]:
@@ -245,7 +236,7 @@ class BatchedFullStackModel:
             estimates = receiver.channel_estimator.estimate_averaged_batch(
                 batch[detected], timing, config.adc_rate_hz,
                 num_repetitions=config.packet.preamble.num_repetitions,
-                valid_lengths=lengths[detected], backend=self.backend)
+                valid_lengths=lengths[detected])
         rakes = [RakeReceiver(estimates.estimate_for(slot),
                               num_fingers=getattr(config, "rake_fingers", 1),
                               policy=getattr(config, "rake_policy", "srake"))
@@ -267,8 +258,7 @@ class BatchedFullStackModel:
             header_stats = combine_streams_batch(
                 batch[detected], delays, weights, template, period,
                 body_start, HEADER_LENGTH_BITS,
-                valid_lengths=lengths[detected],
-                backend=self.backend) / normalization[:, None]
+                valid_lengths=lengths[detected]) / normalization[:, None]
         header_bits = (np.real(header_stats) > 0).astype(np.int64)
 
         # How much payload each packet's (possibly corrupted) header
@@ -292,8 +282,8 @@ class BatchedFullStackModel:
                 stats = combine_streams_batch(
                     batch[detected[group]], delays[group], weights[group],
                     template, period, payload_start[group], int(count),
-                    valid_lengths=lengths[detected[group]],
-                    backend=self.backend) / normalization[group, None]
+                    valid_lengths=lengths[detected[group]]
+                ) / normalization[group, None]
             for row, slot in enumerate(group):
                 payload_stats_rows[slot] = stats[row]
 
@@ -496,8 +486,7 @@ class BatchedFullStackModel:
                            packets=int(tx_batch.waveforms.shape[0])):
             batch = apply_channels_batch(channels, tx_batch.waveforms,
                                          self.config.simulation_rate_hz,
-                                         valid_lengths=tx_batch.lengths,
-                                         backend=self.backend)
+                                         valid_lengths=tx_batch.lengths)
         if batch is tx_batch.waveforms:
             batch = batch.copy()
         return batch
@@ -687,9 +676,7 @@ class BatchedFullStackModel:
         adc_lengths = -(-np.asarray(lengths, dtype=np.int64) // decimation)
         scaled, _gains = receiver.agc.apply_from_peak_batch(
             decimated, full_scale=1.0, peak_backoff_db=1.0)
-        samples_batch = receiver.adc.convert_presampled_batch(
-            np.real(scaled), backend=self.backend)
-        samples_batch = self.backend.to_numpy(samples_batch)
+        samples_batch = receiver.adc.convert_presampled_batch(np.real(scaled))
         return [samples_batch[index, :adc_lengths[index]]
                 for index in range(batch.shape[0])]
 

@@ -18,12 +18,6 @@ the grid is ordered, chunked, or spread across worker processes.  The flip
 side: duplicated points in one grid share a stream and return identical
 measurements — use different seeds (or engines) to replicate a point.
 
-Array backends: the batch kernel's array operations run on a pluggable
-:class:`repro.sim.backends.ArrayBackend` — the NumPy reference
-(bit-identical to the historical code) or any registered backend —
-selected with ``array_backend=`` or the ``REPRO_ARRAY_BACKEND``
-environment variable.
-
 Parallelism: the schedulable unit is the seeded *packet chunk* — a
 ``(point, num_packets, packet_offset)`` span with its own content-keyed
 random stream.  ``chunk_packets`` splits every point into chunks of that
@@ -60,7 +54,6 @@ import numpy as np
 from repro.core.config import Gen1Config, Gen2Config
 from repro.core.metrics import BERCurve, BERPoint
 from repro.obs.recorder import NULL_RECORDER, Recorder, activate
-from repro.sim.backends import ArrayBackend, get_backend
 from repro.sim.batch import BatchedLinkModel
 from repro.sim.scenarios import SCENARIOS, Scenario, ScenarioRegistry
 from repro.sim.shm import SLOT_OK, ChunkResultBlock, ChunkTaskBlock
@@ -114,14 +107,18 @@ class SweepPoint:
         """Parse :meth:`to_dict` output (the one point codec).
 
         ``scenario``/``modulation`` default to ``"awgn"``/``"bpsk"``;
-        anything malformed raises ``ValueError``.
+        anything malformed, a NaN ``ebn0_db`` included, raises
+        ``ValueError``.
         """
         if not isinstance(data, dict):
             raise ValueError("each grid point must be an object with "
                              "ebn0_db/scenario/modulation/adc_bits")
         try:
+            ebn0_db = float(data["ebn0_db"])
+            if np.isnan(ebn0_db):
+                raise ValueError("ebn0_db is NaN")
             adc_bits = data.get("adc_bits")
-            return cls(ebn0_db=float(data["ebn0_db"]),
+            return cls(ebn0_db=ebn0_db,
                        scenario=str(data.get("scenario", "awgn")),
                        modulation=str(data.get("modulation", "bpsk")),
                        adc_bits=None if adc_bits is None else int(adc_bits))
@@ -235,7 +232,6 @@ class _PointTask:
     payload_bits_per_packet: int
     seed_entropy: object
     spawn_key: tuple
-    array_backend: str = "numpy"
 
 
 def _point_digest_text(point: SweepPoint) -> str:
@@ -293,8 +289,7 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
                  if getattr(config, "enable_digital_notch", False) else None)
         model = BatchedLinkModel(config, modulation=point.modulation,
                                  quantize=task.quantize,
-                                 notch_frequency_hz=notch,
-                                 backend=get_backend(task.array_backend))
+                                 notch_frequency_hz=notch)
         result = model.simulate(
             point.ebn0_db, task.num_packets, task.payload_bits_per_packet,
             rng=noise_rng,
@@ -316,8 +311,7 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
         # Batched full-stack receiver: same per-packet random-stream order
         # as the packet loop below (bit-decision-identical), DSP batched.
         from repro.sim.batch_rx import BatchedFullStackModel
-        model = BatchedFullStackModel(
-            transceiver, backend=get_backend(task.array_backend))
+        model = BatchedFullStackModel(transceiver)
         batch = model.simulate(
             point.ebn0_db, task.num_packets, task.payload_bits_per_packet,
             rng=noise_rng,
@@ -611,15 +605,6 @@ class SweepEngine:
         Overridable per call via :meth:`run`/:meth:`measure_points`;
         excluded from :meth:`config_digest` (layout is coverage, not
         identity — mirroring ``num_packets``).
-    array_backend:
-        Array backend the batch kernel runs on: ``None`` (the
-        ``REPRO_ARRAY_BACKEND`` environment variable, defaulting to the
-        bit-identical NumPy reference), a registered name (``"numpy"``
-        or one added with :func:`~repro.sim.backends.register_backend`),
-        or an :class:`~repro.sim.backends.ArrayBackend` instance (cached
-        by name so forked workers resolve to the same object).  Explicit
-        names raise when the library is missing; the environment variable
-        falls back to NumPy with a warning.
     recorder:
         Optional :class:`repro.obs.Recorder` collecting run telemetry
         (chunk latency spans, pool queue waits, shm block sizes,
@@ -635,7 +620,6 @@ class SweepEngine:
                  registry: ScenarioRegistry | None = None, seed: int = 0,
                  backend: str = "batch", quantize: bool = True,
                  max_workers: int | None = None,
-                 array_backend: str | ArrayBackend | None = None,
                  chunk_packets: int | None = None,
                  recorder=None) -> None:
         if generation not in ("gen1", "gen2"):
@@ -654,7 +638,6 @@ class SweepEngine:
         self.backend = backend
         self.quantize = bool(quantize)
         self.max_workers = max_workers
-        self.array_backend = get_backend(array_backend).name
         self.chunk_packets = chunk_packets
         # Never part of config_digest(): telemetry is observability, not
         # identity — recording on/off must not split the result cache.
@@ -679,15 +662,11 @@ class SweepEngine:
 
         Covers the seed, generation, backend, quantization choice, the
         full base configuration (field by field, ``None`` meaning the
-        generation's ``fast_test_config``), the version of the batched
-        kernel behind ``backend="batch"`` or ``"fullstack"`` and — for
-        non-NumPy array backends, whose random streams are device-native
-        — the array backend name.  The NumPy reference deliberately
-        digests identically to pre-backend-abstraction engines, so
-        existing :mod:`repro.runs` caches stay valid until a kernel
-        version moves.  Two engines with equal
-        digests produce bit-identical measurements for the same point and
-        packet budget.
+        generation's ``fast_test_config``) and the version of the batched
+        kernel behind ``backend="batch"`` or ``"fullstack"``, so existing
+        :mod:`repro.runs` caches stay valid until a kernel version moves.
+        Two engines with equal digests produce bit-identical measurements
+        for the same point and packet budget.
         """
         if self.config is None:
             config_description = ["default", self.generation]
@@ -701,8 +680,6 @@ class SweepEngine:
             "quantize": self.quantize,
             "config": config_description,
         }
-        if self.array_backend != "numpy":
-            payload["array_backend"] = self.array_backend
         # Version each batched kernel separately: a revision of its random
         # stream or numerics bumps its component, so stale repro.runs
         # cache entries can never collide with new measurements.  Packet
@@ -749,8 +726,7 @@ class SweepEngine:
             num_packets=num_packets,
             payload_bits_per_packet=payload_bits_per_packet,
             seed_entropy=self.seed,
-            spawn_key=_point_spawn_key(point, packet_offset),
-            array_backend=self.array_backend)
+            spawn_key=_point_spawn_key(point, packet_offset))
 
     def measure_point(self, point: SweepPoint, num_packets: int = 32,
                       payload_bits_per_packet: int = 64,

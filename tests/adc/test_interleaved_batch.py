@@ -17,8 +17,7 @@ stands on:
 import numpy as np
 import pytest
 
-from repro.adc.interleaved import TimeInterleavedADC
-from repro.sim.backends import reference_backend
+from repro.adc.interleaved import TimeInterleavedADC, interleave_streams
 
 
 def _random_adc(rng, num_slices=None, with_jitter=False):
@@ -56,15 +55,15 @@ class TestParallelStreamsIdentity:
         assert np.array_equal(reassembled, adc.convert_presampled(samples))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_backend_interleave_matches_manual_scatter(self, seed):
-        """The backend primitive the batch path uses for the reassembly
-        must agree with the manual strided scatter above."""
+    def test_interleave_streams_matches_manual_scatter(self, seed):
+        """The primitive the batch path uses for the reassembly must
+        agree with the manual strided scatter above."""
         rng = np.random.default_rng(100 + seed)
         adc = _random_adc(rng)
         num_samples = int(rng.integers(1, 300))
         samples = rng.uniform(-1.0, 1.0, size=num_samples)
         streams = adc.parallel_streams(samples)
-        merged = reference_backend().interleave_streams(streams, num_samples)
+        merged = interleave_streams(streams, num_samples)
         assert np.array_equal(merged, adc.convert_presampled(samples))
 
 

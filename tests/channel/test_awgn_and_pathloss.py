@@ -75,6 +75,15 @@ class TestAWGN:
         with pytest.raises(ValueError):
             awgn(np.ones(4), -0.1)
 
+    def test_nan_std_raises(self):
+        # NaN compares False both ways; it must not read as "no noise".
+        with pytest.raises(ValueError, match="NaN"):
+            awgn(np.ones(4), float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            awgn(np.ones((2, 4)), np.array([[0.5], [np.nan]]))
+        with pytest.raises(ValueError, match="NaN"):
+            awgn(np.ones(4), noise_std_for_ebn0(1.0, float("nan")))
+
     def test_noise_std_for_snr(self, rng):
         x = np.sin(2 * np.pi * 0.01 * np.arange(100_000))
         std = noise_std_for_snr(x, 10.0)

@@ -1,5 +1,7 @@
 """Tests for the sharded run driver: caching, sharding, resume, merge."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -217,6 +219,41 @@ class TestManifest:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="digest mismatch"):
             RunManifest.load(tmp_path / "run")
+
+    def test_manifest_with_numpy_array_backend_opens(self, tmp_path, grid,
+                                                     engine):
+        # Manifests written before the array-backend field was removed
+        # carry "array_backend": "numpy"; they open and merge unchanged.
+        driver = RunDriver.create(tmp_path / "run", engine, grid,
+                                  **GRID_KWARGS)
+        driver.run_shard(0)
+        path = tmp_path / "run" / "manifest.json"
+        data = json.loads(path.read_text())
+        data["array_backend"] = "numpy"
+        path.write_text(json.dumps(data))
+        reopened = RunDriver.open(tmp_path / "run")
+        assert reopened.manifest == driver.manifest
+        assert reopened.merge() == engine.run(grid, **GRID_KWARGS)
+
+    def test_manifest_of_another_array_backend_is_refused(self, tmp_path,
+                                                          grid, engine):
+        # A non-NumPy array backend entered the engine's config digest;
+        # such a run no longer matches any engine.
+        driver = RunDriver.create(tmp_path / "run", engine, grid,
+                                  **GRID_KWARGS)
+        payload = {"seed": 5, "generation": "gen2", "backend": "batch",
+                   "quantize": True, "config": ["default", "gen2"],
+                   "array_backend": "mirror", "batch_kernel": 3}
+        digest = hashlib.sha256(json.dumps(
+            payload, sort_keys=True).encode("utf-8")).hexdigest()
+        manifest = dataclasses.replace(driver.manifest, config_digest=digest)
+        path = tmp_path / "run" / "manifest.json"
+        data = json.loads(path.read_text())
+        data.update(array_backend="mirror", config_digest=digest,
+                    grid_digest=manifest.grid_digest())
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="does not match"):
+            RunDriver.open(tmp_path / "run")
 
     def test_corrupted_store_entry_triggers_resimulation(self, tmp_path,
                                                          grid, engine):

@@ -123,6 +123,45 @@ class TestErrorMapping:
         error = self._status_of(lambda: client.submit({"points": []}))
         assert error.status == 400
 
+    @pytest.mark.parametrize("field, value", [
+        ("quantize", "false"),
+        ("quantize", 0),
+        ("quantize", None),
+        ("num_packets", 2.9),
+        ("num_packets", True),
+        ("num_packets", "8"),
+        ("payload_bits_per_packet", 16.5),
+        ("payload_bits_per_packet", False),
+        ("chunk_packets", 4.5),
+        ("chunk_packets", True),
+        ("seed", 7.25),
+        ("seed", True),
+        ("array_backend", "cupy"),
+        ("array_backend", 1),
+    ])
+    def test_mistyped_spec_field_is_400(self, client, field, value):
+        error = self._status_of(lambda: client.submit({**SPEC,
+                                                       field: value}))
+        assert error.status == 400
+        assert field in str(error)
+
+    def test_nan_operating_point_is_400(self, client):
+        # json.loads parses NaN; the point must not run as a noiseless link.
+        spec = {**SPEC, "points": [{"ebn0_db": float("nan")}]}
+        error = self._status_of(lambda: client.submit(spec))
+        assert error.status == 400
+        assert "NaN" in str(error)
+
+    @pytest.mark.parametrize("extra", [
+        {}, {"array_backend": None}, {"array_backend": "numpy"},
+        {"num_packets": 8.0, "seed": 7.0}])
+    def test_compatible_spec_fields_are_accepted(self, client, extra):
+        # Older clients send the removed array_backend field (null or
+        # "numpy"); whole-valued floats are integers.
+        job = client.submit({**SPEC, **extra})
+        assert job["chunks_total"] == 6
+        assert client.job_status(job["job_id"])["state"] == "running"
+
     def test_unregistered_worker_is_400(self, client):
         error = self._status_of(lambda: client.lease("worker-9999"))
         assert error.status == 400

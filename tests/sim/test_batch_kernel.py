@@ -16,7 +16,8 @@ import pytest
 import repro.sim.batch as batch_module
 from repro.channel.saleh_valenzuela import generate_channel
 from repro.core.config import Gen2Config
-from repro.sim import BatchedLinkModel, NumpyBackend, SweepEngine
+from repro.sim import BatchedLinkModel, SweepEngine
+from repro.sim.backends import NumpyBackend
 from repro.sim.scenarios import SCENARIOS
 
 PACKETS = 3
@@ -132,6 +133,28 @@ _DIGESTS_AT_BATCH_KERNEL_2 = {
     ("batch", "gen2", False):
         "6103a1ab0b6a495455acd4086d69cfe81a941b0c37affe4c590cf54b2e748363",
 }
+
+
+#: Batch ``config_digest`` values of ``batch_kernel`` 3, the current
+#: kernel.  The benchmark's exact pins and every batch cache key on them.
+_DIGESTS_AT_BATCH_KERNEL_3 = {
+    ("batch", "gen2", True):
+        "d9fb139f09db3852f64a650a9144db4a8cefa01643635c82b6ca37cff93891f7",
+    ("batch", "gen1", True):
+        "2f7914cd92a5e685bea170a98442a8e61ec97d88a641aa1d1ad4cc73c5963a7d",
+    ("batch", "gen2", False):
+        "ea08c417566998feb524a16708d82c9850027cf2ec35644a883d2304a7721090",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_DIGESTS_AT_BATCH_KERNEL_3),
+    ids=lambda key: f"{key[1]}-{'q' if key[2] else 'ideal'}")
+def test_batch_engine_digests_are_pinned(key):
+    backend, generation, quantize = key
+    digest = SweepEngine(seed=1, backend=backend, generation=generation,
+                         quantize=quantize).config_digest()
+    assert digest == _DIGESTS_AT_BATCH_KERNEL_3[key]
 
 
 @pytest.mark.parametrize(

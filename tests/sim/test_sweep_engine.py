@@ -35,6 +35,12 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="must be finite"):
             sweep_grid(np.array([2.0, -np.inf]))
 
+    def test_point_codec_rejects_nan_ebn0(self):
+        # json.loads parses NaN; such a point would simulate no noise.
+        with pytest.raises(ValueError, match="NaN"):
+            SweepPoint.from_dict({"ebn0_db": float("nan")})
+        assert SweepPoint.from_dict({"ebn0_db": 4}) == SweepPoint(4.0)
+
     def test_cartesian_product_size_and_order(self):
         grid = sweep_grid([0.0, 4.0], scenarios=("awgn", "two_ray"),
                           modulations=("bpsk", "ook"), adc_bits=(1, 5))
