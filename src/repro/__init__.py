@@ -44,7 +44,7 @@ Quick start::
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 from repro import (
     adc,

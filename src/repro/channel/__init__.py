@@ -2,6 +2,7 @@
 
 from repro.channel.awgn import (
     AWGNChannel,
+    RowBlockNoise,
     awgn,
     noise_std_for_ebn0,
     noise_std_for_snr,
@@ -37,6 +38,7 @@ from repro.channel.saleh_valenzuela import (
 
 __all__ = [
     "AWGNChannel",
+    "RowBlockNoise",
     "awgn",
     "noise_std_for_ebn0",
     "noise_std_for_snr",

@@ -10,6 +10,8 @@ operating points:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils import dsp
@@ -18,6 +20,7 @@ from repro.utils.validation import require_positive
 
 __all__ = [
     "awgn",
+    "RowBlockNoise",
     "noise_std_for_snr",
     "noise_std_for_ebn0",
     "AWGNChannel",
@@ -72,33 +75,99 @@ def awgn(signal, noise_std, rng: np.random.Generator | None = None):
     ``signal`` may carry leading batch axes (e.g. shape ``(packets,
     samples)``), and ``noise_std`` may be an array broadcastable against
     ``signal.shape`` (e.g. shape ``(packets, 1)`` for a per-packet noise
-    level), which is the fast path the batched sweep engine uses.
-    A negative or NaN ``noise_std`` is rejected.
+    level).  A negative, NaN or infinite ``noise_std`` is rejected.  This
+    is the one-block case of :class:`RowBlockNoise`.
     """
-    noise_std = np.asarray(noise_std, dtype=float)
-    if not bool(np.all(noise_std >= 0)):
-        raise ValueError("noise_std must be non-negative (and not NaN)")
     signal = np.asarray(signal)
-    if rng is None:
-        rng = np.random.default_rng()
-    if not bool(np.any(noise_std > 0)):
-        return signal.astype(complex if np.iscomplexobj(signal) else float)
-    if np.iscomplexobj(signal):
-        noise = np.empty(signal.shape, dtype=complex)
-        noise.real = rng.standard_normal(signal.shape)
-        noise.imag = rng.standard_normal(signal.shape)
-        scale = noise_std / np.sqrt(2.0)
-    else:
-        noise = rng.standard_normal(signal.shape)
-        scale = noise_std
-    # The noise buffer becomes the result, scaled and summed in place,
-    # unless ``noise_std`` widens the signal's shape.
-    if noise.shape == np.broadcast_shapes(signal.shape, noise_std.shape):
-        noise *= scale
-    else:
-        noise = noise * scale
-    noise += signal
-    return noise
+    return RowBlockNoise(signal.shape, noise_std, rng).add(signal)
+
+
+class RowBlockNoise:
+    """:func:`awgn` over a batch of ``shape``, added one row block at a time.
+
+    The blocks are consecutive slices along the batch's first axis, in
+    order, and together cover it once.  Whatever the split, the result
+    equals one :func:`awgn` call on the whole batch bit for bit, because
+    the draws follow its stream order: real noise is one standard-normal
+    plane over ``shape`` in C order, so each block draws its rows as it
+    reaches them; complex noise is the whole real plane (drawn at the
+    first block, the only batch-size array), then the whole imaginary
+    plane, whose rows each block draws into one reused buffer.
+
+    ``noise_std`` holds the whole batch's levels and broadcasts against
+    ``shape`` as in :func:`awgn`; a negative, NaN or infinite level is
+    rejected.  When none is positive, nothing is drawn and blocks pass
+    through as float or complex copies.
+    """
+
+    def __init__(self, shape, noise_std,
+                 rng: np.random.Generator | None = None) -> None:
+        noise_std = np.asarray(noise_std, dtype=float)
+        # NaN fails both comparisons.
+        lowest = noise_std.min(initial=np.inf)
+        highest = noise_std.max(initial=0.0)
+        if not (lowest >= 0 and highest < np.inf):
+            raise ValueError("noise_std must be finite and non-negative "
+                             "(not NaN or infinite)")
+        self.shape = tuple(shape)
+        self._rows = self.shape[0] if self.shape else 1
+        self._row_size = math.prod(self.shape[1:])
+        self._std = noise_std
+        self._active = bool(highest > 0)
+        self._rng = rng if rng is not None else np.random.default_rng()
+        self._row = 0
+        self._complex = None
+        self._real = None
+        self._imag = np.empty(0)
+
+    def _block_std(self, start: int, stop: int) -> np.ndarray:
+        """The levels of rows ``start:stop`` (the batch axis of ``shape``
+        sits ``ndim - len(shape)`` axes into ``noise_std``)."""
+        axis = self._std.ndim - len(self.shape)
+        if not self.shape or axis < 0 or self._std.shape[axis] == 1:
+            return self._std
+        return self._std[(slice(None),) * axis + (slice(start, stop),)]
+
+    def add(self, signal):
+        """``signal`` plus the noise of the next ``len(signal)`` rows."""
+        signal = np.asarray(signal)
+        start = self._row
+        stop = start + (signal.shape[0] if self.shape else 1)
+        complex_noise = bool(np.iscomplexobj(signal))
+        if (signal.shape[1:] != self.shape[1:] or stop > self._rows
+                or self._complex not in (None, complex_noise)):
+            raise ValueError(f"a {signal.dtype} block of shape "
+                             f"{signal.shape} does not continue the batch "
+                             f"of shape {self.shape} at row {start}")
+        self._row, self._complex = stop, complex_noise
+        if not self._active:
+            return signal.astype(complex if complex_noise else float)
+        std = self._block_std(start, stop)
+        shape = np.broadcast_shapes(signal.shape, std.shape)
+        if not complex_noise:
+            noise = self._rng.standard_normal(signal.shape)
+            noise = np.multiply(noise, std,
+                                out=noise if noise.shape == shape else None)
+            noise += signal
+            return noise
+        if self._real is None:
+            self._real = self._rng.standard_normal(self._rows * self._row_size)
+        real = self._real[start * self._row_size:stop * self._row_size]
+        if real.size == self._real.size:
+            # One block: the real plane is spent once scaled, so the
+            # imaginary plane reuses its memory.
+            imag = real
+        else:
+            if self._imag.size < real.size:
+                self._imag = np.empty(real.size)
+            imag = self._imag[:real.size]
+        scale = std / math.sqrt(2.0)
+        noise = np.empty(shape, dtype=complex)
+        np.multiply(real.reshape(signal.shape), scale, out=noise.real)
+        self._rng.standard_normal(out=imag)
+        np.multiply(imag.reshape(signal.shape), scale, out=noise.imag)
+        noise += signal
+        return noise
 
 
 class AWGNChannel:

@@ -15,12 +15,23 @@ handful of array operations instead of a Python loop:
   template builds the whole batch (:meth:`BatchedLinkModel.synthesize`),
   and no simulation-rate (2 GHz) waveform or channel FFT is ever formed;
 * energy per bit in closed form, ``sum_k |a_k|^2 ||template||^2 / bits``;
-* AWGN: one broadcasted noise draw with per-packet noise levels, only at
-  the samples the ADC keeps;
+* AWGN: per-packet noise levels, drawn only at the samples the ADC
+  keeps, in :func:`repro.channel.awgn.awgn`'s stream order
+  (:class:`repro.channel.awgn.RowBlockNoise`);
 * ADC: per-packet AGC gains and uniform quantization, then the
   optional digital notch;
 * demodulation: a matched-filter correlation over zero-copy strided
   symbol windows against the same ``g`` (the ideal all-finger RAKE).
+
+Bits, symbols, references, energy, noise levels and the interferer
+realization are whole-batch host arrays.  Everything per packet runs
+one *row block* of packets at a time (about ``2**16`` ADC samples, at
+least one packet), while the block is in cache: synthesis, interferer,
+noise, AGC, quantizer, notch, matched filter and decisions.  Every one
+of those stages is per row and the noise keeps its stream order, so the
+block size changes no result; the only batch-size sample array left is
+the real noise plane of complex baseband, which the stream order draws
+before any imaginary sample.
 
 The golden fixture pins its error counts bit for bit.  Host-side work
 (modulator symbol maps, channel ray bookkeeping, the final error count)
@@ -50,7 +61,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
-from repro.channel.awgn import awgn, noise_std_for_ebn0
+from repro.channel.awgn import RowBlockNoise, noise_std_for_ebn0
+# Unused here; perfbench's traced mode patches ``repro.sim.batch.awgn``
+# by name.
+from repro.channel.awgn import awgn  # noqa: F401
 from repro.channel.interference import accepts_rng
 from repro.channel.multipath import MultipathChannel
 from repro.core.config import Gen1Config, Gen2Config
@@ -65,6 +79,10 @@ __all__ = ["BatchResult", "BatchedLinkModel", "pulse_for_config"]
 _AGC_PEAK_BACKOFF_DB = 1.0
 _AGC_FULL_SCALE = 1.0
 _NOTCH_POLE_RADIUS = 0.995
+# ADC samples per row block of ``simulate`` (at least one row): about a
+# megabyte of complex samples, so a block stays in cache from synthesis
+# to decisions.  No result depends on it.
+_BLOCK_SAMPLES = 1 << 16
 _HELPERS = NumpyBackend()
 
 
@@ -321,12 +339,12 @@ class BatchedLinkModel:
                  rng: np.random.Generator | None = None,
                  channel: MultipathChannel | None = None,
                  interferer=None) -> BatchResult:
-        """Run one Monte-Carlo operating point as a single batch.
+        """Run one Monte-Carlo operating point as one batch, in row blocks.
 
         ``channel`` is one impulse-response realization applied to the whole
         batch; ``interferer`` is any generator from
-        :mod:`repro.channel.interference` (added once, broadcast to every
-        packet).  ``ebn0_db=None`` disables noise.
+        :mod:`repro.channel.interference` (one realization, broadcast to
+        every packet).  ``ebn0_db=None`` disables noise.
         """
         require_int(num_packets, "num_packets", minimum=1)
         require_int(payload_bits_per_packet, "payload_bits_per_packet",
@@ -339,7 +357,9 @@ class BatchedLinkModel:
         symbols = self.modulate(bits)
         num_symbols = symbols.shape[1]
         references = self.reference_templates(channel)
-        samples = self.synthesize(symbols, references)
+        reference_energy = np.sum(np.abs(references[0]) ** 2)
+        body_adc = (num_symbols - 1) * self.samples_per_symbol_adc + int(
+            references[0].shape[-1])
 
         energy = self.energy_per_bit(symbols)
         positive = energy > 0
@@ -353,10 +373,9 @@ class BatchedLinkModel:
         pad_adc = 0
         if self.notch_frequency_hz is not None and interferer is not None:
             pad_adc = int(np.ceil(6.0 / (1.0 - _NOTCH_POLE_RADIUS)))
-        if pad_adc:
-            pad = np.zeros((num_packets, pad_adc), dtype=samples.dtype)
-            samples = np.concatenate((pad, samples), axis=-1)
+        row_adc = pad_adc + body_adc
 
+        interference = None
         if interferer is not None:
             # One host realization over the whole sim-rate span (pad, body
             # and channel tail), then decimated: decimation commutes with
@@ -365,40 +384,59 @@ class BatchedLinkModel:
                     if channel is not None else 1)
             span = (pad_adc * self.decimation
                     + num_symbols * self.samples_per_symbol + taps - 1)
-            samples = samples + self._interferer_waveform(
-                interferer, span, bool(np.iscomplexobj(samples)),
-                rng)[::self.decimation]
+            complex_baseband = any(np.iscomplexobj(reference)
+                                   for reference in references)
+            interference = self._interferer_waveform(
+                interferer, span, complex_baseband, rng)[::self.decimation]
 
         # White noise is i.i.d. per sample, so drawing it only at the
         # samples the ADC keeps is distributionally identical to drawing
         # it at the simulation rate and discarding the rest.  The level
         # still comes from the sim-rate energy.
+        noise = None
         if ebn0_db is not None:
-            noise_std = noise_std_for_ebn0(energy, float(ebn0_db))
-            samples = awgn(samples, noise_std[..., None], rng=rng)
+            noise = RowBlockNoise(
+                (num_packets, row_adc),
+                noise_std_for_ebn0(energy, float(ebn0_db))[:, None], rng)
 
+        # Everything per packet runs one row block at a time, while the
+        # block is in cache; every stage below is per row (or draws rows
+        # in stream order), so the split changes no result.
+        rows_per_block = max(1, _BLOCK_SAMPLES // row_adc)
         gains = np.ones(num_packets)
-        if self.quantize:
-            gains = self._agc_gains(samples)
-            samples = _HELPERS.quantize_uniform(samples * gains[:, None],
-                                                bits=self.config.adc_bits,
-                                                full_scale=_AGC_FULL_SCALE)
-        if self.notch_frequency_hz is not None:
-            samples = self._apply_notch(samples)
-        if pad_adc:
-            samples = samples[..., pad_adc:]
+        decision = np.empty((num_packets, num_symbols))
+        for start in range(0, num_packets, rows_per_block):
+            rows = slice(start, start + rows_per_block)
+            samples = self.synthesize(symbols[rows], references)
+            if pad_adc:
+                pad = np.zeros((samples.shape[0], pad_adc),
+                               dtype=samples.dtype)
+                samples = np.concatenate((pad, samples), axis=-1)
+            if interference is not None:
+                samples = samples + interference
+            if noise is not None:
+                samples = noise.add(samples)
+            if self.quantize:
+                gains[rows] = self._agc_gains(samples)
+                samples *= gains[rows, None]
+                samples = _HELPERS.quantize_uniform(
+                    samples, bits=self.config.adc_bits,
+                    full_scale=_AGC_FULL_SCALE)
+            if self.notch_frequency_hz is not None:
+                samples = self._apply_notch(samples)
+            if pad_adc:
+                samples = samples[..., pad_adc:]
 
-        statistics = [self._correlate(samples, reference, num_symbols)
-                      for reference in references]
-
-        if self.position_templates is not None:
-            # Binary PPM: the modulator expects late-minus-early statistics.
-            early, late = statistics[0], statistics[1]
-            norm = gains[:, None] * np.sum(np.abs(references[0]) ** 2)
-            decision = np.real(late - early) / np.maximum(norm, 1e-300)
-        else:
-            norm = gains[:, None] * np.sum(np.abs(references[0]) ** 2)
-            decision = np.real(statistics[0]) / np.maximum(norm, 1e-300)
+            statistics = [self._correlate(samples, reference, num_symbols)
+                          for reference in references]
+            if self.position_templates is not None:
+                # Binary PPM: the modulator expects late-minus-early
+                # statistics.
+                statistic = np.real(statistics[1] - statistics[0])
+            else:
+                statistic = np.real(statistics[0])
+            norm = gains[rows, None] * reference_energy
+            decision[rows] = statistic / np.maximum(norm, 1e-300)
 
         received = self.modulator.demodulate(
             decision.ravel()).reshape(bits.shape)

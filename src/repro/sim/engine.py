@@ -107,16 +107,17 @@ class SweepPoint:
         """Parse :meth:`to_dict` output (the one point codec).
 
         ``scenario``/``modulation`` default to ``"awgn"``/``"bpsk"``;
-        anything malformed, a NaN ``ebn0_db`` included, raises
-        ``ValueError``.
+        anything malformed, a NaN or infinite ``ebn0_db`` included,
+        raises ``ValueError``.
         """
         if not isinstance(data, dict):
             raise ValueError("each grid point must be an object with "
                              "ebn0_db/scenario/modulation/adc_bits")
         try:
             ebn0_db = float(data["ebn0_db"])
-            if np.isnan(ebn0_db):
-                raise ValueError("ebn0_db is NaN")
+            if not np.isfinite(ebn0_db):
+                raise ValueError(f"ebn0_db must be finite (not NaN or "
+                                 f"infinite), got {ebn0_db}")
             adc_bits = data.get("adc_bits")
             return cls(ebn0_db=ebn0_db,
                        scenario=str(data.get("scenario", "awgn")),

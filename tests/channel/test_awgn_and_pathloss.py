@@ -84,6 +84,18 @@ class TestAWGN:
         with pytest.raises(ValueError, match="NaN"):
             awgn(np.ones(4), noise_std_for_ebn0(1.0, float("nan")))
 
+    def test_infinite_std_raises(self):
+        # Eb/N0 = -inf dB asks for infinite noise; it must not simulate
+        # NaN samples.
+        with pytest.raises(ValueError, match="infinite"):
+            awgn(np.ones(4), float("inf"))
+        with pytest.raises(ValueError, match="infinite"):
+            awgn(np.ones((2, 4)), np.array([[0.5], [np.inf]]))
+        with np.errstate(divide="ignore"):
+            noise_std = noise_std_for_ebn0(1.0, float("-inf"))
+        with pytest.raises(ValueError, match="infinite"):
+            awgn(np.ones(4), noise_std)
+
     def test_noise_std_for_snr(self, rng):
         x = np.sin(2 * np.pi * 0.01 * np.arange(100_000))
         std = noise_std_for_snr(x, 10.0)

@@ -152,6 +152,14 @@ class TestErrorMapping:
         assert error.status == 400
         assert "NaN" in str(error)
 
+    @pytest.mark.parametrize("ebn0_db", [float("inf"), float("-inf")])
+    def test_infinite_operating_point_is_400(self, client, ebn0_db):
+        # json.loads parses +-Infinity; -inf would simulate NaN decisions.
+        spec = {**SPEC, "points": [{"ebn0_db": ebn0_db}]}
+        error = self._status_of(lambda: client.submit(spec))
+        assert error.status == 400
+        assert "must be finite" in str(error)
+
     @pytest.mark.parametrize("extra", [
         {}, {"array_backend": None}, {"array_backend": "numpy"},
         {"num_packets": 8.0, "seed": 7.0}])

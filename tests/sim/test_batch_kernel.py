@@ -1,11 +1,12 @@
 """The genie kernel works at the ADC rate, and its digests are versioned.
 
 ``BatchedLinkModel.simulate`` synthesizes the received signal at the ADC
-rate and draws noise there, so every noise sample it draws reaches the
-ADC.  Each such revision (``batch_kernel`` 2: noise after decimation;
-3: closed-form ADC-rate synthesis) can move the kernel's outputs, so
-batch-engine ``config_digest`` values moved with it while packet and
-fullstack digests (and their caches and pins) must not.
+rate and draws noise there, one row block at a time, so every noise
+sample it draws reaches the ADC.  Each such revision (``batch_kernel``
+2: noise after decimation; 3: closed-form ADC-rate synthesis) can move
+the kernel's outputs, so batch-engine ``config_digest`` values moved
+with it while packet and fullstack digests (and their caches and pins)
+must not.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.sim.batch as batch_module
+from repro.channel.awgn import RowBlockNoise
 from repro.channel.saleh_valenzuela import generate_channel
 from repro.core.config import Gen2Config
 from repro.sim import BatchedLinkModel, SweepEngine
@@ -25,21 +27,23 @@ PAYLOAD_BITS = 16
 
 
 def _record_shapes(monkeypatch):
-    """Record the shapes ``awgn`` and the batch ADC receive."""
-    shapes = {"awgn": [], "quantize": []}
-    real_awgn = batch_module.awgn
+    """Record the block shapes the kernel adds noise to and quantizes,
+    with blocks of one row so that a three-packet batch splits."""
+    shapes = {"noise": [], "quantize": []}
+    real_add = RowBlockNoise.add
     real_quantize = NumpyBackend.quantize_uniform
 
-    def awgn(signal, *args, **kwargs):
-        shapes["awgn"].append(tuple(signal.shape))
-        return real_awgn(signal, *args, **kwargs)
+    def add(self, signal):
+        shapes["noise"].append(tuple(signal.shape))
+        return real_add(self, signal)
 
     def quantize_uniform(self, samples, *args, **kwargs):
         shapes["quantize"].append(tuple(samples.shape))
         return real_quantize(self, samples, *args, **kwargs)
 
-    monkeypatch.setattr(batch_module, "awgn", awgn)
+    monkeypatch.setattr(RowBlockNoise, "add", add)
     monkeypatch.setattr(NumpyBackend, "quantize_uniform", quantize_uniform)
+    monkeypatch.setattr(batch_module, "_BLOCK_SAMPLES", 1)
     return shapes
 
 
@@ -76,10 +80,11 @@ def test_noise_is_drawn_only_at_the_samples_the_adc_keeps(monkeypatch,
     model.simulate(4.0, PACKETS, PAYLOAD_BITS,
                    rng=np.random.default_rng(1), channel=channel,
                    interferer=interferer)
-    assert len(shapes["awgn"]) == 1
-    assert shapes["awgn"] == shapes["quantize"]
-    assert shapes["awgn"][0] == (PACKETS, _adc_samples(model, channel, notch,
-                                                       interferer))
+    expected = _adc_samples(model, channel, notch, interferer)
+    assert shapes["noise"] == shapes["quantize"]
+    assert {row_length for _, row_length in shapes["noise"]} == {expected}
+    assert sum(rows for rows, _ in shapes["noise"]) == PACKETS
+    assert sum(rows for rows, _ in shapes["quantize"]) == PACKETS
 
 
 @pytest.mark.parametrize("scenario", ["awgn", "cm1", "narrowband"])
@@ -94,7 +99,8 @@ def test_unquantized_noise_runs_at_the_adc_rate(monkeypatch, scenario):
     assert shapes["quantize"] == []
     body = PAYLOAD_BITS * model.samples_per_symbol_adc
     expected = _adc_samples(model, channel, notch, interferer)
-    assert shapes["awgn"] == [(PACKETS, expected)]
+    assert {row_length for _, row_length in shapes["noise"]} == {expected}
+    assert sum(rows for rows, _ in shapes["noise"]) == PACKETS
     assert expected >= body
     if channel is None and interferer is None:
         assert expected == body

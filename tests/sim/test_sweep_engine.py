@@ -41,6 +41,13 @@ class TestSweepGrid:
             SweepPoint.from_dict({"ebn0_db": float("nan")})
         assert SweepPoint.from_dict({"ebn0_db": 4}) == SweepPoint(4.0)
 
+    @pytest.mark.parametrize("ebn0_db", [float("inf"), float("-inf")])
+    def test_point_codec_rejects_infinite_ebn0(self, ebn0_db):
+        # json.loads parses +-Infinity; -inf would simulate NaN decisions
+        # and +inf would write a non-standard token into journals.
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepPoint.from_dict({"ebn0_db": ebn0_db})
+
     def test_cartesian_product_size_and_order(self):
         grid = sweep_grid([0.0, 4.0], scenarios=("awgn", "two_ray"),
                           modulations=("bpsk", "ook"), adc_bits=(1, 5))
