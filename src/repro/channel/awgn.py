@@ -143,7 +143,7 @@ class RowBlockNoise:
         if not self._active:
             return signal.astype(complex if complex_noise else float)
         std = self._block_std(start, stop)
-        shape = np.broadcast_shapes(signal.shape, std.shape)
+        shape = np.broadcast(signal, std).shape
         if not complex_noise:
             noise = self._rng.standard_normal(signal.shape)
             noise = np.multiply(noise, std,
