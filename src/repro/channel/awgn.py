@@ -109,9 +109,9 @@ class RowBlockNoise:
         if not (lowest >= 0 and highest < np.inf):
             raise ValueError("noise_std must be finite and non-negative "
                              "(not NaN or infinite)")
-        self.shape = tuple(shape)
-        self._rows = self.shape[0] if self.shape else 1
-        self._row_size = math.prod(self.shape[1:])
+        self._shape = tuple(shape)
+        self._rows = self._shape[0] if self._shape else 1
+        self._row_size = math.prod(self._shape[1:])
         self._std = noise_std
         self._active = bool(highest > 0)
         self._rng = rng if rng is not None else np.random.default_rng()
@@ -123,8 +123,8 @@ class RowBlockNoise:
     def _block_std(self, start: int, stop: int) -> np.ndarray:
         """The levels of rows ``start:stop`` (the batch axis of ``shape``
         sits ``ndim - len(shape)`` axes into ``noise_std``)."""
-        axis = self._std.ndim - len(self.shape)
-        if not self.shape or axis < 0 or self._std.shape[axis] == 1:
+        axis = self._std.ndim - len(self._shape)
+        if not self._shape or axis < 0 or self._std.shape[axis] == 1:
             return self._std
         return self._std[(slice(None),) * axis + (slice(start, stop),)]
 
@@ -132,13 +132,13 @@ class RowBlockNoise:
         """``signal`` plus the noise of the next ``len(signal)`` rows."""
         signal = np.asarray(signal)
         start = self._row
-        stop = start + (signal.shape[0] if self.shape else 1)
+        stop = start + (signal.shape[0] if self._shape else 1)
         complex_noise = bool(np.iscomplexobj(signal))
-        if (signal.shape[1:] != self.shape[1:] or stop > self._rows
+        if (signal.shape[1:] != self._shape[1:] or stop > self._rows
                 or self._complex not in (None, complex_noise)):
             raise ValueError(f"a {signal.dtype} block of shape "
                              f"{signal.shape} does not continue the batch "
-                             f"of shape {self.shape} at row {start}")
+                             f"of shape {self._shape} at row {start}")
         self._row, self._complex = stop, complex_noise
         if not self._active:
             return signal.astype(complex if complex_noise else float)
