@@ -1,11 +1,12 @@
-"""BENCH-SWEEP — Batched sweep engine vs the per-packet link simulator.
+"""BENCH-SWEEP — the batch backend vs the per-packet backend.
 
 The ROADMAP north star asks for hardware-speed sweeps across many
-scenarios.  This benchmark runs the same 20-point Eb/N0 BER sweep two ways:
+scenarios.  This benchmark runs the same 20-point Eb/N0 BER sweep through
+:class:`repro.sim.SweepEngine` two ways:
 
-* **legacy**: :class:`repro.core.link.LinkSimulator`, one packet at a time
-  through the full transceiver stack;
-* **batched**: :class:`repro.sim.SweepEngine` with the vectorized kernel.
+* **packet**: ``backend="packet"``, one packet at a time through the full
+  transceiver stack;
+* **batched**: ``backend="batch"``, the vectorized genie-timed kernel.
 
 and checks the batched path is at least 10x faster while producing a sane
 BER curve (monotone trend, tracks the waterfall region).  The curve
@@ -19,9 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import Gen2Config
-from repro.core.link import LinkSimulator
-from repro.core.transceiver import Gen2Transceiver
 from repro.sim import SweepEngine
 
 from bench_utils import (format_ber, print_header, print_table,
@@ -33,13 +31,12 @@ PAYLOAD_BITS = 48
 MIN_SPEEDUP = 10.0
 
 
-def _legacy_sweep():
-    config = Gen2Config.fast_test_config()
-    transceiver = Gen2Transceiver(config, rng=np.random.default_rng(17))
-    simulator = LinkSimulator(transceiver, rng=np.random.default_rng(18))
-    return simulator.ber_sweep(EBN0_GRID_DB, label="legacy",
-                               num_packets=NUM_PACKETS,
-                               payload_bits_per_packet=PAYLOAD_BITS)
+def _packet_sweep():
+    engine = SweepEngine(generation="gen2", seed=18, backend="packet")
+    return engine.ber_curve(EBN0_GRID_DB, scenario="awgn",
+                            num_packets=NUM_PACKETS,
+                            payload_bits_per_packet=PAYLOAD_BITS,
+                            label="packet")
 
 
 def _batched_sweep():
@@ -52,35 +49,35 @@ def _batched_sweep():
 
 def _run_comparison():
     start = time.perf_counter()
-    legacy = _legacy_sweep()
-    legacy_s = time.perf_counter() - start
+    packet = _packet_sweep()
+    packet_s = time.perf_counter() - start
 
     # Warm once so one-time imports/pulse construction don't bill the sweep.
     _batched_sweep()
     start = time.perf_counter()
     batched = _batched_sweep()
     batched_s = time.perf_counter() - start
-    return {"legacy": legacy, "batched": batched,
-            "legacy_s": legacy_s, "batched_s": batched_s}
+    return {"packet": packet, "batched": batched,
+            "packet_s": packet_s, "batched_s": batched_s}
 
 
 @pytest.mark.benchmark(group="bench-sweep")
 def test_bench_sweep_engine(benchmark):
     results = benchmark.pedantic(_run_comparison, rounds=1, iterations=1)
-    legacy, batched = results["legacy"], results["batched"]
-    speedup = results["legacy_s"] / max(results["batched_s"], 1e-9)
+    packet, batched = results["packet"], results["batched"]
+    speedup = results["packet_s"] / max(results["batched_s"], 1e-9)
 
     print_header("BENCH-SWEEP",
-                 "20-point BER sweep: per-packet stack vs batched engine")
+                 "20-point BER sweep: packet backend vs batch backend")
     required, floor_note = required_speedup(MIN_SPEEDUP)
-    print(f"legacy  : {results['legacy_s'] * 1e3:8.1f} ms")
+    print(f"packet  : {results['packet_s'] * 1e3:8.1f} ms")
     print(f"batched : {results['batched_s'] * 1e3:8.1f} ms")
     print(f"speedup : {speedup:8.1f}x (floor: {required:.0f}x [{floor_note}])")
     print()
     print_table(
-        ["Eb/N0 [dB]", "BER (legacy)", "BER (batched)"],
+        ["Eb/N0 [dB]", "BER (packet)", "BER (batched)"],
         [[f"{point.ebn0_db:.1f}", format_ber(point.ber), format_ber(fast.ber)]
-         for point, fast in zip(legacy.points, batched.points)])
+         for point, fast in zip(packet.points, batched.points)])
 
     assert speedup >= required, (
         f"batched sweep managed only {speedup:.1f}x over the per-packet "
@@ -94,5 +91,5 @@ def test_bench_sweep_engine(benchmark):
     # And the two paths agree where the full stack is past its
     # synchronization cliff (top quarter of the sweep).
     tail = len(EBN0_GRID_DB) * 3 // 4
-    assert float(np.max(legacy.ber_values()[tail:])) <= 5e-2
+    assert float(np.max(packet.ber_values()[tail:])) <= 5e-2
     assert float(np.max(bers[tail:])) <= 5e-2

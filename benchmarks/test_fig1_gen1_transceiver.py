@@ -21,6 +21,7 @@ from repro.core.config import Gen1Config
 from repro.core.link import LinkSimulator
 from repro.core.transceiver import Gen1Transceiver
 from repro.dsp.parallelizer import acquisition_time_s
+from repro.sim import SweepEngine
 
 from bench_utils import format_ber, print_header, print_table
 
@@ -56,10 +57,13 @@ def _run_gen1_experiment():
 
     # --- Monte-Carlo link at reduced pulses-per-bit --------------------
     link_config = _fast_link_config()
+    engine = SweepEngine(config=link_config, generation="gen1", seed=12,
+                         backend="fullstack")
+    curve = engine.ber_curve([6.0, 10.0, 14.0], scenario="awgn",
+                             num_packets=4, payload_bits_per_packet=48,
+                             label="gen1_awgn")
     transceiver = Gen1Transceiver(link_config, rng=np.random.default_rng(11))
     simulator = LinkSimulator(transceiver, rng=np.random.default_rng(12))
-    curve = simulator.ber_sweep([6.0, 10.0, 14.0], label="gen1_awgn",
-                                num_packets=4, payload_bits_per_packet=48)
     stats = simulator.acquisition_statistics(ebn0_db=12.0, num_packets=6,
                                              payload_bits_per_packet=16)
     return {

@@ -13,14 +13,11 @@ The benchmark closes an end-to-end gen-2 link over AWGN and over an
 back-end configuration actually exercised.
 """
 
-import numpy as np
 import pytest
 
-from repro.channel.saleh_valenzuela import CM1, SalehValenzuelaChannelGenerator
 from repro.constants import GEN2_TARGET_DATA_RATE_BPS
 from repro.core.config import Gen2Config
-from repro.core.link import LinkSimulator
-from repro.core.transceiver import Gen2Transceiver
+from repro.sim import SweepEngine
 
 from bench_utils import format_ber, print_header, print_table
 
@@ -37,25 +34,17 @@ def _link_config() -> Gen2Config:
 
 def _run_gen2_experiment():
     config = _link_config()
-    ebn0_grid = [6.0, 10.0, 14.0]
+    engine = SweepEngine(config=config, seed=32, backend="fullstack")
 
     # AWGN link.
-    transceiver = Gen2Transceiver(config, rng=np.random.default_rng(31))
-    simulator = LinkSimulator(transceiver, rng=np.random.default_rng(32))
-    awgn_curve = simulator.ber_sweep(ebn0_grid, label="gen2_awgn",
-                                     num_packets=4,
-                                     payload_bits_per_packet=64)
+    awgn_curve = engine.ber_curve([6.0, 10.0, 14.0], scenario="awgn",
+                                  num_packets=4, payload_bits_per_packet=64,
+                                  label="gen2_awgn")
 
     # CM1 multipath link (LOS 0-4 m), new channel realization per packet.
-    channel_rng = np.random.default_rng(33)
-    generator = SalehValenzuelaChannelGenerator(CM1, rng=channel_rng,
-                                                complex_gains=True)
-    mp_transceiver = Gen2Transceiver(config, rng=np.random.default_rng(34))
-    mp_simulator = LinkSimulator(mp_transceiver, rng=np.random.default_rng(35))
-    cm1_curve = mp_simulator.ber_sweep([10.0, 16.0], label="gen2_cm1",
-                                       num_packets=6,
-                                       payload_bits_per_packet=64,
-                                       channel_factory=generator.realize)
+    cm1_curve = engine.ber_curve([10.0, 16.0], scenario="cm1",
+                                 num_packets=6, payload_bits_per_packet=64,
+                                 label="gen2_cm1")
 
     return {
         "config": config,

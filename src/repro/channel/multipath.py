@@ -9,74 +9,20 @@ impulse response the digital back end has to estimate.
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sp_signal
 
 from repro.utils import dsp
-from repro.utils.validation import require_int, require_positive
+from repro.utils.validation import require_positive
 
 __all__ = [
     "MultipathChannel",
     "apply_channels_batch",
-    "channel_fft_workers",
-    "set_channel_fft_workers",
     "two_ray_channel",
     "exponential_decay_channel",
 ]
-
-# Process-wide thread count for the batched channel-FFT pass; None defers
-# to the REPRO_FFT_WORKERS environment variable (default 1).
-_channel_fft_workers: int | None = None
-
-
-def set_channel_fft_workers(num_workers: int | None) -> int | None:
-    """Set how many threads the batched channel-FFT pass may use.
-
-    ``scipy``'s pocketfft splits a batched 1-D transform over its rows,
-    computing each row's transform exactly as a single thread would — so
-    raising the worker count changes wall-clock time, never a single bit
-    of the convolution output (the chunk-equivalence suite pins this).
-    ``None`` defers to the ``REPRO_FFT_WORKERS`` environment variable
-    (default 1, the historical single-threaded pass).  Returns the
-    previous setting so callers can restore it.
-    """
-    global _channel_fft_workers
-    if num_workers is not None:
-        require_int(num_workers, "num_workers", minimum=1)
-    previous = _channel_fft_workers
-    _channel_fft_workers = num_workers
-    return previous
-
-
-def channel_fft_workers() -> int:
-    """The effective channel-FFT thread count (setting, else environment)."""
-    if _channel_fft_workers is not None:
-        return _channel_fft_workers
-    env = os.environ.get("REPRO_FFT_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-        warnings.warn(f"ignoring invalid REPRO_FFT_WORKERS={env!r} "
-                      "(need a positive integer)", stacklevel=2)
-    return 1
-
-
-def _fft_workers_context():
-    """The ``scipy.fft`` workers context for the configured thread count."""
-    workers = channel_fft_workers()
-    if workers <= 1:
-        return nullcontext()
-    from scipy import fft as sp_fft
-    return sp_fft.set_workers(workers)
 
 
 @dataclass
@@ -309,16 +255,13 @@ def apply_channels_batch(channels, signals, sample_rate_hz: float,
             out[index] = signals[index]
     # Row-chunked convolution: each chunk's FFT length is the same
     # global (width + taps_width - 1), so results are bitwise those of
-    # the one-shot batch call, minus its cache-hostile footprint.  The
-    # workers context threads scipy's pocketfft across the rows of each
-    # chunk — same per-row transform, so still bitwise.
+    # the one-shot batch call, minus its cache-hostile footprint.
     chunk = max(1, (1 << 19) // max(width, 1))
-    with _fft_workers_context():
-        for start in range(0, len(with_channel), chunk):
-            rows = with_channel[start:start + chunk]
-            out[rows] = sp_signal.fftconvolve(
-                signals[rows], kernels[start:start + chunk],
-                mode="full", axes=-1)[:, :width]
+    for start in range(0, len(with_channel), chunk):
+        rows = with_channel[start:start + chunk]
+        out[rows] = sp_signal.fftconvolve(
+            signals[rows], kernels[start:start + chunk],
+            mode="full", axes=-1)[:, :width]
     if lengths is not None:
         for index in with_channel:
             out[index, lengths[index]:] = 0.0

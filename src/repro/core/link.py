@@ -1,9 +1,11 @@
-"""Link-level simulation harness: BER/PER sweeps and acquisition statistics.
+"""Per-packet link statistics the sweep engine does not measure.
 
-This is the measurement machinery the benchmarks use to regenerate the
-paper's quantitative claims: BER versus Eb/N0 (with or without multipath,
-interference, ADC-resolution limits), packet-error rates, throughput, and
-acquisition time/probability statistics.
+BER/PER curves come from :class:`repro.sim.SweepEngine`, whose
+``backend="packet"`` repeats :meth:`Gen1Transceiver.simulate_packet` /
+:meth:`Gen2Transceiver.simulate_packet` under content-keyed seeds.  This
+module keeps what a BER count cannot carry: acquisition statistics
+(detection probability, timing error, search latency) and goodput over
+the packets' air time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.metrics import BERCurve, BERPoint
 from repro.core.transceiver import _Transceiver
 from repro.utils.validation import require_int
 
@@ -72,89 +73,12 @@ class AcquisitionStatistics:
 
 
 class LinkSimulator:
-    """Monte-Carlo link simulation driver for a transceiver."""
+    """Per-packet acquisition and throughput statistics for a transceiver."""
 
     def __init__(self, transceiver: _Transceiver,
                  rng: np.random.Generator | None = None) -> None:
         self.transceiver = transceiver
         self.rng = rng if rng is not None else np.random.default_rng()
-
-    # ------------------------------------------------------------------
-    # BER sweeps
-    # ------------------------------------------------------------------
-    def ber_point(self, ebn0_db: float, num_packets: int = 10,
-                  payload_bits_per_packet: int = 64,
-                  channel_factory: Callable[[], object] | None = None,
-                  interferer_factory: Callable[[], object] | None = None,
-                  **packet_kwargs) -> BERPoint:
-        """Measure one Eb/N0 operating point.
-
-        ``channel_factory`` / ``interferer_factory`` are zero-argument
-        callables returning a fresh channel / interferer per packet (or
-        ``None`` for a static / absent one).
-        """
-        require_int(num_packets, "num_packets", minimum=1)
-        require_int(payload_bits_per_packet, "payload_bits_per_packet", minimum=1)
-        bit_errors = 0
-        total_bits = 0
-        packets_failed = 0
-        for _ in range(num_packets):
-            channel = channel_factory() if channel_factory is not None else None
-            interferer = (interferer_factory()
-                          if interferer_factory is not None else None)
-            simulation = self.transceiver.simulate_packet(
-                num_payload_bits=payload_bits_per_packet,
-                ebn0_db=ebn0_db,
-                channel=channel,
-                interferer=interferer,
-                rng=self.rng,
-                **packet_kwargs)
-            bit_errors += simulation.result.payload_bit_errors
-            total_bits += simulation.result.num_payload_bits
-            if not simulation.result.packet_success:
-                packets_failed += 1
-        return BERPoint(ebn0_db=ebn0_db, bit_errors=bit_errors,
-                        total_bits=total_bits, packets_sent=num_packets,
-                        packets_failed=packets_failed)
-
-    def ber_sweep(self, ebn0_values_db, label: str = "link",
-                  num_packets: int = 10, payload_bits_per_packet: int = 64,
-                  channel_factory: Callable[[], object] | None = None,
-                  interferer_factory: Callable[[], object] | None = None,
-                  **packet_kwargs) -> BERCurve:
-        """Sweep Eb/N0 and return the resulting BER curve."""
-        curve = BERCurve(label=label)
-        for ebn0_db in ebn0_values_db:
-            curve.add(self.ber_point(
-                float(ebn0_db), num_packets=num_packets,
-                payload_bits_per_packet=payload_bits_per_packet,
-                channel_factory=channel_factory,
-                interferer_factory=interferer_factory,
-                **packet_kwargs))
-        return curve
-
-    def ber_sweep_batched(self, ebn0_values_db, label: str = "link",
-                          num_packets: int = 10,
-                          payload_bits_per_packet: int = 64,
-                          seed: int = 0) -> BERCurve:
-        """Fast Eb/N0 sweep via the vectorized batch kernel.
-
-        Thin wrapper over :class:`repro.sim.batch.BatchedLinkModel` for the
-        common AWGN case; use :class:`repro.sim.SweepEngine` directly for
-        multi-scenario / multi-modulation grids and process-pool
-        parallelism.  The batch path is genie-timed (no acquisition or
-        channel-estimation loss), so it matches :meth:`ber_sweep` within
-        Monte-Carlo tolerance only at operating points where
-        synchronization is reliable.
-        """
-        model = self.transceiver.batch_model()
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        curve = BERCurve(label=label)
-        for ebn0_db in ebn0_values_db:
-            result = model.simulate(float(ebn0_db), num_packets,
-                                    payload_bits_per_packet, rng=rng)
-            curve.add(result.to_ber_point())
-        return curve
 
     # ------------------------------------------------------------------
     # Acquisition statistics
@@ -187,6 +111,9 @@ class LinkSimulator:
                                  channel_factory: Callable[[], object] | None = None,
                                  **packet_kwargs) -> float:
         """Goodput: delivered payload bits per second of air time."""
+        require_int(num_packets, "num_packets", minimum=1)
+        require_int(payload_bits_per_packet, "payload_bits_per_packet",
+                    minimum=1)
         delivered_bits = 0
         air_time_s = 0.0
         for _ in range(num_packets):
@@ -200,6 +127,4 @@ class LinkSimulator:
             air_time_s += simulation.transmit.duration_s
             if simulation.result.packet_success:
                 delivered_bits += simulation.result.num_payload_bits
-        if air_time_s <= 0:
-            return 0.0
         return delivered_bits / air_time_s

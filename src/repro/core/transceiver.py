@@ -1,8 +1,10 @@
 """Complete transceivers: a transmitter + receiver pair over a channel.
 
 ``Gen1Transceiver`` and ``Gen2Transceiver`` wrap the whole TX -> channel ->
-RX chain for one packet, which is the unit of work the link simulator
-repeats to build BER/PER curves and acquisition statistics.
+RX chain for one packet, which is the unit of work the sweep engine's
+``packet`` backend repeats to build BER/PER curves (and
+:class:`repro.core.link.LinkSimulator` repeats for acquisition
+statistics).
 """
 
 from __future__ import annotations
@@ -128,34 +130,6 @@ class _Transceiver:
     def data_rate_bps(self) -> float:
         """Uncoded channel bit rate of the configured waveform."""
         return self.config.data_rate_bps
-
-    def batch_model(self, modulation: str = "bpsk", quantize: bool = True,
-                    notch_frequency_hz: float | None = None):
-        """Vectorized fast path for this configuration.
-
-        Returns a :class:`repro.sim.batch.BatchedLinkModel` sharing this
-        transceiver's configuration — the batch-capable kernel the sweep
-        engine uses, with ``simulate_packet`` remaining the per-packet
-        reference implementation.
-        """
-        from repro.sim.batch import BatchedLinkModel
-        return BatchedLinkModel(self.config, modulation=modulation,
-                                quantize=quantize,
-                                notch_frequency_hz=notch_frequency_hz)
-
-    def fullstack_model(self):
-        """Batched full-stack receiver sharing this transceiver's stack.
-
-        Returns a :class:`repro.sim.batch_rx.BatchedFullStackModel` built
-        around this transceiver instance (same transmitter, receiver and
-        hardware-seeded ADC), so batched Monte-Carlo runs are
-        bit-decision-identical to repeating :meth:`simulate_packet` with
-        the same random streams.  Both generations batch end to end:
-        the gen-2 SAR front and the gen-1 4 GHz interleaved-flash front
-        each have whole-batch transmit/channel/AGC/ADC passes.
-        """
-        from repro.sim.batch_rx import BatchedFullStackModel
-        return BatchedFullStackModel(self)
 
 
 class Gen1Transceiver(_Transceiver):

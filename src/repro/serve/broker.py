@@ -175,6 +175,8 @@ class JobSpec:
             raise BrokerError("payload_bits_per_packet must be >= 1")
         if spec.chunk_packets is not None and spec.chunk_packets < 1:
             raise BrokerError("chunk_packets must be >= 1 (or null)")
+        if spec.seed < 0:
+            raise BrokerError("seed must be >= 0")
         if spec.generation not in _GENERATIONS:
             raise BrokerError(f"unknown generation {spec.generation!r}; "
                               f"known: {', '.join(_GENERATIONS)}")

@@ -1,12 +1,12 @@
 """repro.sim: batched Monte-Carlo sweep engine and scenario registry.
 
-This package is the fast path for regenerating the paper's quantitative
-claims at scale.  Where :class:`repro.core.link.LinkSimulator` simulates one
-packet at a time through the full transceiver stack, the
-:class:`SweepEngine` vectorizes packet generation, channel application,
-AWGN, and demodulation over a batch axis and runs whole grids of operating
-points — (Eb/N0 x modulation x channel scenario x ADC resolution) — with
-per-point seeded random streams and optional process-pool parallelism.
+This package is the one entry point for the paper's BER/PER claims.  The
+:class:`SweepEngine` runs whole grids of operating points — (Eb/N0 x
+modulation x channel scenario x ADC resolution) — with per-point seeded
+random streams and optional process-pool parallelism, through a
+vectorized kernel that carries packet generation, channel application,
+AWGN and demodulation over a batch axis, or through the per-packet
+transceiver stack itself.
 
 Usage::
 

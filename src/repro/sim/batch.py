@@ -1,9 +1,9 @@
 """Batched (vectorized) Monte-Carlo link kernel.
 
-The legacy :class:`~repro.core.link.LinkSimulator` pushes one packet at a
-time through the full transceiver stack — transmitter, channel, AWGN, AGC,
-ADC, acquisition, channel estimation, RAKE — which makes wide BER grids
-slow.  This module provides the *fast path*: a :class:`BatchedLinkModel`
+The sweep engine's ``packet`` backend pushes one packet at a time through
+the full transceiver stack — transmitter, channel, AWGN, AGC, ADC,
+acquisition, channel estimation, RAKE — which makes wide BER grids slow.
+This module provides the *fast path*: a :class:`BatchedLinkModel`
 that carries a leading batch axis end-to-end, so one grid point becomes a
 handful of array operations instead of a Python loop:
 

@@ -8,8 +8,8 @@ full-stack receiver (``backend="fullstack"``,
 :class:`repro.sim.batch_rx.BatchedFullStackModel` — real acquisition,
 channel estimation, RAKE and Viterbi, bit-decision-identical to the
 packet loop), or the full per-packet transceiver stack
-(``backend="packet"``, the reference oracle, bit-exact with the legacy
-:class:`repro.core.link.LinkSimulator` flow).
+(``backend="packet"``, the reference oracle and the only per-packet BER
+loop in the library).
 
 Reproducibility: every grid point gets its own :class:`numpy.random
 .Generator` keyed on the engine seed *and the point's content* (not its
@@ -578,16 +578,17 @@ class SweepEngine:
         Scenario registry to resolve names against (default: the shared
         :data:`repro.sim.scenarios.SCENARIOS`).
     seed:
-        Root seed; each grid point derives an independent child stream, so
-        equal seeds give identical results whatever the execution order.
+        Root seed, a non-negative integer; each grid point derives an
+        independent child stream, so equal seeds give identical results
+        whatever the execution order.
     backend:
         ``"batch"`` (vectorized genie-timed kernel), ``"fullstack"``
         (batched full receiver chain — acquisition, channel estimation,
         RAKE, Viterbi — bit-decision-identical to the packet loop at a
         fraction of its cost; see :mod:`repro.sim.batch_rx`), or
-        ``"packet"`` (the per-packet reference oracle, bit-exact with
-        ``LinkSimulator``).  The full-stack backends are BPSK-only and
-        reject other modulations when the grid is submitted.
+        ``"packet"`` (the per-packet reference oracle, one
+        ``simulate_packet`` call per packet).  The full-stack backends are
+        BPSK-only and reject other modulations when the grid is submitted.
     quantize:
         Batch backend only: model AGC + ADC quantization (default on).
     max_workers:
@@ -635,7 +636,7 @@ class SweepEngine:
         self.config = config
         self.generation = generation
         self.registry = registry if registry is not None else SCENARIOS
-        self.seed = int(seed)
+        self.seed = require_int(seed, "seed", minimum=0)
         self.backend = backend
         self.quantize = bool(quantize)
         self.max_workers = max_workers

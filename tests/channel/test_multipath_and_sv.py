@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.channel.multipath import (
     MultipathChannel,
     apply_channels_batch,
-    channel_fft_workers,
     exponential_decay_channel,
-    set_channel_fft_workers,
     two_ray_channel,
 )
 from repro.channel.saleh_valenzuela import (
@@ -20,51 +18,6 @@ from repro.channel.saleh_valenzuela import (
     SalehValenzuelaChannelGenerator,
     generate_channel,
 )
-
-
-class TestChannelFFTWorkers:
-    @pytest.fixture(autouse=True)
-    def _restore_setting(self):
-        previous = set_channel_fft_workers(None)
-        yield
-        set_channel_fft_workers(previous)
-
-    def test_default_is_single_threaded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FFT_WORKERS", raising=False)
-        assert channel_fft_workers() == 1
-
-    def test_setting_and_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_WORKERS", "3")
-        assert channel_fft_workers() == 3
-        assert set_channel_fft_workers(2) is None   # explicit beats env
-        assert channel_fft_workers() == 2
-        with pytest.raises((TypeError, ValueError)):
-            set_channel_fft_workers(0)
-
-    def test_invalid_environment_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_WORKERS", "lots")
-        with pytest.warns(UserWarning, match="REPRO_FFT_WORKERS"):
-            assert channel_fft_workers() == 1
-
-    def test_threaded_channel_pass_is_bitwise_identical(self):
-        # pocketfft threads split the batch over rows; every row's
-        # transform is computed exactly as in the serial pass, so the
-        # convolution output must not move by a single ulp.
-        rng = np.random.default_rng(11)
-        signals = rng.normal(size=(16, 512))
-        channels = [
-            exponential_decay_channel(20e-9, 2e-9, complex_gains=False,
-                                      rng=np.random.default_rng(index))
-            if index % 3 else None
-            for index in range(16)]
-        lengths = rng.integers(400, 512, size=16)
-        set_channel_fft_workers(1)
-        serial = apply_channels_batch(channels, signals, 4e9,
-                                      valid_lengths=lengths)
-        set_channel_fft_workers(2)
-        threaded = apply_channels_batch(channels, signals, 4e9,
-                                        valid_lengths=lengths)
-        np.testing.assert_array_equal(serial, threaded)
 
 
 class TestMultipathChannel:
@@ -148,6 +101,26 @@ class TestMultipathChannel:
         combined = a.combined_with(b)
         assert combined.num_rays == 2
         assert np.max(combined.delays_s) == pytest.approx(3e-9)
+
+    def test_apply_channels_batch_matches_per_row_apply(self):
+        rng = np.random.default_rng(11)
+        signals = rng.normal(size=(6, 512))
+        channels = [
+            exponential_decay_channel(20e-9, 2e-9, complex_gains=False,
+                                      rng=np.random.default_rng(index))
+            if index % 3 else None
+            for index in range(6)]
+        lengths = rng.integers(400, 512, size=6)
+        out = apply_channels_batch(channels, signals, 4e9,
+                                   valid_lengths=lengths)
+        for row, channel in enumerate(channels):
+            if channel is None:
+                np.testing.assert_array_equal(out[row], signals[row])
+                continue
+            expected = channel.apply(signals[row], 4e9)
+            np.testing.assert_allclose(out[row, :lengths[row]],
+                                       expected[:lengths[row]], atol=1e-12)
+            assert not np.any(out[row, lengths[row]:])
 
     @given(st.floats(min_value=1e-9, max_value=50e-9),
            st.floats(min_value=-20.0, max_value=0.0))

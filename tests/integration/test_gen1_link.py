@@ -5,8 +5,8 @@ import pytest
 
 from repro.channel.multipath import exponential_decay_channel, two_ray_channel
 from repro.core.config import Gen1Config
-from repro.core.link import LinkSimulator
 from repro.core.transceiver import Gen1Transceiver
+from repro.sim import Scenario, SweepEngine, SweepPoint, default_registry
 
 
 @pytest.fixture
@@ -70,21 +70,30 @@ class TestGen1PacketLevel:
         assert simulation.result.acquisition_time_s > 0
 
 
-class TestGen1LinkSimulator:
+def _short_exp_decay_channel(rng):
+    return exponential_decay_channel(4e-9, 1e-9, rng=rng, complex_gains=False)
+
+
+class TestGen1PacketSweep:
+    """BER points through the sweep engine's per-packet backend."""
+
     def test_ber_point_runs(self, fast_config):
-        transceiver = Gen1Transceiver(fast_config, rng=np.random.default_rng(13))
-        simulator = LinkSimulator(transceiver, rng=np.random.default_rng(14))
-        point = simulator.ber_point(12.0, num_packets=3,
-                                    payload_bits_per_packet=24)
+        engine = SweepEngine(config=fast_config, generation="gen1", seed=14,
+                             backend="packet")
+        point = engine.measure_point(SweepPoint(ebn0_db=12.0), num_packets=3,
+                                     payload_bits_per_packet=24)
         assert point.total_bits == 72
         assert 0.0 <= point.ber <= 1.0
 
-    def test_multipath_channel_factory(self, fast_config):
-        transceiver = Gen1Transceiver(fast_config, rng=np.random.default_rng(15))
-        simulator = LinkSimulator(transceiver, rng=np.random.default_rng(16))
-        channel_rng = np.random.default_rng(17)
-        point = simulator.ber_point(
-            16.0, num_packets=2, payload_bits_per_packet=24,
-            channel_factory=lambda: exponential_decay_channel(
-                4e-9, 1e-9, rng=channel_rng, complex_gains=False))
+    def test_custom_multipath_scenario(self, fast_config):
+        registry = default_registry()
+        registry.register(Scenario(name="short_exp_decay",
+                                   description="4 ns RMS, real ray gains",
+                                   channel=_short_exp_decay_channel))
+        engine = SweepEngine(config=fast_config, generation="gen1",
+                             registry=registry, seed=16, backend="packet")
+        point = engine.measure_point(
+            SweepPoint(ebn0_db=16.0, scenario="short_exp_decay"),
+            num_packets=2, payload_bits_per_packet=24)
+        assert point.total_bits == 48
         assert 0.0 <= point.ber <= 1.0

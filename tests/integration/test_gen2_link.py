@@ -8,6 +8,7 @@ from repro.channel.multipath import exponential_decay_channel
 from repro.core.config import Gen2Config
 from repro.core.link import LinkSimulator
 from repro.core.transceiver import Gen2Transceiver
+from repro.sim import SweepEngine
 
 
 @pytest.fixture
@@ -83,14 +84,15 @@ class TestGen2PacketLevel:
         assert abs(report.frequency_hz - 120e6) < 25e6
 
 
-class TestGen2LinkSimulator:
+class TestGen2PacketSweep:
     def test_ber_improves_with_ebn0(self, fast_config):
-        transceiver = Gen2Transceiver(fast_config, rng=np.random.default_rng(20))
-        simulator = LinkSimulator(transceiver, rng=np.random.default_rng(21))
-        curve = simulator.ber_sweep([2.0, 14.0], num_packets=4,
-                                    payload_bits_per_packet=48)
+        engine = SweepEngine(config=fast_config, seed=21, backend="packet")
+        curve = engine.ber_curve([2.0, 14.0], num_packets=4,
+                                 payload_bits_per_packet=48)
         assert curve.points[1].ber <= curve.points[0].ber
 
+
+class TestGen2LinkSimulator:
     def test_acquisition_statistics(self, fast_config):
         transceiver = Gen2Transceiver(fast_config, rng=np.random.default_rng(22))
         simulator = LinkSimulator(transceiver, rng=np.random.default_rng(23))

@@ -155,6 +155,13 @@ class TestErrors:
         assert code == 2
         assert "no run manifest" in capsys.readouterr().err
 
+    def test_negative_seed_fails_before_writing_a_run(self, tmp_path, capsys):
+        code, _ = run_cli(*SWEEP_ARGS, "--out", str(tmp_path),
+                          "--seed", "-1")
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestObservability:
     CHUNKED = SWEEP_ARGS + ("--chunk-packets", "2")

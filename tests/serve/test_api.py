@@ -136,6 +136,7 @@ class TestErrorMapping:
         ("chunk_packets", True),
         ("seed", 7.25),
         ("seed", True),
+        ("seed", -1),
         ("array_backend", "cupy"),
         ("array_backend", 1),
     ])

@@ -89,6 +89,8 @@ class TestPlanning:
             broker.submit({**SPEC, "generation": "gen9"})
         with pytest.raises(BrokerError, match="backend"):
             broker.submit({**SPEC, "backend": "quantum"})
+        with pytest.raises(BrokerError, match="seed"):
+            broker.submit({**SPEC, "seed": -1})
 
     def test_overlapping_jobs_share_tasks(self, broker):
         first = broker.submit(SPEC)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.metrics import BERCurve, theoretical_bpsk_ber
 from repro.sim import (
     SCENARIOS,
-    BatchedLinkModel,
     Scenario,
     ScenarioRegistry,
     SweepEngine,
@@ -250,34 +249,18 @@ class TestBatchedKernel:
         with pytest.raises(KeyError, match="awgn/bpsk"):
             result.curve(adc_bits=3)
 
-    def test_transceiver_batch_model_wrapper(self):
-        from repro.core.config import Gen2Config
-        from repro.core.transceiver import Gen2Transceiver
-        transceiver = Gen2Transceiver(Gen2Config.fast_test_config())
-        model = transceiver.batch_model()
-        assert isinstance(model, BatchedLinkModel)
-        result = model.simulate(8.0, num_packets=4,
-                                payload_bits_per_packet=32,
-                                rng=np.random.default_rng(0))
-        assert result.total_bits == 4 * 32
-
-    def test_link_simulator_batched_wrapper(self):
-        from repro.core.config import Gen2Config
-        from repro.core.link import LinkSimulator
-        from repro.core.transceiver import Gen2Transceiver
-        simulator = LinkSimulator(Gen2Transceiver(Gen2Config.fast_test_config()))
-        curve = simulator.ber_sweep_batched([4.0, 8.0], num_packets=8,
-                                            payload_bits_per_packet=32,
-                                            seed=12)
-        assert len(curve.points) == 2
-        assert curve == simulator.ber_sweep_batched(
-            [4.0, 8.0], num_packets=8, payload_bits_per_packet=32, seed=12)
-
     def test_invalid_engine_arguments(self):
         with pytest.raises(ValueError, match="generation"):
             SweepEngine(generation="gen3")
         with pytest.raises(ValueError, match="backend"):
             SweepEngine(backend="gpu")
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_rejects_non_integral_or_negative_seed(self, seed):
+        # A truncated float would share another seed's digest and cache;
+        # a negative seed could only fail chunk by chunk.
+        with pytest.raises((TypeError, ValueError), match="seed"):
+            SweepEngine(seed=seed)
 
 
 class TestRunStoreHooks:
