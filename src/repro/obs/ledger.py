@@ -16,9 +16,9 @@ the run directory, next to ``manifest.json``:
     tail line.
 
 ``telemetry.json``
-    The aggregated summary (:func:`summarize` of the *whole* ledger,
-    re-derived atomically after every append): span statistics, counter
-    totals, last/max gauges.  ``repro report`` renders either artifact;
+    The aggregated summary (:func:`repro.obs.recorder.summarize` of the
+    *whole* ledger, re-derived atomically after every append): span
+    statistics, counter totals, last/max gauges.  ``repro report`` renders either artifact;
     dashboards can poll this one cheaply.
 
 Events follow schema version 1 (see
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.recorder import EVENT_SCHEMA_VERSION
+from repro.obs.recorder import EVENT_SCHEMA_VERSION, summarize
 from repro.utils.io import AppendLog, atomic_write_text
 
 __all__ = [
@@ -108,43 +108,6 @@ class EventLedger(AppendLog):
 
     def __init__(self, path) -> None:
         super().__init__(path, validate_event)
-
-
-def summarize(events) -> dict:
-    """Aggregate a ledger into the ``telemetry.json`` payload.
-
-    Returns ``{"schema", "events", "spans", "counters", "gauges"}``:
-    per-span-name count/total/min/max/mean seconds, per-counter-name
-    totals, per-gauge-name last and max values.
-    """
-    spans: dict[str, dict] = {}
-    counters: dict[str, float] = {}
-    gauges: dict[str, dict] = {}
-    count = 0
-    for event in events:
-        count += 1
-        kind = event["kind"]
-        name = event["name"]
-        if kind == "span":
-            entry = spans.setdefault(name, {
-                "count": 0, "total_s": 0.0,
-                "min_s": float("inf"), "max_s": 0.0})
-            duration = float(event["duration_s"])
-            entry["count"] += 1
-            entry["total_s"] += duration
-            entry["min_s"] = min(entry["min_s"], duration)
-            entry["max_s"] = max(entry["max_s"], duration)
-        elif kind == "counter":
-            counters[name] = counters.get(name, 0) + event["value"]
-        else:
-            value = float(event["value"])
-            entry = gauges.setdefault(name, {"last": value, "max": value})
-            entry["last"] = value
-            entry["max"] = max(entry["max"], value)
-    for entry in spans.values():
-        entry["mean_s"] = entry["total_s"] / entry["count"]
-    return {"schema": EVENT_SCHEMA_VERSION, "events": count,
-            "spans": spans, "counters": counters, "gauges": gauges}
 
 
 def write_summary(path, events) -> dict:

@@ -45,6 +45,7 @@ __all__ = [
     "Recorder",
     "activate",
     "active",
+    "summarize",
 ]
 
 #: Schema version stamped on every event (see :mod:`repro.obs.ledger`).
@@ -171,12 +172,7 @@ class Recorder:
     # ------------------------------------------------------------------
     def counter_totals(self) -> dict[str, float]:
         """Summed counter values keyed by counter name."""
-        totals: dict[str, float] = {}
-        for event in self._events:
-            if event["kind"] == "counter":
-                name = event["name"]
-                totals[name] = totals.get(name, 0) + event["value"]
-        return totals
+        return summarize(self._events)["counters"]
 
     def counter_breakdown(self, attr: str) -> dict[str, dict[str, float]]:
         """Counter totals split by one attribute's value.
@@ -203,29 +199,12 @@ class Recorder:
 
     def gauge_values(self) -> dict[str, float]:
         """Most recent gauge value keyed by gauge name."""
-        values: dict[str, float] = {}
-        for event in self._events:
-            if event["kind"] == "gauge":
-                values[event["name"]] = event["value"]
-        return values
+        return {name: entry["last"] for name, entry
+                in summarize(self._events)["gauges"].items()}
 
     def span_stats(self) -> dict[str, dict]:
         """Per-span-name aggregates: count, total/min/max/mean seconds."""
-        stats: dict[str, dict] = {}
-        for event in self._events:
-            if event["kind"] != "span":
-                continue
-            entry = stats.setdefault(event["name"], {
-                "count": 0, "total_s": 0.0,
-                "min_s": float("inf"), "max_s": 0.0})
-            duration = float(event["duration_s"])
-            entry["count"] += 1
-            entry["total_s"] += duration
-            entry["min_s"] = min(entry["min_s"], duration)
-            entry["max_s"] = max(entry["max_s"], duration)
-        for entry in stats.values():
-            entry["mean_s"] = entry["total_s"] / entry["count"]
-        return stats
+        return summarize(self._events)["spans"]
 
     def render_prom(self) -> str:
         """The aggregated state in Prometheus text exposition format.
@@ -252,6 +231,44 @@ class Recorder:
             lines.append(f"{metric}_count {stats['count']}")
             lines.append(f"{metric}_sum {_prom_value(stats['total_s'])}")
         return "\n".join(lines) + "\n" if lines else ""
+
+
+def summarize(events) -> dict:
+    """Aggregate events into the ``telemetry.json`` payload.
+
+    The one aggregation behind :class:`Recorder`'s views and the run
+    ledger's summary.  Returns ``{"schema", "events", "spans", "counters", "gauges"}``:
+    per-span-name count/total/min/max/mean seconds, per-counter-name
+    totals, per-gauge-name last and max values.
+    """
+    spans: dict[str, dict] = {}
+    counters: dict[str, float] = {}
+    gauges: dict[str, dict] = {}
+    count = 0
+    for event in events:
+        count += 1
+        kind = event["kind"]
+        name = event["name"]
+        if kind == "span":
+            entry = spans.setdefault(name, {
+                "count": 0, "total_s": 0.0,
+                "min_s": float("inf"), "max_s": 0.0})
+            duration = float(event["duration_s"])
+            entry["count"] += 1
+            entry["total_s"] += duration
+            entry["min_s"] = min(entry["min_s"], duration)
+            entry["max_s"] = max(entry["max_s"], duration)
+        elif kind == "counter":
+            counters[name] = counters.get(name, 0) + event["value"]
+        else:
+            value = float(event["value"])
+            entry = gauges.setdefault(name, {"last": value, "max": value})
+            entry["last"] = value
+            entry["max"] = max(entry["max"], value)
+    for entry in spans.values():
+        entry["mean_s"] = entry["total_s"] / entry["count"]
+    return {"schema": EVENT_SCHEMA_VERSION, "events": count,
+            "spans": spans, "counters": counters, "gauges": gauges}
 
 
 class NullRecorder:

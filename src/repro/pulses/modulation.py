@@ -233,7 +233,8 @@ def make_modulator(scheme: str, **kwargs) -> Modulator:
         if suffix:
             kwargs.setdefault("order", int(suffix))
         return PAMModulator(**kwargs)
-    raise ValueError(f"unknown modulation scheme {scheme!r}")
+    raise ValueError(f"unknown modulation scheme {scheme!r}; supported: "
+                     "bpsk, ook, ppm, pam<order>")
 
 
 MODULATION_SCHEMES = ("bpsk", "ook", "ppm", "pam4")

@@ -14,8 +14,8 @@ CSV/JSON artifacts that benchmarks and examples consume.
 
 Two store backends implement the same contract: the append-only JSONL
 format (the default) and the SQLite warehouse
-(:class:`SQLiteResultStore`, selected with ``--store-format sqlite`` or
-``REPRO_STORE_FORMAT``), which adds transactional ingest, indexed
+(:class:`SQLiteResultStore`, selected with ``--store-format sqlite``),
+which adds transactional ingest, indexed
 cross-run queries (:func:`query_store`, ``python -m repro query``),
 compaction/GC (:func:`gc_store`) and a verified JSONL-to-SQLite
 migration path (:func:`migrate_store`, ``python -m repro store
@@ -45,9 +45,8 @@ Command line (same store format)::
 from repro.runs.artifacts import Artifact, export_curves, load_artifact
 from repro.runs.driver import RunDriver, RunManifest, RunReport
 from repro.runs.store import (STORE_FORMATS, ChunkPlan, ResultStore,
-                              StoredChunk, default_store_format,
-                              detect_store_format, measurement_key,
-                              plan_missing_chunks)
+                              StoredChunk, detect_store_format,
+                              measurement_key, plan_missing_chunks)
 from repro.runs.warehouse import (SQLiteResultStore, gc_store, migrate_run,
                                   migrate_store, query_store,
                                   validate_store)
@@ -62,7 +61,6 @@ __all__ = [
     "SQLiteResultStore",
     "STORE_FORMATS",
     "StoredChunk",
-    "default_store_format",
     "detect_store_format",
     "export_curves",
     "gc_store",

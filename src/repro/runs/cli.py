@@ -86,11 +86,13 @@ from repro.obs.progress import ProgressLine
 from repro.obs.recorder import Recorder
 from repro.obs.report import load_run_events, render_report
 from repro.runs.artifacts import export_curves
-from repro.runs.driver import RunDriver, RunManifest
+from repro.runs.driver import RunDriver, RunManifest, grid_digest
 from repro.runs.store import STORE_FORMATS, ResultStore
 from repro.runs.warehouse import (gc_store, migrate_run, migrate_store,
                                   query_store, validate_store)
-from repro.sim.engine import SweepEngine, sweep_grid
+from repro.sim.engine import (BACKENDS, GENERATIONS, SweepEngine,
+                              sweep_grid)
+from repro.utils.validation import require_int
 
 __all__ = ["build_parser", "main"]
 
@@ -212,13 +214,13 @@ def _add_grid_arguments(command: argparse.ArgumentParser) -> None:
                               "one chunk per point, the historical layout)")
     command.add_argument("--seed", type=int, default=0, metavar="N",
                          help="engine root seed (default: 0)")
-    command.add_argument("--generation", choices=("gen1", "gen2"),
-                         default="gen2",
-                         help="transceiver generation (default: gen2)")
-    command.add_argument("--backend",
-                         choices=("batch", "fullstack", "packet"),
-                         default="batch",
-                         help="simulation backend: 'batch' is the "
+    command.add_argument("--generation", default="gen2",
+                         help="transceiver generation: "
+                              + " or ".join(GENERATIONS)
+                              + " (default: gen2)")
+    command.add_argument("--backend", default="batch",
+                         help="simulation backend, one of "
+                              + ", ".join(BACKENDS) + ": 'batch' is the "
                               "vectorized genie-timed kernel, 'fullstack' "
                               "the batched full receiver chain (real "
                               "acquisition/channel estimation/RAKE, bit-"
@@ -266,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(append-only files, the historical default) "
                             "or 'sqlite' (the queryable warehouse; see "
                             "python -m repro query).  Default: whatever "
-                            "the store already holds, else "
-                            "REPRO_STORE_FORMAT, else jsonl.  An existing "
-                            "run keeps its format (convert with "
+                            "the store already holds, else jsonl.  An "
+                            "existing run keeps its format (convert with "
                             "python -m repro store migrate)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="simulate cache misses on N worker processes "
@@ -388,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-format", choices=STORE_FORMATS,
                        default=None,
                        help="store backend for a fresh directory "
-                            "(default: detect, then REPRO_STORE_FORMAT, "
-                            "then jsonl)")
+                            "(default: detect, then jsonl)")
     serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8765, metavar="N",
@@ -493,13 +493,11 @@ def _print_curves(result, out) -> None:
                   f"{point.per:>8.3f}", file=out)
 
 
-def _engine_from_args(args) -> SweepEngine:
-    """Build the sweep engine a ``sweep`` invocation describes."""
-    recorder = Recorder() if args.telemetry else None
+def _engine_from_args(args, recorder=None) -> SweepEngine:
+    """Build the sweep engine a ``sweep``/``submit`` invocation describes."""
     return SweepEngine(generation=args.generation, seed=args.seed,
                        backend=args.backend, quantize=not args.no_quantize,
-                       chunk_packets=args.chunk_packets,
-                       recorder=recorder)
+                       chunk_packets=args.chunk_packets, recorder=recorder)
 
 
 def _progress_for(args, points_total: int) -> ProgressLine | None:
@@ -535,20 +533,17 @@ def _print_telemetry_notice(args, run_dir, out) -> None:
 # ----------------------------------------------------------------------
 def _command_sweep(args, out) -> int:
     from pathlib import Path
-    engine = _engine_from_args(args)
+    engine = _engine_from_args(
+        args, recorder=Recorder() if args.telemetry else None)
     points = sweep_grid(args.ebn0, scenarios=args.scenario,
                         modulations=args.mod, adc_bits=args.adc_bits)
+    if args.workers is not None:
+        require_int(args.workers, "--workers", minimum=1)
     shard_index, num_shards = args.shard
     name = args.name
     if name is None:
-        naming = RunManifest(
-            name="unnamed", seed=engine.seed, generation=engine.generation,
-            backend=engine.backend, quantize=engine.quantize,
-            custom_config=False, config_digest=engine.config_digest(),
-            num_packets=args.packets,
-            payload_bits_per_packet=args.payload_bits,
-            num_shards=num_shards, code_version="", points=points)
-        name = "sweep-" + naming.grid_digest()[:12]
+        name = "sweep-" + grid_digest(points, engine.config_digest(),
+                                      args.payload_bits)[:12]
     run_dir = Path(args.out) / name
     driver = RunDriver.create(run_dir, engine, points,
                               num_packets=args.packets,
@@ -557,7 +552,7 @@ def _command_sweep(args, out) -> int:
                               store_format=args.store_format)
     manifest = driver.manifest
     print(f"run: {run_dir} (grid {manifest.grid_digest()[:12]}, "
-          f"seed {manifest.seed}, {len(manifest.points)} point(s), "
+          f"seed {engine.seed}, {len(manifest.points)} point(s), "
           f"{manifest.num_packets} packets/point)", file=out)
     report = _run_shard_with_progress(driver, shard_index, args)
     print(report.summary(), file=out)
@@ -600,7 +595,7 @@ def _command_merge(args, out) -> int:
     name = args.name if args.name is not None else manifest.name
     artifact = export_curves(result, driver.artifacts_dir, name, metadata={
         "run": manifest.name,
-        "seed": manifest.seed,
+        "seed": manifest.engine_params["seed"],
         "grid_digest": manifest.grid_digest(),
         "config_digest": manifest.config_digest,
         "num_packets": manifest.num_packets,
@@ -625,8 +620,9 @@ def _command_show(args, out) -> int:
     print(f"run       : {manifest.name}", file=out)
     print(f"grid      : {len(manifest.points)} point(s), digest "
           f"{manifest.grid_digest()[:12]}", file=out)
-    print(f"engine    : {manifest.generation}/{manifest.backend} seed "
-          f"{manifest.seed} quantize={manifest.quantize}", file=out)
+    engine = driver.engine
+    print(f"engine    : {engine.generation}/{engine.backend} seed "
+          f"{engine.seed} quantize={engine.quantize}", file=out)
     print(f"budget    : {manifest.num_packets} packets/point x "
           f"{manifest.payload_bits_per_packet} payload bits", file=out)
     if manifest.chunk_packets is not None:
@@ -843,23 +839,18 @@ def _command_worker(args, out) -> int:
 def _command_submit(args, out) -> int:
     from repro.serve.broker import result_from_curve_payload
     from repro.serve.worker import BrokerClient
-    client = BrokerClient(args.broker)
+    engine = _engine_from_args(args)
     points = sweep_grid(args.ebn0, scenarios=args.scenario,
                         modulations=args.mod, adc_bits=args.adc_bits)
-    spec = {
-        "points": [{"ebn0_db": point.ebn0_db, "scenario": point.scenario,
-                    "modulation": point.modulation,
-                    "adc_bits": point.adc_bits} for point in points],
+    client = BrokerClient(args.broker)
+    job = client.submit({
+        "points": [point.to_dict() for point in points],
         "num_packets": args.packets,
         "payload_bits_per_packet": args.payload_bits,
-        "chunk_packets": args.chunk_packets,
-        "seed": args.seed,
-        "generation": args.generation,
-        "backend": args.backend,
-        "quantize": not args.no_quantize,
+        "chunk_packets": engine.chunk_packets,
+        **engine.params(),
         "name": args.name,
-    }
-    job = client.submit(spec)
+    })
     print(f"job {job['job_id']}: {job['points_total']} point(s), "
           f"{job['chunks_total']} chunk(s) "
           f"({job['points_cached_at_submit']} point(s) already cached, "

@@ -26,6 +26,7 @@ already in the store are served from cache.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,12 +37,12 @@ from repro.obs.ledger import (LEDGER_NAME, SUMMARY_NAME, EventLedger,
 from repro.obs.recorder import activate
 from repro.sim.engine import SweepEngine, SweepPoint, SweepResult
 from repro.runs.store import (STORE_FORMATS, ResultStore,
-                              default_store_format, detect_store_format,
-                              measurement_key, plan_missing_chunks)
+                              detect_store_format, measurement_key,
+                              plan_missing_chunks)
 from repro.utils.io import atomic_write_text
 from repro.utils.validation import require_int
 
-__all__ = ["RunManifest", "RunReport", "RunDriver"]
+__all__ = ["RunManifest", "RunReport", "RunDriver", "grid_digest"]
 
 _MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
@@ -53,6 +54,21 @@ _ARTIFACTS_DIR = "artifacts"
 def _code_version() -> str:
     import repro
     return getattr(repro, "__version__", "unknown")
+
+
+def grid_digest(points, config_digest: str,
+                payload_bits_per_packet: int) -> str:
+    """Digest of a grid's identity: points, config digest, payload size.
+
+    What :meth:`RunManifest.grid_digest` returns, computable before a
+    manifest exists (``python -m repro sweep`` names runs with it).
+    """
+    payload = json.dumps({
+        "points": [point.to_dict() for point in points],
+        "config": config_digest,
+        "payload_bits_per_packet": payload_bits_per_packet,
+    }, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -68,6 +84,10 @@ class RunManifest:
     (manifests written before chunking load as ``None`` and old
     point-level cache entries stay readable).
 
+    ``engine_params`` is the engine's :meth:`repro.sim.SweepEngine.params`
+    dict (seed, generation, backend, quantize), stored as top-level keys
+    of ``manifest.json``.
+
     ``store_format`` records which result-store backend the run's cache
     directory uses (``"jsonl"``, the historical default, or
     ``"sqlite"`` — see :mod:`repro.runs.warehouse`); every store access
@@ -78,10 +98,7 @@ class RunManifest:
     """
 
     name: str
-    seed: int
-    generation: str
-    backend: str
-    quantize: bool
+    engine_params: dict
     custom_config: bool
     config_digest: str
     num_packets: int
@@ -104,11 +121,6 @@ class RunManifest:
             require_int(self.chunk_packets, "chunk_packets", minimum=1)
         require_int(self.payload_bits_per_packet,
                     "payload_bits_per_packet", minimum=1)
-        if self.backend not in ("batch", "packet", "fullstack"):
-            raise ValueError(
-                f"run manifest names unknown backend {self.backend!r}; "
-                "this repository knows 'batch', 'packet' and 'fullstack' "
-                "(a manifest from a newer code version?)")
         if not self.points:
             raise ValueError("a run needs at least one grid point")
 
@@ -123,13 +135,8 @@ class RunManifest:
         point up when the budget is raised), mirroring
         :func:`repro.runs.store.measurement_key`.
         """
-        import hashlib
-        payload = json.dumps({
-            "points": [point.to_dict() for point in self.points],
-            "config": self.config_digest,
-            "payload_bits_per_packet": self.payload_bits_per_packet,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return grid_digest(self.points, self.config_digest,
+                           self.payload_bits_per_packet)
 
     # -- sharding -------------------------------------------------------
     def points_for_shard(self, shard_index: int) -> tuple[SweepPoint, ...]:
@@ -155,10 +162,7 @@ class RunManifest:
         return {
             "manifest_version": _MANIFEST_VERSION,
             "name": self.name,
-            "seed": self.seed,
-            "generation": self.generation,
-            "backend": self.backend,
-            "quantize": self.quantize,
+            **self.engine_params,
             "custom_config": self.custom_config,
             "config_digest": self.config_digest,
             "grid_digest": self.grid_digest(),
@@ -173,17 +177,19 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        """Parse a manifest mapping, verifying version and grid digest."""
+        """Parse a manifest mapping, verifying version and grid digest.
+
+        The engine fields go through :meth:`repro.sim.SweepEngine
+        .from_params`, so a manifest naming an unknown backend (one from
+        a newer code version, say) is rejected here.
+        """
         if data.get("manifest_version") != _MANIFEST_VERSION:
             raise ValueError("unsupported manifest version "
                              f"{data.get('manifest_version')!r}")
         try:
             manifest = cls(
                 name=str(data["name"]),
-                seed=int(data["seed"]),
-                generation=str(data["generation"]),
-                backend=str(data["backend"]),
-                quantize=bool(data["quantize"]),
+                engine_params=SweepEngine.from_params(data).params(),
                 custom_config=bool(data["custom_config"]),
                 config_digest=str(data["config_digest"]),
                 num_packets=int(data["num_packets"]),
@@ -306,24 +312,26 @@ class RunDriver:
 
         ``store_format`` picks the result-store backend for a *new* run
         (``None`` defers to whatever the store directory already holds,
-        then to ``REPRO_STORE_FORMAT``, then ``"jsonl"``).  An existing
-        run keeps its recorded format; explicitly requesting a different
-        one raises and points at ``python -m repro store migrate``.
+        then ``"jsonl"``).  An existing run keeps its recorded format;
+        explicitly requesting a different one raises and points at
+        ``python -m repro store migrate``.
+
+        The grid is checked with
+        :meth:`repro.sim.SweepEngine.validate_points` before anything is
+        written, so a grid the engine cannot run leaves no directory.
         """
         from dataclasses import replace
 
         run_dir = Path(run_dir)
         points = tuple(points)
+        engine.validate_points(points)
         resolved_format = store_format
         if resolved_format is None:
             resolved_format = detect_store_format(run_dir / _STORE_DIR) \
-                or default_store_format()
+                or "jsonl"
         manifest = RunManifest(
             name=name if name is not None else run_dir.name,
-            seed=engine.seed,
-            generation=engine.generation,
-            backend=engine.backend,
-            quantize=engine.quantize,
+            engine_params=engine.params(),
             custom_config=engine.config is not None,
             config_digest=engine.config_digest(),
             num_packets=num_packets,
@@ -386,11 +394,8 @@ class RunDriver:
                 raise ValueError(
                     "this run was created with a custom base config; pass "
                     "the same engine to RunDriver.open()")
-            engine = SweepEngine(generation=manifest.generation,
-                                 seed=manifest.seed,
-                                 backend=manifest.backend,
-                                 quantize=manifest.quantize,
-                                 chunk_packets=manifest.chunk_packets)
+            engine = SweepEngine.from_params(
+                manifest.engine_params, chunk_packets=manifest.chunk_packets)
         return cls(run_dir, manifest, engine)
 
     # ------------------------------------------------------------------

@@ -29,9 +29,8 @@ Two persistence backends implement the same store contract
     ingest and indexed point metadata powering cross-run queries,
     compaction/GC and the ``python -m repro query`` command.
 
-:meth:`ResultStore.open` selects a backend explicitly, from the
-``REPRO_STORE_FORMAT`` environment variable, or by sniffing what a
-directory already holds; reads are bit-identical across backends and
+:meth:`ResultStore.open` selects a backend explicitly or by sniffing
+what a directory already holds (a new store is JSONL); reads are bit-identical across backends and
 :func:`repro.runs.warehouse.migrate_store` converts between them.
 
 Loading tolerates corrupt or truncated records (it skips them with a
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +58,6 @@ __all__ = [
     "ResultStore",
     "STORE_FORMATS",
     "StoredChunk",
-    "default_store_format",
     "detect_store_format",
     "measurement_key",
     "plan_missing_chunks",
@@ -71,27 +68,8 @@ _SCHEMA_VERSION = 1
 #: The store backends :meth:`ResultStore.open` can dispatch to.
 STORE_FORMATS = ("jsonl", "sqlite")
 
-#: Environment variable naming the default store format for new stores.
-STORE_FORMAT_ENV = "REPRO_STORE_FORMAT"
-
 #: File name of the SQLite warehouse inside a store directory.
 SQLITE_FILENAME = "warehouse.sqlite"
-
-
-def default_store_format() -> str:
-    """The store format new stores get without an explicit choice.
-
-    Reads ``REPRO_STORE_FORMAT`` (``"jsonl"`` or ``"sqlite"``); unset or
-    empty means ``"jsonl"``, anything else raises ``ValueError``.
-    """
-    value = os.environ.get(STORE_FORMAT_ENV, "").strip().lower()
-    if not value:
-        return "jsonl"
-    if value not in STORE_FORMATS:
-        raise ValueError(
-            f"{STORE_FORMAT_ENV}={value!r} names an unknown store format; "
-            f"known formats: {', '.join(STORE_FORMATS)}")
-    return value
 
 
 def detect_store_format(directory) -> str | None:
@@ -255,11 +233,10 @@ class ResultStore:
         ``"sqlite"`` argument wins; otherwise whatever format the
         directory already holds (:func:`detect_store_format`) — an
         existing store never silently switches backend; otherwise
-        :func:`default_store_format` (``REPRO_STORE_FORMAT``, default
-        ``"jsonl"``) decides for brand-new stores.
+        ``"jsonl"`` for brand-new stores.
         """
         if format is None:
-            format = detect_store_format(directory) or default_store_format()
+            format = detect_store_format(directory) or "jsonl"
         if format == "jsonl":
             return ResultStore(directory, writer_name=writer_name)
         if format == "sqlite":

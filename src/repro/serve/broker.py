@@ -49,6 +49,7 @@ from repro.runs.store import (ResultStore, measurement_key,
 from repro.serve.journal import JOURNAL_NAME, BrokerJournal
 from repro.serve.leases import LeaseTable, UnknownLeaseError
 from repro.sim.engine import SweepEngine, SweepPoint, SweepResult
+from repro.utils.validation import require_json_int
 
 __all__ = ["Broker", "BrokerDrainingError", "BrokerError", "ChunkTask",
            "CommitConflictError", "JobSpec", "UnknownJobError",
@@ -67,9 +68,6 @@ def result_from_curve_payload(payload: dict) -> SweepResult:
         result.entries.append((SweepPoint.from_dict(entry["point"]),
                                BERPoint.from_dict(entry["measurement"])))
     return result
-
-_GENERATIONS = ("gen1", "gen2")
-_BACKENDS = ("batch", "fullstack", "packet")
 
 
 class BrokerError(ValueError):
@@ -99,36 +97,34 @@ def _id_serial(identifier: str) -> int:
         return 0
 
 
-def _integer(data: dict, name: str, default=None) -> int:
-    """``data[name]`` (or ``default``) as an int: a JSON number without
-    a fractional part, never a bool (:class:`BrokerError` otherwise)."""
-    value = data.get(name, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise BrokerError(f"{name} must be an integer, not {value!r}")
+def _request_error(error: Exception) -> BrokerError:
+    """A parse or grid-check failure as a client-facing :class:`BrokerError`
+    (a ``KeyError``'s message without its quotes)."""
+    return BrokerError(str(error.args[0]) if error.args else str(error))
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One submitted grid: the points plus everything that shapes results.
+    """One submitted grid: the points, the engine and the packet budget.
 
     The JSON-able subset of a :class:`repro.sim.SweepEngine` + budget —
     deliberately mirroring the ``python -m repro sweep`` arguments, and
     deliberately *excluding* custom base configs (they do not round-trip
     through JSON; a grid needing one runs through the local driver).
+    The engine (``chunk_packets`` included) is parsed by
+    :meth:`repro.sim.SweepEngine.from_params`.
     """
 
     points: tuple[SweepPoint, ...]
+    engine: SweepEngine
     num_packets: int = 32
     payload_bits_per_packet: int = 64
-    chunk_packets: int | None = None
-    seed: int = 0
-    generation: str = "gen2"
-    backend: str = "batch"
-    quantize: bool = True
     name: str | None = None
+
+    @property
+    def chunk_packets(self) -> int | None:
+        """The job's chunk layout (``None``: one chunk per point)."""
+        return self.engine.chunk_packets
 
     @classmethod
     def from_dict(cls, data) -> "JobSpec":
@@ -140,50 +136,24 @@ class JobSpec:
         if not isinstance(points_data, list) or not points_data:
             raise BrokerError("job spec needs a non-empty 'points' list")
         try:
-            points = tuple(SweepPoint.from_dict(entry)
-                           for entry in points_data)
-        except ValueError as error:
-            raise BrokerError(str(error)) from None
-        quantize = data.get("quantize", True)
-        if not isinstance(quantize, bool):
-            raise BrokerError(f"quantize must be true or false, "
-                              f"not {quantize!r}")
-        # Older clients and journals carry the removed array-backend
-        # field; only the NumPy value it always resolved to is accepted.
-        if data.get("array_backend") not in (None, "numpy"):
-            raise BrokerError(f"array_backend must be null or 'numpy', "
-                              f"not {data['array_backend']!r}")
-        try:
-            spec = cls(
-                points=points,
-                num_packets=_integer(data, "num_packets", 32),
-                payload_bits_per_packet=_integer(
-                    data, "payload_bits_per_packet", 64),
-                chunk_packets=(None if data.get("chunk_packets") is None
-                               else _integer(data, "chunk_packets")),
-                seed=_integer(data, "seed", 0),
-                generation=str(data.get("generation", "gen2")),
-                backend=str(data.get("backend", "batch")),
-                quantize=quantize,
+            chunk_packets = data.get("chunk_packets")
+            return cls(
+                points=tuple(SweepPoint.from_dict(entry)
+                             for entry in points_data),
+                engine=SweepEngine.from_params(
+                    data, chunk_packets=(
+                        None if chunk_packets is None
+                        else require_json_int(chunk_packets,
+                                              "chunk_packets"))),
+                num_packets=require_json_int(data.get("num_packets", 32),
+                                             "num_packets", minimum=1),
+                payload_bits_per_packet=require_json_int(
+                    data.get("payload_bits_per_packet", 64),
+                    "payload_bits_per_packet", minimum=1),
                 name=(None if data.get("name") is None
                       else str(data["name"])))
         except (TypeError, ValueError) as error:
-            raise BrokerError(f"malformed job spec: {error}") from None
-        if spec.num_packets < 1:
-            raise BrokerError("num_packets must be >= 1")
-        if spec.payload_bits_per_packet < 1:
-            raise BrokerError("payload_bits_per_packet must be >= 1")
-        if spec.chunk_packets is not None and spec.chunk_packets < 1:
-            raise BrokerError("chunk_packets must be >= 1 (or null)")
-        if spec.seed < 0:
-            raise BrokerError("seed must be >= 0")
-        if spec.generation not in _GENERATIONS:
-            raise BrokerError(f"unknown generation {spec.generation!r}; "
-                              f"known: {', '.join(_GENERATIONS)}")
-        if spec.backend not in _BACKENDS:
-            raise BrokerError(f"unknown backend {spec.backend!r}; "
-                              f"known: {', '.join(_BACKENDS)}")
-        return spec
+            raise _request_error(error) from None
 
     def to_dict(self) -> dict:
         """The submission payload this spec round-trips through."""
@@ -191,22 +161,12 @@ class JobSpec:
                 "num_packets": self.num_packets,
                 "payload_bits_per_packet": self.payload_bits_per_packet,
                 "chunk_packets": self.chunk_packets,
-                "seed": self.seed,
-                "generation": self.generation,
-                "backend": self.backend,
-                "quantize": self.quantize,
+                **self.engine.params(),
                 "name": self.name}
-
-    def engine_params(self) -> dict:
-        """The engine-shaping fields a worker needs to replay a chunk."""
-        return {"seed": self.seed, "generation": self.generation,
-                "backend": self.backend, "quantize": self.quantize}
 
     def build_engine(self) -> SweepEngine:
         """The engine this spec describes (default base config)."""
-        return SweepEngine(generation=self.generation, seed=self.seed,
-                           backend=self.backend, quantize=self.quantize,
-                           chunk_packets=self.chunk_packets)
+        return self.engine
 
 
 @dataclass
@@ -264,7 +224,7 @@ class Broker:
         via :meth:`repro.runs.ResultStore.open` — JSONL or SQLite).
     store_format:
         Explicit store backend for a fresh directory (``None``: detect,
-        then ``REPRO_STORE_FORMAT``, then JSONL).
+        then JSONL).
     lease_timeout_s:
         Seconds a chunk lease survives without a heartbeat.
     max_attempts:
@@ -365,9 +325,9 @@ class Broker:
                     "broker is draining for shutdown; submit to a "
                     "restarted broker (queued state is journaled)")
             self._reap()
-            self._job_counter += 1
-            job_id = f"job-{self._job_counter:04d}"
+            job_id = f"job-{self._job_counter + 1:04d}"
             job = self._plan_job(spec, job_id)
+            self._job_counter += 1
             self._journal_record("job", job_id=job_id, spec=spec.to_dict())
             self.recorder.counter("serve.jobs_submitted")
             self._changed.notify_all()
@@ -378,10 +338,15 @@ class Broker:
         lock).  Shared verbatim by :meth:`submit` and journal replay —
         replaying a ``job`` record against the *current* store coverage
         is exactly what drops already-committed chunks from a rebuilt
-        queue."""
+        queue.  A grid the engine cannot run raises :class:`BrokerError`
+        before any task is created."""
         engine = spec.build_engine()
-        engine._validate_modulations(spec.points)
+        try:
+            engine.validate_points(spec.points)
+        except (KeyError, TypeError, ValueError) as error:
+            raise _request_error(error) from None
         config_digest = engine.config_digest()
+        engine_params = engine.params()
         keys = []
         task_ids: list[str] = []
         points_cached = 0
@@ -407,7 +372,7 @@ class Broker:
                         packet_offset=int(offset),
                         num_packets=int(packets),
                         payload_bits_per_packet=spec.payload_bits_per_packet,
-                        engine_params=spec.engine_params())
+                        engine_params=engine_params)
                     self._tasks[task_id] = task
                     self._queue.append(task_id)
                 task.job_ids.add(job_id)

@@ -483,15 +483,10 @@ class Worker:
         self._stop.set()
 
     def _engine_for(self, params: dict) -> SweepEngine:
-        key = (params["seed"], params["generation"], params["backend"],
-               params["quantize"])
+        key = tuple(params.items())
         engine = self._engines.get(key)
         if engine is None:
-            engine = SweepEngine(seed=int(params["seed"]),
-                                 generation=str(params["generation"]),
-                                 backend=str(params["backend"]),
-                                 quantize=bool(params["quantize"]))
-            self._engines[key] = engine
+            engine = self._engines[key] = SweepEngine.from_params(params)
         return engine
 
     def simulate(self, task: dict) -> BERPoint:

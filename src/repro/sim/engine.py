@@ -54,17 +54,21 @@ import numpy as np
 from repro.core.config import Gen1Config, Gen2Config
 from repro.core.metrics import BERCurve, BERPoint
 from repro.obs.recorder import NULL_RECORDER, Recorder, activate
+from repro.pulses.modulation import make_modulator
 from repro.sim.batch import BatchedLinkModel
 from repro.sim.scenarios import SCENARIOS, Scenario, ScenarioRegistry
 from repro.sim.shm import SLOT_OK, ChunkResultBlock, ChunkTaskBlock
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_json_int
 
 _logger = logging.getLogger(__name__)
 
 __all__ = ["SweepPoint", "SweepResult", "SweepEngine", "sweep_grid",
-           "chunk_spans"]
+           "chunk_spans", "GENERATIONS", "BACKENDS"]
 
-_BACKENDS = ("batch", "packet", "fullstack")
+#: Transceiver generations an engine can simulate.
+GENERATIONS = ("gen1", "gen2")
+#: Simulation backends (see :class:`SweepEngine`).
+BACKENDS = ("batch", "packet", "fullstack")
 # 2: the gen-1 front half (pulse synthesis, real-waveform channel conv,
 # AGC, interleaved-flash ADC) went batched — decisions are pinned to the
 # packet oracle, but the batch FFT widths shift float intermediates at
@@ -107,8 +111,10 @@ class SweepPoint:
         """Parse :meth:`to_dict` output (the one point codec).
 
         ``scenario``/``modulation`` default to ``"awgn"``/``"bpsk"``;
-        anything malformed, a NaN or infinite ``ebn0_db`` included,
-        raises ``ValueError``.
+        anything malformed, a NaN or infinite ``ebn0_db`` or a bool or
+        fractional ``adc_bits`` included, raises ``ValueError``.  Whether
+        the point is runnable is :meth:`SweepEngine.validate_points`'s
+        call.
         """
         if not isinstance(data, dict):
             raise ValueError("each grid point must be an object with "
@@ -122,7 +128,8 @@ class SweepPoint:
             return cls(ebn0_db=ebn0_db,
                        scenario=str(data.get("scenario", "awgn")),
                        modulation=str(data.get("modulation", "bpsk")),
-                       adc_bits=None if adc_bits is None else int(adc_bits))
+                       adc_bits=(None if adc_bits is None
+                                 else require_json_int(adc_bits, "adc_bits")))
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"malformed grid point {data!r}: {error}") \
                 from None
@@ -299,9 +306,6 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
         errors = np.asarray(result.errors_per_packet, dtype=np.int64)
         return result.to_ber_point(), errors
 
-    if point.modulation != "bpsk":
-        raise ValueError(_FULL_STACK_BPSK_MESSAGE.format(
-            backend=task.backend, modulations=point.modulation))
     from repro.core.transceiver import Gen1Transceiver, Gen2Transceiver
     hardware_rng = np.random.default_rng(hardware_seed)
     transceiver_cls = (Gen1Transceiver if isinstance(config, Gen1Config)
@@ -572,8 +576,8 @@ class SweepEngine:
         ``fast_test_config``.  Per-point ``adc_bits`` overrides are applied
         on top of it.
     generation:
-        ``"gen1"`` or ``"gen2"``; scenarios with a pinned generation
-        override this.
+        One of :data:`GENERATIONS` (``"gen1"`` or ``"gen2"``); scenarios
+        with a pinned generation override this.
     registry:
         Scenario registry to resolve names against (default: the shared
         :data:`repro.sim.scenarios.SCENARIOS`).
@@ -582,7 +586,8 @@ class SweepEngine:
         independent child stream, so equal seeds give identical results
         whatever the execution order.
     backend:
-        ``"batch"`` (vectorized genie-timed kernel), ``"fullstack"``
+        One of :data:`BACKENDS`: ``"batch"`` (vectorized genie-timed
+        kernel), ``"fullstack"``
         (batched full receiver chain — acquisition, channel estimation,
         RAKE, Viterbi — bit-decision-identical to the packet loop at a
         fraction of its cost; see :mod:`repro.sim.batch_rx`), or
@@ -590,7 +595,8 @@ class SweepEngine:
         ``simulate_packet`` call per packet).  The full-stack backends are
         BPSK-only and reject other modulations when the grid is submitted.
     quantize:
-        Batch backend only: model AGC + ADC quantization (default on).
+        Batch backend only: model AGC + ADC quantization (a bool, default
+        on).
     max_workers:
         When set (> 1), chunk tasks are distributed over that many worker
         processes (overridable per call via :meth:`run`).
@@ -624,11 +630,15 @@ class SweepEngine:
                  max_workers: int | None = None,
                  chunk_packets: int | None = None,
                  recorder=None) -> None:
-        if generation not in ("gen1", "gen2"):
-            raise ValueError("generation must be 'gen1' or 'gen2'")
-        if backend not in _BACKENDS:
-            raise ValueError("backend must be one of "
-                             + ", ".join(repr(name) for name in _BACKENDS))
+        if generation not in GENERATIONS:
+            raise ValueError(f"unknown generation {generation!r}; known: "
+                             + ", ".join(GENERATIONS))
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; known: "
+                             + ", ".join(BACKENDS))
+        if not isinstance(quantize, bool):
+            raise TypeError(f"quantize must be true or false, "
+                            f"not {quantize!r}")
         if max_workers is not None:
             require_int(max_workers, "max_workers", minimum=1)
         if chunk_packets is not None:
@@ -638,7 +648,7 @@ class SweepEngine:
         self.registry = registry if registry is not None else SCENARIOS
         self.seed = require_int(seed, "seed", minimum=0)
         self.backend = backend
-        self.quantize = bool(quantize)
+        self.quantize = quantize
         self.max_workers = max_workers
         self.chunk_packets = chunk_packets
         # Never part of config_digest(): telemetry is observability, not
@@ -646,8 +656,44 @@ class SweepEngine:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
 
     # ------------------------------------------------------------------
-    # Identity hooks (used by the repro.runs result store)
+    # Identity: the JSON codec and the digests (repro.runs, repro.serve)
     # ------------------------------------------------------------------
+    def params(self) -> dict:
+        """The engine's identity as a plain-JSON dict.
+
+        Seed, generation, backend and quantize: what run manifests, job
+        specs and chunk leases carry.  The base config, chunk layout,
+        worker count and recorder are not part of it; :meth:`from_params`
+        is the inverse.
+        """
+        return {"seed": self.seed, "generation": self.generation,
+                "backend": self.backend, "quantize": self.quantize}
+
+    @classmethod
+    def from_params(cls, data, **kwargs) -> "SweepEngine":
+        """Build an engine from a parsed :meth:`params` dict.
+
+        The one parse of an engine description.  Missing keys take the
+        constructor defaults and other keys are ignored, so a whole job
+        spec or manifest can be passed.  A seed may be a whole-valued
+        float (``7.0``); anything the constructor rejects raises
+        ``TypeError``/``ValueError`` naming the field.  ``kwargs``
+        (``chunk_packets``, ``recorder``, ...) go to the constructor
+        unchanged.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("engine parameters must be a JSON object")
+        # Older clients, journals and manifests carry the removed
+        # array-backend field; only the NumPy value it always resolved to
+        # is accepted.
+        if data.get("array_backend") not in (None, "numpy"):
+            raise ValueError(f"array_backend must be null or 'numpy', "
+                             f"not {data['array_backend']!r}")
+        return cls(seed=require_json_int(data.get("seed", 0), "seed"),
+                   generation=data.get("generation", "gen2"),
+                   backend=data.get("backend", "batch"),
+                   quantize=data.get("quantize", True), **kwargs)
+
     @staticmethod
     def point_digest(point: SweepPoint) -> str:
         """A stable hex digest of a grid point's content.
@@ -696,22 +742,35 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # Grid execution
     # ------------------------------------------------------------------
-    def _validate_modulations(self, points) -> None:
-        """Fail fast when a full-stack backend meets a non-BPSK grid.
+    def validate_points(self, points) -> None:
+        """Check that this engine can run every grid point.
 
-        The packet and fullstack backends drive the real transceiver,
-        which is BPSK-only; raising here — when the grid is submitted,
-        before any point is simulated — replaces the historical failure
-        deep inside ``measure_point`` after a possibly long partial sweep.
+        The one grid check.  Raises ``KeyError`` for a scenario missing
+        from the registry, ``ValueError`` for an unknown modulation, a
+        non-BPSK point on the BPSK-only ``packet``/``fullstack`` backends
+        or ``adc_bits < 1``, and ``TypeError`` for a bool or non-integral
+        ``adc_bits``.  Every entry point — :meth:`run`,
+        :meth:`measure_points`, :meth:`repro.runs.RunDriver.create` and
+        the broker's submit — calls it before anything is simulated or
+        written.
         """
-        if self.backend == "batch":
-            return
-        unsupported = sorted({point.modulation for point in points
-                              if point.modulation != "bpsk"})
-        if unsupported:
+        points = tuple(points)
+        for scenario in {point.scenario for point in points}:
+            self.registry.get(scenario)
+        modulations = {point.modulation for point in points}
+        for modulation in modulations:
+            try:
+                make_modulator(modulation)
+            except ValueError as error:
+                raise ValueError(f"grid modulation {modulation!r} is not "
+                                 f"runnable: {error}") from None
+        unsupported = sorted(modulations - {"bpsk"})
+        if self.backend != "batch" and unsupported:
             raise ValueError(_FULL_STACK_BPSK_MESSAGE.format(
-                backend=self.backend,
-                modulations=", ".join(unsupported)))
+                backend=self.backend, modulations=", ".join(unsupported)))
+        for point in points:
+            if point.adc_bits is not None:
+                require_int(point.adc_bits, "adc_bits", minimum=1)
 
     def _task_for(self, point: SweepPoint, num_packets: int,
                   payload_bits_per_packet: int,
@@ -744,7 +803,7 @@ class SweepEngine:
         require_int(payload_bits_per_packet, "payload_bits_per_packet",
                     minimum=1)
         require_int(packet_offset, "packet_offset", minimum=0)
-        self._validate_modulations((point,))
+        self.validate_points((point,))
         return _run_point_record(self._task_for(point, num_packets,
                                                 payload_bits_per_packet,
                                                 packet_offset))[0]
@@ -883,7 +942,7 @@ class SweepEngine:
             # Validate before coercing, exactly as measure_point would.
             require_int(num_packets, "num_packets", minimum=1)
             require_int(packet_offset, "packet_offset", minimum=0)
-        self._validate_modulations([point for point, _, _ in jobs])
+        self.validate_points(point for point, _, _ in jobs)
         recorder = self.recorder
         with activate(recorder):
             with recorder.span("engine.chunk_plan", jobs=len(jobs)):
@@ -943,7 +1002,7 @@ class SweepEngine:
         require_int(num_packets, "num_packets", minimum=1)
         require_int(payload_bits_per_packet, "payload_bits_per_packet",
                     minimum=1)
-        self._validate_modulations(points)
+        self.validate_points(points)
         effective_workers = (self.max_workers if max_workers is None
                              else max_workers)
         if effective_workers is not None:

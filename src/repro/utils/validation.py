@@ -15,6 +15,7 @@ __all__ = [
     "require_in_range",
     "require_probability",
     "require_int",
+    "require_json_int",
     "as_1d_array",
     "require_same_length",
 ]
@@ -61,6 +62,14 @@ def require_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def require_json_int(value, name: str, minimum: int | None = None) -> int:
+    """:func:`require_int` for a parsed JSON number: a float without a
+    fractional part (``4.0``) counts as that integer, a bool never does."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return require_int(value, name, minimum)
 
 
 def as_1d_array(x, name: str, dtype=None) -> np.ndarray:

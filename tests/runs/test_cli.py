@@ -155,11 +155,22 @@ class TestErrors:
         assert code == 2
         assert "no run manifest" in capsys.readouterr().err
 
-    def test_negative_seed_fails_before_writing_a_run(self, tmp_path, capsys):
-        code, _ = run_cli(*SWEEP_ARGS, "--out", str(tmp_path),
-                          "--seed", "-1")
+    @pytest.mark.parametrize("extra, message", [
+        (("--seed", "-1"), "seed"),
+        (("--workers", "0"), "--workers"),
+        (("--scenario", "nope"), "unknown scenario 'nope'"),
+        (("--mod", "qam9"), "qam9"),
+        (("--mod", "ook", "--backend", "fullstack"), "BPSK-only"),
+        (("--adc-bits", "0"), "adc_bits"),
+        (("--generation", "gen9"), "generation"),
+        (("--backend", "quantum"), "backend"),
+    ], ids=["seed", "workers", "scenario", "modulation", "ook-fullstack",
+            "adc-bits", "generation", "backend"])
+    def test_unrunnable_sweep_fails_before_writing_a_run(
+            self, tmp_path, capsys, extra, message):
+        code, _ = run_cli(*SWEEP_ARGS, "--out", str(tmp_path), *extra)
         assert code == 2
-        assert "seed" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -238,7 +238,8 @@ class TestManifest:
     def test_manifest_of_another_array_backend_is_refused(self, tmp_path,
                                                           grid, engine):
         # A non-NumPy array backend entered the engine's config digest;
-        # such a run no longer matches any engine.
+        # such a run matches no engine, and the engine parse
+        # (SweepEngine.from_params) refuses it before any digest check.
         driver = RunDriver.create(tmp_path / "run", engine, grid,
                                   **GRID_KWARGS)
         payload = {"seed": 5, "generation": "gen2", "backend": "batch",
@@ -252,7 +253,8 @@ class TestManifest:
         data.update(array_backend="mirror", config_digest=digest,
                     grid_digest=manifest.grid_digest())
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError,
+                           match="array_backend must be null or 'numpy'"):
             RunDriver.open(tmp_path / "run")
 
     def test_corrupted_store_entry_triggers_resimulation(self, tmp_path,

@@ -146,6 +146,19 @@ class TestErrorMapping:
         assert error.status == 400
         assert field in str(error)
 
+    @pytest.mark.parametrize("field, value", [
+        ("adc_bits", 2.7),
+        ("adc_bits", True),
+        ("adc_bits", 0),
+        ("scenario", "nope"),
+        ("modulation", "qam9"),
+    ])
+    def test_bad_grid_point_field_is_400(self, client, field, value):
+        spec = {**SPEC, "points": [{"ebn0_db": 4.0, field: value}]}
+        error = self._status_of(lambda: client.submit(spec))
+        assert error.status == 400
+        assert field in str(error)
+
     def test_nan_operating_point_is_400(self, client):
         # json.loads parses NaN; the point must not run as a noiseless link.
         spec = {**SPEC, "points": [{"ebn0_db": float("nan")}]}

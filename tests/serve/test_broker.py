@@ -91,6 +91,24 @@ class TestPlanning:
             broker.submit({**SPEC, "backend": "quantum"})
         with pytest.raises(BrokerError, match="seed"):
             broker.submit({**SPEC, "seed": -1})
+        # A truncated or bool adc_bits would measure and cache a point
+        # nobody asked for.
+        for adc_bits in (2.7, True):
+            with pytest.raises(BrokerError, match="adc_bits"):
+                broker.submit({**SPEC, "points": [
+                    {"ebn0_db": 4.0, "adc_bits": adc_bits}]})
+        with pytest.raises(BrokerError, match="adc_bits"):
+            broker.submit({**SPEC, "points": [
+                {"ebn0_db": 4.0, "adc_bits": 0}]})
+        with pytest.raises(BrokerError, match="unknown scenario 'nope'"):
+            broker.submit({**SPEC, "points": [
+                {"ebn0_db": 4.0, "scenario": "nope"}]})
+        assert broker.job_ids() == ()
+        # Whole-valued floats are integers, as for the spec's counts.
+        broker.submit({**SPEC, "points": [
+            {"ebn0_db": 4.0, "adc_bits": 4.0}]})
+        assert broker.lease(broker.register_worker("w")["worker_id"])[
+            "task"]["point"]["adc_bits"] == 4
 
     def test_overlapping_jobs_share_tasks(self, broker):
         first = broker.submit(SPEC)
