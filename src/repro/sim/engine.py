@@ -681,8 +681,6 @@ class SweepEngine:
         (``chunk_packets``, ``recorder``, ...) go to the constructor
         unchanged.
         """
-        if not isinstance(data, dict):
-            raise ValueError("engine parameters must be a JSON object")
         # Older clients, journals and manifests carry the removed
         # array-backend field; only the NumPy value it always resolved to
         # is accepted.
