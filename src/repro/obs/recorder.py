@@ -3,7 +3,7 @@
 A :class:`Recorder` accumulates a flat list of *events* — timed spans
 (``with recorder.span("chunk.run", ...)``), monotonic counters
 (``recorder.counter("store.chunks_added")``) and point-in-time gauges
-(``recorder.gauge("shm.task_block_bytes", n)``) — as plain JSON-safe
+(``recorder.gauge("shm.result_block_bytes", n)``) — as plain JSON-safe
 dictionaries, cheap enough to thread through the hot orchestration paths
 of :class:`repro.sim.SweepEngine` and :class:`repro.runs.RunDriver`.
 

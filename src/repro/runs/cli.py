@@ -570,9 +570,10 @@ def _command_sweep(args, out) -> int:
 
 def _command_resume(args, out) -> int:
     driver = RunDriver.open(args.run)
-    if args.telemetry:
+    if args.telemetry and driver.engine is not None:
         # The engine is rebuilt from the manifest, so attach the recorder
-        # after the fact (it is excluded from the config digest).
+        # after the fact (it is excluded from the config digest).  A
+        # custom-config run has no engine; run_shard refuses it below.
         driver.engine.recorder = Recorder()
     pending = driver.pending_shards()
     if not pending:
@@ -615,14 +616,14 @@ def _command_show(args, out) -> int:
     store = driver.open_store()
     measured = sum(
         1 for point in manifest.points
-        if store.lookup(driver._key_for(point), manifest.num_packets)
+        if store.lookup(manifest.key_for(point), manifest.num_packets)
         is not None)
     print(f"run       : {manifest.name}", file=out)
     print(f"grid      : {len(manifest.points)} point(s), digest "
           f"{manifest.grid_digest()[:12]}", file=out)
-    engine = driver.engine
-    print(f"engine    : {engine.generation}/{engine.backend} seed "
-          f"{engine.seed} quantize={engine.quantize}", file=out)
+    engine = manifest.engine_params
+    print(f"engine    : {engine['generation']}/{engine['backend']} seed "
+          f"{engine['seed']} quantize={engine['quantize']}", file=out)
     print(f"budget    : {manifest.num_packets} packets/point x "
           f"{manifest.payload_bits_per_packet} payload bits", file=out)
     if manifest.chunk_packets is not None:
@@ -694,10 +695,8 @@ def _command_store(args, out) -> int:
         protected = []
         if run_dir is not None:
             manifest = RunManifest.load(run_dir)
-            if not manifest.custom_config:
-                driver = RunDriver.open(run_dir)
-                protected = [driver._key_for(point)
-                             for point in manifest.points]
+            protected = [manifest.key_for(point)
+                         for point in manifest.points]
         report = gc_store(store, keep_runs=args.keep_runs,
                           compact=not args.no_compact,
                           drop_stranded=args.drop_stranded,
@@ -837,20 +836,17 @@ def _command_worker(args, out) -> int:
 
 
 def _command_submit(args, out) -> int:
-    from repro.serve.broker import result_from_curve_payload
+    from repro.serve.broker import JobSpec, result_from_curve_payload
     from repro.serve.worker import BrokerClient
-    engine = _engine_from_args(args)
-    points = sweep_grid(args.ebn0, scenarios=args.scenario,
-                        modulations=args.mod, adc_bits=args.adc_bits)
+    spec = JobSpec(points=sweep_grid(args.ebn0, scenarios=args.scenario,
+                                     modulations=args.mod,
+                                     adc_bits=args.adc_bits),
+                   engine=_engine_from_args(args),
+                   num_packets=args.packets,
+                   payload_bits_per_packet=args.payload_bits,
+                   name=args.name)
     client = BrokerClient(args.broker)
-    job = client.submit({
-        "points": [point.to_dict() for point in points],
-        "num_packets": args.packets,
-        "payload_bits_per_packet": args.payload_bits,
-        "chunk_packets": engine.chunk_packets,
-        **engine.params(),
-        "name": args.name,
-    })
+    job = client.submit(spec.to_dict())
     print(f"job {job['job_id']}: {job['points_total']} point(s), "
           f"{job['chunks_total']} chunk(s) "
           f"({job['points_cached_at_submit']} point(s) already cached, "

@@ -40,7 +40,7 @@ from repro.runs.store import (STORE_FORMATS, ResultStore,
                               detect_store_format, measurement_key,
                               plan_missing_chunks)
 from repro.utils.io import atomic_write_text
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_json_int
 
 __all__ = ["RunManifest", "RunReport", "RunDriver", "grid_digest"]
 
@@ -138,6 +138,16 @@ class RunManifest:
         return grid_digest(self.points, self.config_digest,
                            self.payload_bits_per_packet)
 
+    def key_for(self, point: SweepPoint) -> str:
+        """The result-store key of ``point``'s measurements in this run.
+
+        Derived from the manifest alone (no engine needed), so runs with
+        a custom base config are as readable as any other.
+        """
+        return measurement_key(SweepEngine.point_digest(point),
+                               self.config_digest,
+                               self.payload_bits_per_packet)
+
     # -- sharding -------------------------------------------------------
     def points_for_shard(self, shard_index: int) -> tuple[SweepPoint, ...]:
         """Shard ``i`` of ``k`` owns manifest points ``i, i+k, i+2k, ...``.
@@ -181,7 +191,9 @@ class RunManifest:
 
         The engine fields go through :meth:`repro.sim.SweepEngine
         .from_params`, so a manifest naming an unknown backend (one from
-        a newer code version, say) is rejected here.
+        a newer code version, say) is rejected here.  The counts must be
+        JSON integers (``4.0`` counts as 4; ``3.7`` and ``true`` are
+        rejected).
         """
         if data.get("manifest_version") != _MANIFEST_VERSION:
             raise ValueError("unsupported manifest version "
@@ -192,12 +204,17 @@ class RunManifest:
                 engine_params=SweepEngine.from_params(data).params(),
                 custom_config=bool(data["custom_config"]),
                 config_digest=str(data["config_digest"]),
-                num_packets=int(data["num_packets"]),
-                payload_bits_per_packet=int(data["payload_bits_per_packet"]),
-                num_shards=int(data["num_shards"]),
+                num_packets=require_json_int(data["num_packets"],
+                                             "num_packets"),
+                payload_bits_per_packet=require_json_int(
+                    data["payload_bits_per_packet"],
+                    "payload_bits_per_packet"),
+                num_shards=require_json_int(data["num_shards"],
+                                            "num_shards"),
                 code_version=str(data["code_version"]),
                 chunk_packets=(None if data.get("chunk_packets") is None
-                               else int(data["chunk_packets"])),
+                               else require_json_int(data["chunk_packets"],
+                                                     "chunk_packets")),
                 store_format=str(data.get("store_format", "jsonl")),
                 points=tuple(SweepPoint.from_dict(point)
                              for point in data["points"]))
@@ -277,15 +294,19 @@ class RunDriver:
 
     Build one with :meth:`create` (new run directory) or :meth:`open`
     (existing directory, e.g. to resume after a crash or to execute a
-    different shard of the same run on another machine).
+    different shard of the same run on another machine).  ``engine`` is
+    ``None`` for a run opened without one that was created with a custom
+    base config: such a driver reads, merges and reports, but
+    :meth:`run_shard` refuses to simulate.
     """
 
     def __init__(self, run_dir, manifest: RunManifest,
-                 engine: SweepEngine) -> None:
+                 engine: SweepEngine | None) -> None:
         self.run_dir = Path(run_dir)
         self.manifest = manifest
         self.engine = engine
-        if engine.config_digest() != manifest.config_digest:
+        if engine is not None \
+                and engine.config_digest() != manifest.config_digest:
             raise ValueError(
                 "engine configuration does not match the run manifest "
                 "(different seed, generation, backend, quantize or base "
@@ -385,15 +406,13 @@ class RunDriver:
         """Open an existing run, rebuilding the engine from the manifest.
 
         Runs created from an engine with a custom base config cannot
-        rebuild it from JSON; pass the same ``engine`` explicitly (it is
-        digest-checked against the manifest).
+        rebuild it from JSON.  Without an ``engine`` such a run opens
+        read-only (``self.engine`` is ``None``); to simulate, pass the
+        same ``engine`` explicitly (it is digest-checked against the
+        manifest).
         """
         manifest = RunManifest.load(run_dir)
-        if engine is None:
-            if manifest.custom_config:
-                raise ValueError(
-                    "this run was created with a custom base config; pass "
-                    "the same engine to RunDriver.open()")
+        if engine is None and not manifest.custom_config:
             engine = SweepEngine.from_params(
                 manifest.engine_params, chunk_packets=manifest.chunk_packets)
         return cls(run_dir, manifest, engine)
@@ -446,7 +465,7 @@ class RunDriver:
         entries = []
         keys = []
         for point in manifest.points:
-            key = self._key_for(point)
+            key = manifest.key_for(point)
             keys.append(key)
             entries.append((key, {
                 "scenario": point.scenario,
@@ -460,11 +479,6 @@ class RunDriver:
         store.describe_keys(entries)
         store.register_run(manifest.name, manifest.grid_digest(),
                            manifest.num_packets, keys)
-
-    def _key_for(self, point: SweepPoint) -> str:
-        return measurement_key(self.engine.point_digest(point),
-                               self.manifest.config_digest,
-                               self.manifest.payload_bits_per_packet)
 
     # ------------------------------------------------------------------
     # Execution
@@ -500,7 +514,14 @@ class RunDriver:
         ``driver.run_shard`` envelope span) is flushed — in a
         ``finally``, so a crashed shard still leaves its partial ledger
         — to ``events.jsonl`` + ``telemetry.json`` in the run directory.
+
+        Raises ``ValueError`` on a custom-config run opened without its
+        engine: there is nothing to simulate with.
         """
+        if self.engine is None:
+            raise ValueError(
+                "this run was created with a custom base config; pass "
+                "the same engine to RunDriver.open()")
         recorder = self.engine.recorder
         try:
             with activate(recorder), \
@@ -531,7 +552,7 @@ class RunDriver:
         key_by_point: dict[SweepPoint, str] = {}
         chunks_resumed = 0
         for index, point in enumerate(points):
-            key = self._key_for(point)
+            key = manifest.key_for(point)
             key_by_point[point] = key
             plan = plan_missing_chunks(store, key, requested,
                                        manifest.chunk_packets)
@@ -623,7 +644,7 @@ class RunDriver:
                 continue
             covered = sum(
                 1 for point in self.manifest.points_for_shard(index)
-                if store.lookup(self._key_for(point),
+                if store.lookup(self.manifest.key_for(point),
                                 self.manifest.num_packets) is not None)
             status[index] = "partial" if covered else "pending"
         return status
@@ -647,7 +668,7 @@ class RunDriver:
             chunks = 0
             packets = 0
             for point in points:
-                key = self._key_for(point)
+                key = self.manifest.key_for(point)
                 if store.lookup(key,
                                 self.manifest.num_packets) is not None:
                     measured += 1
@@ -695,7 +716,7 @@ class RunDriver:
         entries = []
         missing = []
         for point in self.manifest.points:
-            measurement = store.lookup(self._key_for(point),
+            measurement = store.lookup(self.manifest.key_for(point),
                                        self.manifest.num_packets)
             if measurement is None:
                 missing.append(point)

@@ -514,11 +514,10 @@ def migrate_run(run_dir, dry_run: bool = False,
     """Migrate a run directory's store and update its manifest.
 
     On top of :func:`migrate_store` over ``<run>/store``, this flips the
-    manifest's ``store_format`` to ``"sqlite"`` and — when the engine
-    can be rebuilt from the manifest — populates the warehouse's point
-    metadata and run registry so the migrated store is immediately
-    queryable and GC-able.  Runs created from a custom base config skip
-    the metadata step (noted in the report); their chunks migrate fine.
+    manifest's ``store_format`` to ``"sqlite"`` and populates the
+    warehouse's point metadata and run registry (both derived from the
+    manifest alone), so the migrated store is immediately queryable and
+    GC-able.
     """
     from dataclasses import replace
 
@@ -537,17 +536,13 @@ def migrate_run(run_dir, dry_run: bool = False,
     # backend the manifest names, and the registry lives in sqlite.
     replace(manifest, store_format="sqlite").save(run_dir)
     notes.append(f"manifest store_format set to sqlite in {run_dir}")
-    if manifest.custom_config:
-        notes.append("run uses a custom base config: point metadata and "
-                     "run registry not populated (queries need them)")
-    else:
-        driver = RunDriver.open(run_dir)
-        store = driver.open_store()
-        try:
-            driver.register_with_warehouse(store)
-        finally:
-            store.close()
-        notes.append("point metadata and run registry populated")
+    driver = RunDriver.open(run_dir)
+    store = driver.open_store()
+    try:
+        driver.register_with_warehouse(store)
+    finally:
+        store.close()
+    notes.append("point metadata and run registry populated")
     return replace(report, notes=tuple(notes))
 
 

@@ -49,7 +49,7 @@ from repro.runs.store import (ResultStore, measurement_key,
 from repro.serve.journal import JOURNAL_NAME, BrokerJournal
 from repro.serve.leases import LeaseTable, UnknownLeaseError
 from repro.sim.engine import SweepEngine, SweepPoint, SweepResult
-from repro.utils.validation import require_json_int
+from repro.utils.validation import require_int, require_json_int
 
 __all__ = ["Broker", "BrokerDrainingError", "BrokerError", "ChunkTask",
            "CommitConflictError", "JobSpec", "UnknownJobError",
@@ -253,17 +253,17 @@ class Broker:
                  lease_timeout_s: float = 30.0, max_attempts: int = 5,
                  clock=time.monotonic, recorder: Recorder | None = None,
                  state_dir=None):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        self.max_attempts = require_int(max_attempts, "max_attempts",
+                                        minimum=1)
+        # Before the store opens: a bad timeout leaves no directory.
+        self._leases = LeaseTable(timeout_s=lease_timeout_s, clock=clock)
         self.recorder = Recorder() if recorder is None else recorder
         self.store = ResultStore.open(store_dir, format=store_format,
                                       writer_name="serve.jsonl")
-        self.max_attempts = int(max_attempts)
         self._clock = clock
         self._started = clock()
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
-        self._leases = LeaseTable(timeout_s=lease_timeout_s, clock=clock)
         self._jobs: dict[str, _Job] = {}
         self._tasks: dict[str, ChunkTask] = {}
         self._queue: deque[str] = deque()

@@ -16,6 +16,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
+from repro.utils.validation import require_positive
+
 __all__ = ["Lease", "LeaseError", "LeaseExpiredError", "LeaseTable",
            "UnknownLeaseError"]
 
@@ -75,7 +77,8 @@ class LeaseTable:
     Parameters
     ----------
     timeout_s:
-        Seconds a lease stays valid without a renewal.  Workers should
+        Seconds a lease stays valid without a renewal (positive and
+        finite: a NaN deadline would never expire).  Workers should
         heartbeat at a small fraction of this.
     clock:
         Monotonic time source (default :func:`time.monotonic`); tests
@@ -83,9 +86,7 @@ class LeaseTable:
     """
 
     def __init__(self, timeout_s: float = 30.0, clock=time.monotonic) -> None:
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        self.timeout_s = float(timeout_s)
+        self.timeout_s = require_positive(timeout_s, "timeout_s")
         self._clock = clock
         self._leases: dict[str, Lease] = {}
         self._by_task: dict[str, str] = {}

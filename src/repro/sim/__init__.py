@@ -26,7 +26,7 @@ Usage::
                       scenarios=("awgn", "cm3"),
                       modulations=("bpsk", "ook"),
                       adc_bits=(1, 4))
-    result = SweepEngine(seed=7, max_workers=4).run(grid, num_packets=64)
+    result = SweepEngine(seed=7).run(grid, num_packets=64, max_workers=4)
     for label, curve in result.curves().items():
         print(label, curve.ber_values())
 
@@ -45,9 +45,10 @@ transceiver stack one packet at a time (the reference oracle the
 fullstack backend is pinned against).
 
 Every kernel runs on NumPy/SciPy on the host.  Process fan-out
-(``max_workers``) returns results through ``multiprocessing.shared_memory``
-blocks (:mod:`repro.sim.shm`) instead of pickles, bit-identical to a
-serial run.
+(``max_workers``) hands each worker the grid's task prototypes once and
+returns results through a ``multiprocessing.shared_memory`` block
+(:mod:`repro.sim.shm`) instead of pickles, bit-identical to a serial
+run.
 """
 
 from repro.sim.batch import BatchedLinkModel, BatchResult, pulse_for_config

@@ -23,16 +23,20 @@ Parallelism: the schedulable unit is the seeded *packet chunk* — a
 random stream.  ``chunk_packets`` splits every point into chunks of that
 size (ragged tail allowed) and ``max_workers`` fans the chunks of *all*
 points out over one ``concurrent.futures.ProcessPoolExecutor``, so a
-single hot point no longer serializes on one core.  Chunk inputs stream
-to workers through a :class:`repro.sim.shm.ChunkTaskBlock` and results
-come back through a :class:`repro.sim.shm.ChunkResultBlock` (written in
-place, never pickled); each chunk fails independently, and completed
-chunks are still harvested when a sibling's worker raises or dies.  For
-a fixed chunk layout, results are bitwise identical however the chunks
-are scheduled — serial, any worker count, any completion order; the
-default layout (``chunk_packets=None``, one chunk per point at offset 0)
-is bit-exact with the historical unchunked engine.  Scenarios shipped
-to workers must be picklable — every built-in scenario is; custom
+single hot point no longer serializes on one core.  Every call —
+:meth:`SweepEngine.run`, :meth:`~SweepEngine.measure_point` and
+:meth:`~SweepEngine.measure_points` — runs one validate → plan → execute
+body.  The per-point task prototypes reach each pool worker once, through
+the pool initializer, so a chunk submission carries only a few integers;
+results come back through a :class:`repro.sim.shm.ChunkResultBlock`
+(written in place, never pickled).  Each chunk fails independently, and
+completed chunks are still harvested when a sibling's worker raises or
+dies.  For a fixed chunk layout, results are bitwise identical however
+the chunks are scheduled — serial, any worker count, any completion
+order; the default layout (``chunk_packets=None``, one chunk per point
+at offset 0) is bit-exact with the historical unchunked engine.
+Scenarios shipped to workers must be picklable under the ``spawn`` and
+``forkserver`` start methods — every built-in scenario is; custom
 scenarios should use module-level factory functions rather than
 lambdas.
 """
@@ -57,7 +61,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder, activate
 from repro.pulses.modulation import make_modulator
 from repro.sim.batch import BatchedLinkModel
 from repro.sim.scenarios import SCENARIOS, Scenario, ScenarioRegistry
-from repro.sim.shm import SLOT_OK, ChunkResultBlock, ChunkTaskBlock
+from repro.sim.shm import SLOT_OK, ChunkResultBlock
 from repro.utils.validation import require_int, require_json_int
 
 _logger = logging.getLogger(__name__)
@@ -379,16 +383,20 @@ def chunk_spans(num_packets: int, chunk_packets: int | None,
 #: Test-only fault-injection hook.  When set (in the parent process,
 #: before the worker pool forks), it is called as ``hook(task)``
 #: immediately before every chunk task body — on the serial and
-#: shared-memory paths alike.  Raising (or killing the process) from
+#: process-pool paths alike.  Raising (or killing the process) from
 #: it makes exactly that chunk fail, which is how the fault-injection
 #: suite exercises per-chunk isolation.  Never set this outside tests.
 _chunk_task_hook = None
 
-_PROTO_CACHE_LIMIT = 8
-#: Worker-process cache of unpickled task prototypes, keyed by their
-#: ChunkTaskBlock name, so a worker running many chunks of one fan-out
-#: deserializes the prototypes once.
-_proto_cache: dict = {}
+#: Worker-process copy of the current pool's task prototypes, installed
+#: once per worker by :func:`_install_prototypes` (the pool initializer).
+_worker_prototypes: tuple = ()
+
+
+def _install_prototypes(prototypes: tuple) -> None:
+    """Pool initializer: keep the fan-out's task prototypes in the worker."""
+    global _worker_prototypes
+    _worker_prototypes = prototypes
 
 
 def _materialize_chunk(prototype: _PointTask, num_packets: int,
@@ -437,15 +445,15 @@ def _run_chunk_traced(task: _PointTask, packet_offset: int, recorder,
             return _run_chunk_task(task)
 
 
-def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
+def _run_slot_task(result_block_name: str, slot: int, proto_index: int,
+                   num_packets: int, packet_offset: int,
                    record_errors: bool, telemetry: bool = False,
                    submit_t: float | None = None) -> tuple[int, list | None]:
-    """Worker body: rebuild chunk task ``slot`` from the shared task
-    block, simulate it, write its record into the shared result block.
+    """Worker body: simulate one chunk of prototype ``proto_index`` and
+    write its record into ``slot`` of the shared result block.
 
-    Only two block names and a slot index cross the pickle boundary —
-    the task inputs stream through shared memory, and the per-fan-out
-    prototypes are unpickled once per worker process (``_proto_cache``).
+    The prototypes arrived once per worker through the pool initializer,
+    so a submission carries only a block name and a few integers.
     Returns ``(slot, events)`` where ``events`` is the worker-side
     telemetry batch (``None`` when telemetry is off).
 
@@ -461,16 +469,8 @@ def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
     if telemetry and submit_t is not None:
         queue_wait = max(time.monotonic() - float(submit_t), 0.0)
     with activate(recorder):
-        prototypes = _proto_cache.get(task_block_name)
-        with ChunkTaskBlock.attach(task_block_name) as tasks:
-            proto_index, num_packets, packet_offset = tasks.row(slot)
-            if prototypes is None:
-                if len(_proto_cache) >= _PROTO_CACHE_LIMIT:
-                    _proto_cache.clear()
-                prototypes = tasks.prototypes()
-                _proto_cache[task_block_name] = prototypes
-        task = _materialize_chunk(prototypes[proto_index], num_packets,
-                                  packet_offset)
+        task = _materialize_chunk(_worker_prototypes[proto_index],
+                                  num_packets, packet_offset)
         measurement, errors = _run_chunk_traced(task, packet_offset,
                                                 recorder, queue_wait)
         with ChunkResultBlock.attach(result_block_name) as results:
@@ -479,66 +479,59 @@ def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
     return slot, (recorder.drain() if telemetry else None)
 
 
-def _run_chunks_shared(prototypes, rows, error_packets: int,
+def _run_chunks_pooled(prototypes, rows, error_packets: int,
                        max_workers: int,
                        recorder=NULL_RECORDER) -> tuple[list,
                                                         BaseException | None]:
-    """Fan chunk tasks over a process pool with shared-memory transport.
+    """Fan chunk tasks over a process pool, results through shared memory.
 
-    ``rows`` are ``(prototype_index, num_packets, packet_offset)`` chunk
-    tasks; each is submitted as its own future, so chunks from every
-    point interleave freely over the pool and fail independently.
-    Returns ``(records, failure)``: one ``(measurement,
+    The prototypes reach every worker once, as the pool initializer's
+    argument; ``rows`` are ``(prototype_index, num_packets,
+    packet_offset)`` chunk tasks, each submitted as its own future, so
+    chunks from every point interleave freely over the pool and fail
+    independently.  Returns ``(records, failure)``: one ``(measurement,
     errors_per_packet)`` pair per row in row order — ``None`` for a chunk
     whose worker raised or died (its slot status never flipped, so a
     half-written record is never read back as garbage) — and the first
     failure in submission order, or ``None``.  Completed chunks are
-    always harvested, whatever happened to their siblings, and both
-    shared-memory blocks are torn down in a ``finally``.  A block
-    allocation failure raises a ``RuntimeError`` naming the failed
-    allocation before any task runs — tasks are never silently dropped.
+    always harvested, whatever happened to their siblings, and the
+    result block is torn down in a ``finally``.  A block allocation
+    failure raises a ``RuntimeError`` before any task runs — tasks are
+    never silently dropped.
 
-    With an enabled ``recorder``, the parent records block pack/alloc
-    spans and sizes plus the pool fan-out span, each worker records its
-    own ``chunk.run`` span (including pool queue wait) and ships the
-    batch back with its future, and harvested-after-failure slots are
-    counted — telemetry rides the existing transport, never a second
-    channel.
+    With an enabled ``recorder``, the parent records the block
+    allocation span and size plus the pool fan-out span, each worker
+    records its own ``chunk.run`` span (including pool queue wait) and
+    ships the batch back with its future, and harvested-after-failure
+    slots are counted — telemetry rides the existing transport, never a
+    second channel.
     """
     telemetry = recorder.enabled
-    with recorder.span("shm.pack", tasks=len(rows)):
+    with recorder.span("shm.alloc", tasks=len(rows)):
         try:
-            task_block = ChunkTaskBlock.pack(prototypes, rows)
+            results = ChunkResultBlock.allocate(len(rows), error_packets)
         except OSError as error:
             raise RuntimeError(
-                f"failed to allocate the shared-memory task block for "
-                f"{len(rows)} chunk task(s): {error}; no chunk was run "
+                f"failed to allocate the shared-memory result block for "
+                f"{len(rows)} chunk task(s) x {error_packets} error "
+                f"word(s): {error}; no chunk was run "
                 "(is /dev/shm full?)") from error
-    recorder.gauge("shm.task_block_bytes", task_block.size_bytes)
-    result_block = None
     failure: BaseException | None = None
     try:
-        with recorder.span("shm.alloc", tasks=len(rows)):
-            try:
-                result_block = ChunkResultBlock.allocate(len(rows),
-                                                         error_packets)
-            except OSError as error:
-                raise RuntimeError(
-                    f"failed to allocate the shared-memory result block for "
-                    f"{len(rows)} chunk task(s) x {error_packets} error "
-                    f"word(s): {error}; no chunk was run "
-                    "(is /dev/shm full?)") from error
-        recorder.gauge("shm.result_block_bytes", result_block.size_bytes)
+        recorder.gauge("shm.result_block_bytes", results.size_bytes)
         workers = min(int(max_workers), len(rows))
         recorder.gauge("pool.workers", workers)
         with recorder.span("pool.run", workers=workers, tasks=len(rows)):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_slot_task, task_block.name,
-                                       result_block.name, slot,
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_install_prototypes,
+                                     initargs=(tuple(prototypes),)) as pool:
+                futures = [pool.submit(_run_slot_task, results.name, slot,
+                                       index, packets, offset,
                                        error_packets > 0, telemetry,
                                        time.monotonic() if telemetry
                                        else None)
-                           for slot in range(len(rows))]
+                           for slot, (index, packets, offset)
+                           in enumerate(rows)]
                 for future in futures:
                     try:
                         _, events = future.result()
@@ -546,23 +539,19 @@ def _run_chunks_shared(prototypes, rows, error_packets: int,
                     except BaseException as error:  # noqa: BLE001 re-raised
                         if failure is None:
                             failure = error
-        records = [result_block.read_result(slot)
-                   if result_block.slot_status(slot) == SLOT_OK else None
+        records = [results.read_result(slot)
+                   if results.slot_status(slot) == SLOT_OK else None
                    for slot in range(len(rows))]
-        if failure is not None:
-            harvested = sum(1 for record in records if record is not None)
-            if harvested:
-                recorder.counter("shm.slots_harvested_after_failure",
-                                 harvested)
     finally:
-        for block in (task_block, result_block):
-            if block is None:
-                continue
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        results.close()
+        try:
+            results.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+    if failure is not None:
+        harvested = sum(1 for record in records if record is not None)
+        if harvested:
+            recorder.counter("shm.slots_harvested_after_failure", harvested)
     return records, failure
 
 
@@ -597,9 +586,6 @@ class SweepEngine:
     quantize:
         Batch backend only: model AGC + ADC quantization (a bool, default
         on).
-    max_workers:
-        When set (> 1), chunk tasks are distributed over that many worker
-        processes (overridable per call via :meth:`run`).
     chunk_packets:
         Default chunk layout: every point's packet budget is split into
         seeded chunks of this many packets (ragged tail allowed), which
@@ -610,8 +596,7 @@ class SweepEngine:
         are drawn, so different layouts give statistically equivalent but
         not bitwise-equal results; for a fixed layout, results are
         bitwise invariant under scheduling (serial vs. any worker count).
-        Overridable per call via :meth:`run`/:meth:`measure_points`;
-        excluded from :meth:`config_digest` (layout is coverage, not
+        Overridable per call via :meth:`measure_points`; excluded from :meth:`config_digest` (layout is coverage, not
         identity — mirroring ``num_packets``).
     recorder:
         Optional :class:`repro.obs.Recorder` collecting run telemetry
@@ -627,7 +612,6 @@ class SweepEngine:
     def __init__(self, config=None, generation: str = "gen2",
                  registry: ScenarioRegistry | None = None, seed: int = 0,
                  backend: str = "batch", quantize: bool = True,
-                 max_workers: int | None = None,
                  chunk_packets: int | None = None,
                  recorder=None) -> None:
         if generation not in GENERATIONS:
@@ -639,8 +623,6 @@ class SweepEngine:
         if not isinstance(quantize, bool):
             raise TypeError(f"quantize must be true or false, "
                             f"not {quantize!r}")
-        if max_workers is not None:
-            require_int(max_workers, "max_workers", minimum=1)
         if chunk_packets is not None:
             require_int(chunk_packets, "chunk_packets", minimum=1)
         self.config = config
@@ -649,7 +631,6 @@ class SweepEngine:
         self.seed = require_int(seed, "seed", minimum=0)
         self.backend = backend
         self.quantize = quantize
-        self.max_workers = max_workers
         self.chunk_packets = chunk_packets
         # Never part of config_digest(): telemetry is observability, not
         # identity — recording on/off must not split the result cache.
@@ -662,8 +643,8 @@ class SweepEngine:
         """The engine's identity as a plain-JSON dict.
 
         Seed, generation, backend and quantize: what run manifests, job
-        specs and chunk leases carry.  The base config, chunk layout,
-        worker count and recorder are not part of it; :meth:`from_params`
+        specs and chunk leases carry.  The base config, chunk layout
+        and recorder are not part of it; :meth:`from_params`
         is the inverse.
         """
         return {"seed": self.seed, "generation": self.generation,
@@ -792,27 +773,16 @@ class SweepEngine:
                       packet_offset: int = 0) -> BERPoint:
         """Measure a single grid point (the unit of work ``repro.runs`` caches).
 
-        ``packet_offset`` names the chunk: offset 0 is bit-exact with
-        :meth:`run` on a one-point grid, while a positive offset draws an
-        independent stream so escalating a cached measurement from ``n`` to
-        ``n + m`` packets simulates only the ``m``-packet tail chunk.
+        The point runs as one ``num_packets``-packet chunk of
+        :meth:`measure_points`.  ``packet_offset`` names the chunk:
+        offset 0 is bit-exact with :meth:`run` on a one-point grid, while
+        a positive offset draws an independent stream so escalating a
+        cached measurement from ``n`` to ``n + m`` packets simulates only
+        the ``m``-packet tail chunk.
         """
-        require_int(num_packets, "num_packets", minimum=1)
-        require_int(payload_bits_per_packet, "payload_bits_per_packet",
-                    minimum=1)
-        require_int(packet_offset, "packet_offset", minimum=0)
-        self.validate_points((point,))
-        return _run_point_record(self._task_for(point, num_packets,
-                                                payload_bits_per_packet,
-                                                packet_offset))[0]
-
-    def _chunk_layout(self, chunk_packets) -> int | None:
-        """The effective chunk layout for one call (``None`` = engine's)."""
-        layout = self.chunk_packets if chunk_packets is None \
-            else chunk_packets
-        if layout is not None:
-            require_int(layout, "chunk_packets", minimum=1)
-        return layout
+        return self.measure_points([(point, num_packets, packet_offset)],
+                                   payload_bits_per_packet,
+                                   chunk_packets=num_packets)[0]
 
     def _chunk_plan(self, jobs, payload_bits_per_packet: int,
                     chunk_packets: int | None):
@@ -820,16 +790,16 @@ class SweepEngine:
         chunk-task schedule.
 
         Returns ``(prototypes, rows, job_rows)``: one task prototype per
-        distinct point (the expensive part, packed once into the shared
-        task block), ``rows`` of ``(prototype_index, num_packets,
+        distinct point (the expensive part, shipped once to each pool
+        worker), ``rows`` of ``(prototype_index, num_packets,
         packet_offset)`` chunk tasks in schedule order, and per job the
-        row indices (in offset order) whose results merge into that job's
-        measurement.
+        slice of rows (in offset order) whose results merge into that
+        job's measurement.
         """
         prototypes: list[_PointTask] = []
         proto_index: dict[SweepPoint, int] = {}
         rows: list[tuple[int, int, int]] = []
-        job_rows: list[list[int]] = []
+        job_rows: list[slice] = []
         for point, num_packets, packet_offset in jobs:
             index = proto_index.get(point)
             if index is None:
@@ -839,17 +809,63 @@ class SweepEngine:
                     self._task_for(point, 1, payload_bits_per_packet, 0))
             spans = chunk_spans(int(num_packets), chunk_packets,
                                 int(packet_offset))
-            job_rows.append(list(range(len(rows), len(rows) + len(spans))))
+            job_rows.append(slice(len(rows), len(rows) + len(spans)))
             rows.extend((index, packets, offset)
                         for offset, packets in spans)
         return prototypes, rows, job_rows
 
+    def _measure(self, jobs, payload_bits_per_packet: int,
+                 max_workers: int | None, chunk_packets: int | None,
+                 collect_errors: bool = False, on_chunk=None) -> tuple[
+                     list, BaseException | None]:
+        """Validate, plan and execute ``(point, num_packets,
+        packet_offset)`` jobs: the one body behind :meth:`run`,
+        :meth:`measure_point` and :meth:`measure_points`.
+
+        Every argument and grid point is checked before anything runs;
+        ``chunk_packets=None`` takes the engine's layout.
+        ``on_chunk(point, packet_offset, measurement)`` sees every
+        completed chunk in schedule order (job order, then offset order),
+        failure or not.  Returns ``(job_records, failure)``: per job, its
+        chunk records ``(measurement, errors_per_packet)`` in offset
+        order, ``None`` for a failed chunk; and the first failure, or
+        ``None``.
+        """
+        for _, num_packets, packet_offset in jobs:
+            # Validate before the plan coerces them.
+            require_int(num_packets, "num_packets", minimum=1)
+            require_int(packet_offset, "packet_offset", minimum=0)
+        require_int(payload_bits_per_packet, "payload_bits_per_packet",
+                    minimum=1)
+        if max_workers is not None:
+            require_int(max_workers, "max_workers", minimum=1)
+        if chunk_packets is None:
+            chunk_packets = self.chunk_packets
+        else:
+            require_int(chunk_packets, "chunk_packets", minimum=1)
+        self.validate_points(point for point, _, _ in jobs)
+        recorder = self.recorder
+        with activate(recorder):
+            with recorder.span("engine.chunk_plan", jobs=len(jobs)):
+                prototypes, rows, job_rows = self._chunk_plan(
+                    jobs, payload_bits_per_packet, chunk_packets)
+            recorder.counter("chunks.scheduled", len(rows))
+            error_packets = (max(packets for _, packets, _ in rows)
+                             if collect_errors and rows else 0)
+            records, failure = self._execute_chunks(
+                prototypes, rows, error_packets, max_workers)
+        if on_chunk is not None:
+            for (index, _, offset), record in zip(rows, records):
+                if record is not None:
+                    on_chunk(prototypes[index].point, offset, record[0])
+        return [records[job] for job in job_rows], failure
+
     def _execute_chunks(self, prototypes, rows, error_packets: int,
                         max_workers: int | None):
-        """Run the chunk-task schedule serially or over the shm pool.
+        """Run the chunk-task schedule serially or over the process pool.
 
         Returns ``(records, failure)`` exactly like
-        :func:`_run_chunks_shared`; the serial and pooled paths produce
+        :func:`_run_chunks_pooled`; the serial and pooled paths produce
         the same per-chunk records (same seeds, same layout), so
         scheduling is bitwise invisible for a fixed chunk layout.  On both
         paths every chunk fails independently: a failed chunk records
@@ -862,50 +878,49 @@ class SweepEngine:
         """
         recorder = self.recorder
         if max_workers is not None and max_workers > 1 and len(rows) > 1:
-            records, failure = _run_chunks_shared(
+            records, failure = _run_chunks_pooled(
                 prototypes, rows, error_packets, max_workers, recorder)
-            failed = [i for i, record in enumerate(records)
-                      if record is None]
         else:
             records = []
             failure = None
-            failed = []
             for index, packets, offset in rows:
                 try:
                     records.append(_run_chunk_traced(
                         _materialize_chunk(prototypes[index], packets,
                                            offset), offset, recorder))
                 except BaseException as error:  # noqa: BLE001 - re-raised
-                    failed.append(len(records))
                     records.append(None)
                     if failure is None:
                         failure = error
-        if failure is not None and failed:
-            self._note_chunk_failures(prototypes, rows, failed, failure)
+        if failure is not None:
+            self._note_chunk_failures(prototypes, rows, records, failure)
         return records, failure
 
-    def _note_chunk_failures(self, prototypes, rows, failed_indices,
+    def _note_chunk_failures(self, prototypes, rows, records,
                              failure: BaseException) -> None:
         """Log (and annotate onto ``failure``) which chunks failed."""
         identities = []
-        for row_index in failed_indices:
-            proto_index, packets, offset = rows[row_index]
+        for (proto_index, packets, offset), record in zip(rows, records):
+            if record is not None:
+                continue
             point = prototypes[proto_index].point
             identity = (f"point {self.point_digest(point)[:12]} "
                         f"({point.scenario}, {point.ebn0_db:g} dB) "
                         f"offset {offset} ({packets} packet(s))")
             identities.append(identity)
             _logger.error("chunk failed: %s: %r", identity, failure)
-        self.recorder.counter("chunks.failed", len(failed_indices))
+        if not identities:
+            return
+        self.recorder.counter("chunks.failed", len(identities))
         if hasattr(failure, "add_note"):  # Python 3.11+
             failure.add_note("failed chunk(s): " + "; ".join(identities))
 
     @staticmethod
-    def _merge_rows(records, row_indices) -> BERPoint:
+    def _merge(parts) -> BERPoint:
         """Pool one job's chunk records (offset order) into its BERPoint."""
-        merged = records[row_indices[0]][0]
-        for row_index in row_indices[1:]:
-            merged = merged.merge(records[row_index][0])
+        merged = parts[0][0]
+        for measurement, _ in parts[1:]:
+            merged = merged.merge(measurement)
         return merged
 
     def measure_points(self, jobs, payload_bits_per_packet: int = 64,
@@ -914,12 +929,12 @@ class SweepEngine:
                        on_chunk=None) -> list[BERPoint]:
         """Measure a batch of ``(point, num_packets, packet_offset)`` jobs.
 
-        The bulk form of :meth:`measure_point` — with the default layout
-        each job is measured exactly as its :meth:`measure_point` call
-        would be (bit-identical results).  ``chunk_packets`` (``None``:
-        the engine default) further splits every job into seeded chunks,
-        and the chunks of *all* jobs fan out over one ``max_workers``
-        pool with shared-memory input/result transport — the entry point
+        The bulk form of :meth:`measure_point` — with
+        ``chunk_packets >= num_packets`` each job is measured exactly as
+        its :meth:`measure_point` call would be (bit-identical results).
+        ``chunk_packets`` (``None``: the engine default) splits every job
+        into seeded chunks, and the chunks of *all* jobs fan out over one
+        ``max_workers`` process pool — the entry point
         :class:`repro.runs.RunDriver` uses to simulate a shard's cache
         misses, and the reason one hot point scales across the pool.
 
@@ -930,40 +945,17 @@ class SweepEngine:
         the exception propagates — that is what lets a result store keep
         partial progress, so a resume re-runs only the missing chunks.
         """
-        jobs = list(jobs)
-        require_int(payload_bits_per_packet, "payload_bits_per_packet",
-                    minimum=1)
-        if max_workers is not None:
-            require_int(max_workers, "max_workers", minimum=1)
-        layout = self._chunk_layout(chunk_packets)
-        for point, num_packets, packet_offset in jobs:
-            # Validate before coercing, exactly as measure_point would.
-            require_int(num_packets, "num_packets", minimum=1)
-            require_int(packet_offset, "packet_offset", minimum=0)
-        self.validate_points(point for point, _, _ in jobs)
-        recorder = self.recorder
-        with activate(recorder):
-            with recorder.span("engine.chunk_plan", jobs=len(jobs)):
-                prototypes, rows, job_rows = self._chunk_plan(
-                    jobs, payload_bits_per_packet, layout)
-            recorder.counter("chunks.scheduled", len(rows))
-            # Scalar results only — no per-packet error region.
-            records, failure = self._execute_chunks(prototypes, rows, 0,
-                                                    max_workers)
-        if on_chunk is not None:
-            for (index, _, offset), record in zip(rows, records):
-                if record is not None:
-                    on_chunk(prototypes[index].point, offset, record[0])
+        job_records, failure = self._measure(
+            list(jobs), payload_bits_per_packet, max_workers,
+            chunk_packets, on_chunk=on_chunk)
         if failure is not None:
             raise failure
-        return [self._merge_rows(records, row_indices)
-                for row_indices in job_rows]
+        return [self._merge(parts) for parts in job_records]
 
     def run(self, points, num_packets: int = 32,
             payload_bits_per_packet: int = 64,
             on_result=None, max_workers: int | None = None,
-            collect_errors_per_packet: bool = False,
-            chunk_packets: int | None = None) -> SweepResult:
+            collect_errors_per_packet: bool = False) -> SweepResult:
         """Measure every grid point and return the collected results.
 
         Parameters
@@ -971,7 +963,8 @@ class SweepEngine:
         points:
             Grid points (e.g. from :func:`sweep_grid`).
         num_packets, payload_bits_per_packet:
-            Monte-Carlo budget per grid point.
+            Monte-Carlo budget per grid point, split into chunks by the
+            engine's ``chunk_packets`` layout.
         on_result:
             Optional hook called as ``on_result(point, measurement)`` for
             every completed grid point, in grid order — what result
@@ -980,32 +973,17 @@ class SweepEngine:
             chunk failure every point whose chunks all completed is still
             delivered before the exception propagates.
         max_workers:
-            Overrides the engine-level ``max_workers`` for this call;
-            when the effective value exceeds 1, the chunk tasks of all
-            points fan out over worker processes with shared-memory
-            input/result transport (:mod:`repro.sim.shm`).
+            When above 1, the chunk tasks of all points fan out over that
+            many worker processes, results returning through shared
+            memory (:mod:`repro.sim.shm`).
         collect_errors_per_packet:
             Also record each point's per-packet bit-error counts in
             ``SweepResult.errors_per_packet`` (transported through shared
             memory on the parallel path, so a million-packet point's
             error vector never crosses a pickle).  Chunk error vectors
             concatenate in offset order, identical to the serial order.
-        chunk_packets:
-            Chunk layout override for this call (``None``: the engine's
-            ``chunk_packets``).  Splitting points into chunks lets a
-            single hot point scale across the pool; for a fixed layout
-            the result is bitwise invariant under scheduling.
         """
         points = tuple(points)
-        require_int(num_packets, "num_packets", minimum=1)
-        require_int(payload_bits_per_packet, "payload_bits_per_packet",
-                    minimum=1)
-        self.validate_points(points)
-        effective_workers = (self.max_workers if max_workers is None
-                             else max_workers)
-        if effective_workers is not None:
-            require_int(effective_workers, "max_workers", minimum=1)
-        layout = self._chunk_layout(chunk_packets)
         duplicates = [point for point, count in Counter(points).items()
                       if count > 1]
         if duplicates:
@@ -1015,24 +993,15 @@ class SweepEngine:
                 "and return identical measurements — use different seeds "
                 "(or engines) to replicate a point",
                 stacklevel=2)
-        recorder = self.recorder
-        with activate(recorder):
-            with recorder.span("engine.chunk_plan", jobs=len(points)):
-                prototypes, rows, job_rows = self._chunk_plan(
-                    [(point, num_packets, 0) for point in points],
-                    payload_bits_per_packet, layout)
-            recorder.counter("chunks.scheduled", len(rows))
-            error_packets = (max(packets for _, packets, _ in rows)
-                             if collect_errors_per_packet and rows else 0)
-            records, failure = self._execute_chunks(prototypes, rows,
-                                                    error_packets,
-                                                    effective_workers)
+        job_records, failure = self._measure(
+            [(point, num_packets, 0) for point in points],
+            payload_bits_per_packet, max_workers, None,
+            collect_errors=collect_errors_per_packet)
         result = SweepResult()
-        for point, row_indices in zip(points, job_rows):
-            parts = [records[row_index] for row_index in row_indices]
+        for point, parts in zip(points, job_records):
             if any(part is None for part in parts):
                 continue    # a chunk of this point failed; salvage others
-            merged = self._merge_rows(records, row_indices)
+            merged = self._merge(parts)
             if on_result is not None:
                 on_result(point, merged)
             result.entries.append((point, merged))

@@ -28,11 +28,11 @@ def test_results_identical_with_and_without_telemetry(
         engine_factory, backend, workers):
     grid = sweep_grid([3.0, 6.0])
     kwargs = dict(num_packets=6, payload_bits_per_packet=24,
-                  max_workers=workers, collect_errors_per_packet=True,
-                  chunk_packets=3)
-    plain = engine_factory(seed=37, backend=backend).run(grid, **kwargs)
+                  max_workers=workers, collect_errors_per_packet=True)
+    plain = engine_factory(seed=37, backend=backend,
+                           chunk_packets=3).run(grid, **kwargs)
     recorder = Recorder()
-    traced = engine_factory(seed=37, backend=backend,
+    traced = engine_factory(seed=37, backend=backend, chunk_packets=3,
                             recorder=recorder).run(grid, **kwargs)
     assert traced.entries == plain.entries
     assert traced.errors_per_packet == plain.errors_per_packet

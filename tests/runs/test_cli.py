@@ -155,6 +155,20 @@ class TestErrors:
         assert code == 2
         assert "no run manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0"])
+    def test_serve_rejects_a_lease_timeout_that_never_expires(
+            self, tmp_path, capsys, monkeypatch, timeout):
+        import repro.serve.api
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve got past the broker settings")
+        monkeypatch.setattr(repro.serve.api, "create_server", no_server)
+        code, _ = run_cli("serve", "--store", str(tmp_path / "store"),
+                          "--port", "0", "--lease-timeout", timeout)
+        assert code == 2
+        assert "timeout_s" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
     @pytest.mark.parametrize("extra, message", [
         (("--seed", "-1"), "seed"),
         (("--workers", "0"), "--workers"),
@@ -364,3 +378,65 @@ class TestWarehouseCLI:
         code, _ = run_cli("query", str(tmp_path / "demo"))
         assert code == 2
         assert "store migrate" in capsys.readouterr().err
+
+
+class TestCustomConfigRun:
+    """A run created from a custom base config reads like any other; only
+    simulating needs the engine back."""
+
+    @staticmethod
+    def _create(tmp_path, store_format):
+        from repro.core.config import Gen2Config
+        from repro.runs import RunDriver
+        engine = SweepEngine(config=Gen2Config.fast_test_config(), seed=3)
+        driver = RunDriver.create(
+            tmp_path / "custom", engine, sweep_grid([4.0, 8.0]),
+            num_packets=4, payload_bits_per_packet=32, num_shards=2,
+            store_format=store_format)
+        driver.run_shard(0)
+        return driver
+
+    @pytest.fixture
+    def custom_run(self, tmp_path):
+        return self._create(tmp_path, "sqlite")
+
+    def test_migrated_run_is_queryable(self, tmp_path):
+        run_dir = str(self._create(tmp_path, "jsonl").run_dir)
+        code, out = run_cli("store", "migrate", run_dir)
+        assert code == 0
+        assert "point metadata and run registry populated" in out
+        code, out = run_cli("query", run_dir)
+        assert code == 0
+        assert "query matched 1 point(s)" in out
+
+    def test_show_and_merge_read_the_run(self, custom_run):
+        run_dir = str(custom_run.run_dir)
+        code, out = run_cli("show", "--run", run_dir)
+        assert code == 0
+        assert "coverage  : 1/2 point(s) measured" in out
+        code, out = run_cli("merge", "--run", run_dir, "--allow-partial")
+        assert code == 0
+        assert "merged 1 of 2 point(s)" in out
+
+    def test_store_gc_keeps_the_runs_own_keys(self, custom_run):
+        store = custom_run.open_store()
+        try:
+            keys_before = set(store.keys())
+        finally:
+            store.close()
+        assert len(keys_before) == 1
+        code, out = run_cli("store", "gc", str(custom_run.run_dir),
+                            "--keep-runs", "0")
+        assert code == 0
+        assert "dropped 0 of 1 key(s)" in out
+        store = custom_run.open_store()
+        try:
+            assert set(store.keys()) == keys_before
+        finally:
+            store.close()
+
+    def test_resume_still_needs_the_engine(self, custom_run, capsys):
+        code, _ = run_cli("resume", "--run", str(custom_run.run_dir),
+                          "--telemetry")
+        assert code == 2
+        assert "custom base config" in capsys.readouterr().err

@@ -156,7 +156,7 @@ class TestResume:
         # no completion marker was written.
         store = crashed.store_for_shard(1)
         for point in crashed.manifest.points_for_shard(1)[:2]:
-            key = crashed._key_for(point)
+            key = crashed.manifest.key_for(point)
             chunk = engine.measure_point(point, **GRID_KWARGS)
             store.add_chunk(key, 0, chunk)
         assert crashed.pending_shards() == (1,)
@@ -176,14 +176,25 @@ class TestResume:
         reopened = RunDriver.open(tmp_path / "run")
         assert reopened.engine.config_digest() == creator.config_digest()
 
-    def test_open_with_custom_config_requires_engine(self, tmp_path, grid):
+    def test_custom_config_run_needs_engine_only_to_simulate(self, tmp_path,
+                                                              grid):
         from repro.core.config import Gen2Config
         engine = SweepEngine(config=Gen2Config.fast_test_config(), seed=1)
-        RunDriver.create(tmp_path / "run", engine, grid, **GRID_KWARGS)
+        created = RunDriver.create(tmp_path / "run", engine, grid,
+                                   num_shards=2, **GRID_KWARGS)
+        created.run_shard(0)
+        # Without the engine the run still reads: keys come from the
+        # manifest alone.
+        readonly = RunDriver.open(tmp_path / "run")
+        assert readonly.engine is None
+        assert readonly.merge(strict=False) == created.merge(strict=False)
+        assert readonly.shard_status() == {0: "done", 1: "pending"}
         with pytest.raises(ValueError, match="custom base config"):
-            RunDriver.open(tmp_path / "run")
+            readonly.run_shard(1)
         reopened = RunDriver.open(tmp_path / "run", engine=engine)
         assert reopened.manifest.custom_config
+        reopened.run_shard(1)
+        assert reopened.is_complete
 
     def test_mismatched_engine_refused(self, tmp_path, grid, engine):
         RunDriver.create(tmp_path / "run", engine, grid, **GRID_KWARGS)
@@ -210,6 +221,37 @@ class TestManifest:
         with pytest.raises(ValueError, match="shard plan"):
             RunDriver.create(tmp_path / "run", engine, grid, num_shards=2,
                              **GRID_KWARGS)
+
+    @pytest.mark.parametrize("field, value, parsed", [
+        ("num_packets", 6.0, 6),
+        ("num_packets", 3.7, None),
+        ("num_packets", True, None),
+        ("num_packets", "6", None),
+        ("payload_bits_per_packet", 32.0, 32),
+        ("payload_bits_per_packet", 31.5, None),
+        ("payload_bits_per_packet", False, None),
+        ("num_shards", 1.0, 1),
+        ("num_shards", 1.5, None),
+        ("num_shards", True, None),
+        ("chunk_packets", 4.0, 4),
+        ("chunk_packets", 2.5, None),
+        ("chunk_packets", True, None),
+    ])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, grid,
+                                                  engine, field, value,
+                                                  parsed):
+        RunDriver.create(tmp_path / "run", engine, grid, **GRID_KWARGS)
+        path = tmp_path / "run" / "manifest.json"
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        if parsed is None:
+            with pytest.raises(ValueError, match=field):
+                RunManifest.load(tmp_path / "run")
+        else:
+            loaded = RunManifest.load(tmp_path / "run")
+            assert getattr(loaded, field) == parsed
+            assert type(getattr(loaded, field)) is int
 
     def test_tampered_manifest_detected(self, tmp_path, grid, engine):
         RunDriver.create(tmp_path / "run", engine, grid, **GRID_KWARGS)

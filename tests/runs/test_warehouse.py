@@ -404,8 +404,8 @@ class TestSQLiteFaultResume:
         # propagated: the whole clean point plus the faulted point's
         # survivors are durable rows in the warehouse.
         store = faulted.open_store()
-        key_clean = faulted._key_for(grid[0])
-        key_faulted = faulted._key_for(grid[1])
+        key_clean = faulted.manifest.key_for(grid[0])
+        key_faulted = faulted.manifest.key_for(grid[1])
         assert store.chunks_for(key_clean) == {0: 3, 3: 3, 6: 3}
         assert store.chunks_for(key_faulted) == {0: 3, 6: 3}
         store.close()

@@ -429,3 +429,20 @@ class TestGrantOrder:
             order.append(response["task"]["task_id"])
         planned = list(broker._jobs[job["job_id"]].task_ids)
         assert order == planned[1:] + planned[:1]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"lease_timeout_s": float("nan")}, ValueError),
+        ({"lease_timeout_s": float("inf")}, ValueError),
+        ({"lease_timeout_s": 0.0}, ValueError),
+        ({"max_attempts": 0}, ValueError),
+        ({"max_attempts": 2.5}, TypeError),
+        ({"max_attempts": True}, TypeError),
+    ], ids=["timeout-nan", "timeout-inf", "timeout-zero", "attempts-zero",
+            "attempts-fractional", "attempts-bool"])
+    def test_bad_settings_rejected_before_the_store_opens(
+            self, tmp_path, kwargs, error):
+        with pytest.raises(error):
+            Broker(tmp_path / "store", **kwargs)
+        assert not (tmp_path / "store").exists()

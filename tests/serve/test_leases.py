@@ -59,9 +59,13 @@ class TestGrant:
         assert a.lease_id != b.lease_id
         assert len(table) == 2
 
-    def test_invalid_timeout_rejected(self):
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_invalid_timeout_rejected(self, timeout_s):
+        # A NaN deadline compares false against every clock reading, so
+        # its lease would never expire and never be reaped.
         with pytest.raises(ValueError, match="timeout_s"):
-            LeaseTable(timeout_s=0.0)
+            LeaseTable(timeout_s=timeout_s)
 
 
 class TestRenew:

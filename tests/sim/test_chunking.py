@@ -101,12 +101,13 @@ def _run_both(engine_factory, backend, generation, scenario, chunk_packets,
     """The same chunked sweep, serial and fanned out, with error vectors."""
     grid = sweep_grid([3.0, 6.0], scenarios=(scenario,))
     kwargs = dict(num_packets=num_packets, payload_bits_per_packet=24,
-                  collect_errors_per_packet=True,
-                  chunk_packets=chunk_packets)
+                  collect_errors_per_packet=True)
     serial = engine_factory(seed=seed, backend=backend,
-                            generation=generation).run(grid, **kwargs)
+                            generation=generation,
+                            chunk_packets=chunk_packets).run(grid, **kwargs)
     parallel = engine_factory(seed=seed, backend=backend,
-                              generation=generation).run(
+                              generation=generation,
+                              chunk_packets=chunk_packets).run(
         grid, max_workers=workers, **kwargs)
     return grid, serial, parallel
 
@@ -315,8 +316,8 @@ class TestChunkFaultInjection:
         grid = sweep_grid([2.0, 4.0, 6.0])
         seen = []
         with pytest.raises(RuntimeError, match="injected chunk fault"):
-            engine_factory(seed=9).run(
-                grid, num_packets=4, chunk_packets=2, max_workers=2,
+            engine_factory(seed=9, chunk_packets=2).run(
+                grid, num_packets=4, max_workers=2,
                 on_result=lambda point, m: seen.append(point))
         # The faulted point (4 dB) lost one chunk; both others completed
         # all chunks and were delivered, in grid order.
@@ -326,9 +327,8 @@ class TestChunkFaultInjection:
         chunk_hook(_poison(2.0, 0))
         before = _shm_segments()
         with pytest.raises(RuntimeError):
-            engine_factory(seed=1).run(
-                sweep_grid([2.0, 4.0]), num_packets=4, chunk_packets=2,
-                max_workers=2)
+            engine_factory(seed=1, chunk_packets=2).run(
+                sweep_grid([2.0, 4.0]), num_packets=4, max_workers=2)
         after = _shm_segments()
         assert after <= before, f"leaked segments: {after - before}"
 
@@ -353,8 +353,8 @@ class TestChunkFaultInjection:
         # Every completed chunk was persisted before the failure
         # propagated: 3 chunks of the clean point + 2 of the faulted one.
         store = faulted.store_for_shard(0)
-        key_clean = faulted._key_for(grid[0])
-        key_faulted = faulted._key_for(grid[1])
+        key_clean = faulted.manifest.key_for(grid[0])
+        key_faulted = faulted.manifest.key_for(grid[1])
         assert store.chunks_for(key_clean) == {0: 3, 3: 3, 6: 3}
         assert store.chunks_for(key_faulted) == {0: 3, 6: 3}
 
@@ -375,7 +375,7 @@ class TestChunkFaultInjection:
                 os.kill(os.getpid(), signal.SIGKILL)
         chunk_hook(kill_hook)
         before = _shm_segments()
-        engine = engine_factory(seed=13)
+        engine = engine_factory(seed=13, chunk_packets=2)
         # A killed worker breaks the pool: the exception type depends on
         # scheduling (BrokenProcessPool for siblings, the broken-pool
         # error for the victim), but the contract is race-free — some
@@ -383,7 +383,7 @@ class TestChunkFaultInjection:
         # resume below completes from whatever chunks survived.
         with pytest.raises(Exception):
             engine.run(sweep_grid([2.0, 4.0]), num_packets=4,
-                       chunk_packets=2, max_workers=2)
+                       max_workers=2)
         assert _shm_segments() <= before
 
     @pytest.mark.slow
@@ -457,7 +457,7 @@ class TestChunkedStoreReuse:
         assert report.packets_simulated == 8 * len(grid)
         store = escalated.store_for_shard(0)
         for point in grid:
-            chunks = store.chunks_for(escalated._key_for(point))
+            chunks = store.chunks_for(escalated.manifest.key_for(point))
             assert chunks == {0: 6, 6: 4, 10: 4}
 
     def test_shard_merge_of_chunked_run_matches_unsharded(self, tmp_path):

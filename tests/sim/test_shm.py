@@ -5,35 +5,12 @@ import pytest
 
 from repro.core.metrics import BERPoint
 from repro.sim import ChunkResultBlock, SweepEngine, SweepPoint, sweep_grid
-from repro.sim.shm import RECORD_WORDS, chunk_slices
+from repro.sim.shm import RECORD_WORDS
 
 
 def _point(ebn0=6.0, errors=3):
     return BERPoint(ebn0_db=ebn0, bit_errors=errors, total_bits=64,
                     packets_sent=8, packets_failed=min(errors, 8))
-
-
-class TestChunkSlices:
-    def test_round_robin_partition(self):
-        chunks = chunk_slices(10, 3)
-        assert chunks == ((0, 3, 6, 9), (1, 4, 7), (2, 5, 8))
-        flat = sorted(index for chunk in chunks for index in chunk)
-        assert flat == list(range(10))
-
-    def test_more_chunks_than_items_drops_empties(self):
-        assert chunk_slices(2, 8) == ((0,), (1,))
-
-    def test_single_chunk(self):
-        assert chunk_slices(4, 1) == ((0, 1, 2, 3),)
-
-    def test_zero_items_yields_no_chunks(self):
-        assert chunk_slices(0, 2) == ()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chunk_slices(-1, 2)
-        with pytest.raises(ValueError):
-            chunk_slices(4, 0)
 
 
 class TestChunkResultBlock:
@@ -106,41 +83,6 @@ class TestChunkResultBlock:
             assert block.slot_status(1) == SLOT_EMPTY
             with pytest.raises(ValueError, match="no completed record"):
                 block.read_result(1)
-
-
-class TestChunkTaskBlock:
-    def test_pack_attach_round_trip(self):
-        from repro.sim.shm import ChunkTaskBlock
-        prototypes = ({"point": "a"}, {"point": "b"})
-        rows = [(0, 100, 0), (0, 100, 100), (1, 37, 0)]
-        with ChunkTaskBlock.pack(prototypes, rows) as owner:
-            assert owner.num_rows == 3
-            reader = ChunkTaskBlock.attach(owner.name)
-            try:
-                assert reader.prototypes() == prototypes
-                assert [reader.row(index) for index in range(3)] == rows
-                with pytest.raises(ValueError, match="out of range"):
-                    reader.row(3)
-                with pytest.raises(RuntimeError, match="only the allocating"):
-                    reader.unlink()
-            finally:
-                reader.close()
-
-    def test_pack_validates_rows(self):
-        from repro.sim.shm import ChunkTaskBlock
-        with pytest.raises(ValueError, match="zero tasks"):
-            ChunkTaskBlock.pack(({},), [])
-        with pytest.raises(ValueError, match="references prototype"):
-            ChunkTaskBlock.pack(({},), [(1, 4, 0)])
-
-    def test_closed_block_refuses_access(self):
-        from repro.sim.shm import ChunkTaskBlock
-        block = ChunkTaskBlock.pack(("proto",), [(0, 2, 0)])
-        block.close()
-        with pytest.raises(ValueError, match="closed"):
-            block.prototypes()
-        block.close()   # idempotent
-        block.unlink()
 
 
 class TestSharedMemoryFanOut:

@@ -124,8 +124,8 @@ class TestSeededDeterminism:
 
     def test_parallel_matches_serial(self, engine_factory, small_sweep_grid):
         serial = engine_factory(seed=9).run(small_sweep_grid, num_packets=8)
-        parallel = engine_factory(seed=9, max_workers=2).run(
-            small_sweep_grid, num_packets=8)
+        parallel = engine_factory(seed=9).run(
+            small_sweep_grid, num_packets=8, max_workers=2)
         assert serial == parallel
 
     def test_reordered_grid_gives_identical_per_point_results(
