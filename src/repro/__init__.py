@@ -5,15 +5,14 @@ The package is organized by subsystem:
 
 * :mod:`repro.constants` — FCC limits, band plan, headline system numbers.
 * :mod:`repro.pulses` — pulse shapes, modulation, pulse trains, FCC mask.
-* :mod:`repro.rf` — antenna, LNA, direct-conversion mixer, LO/synthesizer,
-  notch filter, composed front ends.
+* :mod:`repro.rf` — the planar elliptical UWB antenna.
 * :mod:`repro.adc` — flash / time-interleaved / SAR converters, jitter,
   power models.
 * :mod:`repro.channel` — AWGN, 802.15.3a Saleh-Valenzuela multipath,
   narrowband interferers, path loss / link budget.
 * :mod:`repro.dsp` — the digital back end: correlators, acquisition,
-  tracking, channel estimation, RAKE, MLSE (Viterbi), spectral monitoring,
-  digital notch, AGC, parallelization.
+  channel estimation, RAKE, MLSE (Viterbi), spectral monitoring, digital
+  notch, AGC, parallelization.
 * :mod:`repro.phy` — preambles, CRC, scrambler, convolutional coding,
   packet framing.
 * :mod:`repro.power` — per-block power models and system budgets.
@@ -44,7 +43,7 @@ Quick start::
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 from repro import (
     adc,

@@ -6,11 +6,6 @@ from repro.core.adaptation import (
     OperatingMode,
 )
 from repro.core.config import Gen1Config, Gen2Config
-from repro.core.hopping import (
-    ChannelQualityMap,
-    ChannelSelector,
-    HoppingLinkPlanner,
-)
 from repro.core.link import AcquisitionStatistics, LinkSimulator
 from repro.core.metrics import (
     BERCurve,
@@ -32,9 +27,6 @@ __all__ = [
     "OperatingMode",
     "Gen1Config",
     "Gen2Config",
-    "ChannelQualityMap",
-    "ChannelSelector",
-    "HoppingLinkPlanner",
     "AcquisitionStatistics",
     "LinkSimulator",
     "BERCurve",

@@ -126,8 +126,8 @@ class Gen2Config:
     """Second-generation 3.1-10.6 GHz direct-conversion transceiver configuration.
 
     The signal is a 500 MHz-bandwidth pulse train at complex baseband; the
-    sub-band centre frequency only matters to the RF models (band plan,
-    synthesizer, FCC analysis), not to the baseband math.
+    sub-band centre frequency only matters to the band plan and the FCC
+    analysis, not to the baseband math.
     """
 
     # Waveform
@@ -208,6 +208,15 @@ class Gen2Config:
         """On-air duration of the preamble (one chip per PRI)."""
         return (self.packet.preamble.total_symbols
                 * self.pulse_repetition_interval_s)
+
+    @property
+    def has_impairments(self) -> bool:
+        """Whether any direct-conversion impairment (carrier frequency
+        offset, I/Q gain or phase imbalance, DC offset) is configured."""
+        return (abs(self.carrier_frequency_offset_hz) > 0
+                or abs(self.iq_gain_imbalance_db) > 0
+                or abs(self.iq_phase_imbalance_deg) > 0
+                or abs(self.dc_offset) > 0)
 
     @classmethod
     def fast_test_config(cls) -> "Gen2Config":

@@ -155,22 +155,19 @@ class Gen2Transceiver(_Transceiver):
         """Apply the direct-conversion impairments configured for the link."""
         config = self.config
         x = np.asarray(waveform, dtype=complex)
-        needs_cfo = abs(config.carrier_frequency_offset_hz) > 0
-        needs_iq = (abs(config.iq_gain_imbalance_db) > 0
-                    or abs(config.iq_phase_imbalance_deg) > 0)
-        needs_dc = abs(config.dc_offset) > 0
-        if not (needs_cfo or needs_iq or needs_dc):
+        if not config.has_impairments:
             return x
-        if needs_cfo:
+        if abs(config.carrier_frequency_offset_hz) > 0:
             t = dsp.time_vector(x.size, config.simulation_rate_hz)
             x = x * np.exp(1j * 2.0 * np.pi
                            * config.carrier_frequency_offset_hz * t)
-        if needs_iq:
+        if (abs(config.iq_gain_imbalance_db) > 0
+                or abs(config.iq_phase_imbalance_deg) > 0):
             gain_error = 10.0 ** (config.iq_gain_imbalance_db / 20.0) - 1.0
             phase_error = np.deg2rad(config.iq_phase_imbalance_deg)
             alpha = 0.5 * (1.0 + (1.0 + gain_error) * np.exp(-1j * phase_error))
             beta = 0.5 * (1.0 - (1.0 + gain_error) * np.exp(1j * phase_error))
             x = alpha * x + beta * np.conj(x)
-        if needs_dc:
+        if abs(config.dc_offset) > 0:
             x = x + config.dc_offset
         return x

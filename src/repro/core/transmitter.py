@@ -351,8 +351,8 @@ class Gen2Transmitter(_PulsedTransmitter):
     """Complex-baseband transmitter for the 3.1-10.6 GHz system (gen 2).
 
     The waveform is the 500 MHz-bandwidth complex envelope; the sub-band
-    centre frequency lives in ``config.channel_index`` and is applied by the
-    RF models (synthesizer / FCC analysis), not baked into the samples.
+    centre frequency lives in ``config.channel_index`` and is read from the
+    band plan (:meth:`carrier_frequency_hz`), not baked into the samples.
     """
 
     def __init__(self, config: Gen2Config | None = None) -> None:

@@ -1,5 +1,5 @@
-"""Digital back end: correlators, acquisition, tracking, channel estimation,
-RAKE combining, MLSE (Viterbi) equalization, spectral monitoring, notches, AGC,
+"""Digital back end: correlators, acquisition, channel estimation, RAKE
+combining, MLSE (Viterbi) equalization, spectral monitoring, notches, AGC,
 and the parallelization/latency bookkeeping."""
 
 from repro.dsp.acquisition import (
@@ -27,7 +27,6 @@ from repro.dsp.spectral_monitor import (
     SpectralMonitor,
     SpectralMonitorConfig,
 )
-from repro.dsp.tracking import DelayLockedLoop, TrackingResult
 from repro.dsp.viterbi import MLSEEqualizer, rake_isi_taps, symbol_spaced_channel
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "InterfererReport",
     "SpectralMonitor",
     "SpectralMonitorConfig",
-    "DelayLockedLoop",
-    "TrackingResult",
     "MLSEEqualizer",
     "rake_isi_taps",
     "symbol_spaced_channel",

@@ -5,8 +5,8 @@ its frequency that may be used in the front end notch filter."  The
 detector periodogram-averages blocks of ADC samples; a narrowband
 interferer shows up as a spectral line far above the (flat) UWB signal +
 noise floor.  The frequency estimate is refined by quadratic interpolation
-around the peak bin, and the result can be handed straight to
-``repro.rf.notch.AnalogNotchFilter.tune`` or to the digital notch.
+around the peak bin, and the result can be handed straight to the
+digital notch (:class:`repro.dsp.notch.DigitalNotchFilter`).
 """
 
 from __future__ import annotations

@@ -1,40 +1,5 @@
-"""RF front-end models: antenna, LNA, mixer, LO/synthesizer, notch, cascades."""
+"""RF models: the planar elliptical UWB antenna (Fig. 2)."""
 
 from repro.rf.antenna import PlanarEllipticalAntenna
-from repro.rf.frontend import DirectConversionFrontEnd, Gen1FrontEnd
-from repro.rf.lna import LNA
-from repro.rf.mixer import DirectConversionMixer
-from repro.rf.noise import (
-    NoiseStage,
-    cascade_gain_db,
-    cascade_noise_figure_db,
-    thermal_noise_voltage_std,
-)
-from repro.rf.nonlinearity import (
-    RappNonlinearity,
-    iip3_to_coefficient,
-    polynomial_nonlinearity,
-)
-from repro.rf.notch import AnalogNotchFilter
-from repro.rf.oscillator import LocalOscillator, PhaseLockedLoop
-from repro.rf.synthesizer import FrequencySynthesizer, HoppingSequence
 
-__all__ = [
-    "PlanarEllipticalAntenna",
-    "DirectConversionFrontEnd",
-    "Gen1FrontEnd",
-    "LNA",
-    "DirectConversionMixer",
-    "NoiseStage",
-    "cascade_gain_db",
-    "cascade_noise_figure_db",
-    "thermal_noise_voltage_std",
-    "RappNonlinearity",
-    "iip3_to_coefficient",
-    "polynomial_nonlinearity",
-    "AnalogNotchFilter",
-    "LocalOscillator",
-    "PhaseLockedLoop",
-    "FrequencySynthesizer",
-    "HoppingSequence",
-]
+__all__ = ["PlanarEllipticalAntenna"]

@@ -60,6 +60,11 @@ from urllib.parse import urlsplit
 
 from repro.core.metrics import BERPoint
 from repro.sim.engine import SweepEngine, SweepPoint
+from repro.utils.validation import (
+    require_int,
+    require_non_negative,
+    require_positive,
+)
 
 __all__ = ["BrokerClient", "BrokerRequestError", "BrokerTransportError",
            "Worker", "WorkerShutdown"]
@@ -123,7 +128,7 @@ class BrokerClient:
         The broker's base URL (as printed by ``python -m repro serve``),
         ``http://`` or ``https://``.
     timeout_s:
-        Per-request socket timeout.
+        Per-request socket timeout (a positive finite number).
     max_attempts:
         Total tries per request against transient transport errors
         before :class:`BrokerTransportError` is raised (>= 1).
@@ -141,8 +146,6 @@ class BrokerClient:
                  max_attempts: int = 5, backoff_base_s: float = 0.1,
                  backoff_cap_s: float = 5.0, retry_seed: int = 0,
                  sleep=time.sleep) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.base_url = base_url.rstrip("/")
         parts = urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.netloc:
@@ -156,10 +159,13 @@ class BrokerClient:
         self._local = threading.local()
         self._connections: set[http.client.HTTPConnection] = set()
         self._connections_lock = threading.Lock()
-        self.timeout_s = float(timeout_s)
-        self.max_attempts = int(max_attempts)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
+        self.timeout_s = require_positive(timeout_s, "timeout_s")
+        self.max_attempts = require_int(max_attempts, "max_attempts",
+                                        minimum=1)
+        self.backoff_base_s = require_non_negative(backoff_base_s,
+                                                   "backoff_base_s")
+        self.backoff_cap_s = require_non_negative(backoff_cap_s,
+                                                  "backoff_cap_s")
         self.transport_retries = 0
         self._jitter = random.Random(retry_seed)
         self._sleep = sleep
@@ -447,7 +453,8 @@ class Worker:
     name:
         Human-readable worker name reported at registration.
     poll_interval_s:
-        Sleep between lease polls while the queue is empty.
+        Sleep between lease polls while the queue is empty (a positive
+        finite number; anything else would poll back to back).
     exit_when_idle:
         Stop once the broker reports no pending or leased chunks at all
         — how CI drains a fleet deterministically.
@@ -456,10 +463,11 @@ class Worker:
     def __init__(self, client, name: str | None = None,
                  poll_interval_s: float = 0.2,
                  exit_when_idle: bool = False) -> None:
+        self.poll_interval_s = require_positive(poll_interval_s,
+                                                "poll_interval_s")
         self._owns_client = isinstance(client, str)
         self.client = BrokerClient(client) if self._owns_client else client
         self.name = name
-        self.poll_interval_s = float(poll_interval_s)
         self.exit_when_idle = bool(exit_when_idle)
         self.worker_id: str | None = None
         self.chunks_committed = 0

@@ -535,15 +535,9 @@ class BatchedFullStackModel:
                        for start in tx_batch.preamble_start_samples]
         batch = self._channel_batch(channels, tx_batch)
 
-        gen2_config = config
-        needs_impairments = (
-            abs(gen2_config.carrier_frequency_offset_hz) > 0
-            or abs(gen2_config.iq_gain_imbalance_db) > 0
-            or abs(gen2_config.iq_phase_imbalance_deg) > 0
-            or abs(gen2_config.dc_offset) > 0)
         for index in range(num_packets):
             valid = slice(0, int(lengths[index]))
-            if needs_impairments:
+            if config.has_impairments:
                 batch[index, valid] = transceiver._apply_impairments(
                     batch[index, valid], rng)
             if interferer_waves[index] is not None:

@@ -1,11 +1,10 @@
-"""Tests for coarse acquisition and fine tracking (DLL)."""
+"""Tests for coarse acquisition (parallel preamble search)."""
 
 import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn
 from repro.dsp.acquisition import AcquisitionConfig, CoarseAcquisition
-from repro.dsp.tracking import DelayLockedLoop
 from repro.phy.preamble import PreambleConfig, build_preamble_symbols
 from repro.pulses.shapes import gaussian_pulse
 
@@ -103,57 +102,3 @@ class TestCoarseAcquisition:
         with pytest.raises(ValueError):
             AcquisitionConfig(threshold=1.5)
 
-
-class TestDelayLockedLoop:
-    def _symbol_waveform(self, num_symbols, samples_per_symbol, pulse,
-                         timing_offset):
-        waveform = np.zeros(num_symbols * samples_per_symbol + 100)
-        for k in range(num_symbols):
-            start = int(round(timing_offset + k * samples_per_symbol))
-            waveform[start:start + pulse.size] += pulse
-        return waveform
-
-    def test_discriminator_sign(self):
-        pulse = gaussian_pulse(500e6, 2e9).waveform
-        samples = np.concatenate((np.zeros(50), pulse, np.zeros(50)))
-        dll = DelayLockedLoop(early_late_spacing_samples=4.0)
-        # Template placed too early -> peak is later -> positive output.
-        early_error = dll.discriminator(samples, pulse, 47.0)
-        late_error = dll.discriminator(samples, pulse, 53.0)
-        assert early_error > 0
-        assert late_error < 0
-
-    def test_tracks_static_offset(self):
-        pulse = gaussian_pulse(500e6, 2e9).waveform
-        samples_per_symbol = 40
-        true_offset = 3.0
-        samples = self._symbol_waveform(50, samples_per_symbol, pulse,
-                                        timing_offset=true_offset)
-        dll = DelayLockedLoop(loop_gain=0.2)
-        result = dll.track(samples, pulse, samples_per_symbol,
-                           initial_offset=0.0, num_symbols=50)
-        # The loop should converge toward the true +3-sample offset.
-        assert result.final_offset_samples == pytest.approx(true_offset, abs=1.0)
-
-    def test_rms_jitter_small_in_steady_state(self):
-        pulse = gaussian_pulse(500e6, 2e9).waveform
-        samples = self._symbol_waveform(60, 40, pulse, timing_offset=1.0)
-        dll = DelayLockedLoop(loop_gain=0.2)
-        result = dll.track(samples, pulse, 40, initial_offset=0.0,
-                           num_symbols=60)
-        assert result.rms_jitter_samples < 1.0
-
-    def test_drift_estimate_zero_for_static_channel(self):
-        pulse = gaussian_pulse(500e6, 2e9).waveform
-        samples = self._symbol_waveform(60, 40, pulse, timing_offset=0.0)
-        dll = DelayLockedLoop(loop_gain=0.1)
-        result = dll.track(samples, pulse, 40, initial_offset=0.0,
-                           num_symbols=60)
-        assert abs(dll.estimate_drift_ppm(result, 40)) < 2000.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            DelayLockedLoop(loop_gain=0.0)
-        dll = DelayLockedLoop()
-        with pytest.raises(ValueError):
-            dll.track(np.zeros(100), np.ones(4), 0, 0.0, 10)

@@ -169,6 +169,27 @@ class TestErrors:
         assert "timeout_s" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("interval", ["-1", "nan", "0"])
+    def test_worker_rejects_a_poll_interval_that_busy_loops(
+            self, tmp_path, capsys, interval):
+        from repro.serve.api import create_server
+        from repro.serve.broker import Broker
+        broker = Broker(tmp_path / "store")
+        server = create_server(broker)
+        server.serve_in_thread()
+        try:
+            code, _ = run_cli("worker", "--broker", server.url,
+                              "--exit-when-idle", "--poll-interval",
+                              interval)
+            workers = broker.status()["workers"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            broker.close()
+        assert code == 2
+        assert "poll_interval_s" in capsys.readouterr().err
+        assert workers == []
+
     @pytest.mark.parametrize("extra, message", [
         (("--seed", "-1"), "seed"),
         (("--workers", "0"), "--workers"),

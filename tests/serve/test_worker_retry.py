@@ -109,6 +109,30 @@ class TestTransportRetry:
         with pytest.raises(ValueError, match="max_attempts"):
             BrokerClient("http://broker.invalid", max_attempts=0)
 
+    @pytest.mark.parametrize("name, value, error", [
+        ("max_attempts", 2.7, TypeError),
+        ("max_attempts", True, TypeError),
+        ("max_attempts", -3, ValueError),
+        ("timeout_s", -1.0, ValueError),
+        ("timeout_s", 0.0, ValueError),
+        ("timeout_s", float("nan"), ValueError),
+        ("timeout_s", float("inf"), ValueError),
+        ("backoff_base_s", -1.0, ValueError),
+        ("backoff_base_s", float("nan"), ValueError),
+        ("backoff_cap_s", -1.0, ValueError),
+        ("backoff_cap_s", float("inf"), ValueError),
+    ])
+    def test_invalid_settings_rejected_at_construction(self, name, value,
+                                                       error):
+        with pytest.raises(error, match=name):
+            BrokerClient("http://broker.invalid", **{name: value})
+
+    def test_zero_backoff_is_allowed(self):
+        client = ScriptedClient([REFUSED, {"ok": 1}], max_attempts=2,
+                                backoff_base_s=0.0, backoff_cap_s=0.0)
+        assert client.get("/api/v1/status") == {"ok": 1}
+        assert client.slept == [0.0]
+
     def test_real_connection_refused_raises_transport_error(self):
         # Grab a port the OS just handed out and closed: nothing
         # listens there, so urllib sees a genuine refused connection.
@@ -122,6 +146,13 @@ class TestTransportRetry:
         with pytest.raises(BrokerTransportError) as excinfo:
             client.status()
         assert excinfo.value.attempts == 2
+
+
+@pytest.mark.parametrize("interval", [0, 0.0, -1.0, float("nan"),
+                                      float("inf")])
+def test_worker_rejects_a_poll_interval_that_busy_loops(interval):
+    with pytest.raises(ValueError, match="poll_interval_s"):
+        Worker("http://broker.invalid", poll_interval_s=interval)
 
 
 @pytest.fixture
