@@ -9,6 +9,7 @@ parameters down for unit tests while keeping the architecture identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.constants import (
@@ -172,6 +173,11 @@ class Gen2Config:
         require_int(self.channel_index, "channel_index", minimum=0)
         if self.channel_index > 13:
             raise ValueError("channel_index must be in [0, 13]")
+        for name in ("carrier_frequency_offset_hz", "iq_gain_imbalance_db",
+                     "iq_phase_imbalance_deg", "dc_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.simulation_rate_hz < self.adc_rate_hz:
             raise ValueError("simulation rate must be >= ADC rate")
         ratio = self.simulation_rate_hz / self.adc_rate_hz

@@ -135,6 +135,14 @@ class TestFlashADC:
         x = np.linspace(-0.95, 0.95, 101)
         assert np.allclose(flash.convert(x), uniform.quantize(x))
 
+    def test_ideal_thresholds_are_the_uniform_code_boundaries(self):
+        flash = FlashADC(bits=3, full_scale=1.0)
+        thresholds = flash.thresholds
+        assert np.allclose(thresholds, -1.0 + 0.25 * np.arange(1, 8))
+        # A copy: editing it must not move the converter's thresholds.
+        thresholds[:] = 0.0
+        assert flash.convert_codes(np.array([-0.9, 0.9])).tolist() == [0, 7]
+
     def test_codes_monotone_in_input(self):
         flash = FlashADC(bits=4, comparator_offset_std=0.01,
                          rng=np.random.default_rng(0))

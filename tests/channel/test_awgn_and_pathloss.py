@@ -120,6 +120,16 @@ class TestAWGN:
         snr = 10 * np.log10(1.0 / np.var(noisy - x))
         assert snr == pytest.approx(20.0, abs=0.3)
 
+    def test_channel_class_ebn0_is_awgn_at_the_ebn0_std(self):
+        # apply_ebn0 is awgn() at noise_std_for_ebn0: the same draws from
+        # the same seed give the same samples.
+        x = np.ones(1000)
+        noisy = AWGNChannel(np.random.default_rng(3)).apply_ebn0(
+            x, 6.0, energy_per_bit=8.0)
+        expected = awgn(x, noise_std_for_ebn0(8.0, 6.0),
+                        rng=np.random.default_rng(3))
+        assert np.array_equal(noisy, expected)
+
     @given(st.floats(min_value=0.1, max_value=100.0),
            st.floats(min_value=-5.0, max_value=20.0))
     @settings(max_examples=30)
@@ -190,3 +200,27 @@ class TestLinkBudget:
     def test_transmit_power_is_fcc_limited(self):
         budget = self._budget()
         assert budget.transmit_power_dbm() == pytest.approx(-14.3, abs=0.1)
+
+    @pytest.mark.parametrize("exponent", [1.7, 2.0, 3.5])
+    def test_path_loss_uses_the_configured_exponent(self, exponent):
+        budget = LinkBudget(center_frequency_hz=4.5e9, bandwidth_hz=500e6,
+                            path_loss_exponent=exponent)
+        assert budget.path_loss_db(1.0) == pytest.approx(
+            free_space_path_loss_db(1.0, 4.5e9))
+        assert budget.path_loss_db(10.0) - budget.path_loss_db(1.0) == \
+            pytest.approx(10.0 * exponent)
+
+    def test_received_power_sums_the_line_items(self):
+        budget = LinkBudget(center_frequency_hz=4.5e9, bandwidth_hz=500e6,
+                            tx_antenna_gain_dbi=2.0, rx_antenna_gain_dbi=1.0,
+                            implementation_loss_db=4.0)
+        assert budget.received_power_dbm(3.0) == pytest.approx(
+            budget.transmit_power_dbm() + 2.0 + 1.0
+            - budget.path_loss_db(3.0) - 4.0)
+
+    def test_noise_power_is_ktb_plus_noise_figure(self):
+        budget = self._budget()
+        assert budget.noise_power_dbm() == pytest.approx(
+            thermal_noise_power_dbm(500e6) + 7.0)
+        assert budget.received_snr_db(3.0) == pytest.approx(
+            budget.received_power_dbm(3.0) - budget.noise_power_dbm())

@@ -64,6 +64,21 @@ class TestMultipathChannel:
         channel = MultipathChannel([0.0, 10e-9], [1.0, 1.0])
         assert channel.mean_excess_delay_s() == pytest.approx(5e-9)
 
+    @pytest.mark.parametrize("threshold_db, expected_s", [
+        (30.0, 20e-9),   # the -20 dB ray at 25 ns counts
+        (10.0, 15e-9),   # only the rays within 10 dB of the peak
+    ])
+    def test_maximum_excess_delay_threshold(self, threshold_db, expected_s):
+        # Rays at 5, 10, 20 and 25 ns with powers 0, -3, -6 and -20 dB.
+        gains = 10.0 ** (-np.array([0.0, 3.0, 6.0, 20.0]) / 20.0)
+        channel = MultipathChannel([5e-9, 10e-9, 20e-9, 25e-9], gains)
+        assert channel.maximum_excess_delay_s(threshold_db) == \
+            pytest.approx(expected_s)
+
+    def test_maximum_excess_delay_of_a_silent_channel_is_zero(self):
+        channel = MultipathChannel([0.0, 5e-9], [0.0, 0.0])
+        assert channel.maximum_excess_delay_s() == 0.0
+
     def test_discrete_impulse_response_positions(self):
         channel = MultipathChannel([0.0, 4e-9], [1.0, -0.5])
         h = channel.discrete_impulse_response(1e9)

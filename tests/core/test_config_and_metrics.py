@@ -121,6 +121,14 @@ class TestGen2Config:
         config = Gen2Config.fast_test_config()
         assert config.samples_per_pri_adc >= 4
 
+    @pytest.mark.parametrize("config_class", [Gen1Config, Gen2Config])
+    def test_bit_duration_is_pulses_times_pri(self, config_class):
+        config = config_class(pulses_per_bit=4)
+        assert config.bit_duration_s == pytest.approx(
+            4 * config.pulse_repetition_interval_s)
+        assert config.data_rate_bps * config.bit_duration_s == \
+            pytest.approx(1.0)
+
     def test_preamble_duration_near_20us_for_default(self):
         # 127-chip sequence x 8 repetitions x 10 ns = 10.2 us, within the
         # paper's ~20 us preamble budget.
@@ -181,3 +189,27 @@ class TestMetrics:
         assert count_payload_errors([1, 1, 1, 1], [1, 1]) == 2
         assert count_payload_errors([1, 0, 1], [1, 1, 1]) == 1
         assert count_payload_errors([], []) == 0
+
+    def test_ber_curve_values_and_rows_keep_insertion_order(self):
+        curve = BERCurve(label="test")
+        curve.add(BERPoint(ebn0_db=6.0, bit_errors=2, total_bits=1000,
+                           packets_sent=10, packets_failed=1))
+        curve.add(BERPoint(ebn0_db=2.0, bit_errors=50, total_bits=1000,
+                           packets_sent=10, packets_failed=4))
+        assert curve.ebn0_values().tolist() == [6.0, 2.0]
+        assert curve.ber_values().tolist() == pytest.approx([0.002, 0.05])
+        assert curve.as_rows() == [(6.0, pytest.approx(0.002), 0.1),
+                                   (2.0, pytest.approx(0.05), 0.4)]
+
+    def test_ber_curve_interpolates_log_linearly_between_points(self):
+        # Points are added out of order; the curve sorts them first.
+        curve = BERCurve(label="test")
+        for ebn0, errors in ((10.0, 1), (0.0, 100), (5.0, 10)):
+            curve.add(BERPoint(ebn0_db=ebn0, bit_errors=errors,
+                               total_bits=1000, packets_sent=10,
+                               packets_failed=0))
+        # BER 0.01 at 5 dB and 0.001 at 10 dB: 0.005 sits log10(2) of
+        # the way through the decade.
+        assert curve.required_ebn0_for_ber(0.005) == pytest.approx(
+            5.0 + 5.0 * np.log10(2.0))
+        assert curve.required_ebn0_for_ber(0.5) == 0.0

@@ -77,3 +77,12 @@ def test_iq_imbalance_image_ratio_matches_closed_form():
     alpha = 0.5 * (1.0 + g * np.exp(-1j * phi))
     beta = 0.5 * (1.0 - g * np.exp(1j * phi))
     assert image_ratio == pytest.approx(abs(beta / alpha), rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", sorted(IMPAIRMENT_FIELDS))
+def test_non_finite_impairment_is_rejected(name, value):
+    # A NaN used to read as "not configured" (abs(nan) > 0 is False) and
+    # an infinite DC offset turned every sample into inf.
+    with pytest.raises(ValueError, match=name):
+        Gen2Config.fast_test_config().with_changes(**{name: value})

@@ -6,7 +6,11 @@ import pytest
 from repro.channel.multipath import MultipathChannel
 from repro.dsp.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.dsp.rake import RakeReceiver
-from repro.dsp.viterbi import MLSEEqualizer, symbol_spaced_channel
+from repro.dsp.viterbi import (
+    MLSEEqualizer,
+    equalize_to_bits_batch,
+    symbol_spaced_channel,
+)
 from repro.phy.preamble import PreambleConfig, build_preamble_symbols
 from repro.pulses.shapes import gaussian_pulse
 
@@ -248,6 +252,26 @@ class TestMLSEEqualizer:
         equalizer = MLSEEqualizer([1.0])
         bits = equalizer.equalize_to_bits(np.array([0.8, -0.9, 0.7]))
         assert np.array_equal(bits, [1, 0, 1])
+
+    def test_equalize_to_bits_batch_matches_per_packet(self, rng):
+        # Packets with different ISI taps, memories and lengths: rows that
+        # share a trellis shape run together, the others alone.
+        taps = [[1.0, 0.6], [1.0, -0.4], [1.0, 0.5, 0.2], [1.0], [1.0, 0.6]]
+        lengths = [40, 40, 40, 25, 0]
+        equalizers, rows = [], []
+        for isi, length in zip(taps, lengths):
+            symbols = 2.0 * rng.integers(0, 2, size=length) - 1.0
+            received = np.convolve(np.append(symbols, 0.0), isi)[:length]
+            rows.append(received + 0.5 * rng.standard_normal(length))
+            equalizers.append(MLSEEqualizer(isi))
+        batch = equalize_to_bits_batch(equalizers, rows)
+        assert len(batch) == len(rows)
+        for equalizer, row, bits in zip(equalizers, rows, batch):
+            assert np.array_equal(bits, equalizer.equalize_to_bits(row))
+
+    def test_equalize_to_bits_batch_needs_one_row_per_equalizer(self):
+        with pytest.raises(ValueError, match="one statistics row"):
+            equalize_to_bits_batch([MLSEEqualizer([1.0])], [])
 
     def test_trellis_size_guard(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from repro.dsp.correlator import (
     Correlator,
     CorrelatorBank,
     normalized_correlation,
+    normalized_correlation_batch,
     sliding_correlation,
+    sliding_correlation_batch,
 )
 from repro.dsp.parallelizer import (
     Parallelizer,
@@ -80,6 +82,44 @@ class TestNormalizedCorrelation:
         assert np.allclose(metric1, metric2, atol=1e-6)
 
 
+class TestBatchedCorrelation:
+    @staticmethod
+    def _rows(dtype):
+        rng = np.random.default_rng(10)
+        samples = rng.standard_normal((4, 200))
+        template = rng.standard_normal(24)
+        if dtype is complex:
+            samples = samples + 1j * rng.standard_normal((4, 200))
+            template = template + 1j * rng.standard_normal(24)
+        samples[1, 50:74] += 3.0 * template
+        return samples, template
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sliding_batch_matches_per_row(self, dtype):
+        samples, template = self._rows(dtype)
+        batch = sliding_correlation_batch(samples, template)
+        assert batch.shape == (4, 200 - 24 + 1)
+        for row, out in zip(samples, batch):
+            assert np.allclose(out, sliding_correlation(row, template),
+                               atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_normalized_batch_matches_per_row(self, dtype):
+        samples, template = self._rows(dtype)
+        batch = normalized_correlation_batch(samples, template)
+        assert np.all(np.abs(batch) <= 1.0 + 1e-9)
+        for row, out in zip(samples, batch):
+            assert np.allclose(out, normalized_correlation(row, template),
+                               atol=1e-9)
+        assert int(np.argmax(np.abs(batch[1]))) == 50
+
+    def test_template_longer_than_buffer_gives_empty_rows(self):
+        out = sliding_correlation_batch(np.ones((3, 5)), np.ones(8))
+        assert out.shape == (3, 0)
+        assert normalized_correlation_batch(np.ones((3, 5)),
+                                            np.ones(8)).shape == (3, 0)
+
+
 class TestCorrelatorBank:
     def test_correlate_at_specific_offset(self):
         template = np.array([1.0, 1.0, -1.0])
@@ -145,6 +185,12 @@ class TestParallelizer:
         with pytest.raises(ValueError):
             parallelizer.merge([np.ones(4), np.ones(4)])
 
+    @pytest.mark.parametrize("num_lanes", [1, 4, 16])
+    def test_search_speedup_is_the_lane_count(self, num_lanes):
+        parallelizer = Parallelizer(num_lanes=num_lanes, input_rate_hz=1e9)
+        assert parallelizer.search_speedup() == num_lanes
+        assert parallelizer.lane_rate_hz * num_lanes == pytest.approx(1e9)
+
     def test_acquisition_cycles(self):
         assert acquisition_clock_cycles(1000, 1) == 1000
         assert acquisition_clock_cycles(1000, 16) == 63
@@ -201,3 +247,31 @@ class TestAGC:
     def test_invalid_limits(self):
         with pytest.raises(ValueError):
             AutomaticGainControl(min_gain=10.0, max_gain=1.0)
+
+    @pytest.mark.parametrize("rms, expected_gain", [
+        (0.5, 0.5),      # target / rms inside the limits
+        (1e-3, 100.0),   # clipped to max_gain
+        (1e3, 0.01),     # clipped to min_gain
+    ])
+    def test_compute_gain_clips_target_over_rms(self, rms, expected_gain):
+        agc = AutomaticGainControl(target_rms=0.25, max_gain=100.0,
+                                   min_gain=0.01)
+        samples = rms * np.array([1.0, -1.0, 1.0, -1.0])
+        assert agc.compute_gain(samples) == pytest.approx(expected_gain)
+
+    def test_peak_batch_matches_per_row_bit_for_bit(self):
+        agc = AutomaticGainControl(max_gain=50.0)
+        rng = np.random.default_rng(11)
+        samples = rng.standard_normal((4, 64)) + 1j * rng.standard_normal(
+            (4, 64))
+        samples[2] = 0.0
+        samples[3] *= 1e-6
+        scaled, gains = agc.apply_from_peak_batch(samples, full_scale=1.0,
+                                                  peak_backoff_db=4.0)
+        assert gains.shape == (4,)
+        for row, row_scaled, gain in zip(samples, scaled, gains):
+            expected, expected_gain = agc.apply_from_peak(
+                row, full_scale=1.0, peak_backoff_db=4.0)
+            assert gain == expected_gain
+            assert np.array_equal(row_scaled, expected)
+        assert gains[2] == gains[3] == 50.0

@@ -46,6 +46,22 @@ class TestConvolutionalCode:
         coded = K3_RATE_HALF.encode(np.array([1]), terminate=True)
         assert np.array_equal(coded, [1, 1, 1, 0, 1, 1])
 
+    @pytest.mark.parametrize("code", [K3_RATE_HALF, K7_RATE_HALF],
+                             ids=["k3", "k7"])
+    def test_trellis_walk_reproduces_encode(self, code):
+        # The decoder's trellis (output_bits/next_state) and the encoder
+        # must describe the same machine, starting from the zero state.
+        bits = random_bits(40, np.random.default_rng(7))
+        state, walked = 0, []
+        for bit in bits.tolist():
+            walked.append(code.output_bits(state, bit))
+            state = code.next_state(state, bit)
+        assert np.array_equal(np.concatenate(walked),
+                              code.encode(bits, terminate=False))
+        for _ in range(code.constraint_length - 1):
+            state = code.next_state(state, 0)
+        assert state == 0
+
     def test_invalid_generators(self):
         with pytest.raises(ValueError):
             ConvolutionalCode(constraint_length=3, generators=(0b1111,
@@ -91,6 +107,27 @@ class TestViterbiDecoder:
         bits = random_bits(60, np.random.default_rng(4))
         coded = K7_RATE_HALF.encode(bits)
         assert np.array_equal(decoder.decode(coded), bits)
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("code", [K3_RATE_HALF, K7_RATE_HALF],
+                             ids=["k3", "k7"])
+    def test_decode_batch_matches_decode_row_by_row(self, code, soft):
+        # Noisy enough that rows carry decoding errors, so the batched
+        # tie-breaking and traceback are exercised, not just clean paths.
+        rng = np.random.default_rng(8)
+        decoder = ViterbiDecoder(code)
+        bits = random_bits(6 * 30, rng).reshape(6, 30)
+        coded = np.stack([code.encode(row) for row in bits])
+        noisy = 2.0 * coded - 1.0 + rng.normal(0.0, 1.0, coded.shape)
+        received = noisy if soft else (noisy > 0).astype(np.int64)
+        batch = decoder.decode_batch(received, soft=soft)
+        for row, decoded in zip(received, batch):
+            assert np.array_equal(decoded, decoder.decode(row, soft=soft))
+
+    def test_decode_batch_rejects_a_single_stream(self):
+        decoder = ViterbiDecoder(K3_RATE_HALF)
+        with pytest.raises(ValueError, match="batch"):
+            decoder.decode_batch(np.zeros(8))
 
     def test_invalid_length_raises(self):
         decoder = ViterbiDecoder(K3_RATE_HALF)
@@ -193,6 +230,61 @@ class TestPacketFraming:
         result = parser.parse(corrupted)
         assert result.crc_ok
         assert np.array_equal(result.payload_bits, payload)
+
+    def test_parse_many_matches_parse_row_by_row(self):
+        # Clean, payload-corrupted, header-corrupted and truncated rows,
+        # of two payload lengths, with and without soft values.
+        config = self._config()
+        builder = PacketBuilder(config)
+        parser = PacketParser(config)
+        rng = np.random.default_rng(9)
+        rows, soft_rows = [], []
+        for index in range(8):
+            body = builder.build(random_bits(32 if index % 2 else 48,
+                                             rng)).body_bits.copy()
+            if index == 2:
+                body[HEADER_LENGTH_BITS + 7] ^= 1
+                body[HEADER_LENGTH_BITS + 9] ^= 1
+            if index == 3:
+                body[HEADER_LENGTH_BITS + 6:HEADER_LENGTH_BITS + 14] ^= 1
+            if index == 4:
+                body[3] ^= 1
+            if index == 5:
+                body = body[:10]
+            rows.append(body)
+            coded = body[HEADER_LENGTH_BITS:]
+            soft_rows.append(None if index % 3 == 0 else
+                             2.0 * coded - 1.0
+                             + rng.normal(0.0, 0.3, coded.size))
+        for soft in (None, soft_rows):
+            results = parser.parse_many(rows, soft)
+            assert len(results) == len(rows)
+            assert not all(result.crc_ok for result in results)
+            for index, (row, result) in enumerate(zip(rows, results)):
+                expected = parser.parse(
+                    row, None if soft is None else soft[index])
+                assert result.crc_ok == expected.crc_ok
+                assert np.array_equal(result.payload_bits,
+                                      expected.payload_bits)
+                assert (result.header_payload_length,
+                        result.header_modulation_id,
+                        result.header_coding_flag) == (
+                    expected.header_payload_length,
+                    expected.header_modulation_id,
+                    expected.header_coding_flag)
+
+    def test_parse_many_needs_one_soft_entry_per_row(self):
+        parser = PacketParser(self._config())
+        rows = [np.zeros(40, dtype=np.int64)] * 2
+        with pytest.raises(ValueError, match="one entry"):
+            parser.parse_many(rows, [None])
+
+    def test_num_body_bits_counts_header_and_coded_payload(self):
+        config = self._config()
+        packet = PacketBuilder(config).build(np.zeros(16, dtype=np.int64))
+        # 16 payload + 16 CRC bits, rate-1/2 K=3 code with 2 tail bits.
+        assert packet.num_payload_bits == 16
+        assert packet.num_body_bits == HEADER_LENGTH_BITS + (32 + 2) * 2
 
     def test_payload_too_long_raises(self):
         builder = PacketBuilder(self._config())

@@ -113,6 +113,22 @@ class TestCRC:
         bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
         assert CRC16_CCITT.compute(bits.astype(np.int64)) == 0x29B1
 
+    def test_crc32_known_vector(self):
+        # The MSB-first (non-reflected) CRC-32 of ASCII "123456789" is
+        # the catalogued CRC-32/BZIP2 check value 0xFC891918.
+        bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
+        assert CRC32.compute(bits.astype(np.int64)) == 0xFC891918
+
+    @pytest.mark.parametrize("crc", [CRC16_CCITT, CRC32],
+                             ids=lambda crc: crc.name)
+    def test_compute_bits_is_the_register_msb_first(self, crc):
+        payload = random_bits(77, np.random.default_rng(6))
+        bits = crc.compute_bits(payload)
+        assert bits.size == crc.width
+        assert int("".join(map(str, bits.tolist())), 2) == \
+            crc.compute(payload)
+        assert np.array_equal(append_crc(payload, crc)[-crc.width:], bits)
+
     def test_append_and_check(self):
         payload = random_bits(120, np.random.default_rng(0))
         protected = append_crc(payload)

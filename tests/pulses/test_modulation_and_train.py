@@ -160,6 +160,34 @@ class TestPulseTrainGenerator:
         e4 = np.sum(self._generator(4).generate_from_bits(bits).waveform ** 2)
         assert e4 == pytest.approx(4 * e1, rel=1e-6)
 
+    @pytest.mark.parametrize("pulses_per_symbol", [1, 3])
+    def test_batch_rows_equal_single_trains_bitwise(self, pulses_per_symbol):
+        gen = self._generator(pulses_per_symbol=pulses_per_symbol)
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2, size=(4, 9))
+        symbols = np.stack([gen.modulator.modulate(row)
+                            for row in bits])
+        batch = gen.generate_batch_from_symbols(symbols)
+        assert batch.shape == (4, 9 * gen.samples_per_symbol)
+        for row, waveform in zip(symbols, batch):
+            expected = gen.generate_from_symbols(row).waveform
+            assert waveform.tobytes() == expected.tobytes()
+
+    def test_batch_declines_hopping_and_position_modulation(self):
+        pulse = gaussian_pulse(500e6, 2e9)
+        hopping = PulseTrainGenerator(
+            pulse, PulseTrainConfig(pulse_repetition_interval_s=20e-9,
+                                    time_hopping_codes=(0.0, 5e-9)),
+            BPSKModulator())
+        ppm = PulseTrainGenerator(
+            pulse, PulseTrainConfig(pulse_repetition_interval_s=20e-9),
+            BinaryPPMModulator(delta_s=4e-9))
+        symbols = np.zeros((2, 4), dtype=np.int64)
+        assert hopping.generate_batch_from_symbols(symbols) is None
+        assert ppm.generate_batch_from_symbols(symbols) is None
+        with pytest.raises(ValueError, match="batch"):
+            self._generator().generate_batch_from_symbols(np.zeros(4))
+
     def test_pulse_longer_than_pri_raises(self):
         pulse = gaussian_pulse(100e6, 2e9)   # ~39 ns long
         config = PulseTrainConfig(pulse_repetition_interval_s=10e-9)

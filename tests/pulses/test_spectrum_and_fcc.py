@@ -18,6 +18,7 @@ from repro.pulses.fcc_mask import (
 from repro.pulses.modulated import fig4_prototype_pulse, modulated_gaussian_pulse
 from repro.pulses.shapes import gaussian_pulse
 from repro.pulses.spectrum import (
+    SpectrumSummary,
     bandwidth_at_level,
     fractional_bandwidth,
     is_uwb_signal,
@@ -105,6 +106,21 @@ class TestSpectrumSummary:
         t = np.arange(16384) / 4e9
         tone = np.sin(2 * np.pi * 1e9 * t)
         assert not is_uwb_signal(tone, 4e9, carrier_hz=0.0)
+
+    @pytest.mark.parametrize("bandwidth_hz, fractional, expected", [
+        (500e6, 0.05, True),    # the 500 MHz absolute floor
+        (499e6, 0.2, True),     # the 0.2 fractional floor
+        (499e6, 0.19, False),   # neither
+        (2e9, 0.5, True),       # both
+    ])
+    def test_qualifies_as_uwb_is_either_fcc_criterion(self, bandwidth_hz,
+                                                      fractional, expected):
+        summary = SpectrumSummary(peak_frequency_hz=4e9,
+                                  bandwidth_10db_hz=bandwidth_hz,
+                                  occupied_bandwidth_99_hz=bandwidth_hz,
+                                  fractional_bandwidth=fractional,
+                                  center_frequency_hz=4e9)
+        assert summary.qualifies_as_uwb is expected
 
     def test_bandwidth_at_level_requires_negative_level(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constants import FCC_UWB_HIGH_HZ, FCC_UWB_LOW_HZ
+from repro.constants import FCC_UWB_HIGH_HZ, FCC_UWB_LOW_HZ, SPEED_OF_LIGHT
 from repro.rf.antenna import PlanarEllipticalAntenna
 
 
@@ -56,3 +56,24 @@ class TestAntenna:
         assert isinstance(antenna.gain_db(5e9), float)
         assert isinstance(antenna.return_loss_db(5e9), float)
 
+    def test_upper_resonance_is_set_by_the_minor_axis(self):
+        antenna = PlanarEllipticalAntenna()
+        # Half a wavelength across the 27 mm minor axis: about 5.55 GHz.
+        assert antenna.upper_resonance_hz == pytest.approx(
+            SPEED_OF_LIGHT / (2.0 * 0.027))
+        assert antenna.upper_resonance_hz > antenna.lower_cutoff_hz
+
+    def test_transfer_function_magnitude_and_group_delay(self):
+        antenna = PlanarEllipticalAntenna(dispersion_ps_per_ghz=20.0)
+        freqs = np.linspace(3e9, 10e9, 8)
+        response = antenna.transfer_function(freqs)
+        assert np.allclose(20.0 * np.log10(np.abs(response)),
+                           antenna.gain_db(freqs))
+        # Group delay -dphi/df / (2 pi) grows 20 ps per GHz above the
+        # lower cutoff.
+        df = 1e3
+        ratio = antenna.transfer_function(freqs + df) / response
+        group_delay_s = -np.angle(ratio) / (2.0 * np.pi * df)
+        expected_s = 20e-12 * (freqs - antenna.lower_cutoff_hz) / 1e9
+        assert np.allclose(group_delay_s, expected_s, atol=1e-14)
+        assert isinstance(antenna.transfer_function(5e9), complex)

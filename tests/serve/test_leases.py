@@ -59,6 +59,16 @@ class TestGrant:
         assert a.lease_id != b.lease_id
         assert len(table) == 2
 
+    def test_advance_ids_skips_past_a_replayed_id(self, table):
+        table.grant("task-a", "worker-1")
+        table.advance_ids(41)
+        assert table.grant("task-b", "worker-1").lease_id == "lease-000042"
+
+    def test_advance_ids_never_moves_backwards(self, table):
+        table.advance_ids(9)
+        table.advance_ids(3)
+        assert table.grant("task-a", "worker-1").lease_id == "lease-000010"
+
     @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"),
                                            float("inf")])
     def test_invalid_timeout_rejected(self, timeout_s):

@@ -13,6 +13,7 @@ from repro.utils.validation import (
     as_1d_array,
     require_in_range,
     require_int,
+    require_json_int,
     require_non_negative,
     require_positive,
     require_probability,
@@ -29,6 +30,15 @@ class TestFixedPointFormat:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             FixedPointFormat(total_bits=0)
+
+    @pytest.mark.parametrize("bits, min_code, max_code", [
+        (1, -1, 0), (4, -8, 7), (8, -128, 127)])
+    def test_code_range_is_twos_complement(self, bits, min_code, max_code):
+        fmt = FixedPointFormat(total_bits=bits)
+        assert (fmt.min_code, fmt.max_code) == (min_code, max_code)
+        assert fmt.max_code - fmt.min_code + 1 == fmt.num_levels
+        codes = fmt.quantize_to_codes(np.array([-1e9, 1e9]))
+        assert codes.tolist() == [min_code, max_code]
 
     def test_quantize_within_step(self):
         fmt = FixedPointFormat(total_bits=6, full_scale=1.0)
@@ -116,6 +126,22 @@ class TestValidation:
             require_int(True, "n")
         with pytest.raises(ValueError):
             require_int(2, "n", minimum=3)
+
+    @pytest.mark.parametrize("value, minimum, expected", [
+        (4, None, 4), (4.0, None, 4), (-3.0, None, -3), (2.0, 2, 2)])
+    def test_require_json_int_accepts_whole_numbers(self, value, minimum,
+                                                    expected):
+        result = require_json_int(value, "n", minimum)
+        assert result == expected
+        assert type(result) is int
+
+    @pytest.mark.parametrize("value, minimum, error", [
+        (4.5, None, TypeError), (True, None, TypeError),
+        (float("nan"), None, TypeError), (float("inf"), None, TypeError),
+        ("4", None, TypeError), (1.0, 2, ValueError)])
+    def test_require_json_int_rejects(self, value, minimum, error):
+        with pytest.raises(error, match="n"):
+            require_json_int(value, "n", minimum)
 
     def test_as_1d_array(self):
         assert as_1d_array(3.0, "x").shape == (1,)
