@@ -90,6 +90,18 @@ CM4 = SalehValenzuelaParameters(
 CHANNEL_MODELS = {"CM1": CM1, "CM2": CM2, "CM3": CM3, "CM4": CM4}
 
 
+def _arrival_block(expected: float) -> int:
+    """Gaps drawn in an arrival run's first block: the mean count plus
+    four standard deviations and a margin, so a refill is all but never
+    needed."""
+    return int(expected + 4.0 * np.sqrt(expected)) + 8
+
+
+# ``rng.integers(2)`` draws the index ``rng.choice([-1.0, 1.0])`` draws,
+# from the same stream words, at half the cost.
+_POLARITIES = (-1.0, 1.0)
+
+
 class SalehValenzuelaChannelGenerator:
     """Random UWB channel realizations from a parameter set."""
 
@@ -103,20 +115,37 @@ class SalehValenzuelaChannelGenerator:
         if max_excess_delay_ns is None:
             max_excess_delay_ns = 10.0 * max(parameters.cluster_decay_ns,
                                              parameters.ray_decay_ns)
-        self.max_excess_delay_ns = float(max_excess_delay_ns)
+        # A NaN or infinite horizon would never end the arrival runs.
+        self.max_excess_delay_ns = require_positive(max_excess_delay_ns,
+                                                    "max_excess_delay_ns")
         self.complex_gains = complex_gains
 
-    def _poisson_arrivals(self, rate_per_ns: float, horizon_ns: float,
-                          start_ns: float = 0.0) -> np.ndarray:
-        """Arrival times of a Poisson process on [start, horizon]."""
-        arrivals = []
-        t = start_ns
+    def _poisson_arrivals(self, rate_per_ns: float,
+                          horizon_ns: float) -> np.ndarray:
+        """Arrival times of a Poisson process on [0, horizon].
+
+        Bit for bit the scalar recursion ``t += exponential(1 / rate)``
+        until ``t > horizon``: the gaps are drawn as one block and
+        ``np.cumsum`` adds them in sequence, which is exactly the scalar
+        sum.  The block over-draws, and the ziggurat sampler eats a
+        variable number of raw words per value, so the generator is
+        rewound and exactly ``count + 1`` gaps are drawn again: the stream
+        then stands where the scalar loop left it.  A block that never
+        passes the horizon is drawn again twice as long.
+        """
+        rng = self.rng
+        scale = 1.0 / rate_per_ns
+        state = rng.bit_generator.state
+        size = _arrival_block(rate_per_ns * horizon_ns)
         while True:
-            t += self.rng.exponential(1.0 / rate_per_ns)
-            if t > horizon_ns:
+            times = np.cumsum(rng.exponential(scale, size=size))
+            count = int(np.argmax(times > horizon_ns))
+            rng.bit_generator.state = state
+            if times[count] > horizon_ns:
                 break
-            arrivals.append(t)
-        return np.asarray(arrivals)
+            size *= 2
+        rng.exponential(scale, size=count + 1)
+        return times[:count]
 
     def realize(self, name_suffix: str = "") -> MultipathChannel:
         """Draw one channel realization (unit total power)."""
@@ -126,44 +155,53 @@ class SalehValenzuelaChannelGenerator:
         cluster_times = np.concatenate((
             [0.0], self._poisson_arrivals(p.cluster_rate_per_ns, horizon)))
 
-        # The per-ray RNG calls must stay scalar and in this exact order —
-        # seeded streams are part of the published-results contract — so
-        # the loop only draws (and evaluates the scalar power law, whose
-        # vectorized ``**`` is NOT bit-identical to the scalar form); the
-        # exponential decay and the complex phasors are vectorized after
-        # the loop, where numpy's array exp IS bit-identical to its
-        # scalar exp.
-        shadow_sigma = np.sqrt(p.cluster_shadowing_db ** 2
-                               + p.ray_shadowing_db ** 2)
+        # Seeded streams are part of the published-results contract, so
+        # every draw keeps the historical order: a cluster's ray arrivals
+        # (one rewound block, see ``_poisson_arrivals``), then per ray one
+        # shadowing normal and one phase uniform (or polarity choice).
+        # ``sigma * standard_normal()`` and ``2 pi * random()`` are the
+        # doubles ``normal(0, sigma)`` and ``uniform(0, 2 pi)`` return
+        # (NumPy computes ``0 + sigma * g`` and ``0 + 2 pi * u``), minus
+        # their argument handling.  The power law stays scalar — its
+        # vectorized ``**`` is NOT bit-identical to the scalar form — while
+        # the exponential decay and the phasors are vectorized over the
+        # whole realization, where numpy's array exp IS bit-identical to
+        # its scalar exp.
+        shadow_sigma = float(np.sqrt(p.cluster_shadowing_db ** 2
+                                     + p.ray_shadowing_db ** 2))
         two_pi = 2.0 * np.pi
         rng = self.rng
-        cluster_of_ray: list[float] = []
-        ray_of_ray: list[float] = []
-        shadow_linear: list[float] = []
-        phases_or_signs: list[float] = []
+        normal, uniform = rng.standard_normal, rng.random
+        ray_times_parts: list[np.ndarray] = []
+        shadow_parts: list[np.ndarray] = []
+        phase_parts: list[np.ndarray] = []
         for cluster_time in cluster_times:
             ray_times = np.concatenate((
                 [0.0],
                 self._poisson_arrivals(p.ray_rate_per_ns,
                                        horizon - cluster_time)))
-            for ray_time in ray_times:
-                shadow_db = rng.normal(0.0, shadow_sigma)
-                shadow_linear.append(10.0 ** (shadow_db / 10.0))
-                phases_or_signs.append(
-                    rng.uniform(0.0, two_pi) if self.complex_gains
-                    else rng.choice([-1.0, 1.0]))
-                cluster_of_ray.append(cluster_time)
-                ray_of_ray.append(ray_time)
+            shadow_linear = np.empty(ray_times.size)
+            phases_or_signs = np.empty(ray_times.size)
+            for ray in range(ray_times.size):
+                shadow_linear[ray] = 10.0 ** (shadow_sigma * normal() / 10.0)
+                phases_or_signs[ray] = (
+                    two_pi * uniform() if self.complex_gains
+                    else _POLARITIES[rng.integers(2)])
+            ray_times_parts.append(ray_times)
+            shadow_parts.append(shadow_linear)
+            phase_parts.append(phases_or_signs)
 
-        cluster_arr = np.asarray(cluster_of_ray)
-        ray_arr = np.asarray(ray_of_ray)
+        ray_arr = np.concatenate(ray_times_parts)
+        cluster_arr = np.repeat(cluster_times, [part.size
+                                                for part in ray_times_parts])
         mean_power = (np.exp(-cluster_arr / p.cluster_decay_ns)
                       * np.exp(-ray_arr / p.ray_decay_ns))
-        amplitude = np.sqrt(mean_power * np.asarray(shadow_linear))
+        amplitude = np.sqrt(mean_power * np.concatenate(shadow_parts))
+        phases_or_signs = np.concatenate(phase_parts)
         if self.complex_gains:
-            gains_arr = amplitude * np.exp(1j * np.asarray(phases_or_signs))
+            gains_arr = amplitude * np.exp(1j * phases_or_signs)
         else:
-            gains_arr = amplitude * np.asarray(phases_or_signs)
+            gains_arr = amplitude * phases_or_signs
         delays_s = (cluster_arr + ray_arr) * 1e-9
         channel = MultipathChannel(
             delays_s, gains_arr,

@@ -190,54 +190,53 @@ class MLSEEqualizer:
 def equalize_to_bits_batch(equalizers, statistics_rows) -> list[np.ndarray]:
     """Batched :meth:`MLSEEqualizer.equalize_to_bits` over many packets.
 
-    ``equalizers`` holds one per-packet :class:`MLSEEqualizer` (each built
-    from that packet's own ISI taps) and ``statistics_rows`` the matching
-    per-symbol statistics.  Packets sharing a trellis structure — same
-    alphabet, memory, and symbol count — run as one vectorized
-    add-compare-select pass; the candidate scan order and argmin
-    tie-breaking replicate the scalar :meth:`~MLSEEqualizer.equalize`
-    loop, so each packet's decided bits match its per-packet call.
+    ``equalizers`` holds one per-packet BPSK :class:`MLSEEqualizer` (each
+    built from that packet's own ISI taps; any two-symbol alphabet is
+    accepted, since bits are read as ``real(symbol) > 0``) and
+    ``statistics_rows`` the matching per-symbol statistics.  Packets
+    sharing a trellis — same alphabet and memory — run as one vectorized
+    add-compare-select pass whatever their symbol counts: each row's
+    metrics are read at its own last step and its backtrack starts there.
+    With two symbols every state has exactly two incoming branches, so a
+    step is one comparison whose ties go to the first branch in the scalar
+    :meth:`~MLSEEqualizer.equalize` loop's scan order, and the final
+    argmin takes the lowest state as the scalar loop does; each packet's
+    decided bits match its per-packet call.
     """
     equalizers = list(equalizers)
     statistics_rows = [np.asarray(row, dtype=complex).ravel()
                        for row in statistics_rows]
     if len(equalizers) != len(statistics_rows):
         raise ValueError("need one statistics row per equalizer")
-    results: list[np.ndarray | None] = [None] * len(equalizers)
+    if any(len(equalizer.alphabet) != 2 for equalizer in equalizers):
+        raise ValueError("equalize_to_bits_batch needs two-symbol (BPSK) "
+                         "equalizers; use MLSEEqualizer.equalize otherwise")
+    results = [np.zeros(0, dtype=np.int64) for _ in equalizers]
 
     groups: dict[tuple, list[int]] = {}
     for index, (equalizer, row) in enumerate(zip(equalizers,
                                                  statistics_rows)):
-        key = (equalizer.alphabet, equalizer.memory, row.size)
-        groups.setdefault(key, []).append(index)
+        if row.size:
+            groups.setdefault((equalizer.alphabet, equalizer.memory),
+                              []).append(index)
 
-    for (alphabet, memory, num_symbols), members in groups.items():
-        if num_symbols == 0:
-            for index in members:
-                results[index] = np.zeros(0, dtype=np.int64)
-            continue
+    for (alphabet, memory), members in groups.items():
         reference = equalizers[members[0]]
         num_states = reference.num_states
-        num_symbols_alpha = len(alphabet)
         alphabet_arr = np.asarray(alphabet, dtype=complex)
 
-        # Incoming transitions per next state, in the scalar loop's
-        # (state-major, symbol-minor) scan order for exact tie-breaking.
+        # The two incoming (state, symbol) branches of every next state,
+        # in the scalar loop's (state-major, symbol-minor) scan order.
         incoming: list[list[tuple[int, int]]] = [[]
                                                  for _ in range(num_states)]
         for state in range(num_states):
-            for symbol_index in range(num_symbols_alpha):
+            for symbol_index in range(2):
                 incoming[reference._next_state(state, symbol_index)].append(
                     (state, symbol_index))
-        width = max(len(entry) for entry in incoming)
-        in_prev = np.zeros((num_states, width), dtype=np.int64)
-        in_sym = np.zeros((num_states, width), dtype=np.int64)
-        in_valid = np.zeros((num_states, width), dtype=bool)
-        for state, entry in enumerate(incoming):
-            for slot, (prev, symbol_index) in enumerate(entry):
-                in_prev[state, slot] = prev
-                in_sym[state, slot] = symbol_index
-                in_valid[state, slot] = True
+        in_prev = np.asarray([[prev for prev, _ in entry]
+                              for entry in incoming], dtype=np.int64)
+        in_sym = np.asarray([[symbol for _, symbol in entry]
+                             for entry in incoming], dtype=np.int64)
 
         # Expected noiseless statistics per (packet, state, new symbol).
         state_history = np.asarray(
@@ -250,36 +249,53 @@ def equalize_to_bits_batch(equalizers, statistics_rows) -> list[np.ndarray]:
         expected = (taps[:, 0, None, None] * alphabet_arr[None, None, :]
                     + (state_history @ taps[:, 1:].T).T[:, :, None])
 
-        stats = np.asarray([statistics_rows[index] for index in members])
-        metrics = np.full((group_size, num_states), np.inf)
-        metrics[:, 0] = 0.0
-        surv_prev = np.zeros((num_symbols, group_size, num_states),
-                             dtype=np.int64)
-        surv_sym = np.zeros((num_symbols, group_size, num_states),
-                            dtype=np.int64)
-        state_index = np.arange(num_states)[None, :]
-        # All branch metrics up front, pre-gathered per incoming
-        # transition, so the sequential ACS loop touches only small
-        # per-step arrays.
+        # Rows of different lengths share the pass, zero-padded at the
+        # end; a row's steps past its own end never reach its result.
+        lengths = np.asarray([statistics_rows[index].size
+                              for index in members])
+        num_steps = int(lengths.max())
+        ending: dict[int, list[int]] = {}
+        stats = np.zeros((group_size, num_steps), dtype=complex)
+        for row_index, index in enumerate(members):
+            stats[row_index, :lengths[row_index]] = statistics_rows[index]
+            ending.setdefault(int(lengths[row_index]) - 1,
+                              []).append(row_index)
+
+        # All branch metrics up front, gathered per incoming branch and
+        # laid out (step, packet, branch, state), so each sequential ACS
+        # step is one gather, one add, one compare and one select.
         branch_all = np.abs(stats[:, :, None, None]
                             - expected[:, None, :, :]) ** 2
-        branch_incoming = branch_all[:, :, in_prev, in_sym]
-        if not in_valid.all():
-            branch_incoming[:, :, ~in_valid] = np.inf
-        for t in range(num_symbols):
-            candidates = metrics[:, in_prev] + branch_incoming[:, t]
-            choice = np.argmin(candidates, axis=-1)
-            metrics = np.min(candidates, axis=-1)
-            surv_prev[t] = in_prev[state_index, choice]
-            surv_sym[t] = in_sym[state_index, choice]
+        branch_incoming = np.ascontiguousarray(
+            branch_all[:, :, in_prev.T, in_sym.T].transpose(1, 0, 2, 3)
+        ).reshape(num_steps, group_size, 2 * num_states)
+        prev_flat = in_prev.T.ravel()
+        metrics = np.full((group_size, num_states), np.inf)
+        metrics[:, 0] = 0.0
+        final_metrics = np.empty((group_size, num_states))
+        choices = np.empty((num_steps, group_size, num_states), dtype=bool)
+        for t in range(num_steps):
+            candidates = metrics[:, prev_flat] + branch_incoming[t]
+            first = candidates[:, :num_states]
+            second = candidates[:, num_states:]
+            choice = np.less(second, first, out=choices[t])
+            metrics = np.where(choice, second, first)
+            rows_ending = ending.get(t)
+            if rows_ending is not None:
+                final_metrics[rows_ending] = metrics[rows_ending]
 
-        state = np.argmin(metrics, axis=-1)
-        decided = np.zeros((group_size, num_symbols), dtype=np.int64)
+        state = np.zeros(group_size, dtype=np.int64)
+        decided = np.zeros((group_size, num_steps), dtype=np.int64)
         rows = np.arange(group_size)
-        for t in range(num_symbols - 1, -1, -1):
-            decided[:, t] = surv_sym[t, rows, state]
-            state = surv_prev[t, rows, state]
+        for t in range(num_steps - 1, -1, -1):
+            rows_ending = ending.get(t)
+            if rows_ending is not None:
+                state[rows_ending] = np.argmin(final_metrics[rows_ending],
+                                               axis=-1)
+            choice = choices[t, rows, state].astype(np.int64)
+            decided[:, t] = in_sym[state, choice]
+            state = in_prev[state, choice]
         bits = (np.real(alphabet_arr[decided]) > 0).astype(np.int64)
         for row_index, index in enumerate(members):
-            results[index] = bits[row_index]
+            results[index] = bits[row_index, :lengths[row_index]]
     return results

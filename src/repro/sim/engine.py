@@ -283,14 +283,24 @@ def _resolve_config(task: _PointTask):
     return config
 
 
+def _task_rng(task: _PointTask, child: int) -> np.random.Generator:
+    """The generator of a task's ``child``-th stream: 0 scenario, 1 noise,
+    2 hardware.
+
+    Exactly the child ``SeedSequence(entropy, spawn_key).spawn(3)`` yields
+    at that index (``spawn`` builds each child with the parent's entropy
+    and ``spawn_key + (child,)``), built alone so that a chunk pays only
+    for the streams its backend draws from.
+    """
+    return np.random.default_rng(np.random.SeedSequence(
+        task.seed_entropy, spawn_key=tuple(task.spawn_key) + (child,)))
+
+
 def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
     """Measure one grid point, returning the measurement *and* the
     per-packet bit-error counts (runs in the caller or a worker process)."""
-    root = np.random.SeedSequence(entropy=task.seed_entropy,
-                                  spawn_key=task.spawn_key)
-    scenario_seed, noise_seed, hardware_seed = root.spawn(3)
-    scenario_rng = np.random.default_rng(scenario_seed)
-    noise_rng = np.random.default_rng(noise_seed)
+    scenario_rng = _task_rng(task, 0)
+    noise_rng = _task_rng(task, 1)
 
     config = _resolve_config(task)
     scenario = task.scenario
@@ -311,7 +321,7 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
         return result.to_ber_point(), errors
 
     from repro.core.transceiver import Gen1Transceiver, Gen2Transceiver
-    hardware_rng = np.random.default_rng(hardware_seed)
+    hardware_rng = _task_rng(task, 2)
     transceiver_cls = (Gen1Transceiver if isinstance(config, Gen1Config)
                        else Gen2Transceiver)
     transceiver = transceiver_cls(config, rng=hardware_rng)

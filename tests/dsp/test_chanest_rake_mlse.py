@@ -269,6 +269,34 @@ class TestMLSEEqualizer:
         for equalizer, row, bits in zip(equalizers, rows, batch):
             assert np.array_equal(bits, equalizer.equalize_to_bits(row))
 
+    def test_equalize_to_bits_batch_ragged_rows_and_exact_ties(self, rng):
+        # One call mixing memories 0-2, rows of one memory with different
+        # lengths (one trellis pass, each row read at its own end), and
+        # dyadic taps with dyadic statistics, where candidate metrics tie
+        # exactly and the first branch in scan order must win.
+        cases = [([1.0, 0.5], rng.normal(size=40)),
+                 ([1.0, 0.5], rng.normal(size=17)),
+                 ([1.0, 0.5], np.zeros(12)),
+                 ([1.0, -0.25, 0.5], rng.normal(size=33)),
+                 ([1.0, 0.5, 0.25],
+                  rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=20)),
+                 ([1.0, 0.5, 0.25], np.zeros(3)),
+                 ([1.0], np.zeros(9)),
+                 ([1.0], rng.normal(size=5)),
+                 ([1.0, 0.5], np.zeros(0))]
+        equalizers = [MLSEEqualizer(isi) for isi, _ in cases]
+        rows = [row for _, row in cases]
+        batch = equalize_to_bits_batch(equalizers, rows)
+        for equalizer, row, bits in zip(equalizers, rows, batch):
+            assert bits.dtype == np.int64
+            assert np.array_equal(bits, equalizer.equalize_to_bits(row))
+
+    def test_equalize_to_bits_batch_needs_two_symbol_alphabet(self):
+        with pytest.raises(ValueError, match="two-symbol"):
+            equalize_to_bits_batch(
+                [MLSEEqualizer([1.0, 0.5], alphabet=(-3, -1, 1, 3))],
+                [np.zeros(4)])
+
     def test_equalize_to_bits_batch_needs_one_row_per_equalizer(self):
         with pytest.raises(ValueError, match="one statistics row"):
             equalize_to_bits_batch([MLSEEqualizer([1.0])], [])

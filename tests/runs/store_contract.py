@@ -14,6 +14,7 @@ never collects it directly.
 """
 
 import json
+import random
 import sqlite3
 import warnings
 
@@ -199,6 +200,33 @@ class StoreConformanceContract:
         store.add_chunk(KEY_A, 0, make_point(bit_errors=3))
         with pytest.raises(ValueError, match="different measurement"):
             store.add_chunk(KEY_A, 0, make_point(bit_errors=4))
+
+    def test_shuffled_ingest_reads_back_in_offset_order(self, tmp_path):
+        store = self.open_store(tmp_path)
+        in_order = [10 * index for index in range(500)]
+        shuffled = list(in_order)
+        random.Random(5).shuffle(shuffled)
+        items = [(KEY_A, offset, make_point(bit_errors=offset % 7))
+                 for offset in shuffled]
+        for start in range(0, len(items), 50):
+            store.add_chunks(items[start:start + 50])
+        assert [chunk.packet_offset
+                for chunk in store.stored_chunks(KEY_A)] == in_order
+        assert list(store.chunks_for(KEY_A)) == in_order
+        assert store.coverage(KEY_A) == 5000
+        assert store._merge_prefix(KEY_A) == fresh_merge(store, KEY_A)
+        # Replays stay idempotent; a conflicting replay still raises.
+        replayed = store.add_chunks(items[:50])
+        assert [chunk.packet_offset for chunk in replayed] == shuffled[:50]
+        assert len(store.stored_chunks(KEY_A)) == 500
+        with pytest.raises(ValueError, match="different measurement"):
+            store.add_chunk(KEY_A, shuffled[7], make_point(bit_errors=99))
+        store.close()
+        reloaded = self.open_store(tmp_path)
+        assert [chunk.packet_offset
+                for chunk in reloaded.stored_chunks(KEY_A)] == in_order
+        assert reloaded.coverage(KEY_A) == 5000
+        reloaded.close()
 
     def test_batch_ingest_is_atomic(self, tmp_path):
         store = self.open_store(tmp_path)

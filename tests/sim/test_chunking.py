@@ -24,7 +24,7 @@ import pytest
 import repro.sim.engine as engine_module
 from repro.runs import RunDriver
 from repro.sim import SweepEngine, SweepPoint, sweep_grid
-from repro.sim.engine import chunk_spans, _point_spawn_key
+from repro.sim.engine import chunk_spans, _point_spawn_key, _task_rng
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +77,16 @@ class TestChunkSpans:
         point = SweepPoint(ebn0_db=4.0)
         assert _point_spawn_key(point, 0) == _point_spawn_key(point)
         assert _point_spawn_key(point, 8) != _point_spawn_key(point, 4)
+
+    @pytest.mark.parametrize("packet_offset", [0, 64])
+    def test_task_streams_are_the_spawned_children(self, packet_offset):
+        task = SweepEngine(seed=1234)._task_for(SweepPoint(ebn0_db=4.0), 8,
+                                                64, packet_offset)
+        root = np.random.SeedSequence(entropy=1234,
+                                      spawn_key=task.spawn_key)
+        for child, seed in enumerate(root.spawn(3)):
+            assert (_task_rng(task, child).bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
 
 
 # ----------------------------------------------------------------------
