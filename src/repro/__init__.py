@@ -6,10 +6,10 @@ The package is organized by subsystem:
 * :mod:`repro.constants` — FCC limits, band plan, headline system numbers.
 * :mod:`repro.pulses` — pulse shapes, modulation, pulse trains, FCC mask.
 * :mod:`repro.rf` — the planar elliptical UWB antenna.
-* :mod:`repro.adc` — flash / time-interleaved / SAR converters, jitter,
-  power models.
+* :mod:`repro.adc` — flash / time-interleaved / SAR converters, power
+  models.
 * :mod:`repro.channel` — AWGN, 802.15.3a Saleh-Valenzuela multipath,
-  narrowband interferers, path loss / link budget.
+  narrowband interferers, the FCC transmit-power limit.
 * :mod:`repro.dsp` — the digital back end: correlators, acquisition,
   channel estimation, RAKE, MLSE (Viterbi), spectral monitoring, digital
   notch, AGC, parallelization.
@@ -38,12 +38,12 @@ Quick start::
 
     transceiver = Gen2Transceiver(Gen2Config.fast_test_config())
     simulation = transceiver.simulate_packet(num_payload_bits=64, ebn0_db=14.0)
-    print(simulation.result.crc_ok, simulation.result.bit_error_rate)
+    print(simulation.result.crc_ok, simulation.result.payload_bit_errors)
 """
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 from repro import (
     adc,

@@ -1,12 +1,10 @@
-"""ADC models: ideal quantizer, flash, time-interleaved, SAR, jitter, power."""
+"""ADC models: ideal quantizer, flash, time-interleaved, SAR, power."""
 
 from repro.adc.flash import FlashADC
 from repro.adc.interleaved import TimeInterleavedADC
-from repro.adc.jitter import SamplingClock, jitter_limited_snr_db
 from repro.adc.power import (
     ADCPowerModel,
     DEFAULT_FOM_J_PER_STEP,
-    walden_fom_j_per_step,
     walden_power_w,
 )
 from repro.adc.quantizer import UniformQuantizer, ideal_sndr_db
@@ -15,11 +13,8 @@ from repro.adc.sar import QuadratureSARADC, SARADC
 __all__ = [
     "FlashADC",
     "TimeInterleavedADC",
-    "SamplingClock",
-    "jitter_limited_snr_db",
     "ADCPowerModel",
     "DEFAULT_FOM_J_PER_STEP",
-    "walden_fom_j_per_step",
     "walden_power_w",
     "UniformQuantizer",
     "ideal_sndr_db",

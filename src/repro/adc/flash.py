@@ -64,11 +64,6 @@ class FlashADC:
         """Number of output codes."""
         return 1 << self.bits
 
-    @property
-    def thresholds(self) -> np.ndarray:
-        """The (sorted) comparator thresholds actually in effect."""
-        return self._thresholds.copy()
-
     def convert_codes(self, x) -> np.ndarray:
         """Convert input voltages to output codes in ``[0, 2^bits - 1]``.
 
@@ -99,15 +94,3 @@ class FlashADC:
             return (self.codes_to_values(self.convert_codes(x.real))
                     + 1j * self.codes_to_values(self.convert_codes(x.imag)))
         return self.codes_to_values(self.convert_codes(x))
-
-    def differential_nonlinearity_lsb(self) -> np.ndarray:
-        """DNL of each code bin in LSB (ideal = 0)."""
-        widths = np.diff(np.concatenate(([-self.full_scale], self._thresholds,
-                                         [self.full_scale])))
-        return widths / self._step - 1.0
-
-    def integral_nonlinearity_lsb(self) -> np.ndarray:
-        """INL of each threshold in LSB (cumulative DNL)."""
-        step = self._step
-        ideal = -self.full_scale + step * (np.arange(self._thresholds.size) + 1.0)
-        return (self._thresholds - ideal) / step

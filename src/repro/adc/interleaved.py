@@ -2,18 +2,20 @@
 
 Interleaving N slices multiplies the aggregate sampling rate by N and, as the
 paper notes, "performs an initial 4-way parallelization of the signal" that
-the digital back end exploits.  Its costs are the inter-slice gain, offset,
-and timing mismatches, all of which the model includes.
+the digital back end exploits.  Its costs are the inter-slice gain and
+offset mismatches, which every slice's conversion applies.  The per-slice
+timing skew is drawn and recorded with the slices, but the converter takes
+already-sampled input, so neither the skew nor the aperture jitter moves a
+sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.adc.flash import FlashADC
-from repro.adc.jitter import SamplingClock
 from repro.utils.validation import require_int, require_positive
 
 __all__ = ["TimeInterleavedADC", "interleave_streams"]
@@ -111,48 +113,9 @@ class TimeInterleavedADC:
         return len(self.slices)
 
     @property
-    def per_slice_rate_hz(self) -> float:
-        """Sampling rate of each individual slice."""
-        return self.aggregate_rate_hz / self.num_slices
-
-    @property
     def bits(self) -> int:
         """Resolution of the converter (all slices share it)."""
         return self.slices[0].bits
-
-    def sample_and_convert(self, waveform, waveform_rate_hz: float,
-                           rng: np.random.Generator | None = None
-                           ) -> np.ndarray:
-        """Sample a densely sampled analog waveform and convert it.
-
-        The waveform (sampled at ``waveform_rate_hz``, which should be well
-        above the aggregate rate) is sampled at the interleaved instants —
-        slice *k* takes samples ``k, k+N, k+2N, ...`` with its own skew —
-        and each slice converts its own stream.  The returned array is the
-        re-interleaved aggregate-rate sample stream.
-        """
-        require_positive(waveform_rate_hz, "waveform_rate_hz")
-        waveform = np.asarray(waveform, dtype=float)
-        if rng is None:
-            rng = np.random.default_rng()
-        duration = waveform.size / waveform_rate_hz
-        total_samples = int(np.floor(duration * self.aggregate_rate_hz))
-        output = np.zeros(total_samples)
-        aggregate_period = 1.0 / self.aggregate_rate_hz
-        for slice_index, adc in enumerate(self.slices):
-            skew = (self.timing_skew_s[slice_index]
-                    if self.timing_skew_s is not None else 0.0)
-            clock = SamplingClock(sample_rate_hz=self.per_slice_rate_hz,
-                                  rms_jitter_s=self.rms_jitter_s,
-                                  skew_s=skew)
-            num_slice_samples = len(range(slice_index, total_samples,
-                                          self.num_slices))
-            analog = clock.sample_waveform(
-                waveform, waveform_rate_hz,
-                num_samples=num_slice_samples, rng=rng,
-                start_time_s=slice_index * aggregate_period)
-            output[slice_index::self.num_slices] = adc.convert(analog)
-        return output
 
     def convert_presampled(self, samples) -> np.ndarray:
         """Convert an already-sampled stream (one sample per aggregate period).
@@ -181,63 +144,3 @@ class TimeInterleavedADC:
         parts = [adc.convert(samples[..., index::self.num_slices])
                  for index, adc in enumerate(self.slices)]
         return interleave_streams(parts, int(samples.shape[-1]))
-
-    def sample_and_convert_batch(self, waveforms, waveform_rate_hz: float,
-                                 rng: np.random.Generator | None = None
-                                 ) -> np.ndarray:
-        """Sample and convert a batch of equal-length analog waveforms.
-
-        Equivalent to stacking ``[self.sample_and_convert(w, rate, rng=rng)
-        for w in waveforms]`` — the jittered sampling instants consume
-        ``rng`` in exactly that per-waveform, per-slice order, so a seeded
-        batch is bitwise identical to the loop — but every slice's flash
-        conversion runs once over the whole ``(packets, slice_samples)``
-        matrix instead of once per packet.  ``waveforms`` must be a 2-D
-        ``(packets, num_samples)`` array (equal lengths; pad upstream if
-        needed).
-        """
-        require_positive(waveform_rate_hz, "waveform_rate_hz")
-        waveforms = np.asarray(waveforms, dtype=float)
-        if waveforms.ndim != 2:
-            raise ValueError("sample_and_convert_batch expects a 2-D "
-                             "(packets, num_samples) batch; use "
-                             "sample_and_convert() for a single waveform")
-        if rng is None:
-            rng = np.random.default_rng()
-        num_packets = waveforms.shape[0]
-        duration = waveforms.shape[1] / waveform_rate_hz
-        total_samples = int(np.floor(duration * self.aggregate_rate_hz))
-        aggregate_period = 1.0 / self.aggregate_rate_hz
-        clocks = []
-        slice_counts = []
-        for slice_index in range(self.num_slices):
-            skew = (self.timing_skew_s[slice_index]
-                    if self.timing_skew_s is not None else 0.0)
-            clocks.append(SamplingClock(sample_rate_hz=self.per_slice_rate_hz,
-                                        rms_jitter_s=self.rms_jitter_s,
-                                        skew_s=skew))
-            slice_counts.append(len(range(slice_index, total_samples,
-                                          self.num_slices)))
-        analog = [np.empty((num_packets, count)) for count in slice_counts]
-        # The sampling (jitter draws + interpolation) loops per packet to
-        # keep the rng stream order of the per-packet method; only the
-        # flash conversion below is batched — it dominates the cost.
-        for packet in range(num_packets):
-            for slice_index, clock in enumerate(clocks):
-                analog[slice_index][packet] = clock.sample_waveform(
-                    waveforms[packet], waveform_rate_hz,
-                    num_samples=slice_counts[slice_index], rng=rng,
-                    start_time_s=slice_index * aggregate_period)
-        parts = [adc.convert(analog[index])
-                 for index, adc in enumerate(self.slices)]
-        return interleave_streams(parts, total_samples)
-
-    def parallel_streams(self, samples) -> list[np.ndarray]:
-        """Return the per-slice (already parallelized) converted streams.
-
-        This is the "initial 4-way parallelization" handed to the gen-1
-        digital back end.
-        """
-        samples = np.asarray(samples, dtype=float)
-        return [adc.convert(samples[idx::self.num_slices])
-                for idx, adc in enumerate(self.slices)]

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.utils.validation import require_int, require_positive
 
 __all__ = [
     "walden_power_w",
-    "walden_fom_j_per_step",
     "ADCPowerModel",
 ]
 
@@ -41,16 +38,6 @@ def walden_power_w(bits: float, sample_rate_hz: float,
     if bits <= 0:
         raise ValueError("bits must be positive")
     return float(fom_j_per_step * (2.0 ** bits) * sample_rate_hz)
-
-
-def walden_fom_j_per_step(power_w: float, bits: float,
-                          sample_rate_hz: float) -> float:
-    """Back out the Walden FOM from a measured power."""
-    require_positive(power_w, "power_w")
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    if bits <= 0:
-        raise ValueError("bits must be positive")
-    return float(power_w / ((2.0 ** bits) * sample_rate_hz))
 
 
 @dataclass(frozen=True)
@@ -88,19 +75,3 @@ class ADCPowerModel:
         # CDAC switching energy grows with 2^bits but from a small base.
         cdac = 0.05 * self.comparator_energy_j * (1 << bits) * sample_rate_hz
         return float(dynamic + cdac + self.overhead_w)
-
-    def power_vs_resolution(self, architecture: str, sample_rate_hz: float,
-                            bit_range=range(1, 9)) -> dict[int, float]:
-        """Sweep power versus resolution for one architecture."""
-        architecture = architecture.lower()
-        result: dict[int, float] = {}
-        for bits in bit_range:
-            if architecture == "flash":
-                result[bits] = self.flash_power_w(bits, sample_rate_hz)
-            elif architecture == "sar":
-                result[bits] = self.sar_power_w(bits, sample_rate_hz)
-            elif architecture == "walden":
-                result[bits] = walden_power_w(bits, sample_rate_hz)
-            else:
-                raise ValueError(f"unknown architecture {architecture!r}")
-        return result

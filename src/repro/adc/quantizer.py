@@ -63,11 +63,6 @@ class UniformQuantizer:
         np.floor(out, out=out)
         return np.clip(out, 0, self.num_levels - 1, out=out)
 
-    def quantize_codes(self, x) -> np.ndarray:
-        """Quantize to integer codes in ``[0, num_levels - 1]`` with saturation."""
-        x = np.asarray(x, dtype=float)
-        return self._float_codes(x, np.empty(x.shape)).astype(np.int64)
-
     def codes_to_values(self, codes) -> np.ndarray:
         """Reconstruction values (bin centres) for integer codes."""
         codes = np.asarray(codes, dtype=np.int64)

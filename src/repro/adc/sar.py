@@ -73,20 +73,6 @@ class SARADC:
         """Nominal LSB size."""
         return 2.0 * self.full_scale / self.num_levels
 
-    @property
-    def conversion_time_s(self) -> float:
-        """Time to resolve one sample (``bits`` comparator decisions).
-
-        The internal bit clock runs at ``bits`` times the sample rate, so a
-        full conversion occupies one sample period.
-        """
-        return 1.0 / self.sample_rate_hz
-
-    @property
-    def bit_clock_rate_hz(self) -> float:
-        """Rate of the internal successive-approximation bit clock."""
-        return self.bits * self.sample_rate_hz
-
     def draw_comparator_noise(self, rng: np.random.Generator,
                               shape) -> np.ndarray | None:
         """Pre-draw the comparator noise one :meth:`convert_codes` call of

@@ -1,11 +1,8 @@
 """Additive white Gaussian noise channel.
 
-Noise levels can be specified three ways, matching how the benchmarks sweep
-operating points:
-
-* directly as a noise standard deviation,
-* as an SNR relative to the signal's measured power,
-* as an Eb/N0 given the signal's energy-per-bit.
+Noise levels are given directly as a noise standard deviation, or as an
+Eb/N0 given the signal's energy per bit (:func:`noise_std_for_ebn0`),
+which is how the sweeps set their operating points.
 """
 
 from __future__ import annotations
@@ -14,30 +11,13 @@ import math
 
 import numpy as np
 
-from repro.utils import dsp
 from repro.utils.db import db_to_linear
-from repro.utils.validation import require_positive
 
 __all__ = [
     "awgn",
     "RowBlockNoise",
-    "noise_std_for_snr",
     "noise_std_for_ebn0",
-    "AWGNChannel",
 ]
-
-
-def noise_std_for_snr(signal, snr_db: float) -> float:
-    """Noise standard deviation that yields ``snr_db`` for the given signal.
-
-    For complex signals the returned value is the *total* noise standard
-    deviation (split equally between I and Q by :func:`awgn`).
-    """
-    signal_power = dsp.signal_power(signal)
-    if signal_power <= 0:
-        raise ValueError("signal power must be positive to set an SNR")
-    noise_power = signal_power / db_to_linear(snr_db)
-    return float(np.sqrt(noise_power))
 
 
 def noise_std_for_ebn0(energy_per_bit, ebn0_db):
@@ -168,24 +148,3 @@ class RowBlockNoise:
         np.multiply(imag.reshape(signal.shape), scale, out=noise.imag)
         noise += signal
         return noise
-
-
-class AWGNChannel:
-    """Stateful AWGN channel with a reproducible random generator."""
-
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def apply(self, signal, noise_std: float) -> np.ndarray:
-        """Add noise of the given standard deviation."""
-        return awgn(signal, noise_std, rng=self.rng)
-
-    def apply_snr(self, signal, snr_db: float) -> np.ndarray:
-        """Add noise sized to achieve ``snr_db`` against the signal's power."""
-        return self.apply(signal, noise_std_for_snr(signal, snr_db))
-
-    def apply_ebn0(self, signal, ebn0_db: float,
-                   energy_per_bit: float) -> np.ndarray:
-        """Add noise sized to achieve ``ebn0_db`` for the given bit energy."""
-        std = noise_std_for_ebn0(energy_per_bit, ebn0_db)
-        return self.apply(signal, std)

@@ -21,7 +21,6 @@ from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = [
     "ToneInterferer",
-    "ModulatedInterferer",
     "MultiToneInterferer",
     "accepts_rng",
     "interferer_amplitude_for_sir",
@@ -102,54 +101,6 @@ class ToneInterferer:
         if complex_baseband:
             return self.amplitude ** 2
         return self.amplitude ** 2 / 2.0
-
-
-@dataclass
-class ModulatedInterferer:
-    """A narrowband digitally-modulated interferer (random QPSK-like).
-
-    Models an OFDM/WLAN-style interferer as a random-phase narrowband
-    process: rectangular symbols at ``symbol_rate_hz`` on a carrier at
-    ``frequency_hz``.  Its spectrum is a sinc of width ~``symbol_rate_hz``
-    centred on the carrier, i.e. narrow compared with the 500 MHz UWB pulse.
-    """
-
-    frequency_hz: float
-    symbol_rate_hz: float = 20e6
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.symbol_rate_hz, "symbol_rate_hz")
-        require_non_negative(self.amplitude, "amplitude")
-
-    def waveform(self, num_samples: int, sample_rate_hz: float,
-                 rng: np.random.Generator | None = None,
-                 complex_baseband: bool = True) -> np.ndarray:
-        """Generate the interferer waveform."""
-        require_positive(sample_rate_hz, "sample_rate_hz")
-        if rng is None:
-            rng = np.random.default_rng()
-        samples_per_symbol = max(int(round(sample_rate_hz / self.symbol_rate_hz)), 1)
-        num_symbols = int(np.ceil(num_samples / samples_per_symbol))
-        phases = rng.choice([np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4],
-                            size=num_symbols)
-        symbols = np.exp(1j * phases)
-        envelope = np.repeat(symbols, samples_per_symbol)[:num_samples]
-        t = dsp.time_vector(num_samples, sample_rate_hz)
-        carrier = np.exp(1j * 2.0 * np.pi * self.frequency_hz * t)
-        waveform = self.amplitude * envelope * carrier
-        if complex_baseband:
-            return waveform
-        return np.real(waveform) * np.sqrt(2.0)
-
-    def add_to(self, signal, sample_rate_hz: float,
-               rng: np.random.Generator | None = None) -> np.ndarray:
-        """Return ``signal`` plus the interferer."""
-        signal = np.asarray(signal)
-        complex_baseband = np.iscomplexobj(signal)
-        wave = self.waveform(signal.size, sample_rate_hz, rng=rng,
-                             complex_baseband=complex_baseband)
-        return signal + wave
 
 
 @dataclass

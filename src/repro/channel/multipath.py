@@ -9,13 +9,12 @@ impulse response the digital back end has to estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
-from repro.utils import dsp
 from repro.utils.validation import require_positive
 
 __all__ = [
@@ -53,6 +52,10 @@ class MultipathChannel:
             raise ValueError("delays_s and gains must have the same length")
         if self.delays_s.size == 0:
             raise ValueError("channel must have at least one ray")
+        if not np.all(np.isfinite(self.delays_s)):
+            raise ValueError("delays_s must be finite")
+        if not np.all(np.isfinite(self.gains)):
+            raise ValueError("gains must be finite")
         if np.any(self.delays_s < 0):
             raise ValueError("ray delays must be non-negative")
         order = np.argsort(self.delays_s)
@@ -95,15 +98,6 @@ class MultipathChannel:
         # (identical ~80 ns delays leave O(1e-15 s) of float64 noise).
         second_centered = np.sum(powers * (self.delays_s - mean) ** 2) / total
         return float(np.sqrt(max(second_centered, 0.0)))
-
-    def maximum_excess_delay_s(self, threshold_db: float = 30.0) -> float:
-        """Delay of the last ray within ``threshold_db`` of the strongest ray."""
-        powers = np.abs(self.gains) ** 2
-        peak = np.max(powers)
-        if peak == 0:
-            return 0.0
-        keep = powers >= peak * 10.0 ** (-threshold_db / 10.0)
-        return float(np.max(self.delays_s[keep]) - np.min(self.delays_s[keep]))
 
     # ------------------------------------------------------------------
     # Transformations
@@ -175,18 +169,6 @@ class MultipathChannel:
         if keep_length:
             return out[..., : signals.shape[-1]]
         return out
-
-    def combined_with(self, other: "MultipathChannel") -> "MultipathChannel":
-        """Cascade two ray channels (all pairwise delay sums and gain products).
-
-        This is how the paper's observation that "the impulse responses of
-        both the antenna and the RF front-end add to that of the channel" is
-        modelled at the ray level.
-        """
-        delays = (self.delays_s[:, None] + other.delays_s[None, :]).ravel()
-        gains = (self.gains[:, None] * other.gains[None, :]).ravel()
-        return MultipathChannel(delays, gains,
-                                name=f"{self.name}+{other.name}")
 
 
 def apply_channels_batch(channels, signals, sample_rate_hz: float,

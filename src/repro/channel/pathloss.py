@@ -1,68 +1,20 @@
-"""Path-loss and link-budget models for short-range UWB links.
+"""The FCC-limited transmit power of a UWB link.
 
-The paper's systems target "high data rates over short distances"; the gen-1
-chip demonstrated a 193 kbps link and the gen-2 design targets 100 Mbps over
-a few metres.  This module provides free-space and log-distance path-loss
-models plus a link-budget calculator that converts the FCC-limited transmit
-power into a received SNR for a given distance, bandwidth, and noise figure.
+The paper's systems target "high data rates over short distances" under the
+FCC's flat -41.3 dBm/MHz EIRP limit; :func:`max_transmit_power_dbm`
+integrates that limit over a channel's bandwidth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.constants import (
-    BOLTZMANN,
-    FCC_EIRP_LIMIT_DBM_PER_MHZ,
-    ROOM_TEMPERATURE_K,
-    SPEED_OF_LIGHT,
-)
-from repro.utils.db import linear_to_db
+from repro.constants import FCC_EIRP_LIMIT_DBM_PER_MHZ
 from repro.utils.validation import require_positive
 
 __all__ = [
-    "free_space_path_loss_db",
-    "log_distance_path_loss_db",
-    "thermal_noise_power_dbm",
     "max_transmit_power_dbm",
-    "LinkBudget",
 ]
-
-
-def free_space_path_loss_db(distance_m: float, frequency_hz: float) -> float:
-    """Friis free-space path loss in dB."""
-    require_positive(distance_m, "distance_m")
-    require_positive(frequency_hz, "frequency_hz")
-    wavelength = SPEED_OF_LIGHT / frequency_hz
-    return float(linear_to_db((4.0 * np.pi * distance_m / wavelength) ** 2))
-
-
-def log_distance_path_loss_db(distance_m: float, frequency_hz: float,
-                              exponent: float = 2.0,
-                              reference_distance_m: float = 1.0,
-                              shadowing_db: float = 0.0) -> float:
-    """Log-distance path loss with optional fixed shadowing margin.
-
-    Indoor UWB measurements report exponents near 1.7 (LOS) to 3.5 (NLOS);
-    the default of 2.0 matches free space at the reference distance.
-    """
-    require_positive(distance_m, "distance_m")
-    require_positive(reference_distance_m, "reference_distance_m")
-    reference_loss = free_space_path_loss_db(reference_distance_m, frequency_hz)
-    return float(reference_loss
-                 + 10.0 * exponent * np.log10(distance_m / reference_distance_m)
-                 + shadowing_db)
-
-
-def thermal_noise_power_dbm(bandwidth_hz: float,
-                            noise_figure_db: float = 0.0,
-                            temperature_k: float = ROOM_TEMPERATURE_K) -> float:
-    """Integrated thermal noise power (dBm) in ``bandwidth_hz`` plus NF."""
-    require_positive(bandwidth_hz, "bandwidth_hz")
-    noise_watts = BOLTZMANN * temperature_k * bandwidth_hz
-    return float(linear_to_db(noise_watts / 1e-3) + noise_figure_db)
 
 
 def max_transmit_power_dbm(bandwidth_hz: float,
@@ -75,62 +27,3 @@ def max_transmit_power_dbm(bandwidth_hz: float,
     """
     require_positive(bandwidth_hz, "bandwidth_hz")
     return float(psd_limit_dbm_per_mhz + 10.0 * np.log10(bandwidth_hz / 1e6))
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """A simple UWB link budget.
-
-    Attributes mirror the usual budget line items; ``received_snr_db`` ties
-    them together for a given distance.
-    """
-
-    center_frequency_hz: float
-    bandwidth_hz: float
-    noise_figure_db: float = 6.0
-    tx_antenna_gain_dbi: float = 0.0
-    rx_antenna_gain_dbi: float = 0.0
-    implementation_loss_db: float = 3.0
-    path_loss_exponent: float = 2.0
-    psd_limit_dbm_per_mhz: float = FCC_EIRP_LIMIT_DBM_PER_MHZ
-
-    def transmit_power_dbm(self) -> float:
-        """FCC-limited total transmit power for the channel bandwidth."""
-        return max_transmit_power_dbm(self.bandwidth_hz,
-                                      self.psd_limit_dbm_per_mhz)
-
-    def path_loss_db(self, distance_m: float) -> float:
-        """Path loss at ``distance_m`` with the configured exponent."""
-        return log_distance_path_loss_db(distance_m, self.center_frequency_hz,
-                                         exponent=self.path_loss_exponent)
-
-    def received_power_dbm(self, distance_m: float) -> float:
-        """Received signal power at ``distance_m``."""
-        return (self.transmit_power_dbm()
-                + self.tx_antenna_gain_dbi + self.rx_antenna_gain_dbi
-                - self.path_loss_db(distance_m)
-                - self.implementation_loss_db)
-
-    def noise_power_dbm(self) -> float:
-        """Receiver noise power integrated over the channel bandwidth."""
-        return thermal_noise_power_dbm(self.bandwidth_hz, self.noise_figure_db)
-
-    def received_snr_db(self, distance_m: float) -> float:
-        """SNR at the demodulator input for ``distance_m``."""
-        return self.received_power_dbm(distance_m) - self.noise_power_dbm()
-
-    def ebn0_db(self, distance_m: float, data_rate_bps: float) -> float:
-        """Eb/N0 at ``distance_m`` for a given information rate."""
-        require_positive(data_rate_bps, "data_rate_bps")
-        snr = self.received_snr_db(distance_m)
-        return float(snr + 10.0 * np.log10(self.bandwidth_hz / data_rate_bps))
-
-    def max_range_m(self, required_snr_db: float,
-                    max_distance_m: float = 100.0) -> float:
-        """Largest distance at which the required SNR is still met."""
-        distances = np.linspace(0.1, max_distance_m, 2000)
-        snrs = np.array([self.received_snr_db(d) for d in distances])
-        feasible = distances[snrs >= required_snr_db]
-        if feasible.size == 0:
-            return 0.0
-        return float(feasible[-1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channel.multipath import MultipathChannel
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_int, require_positive
 
 __all__ = [
     "SalehValenzuelaParameters",
@@ -208,14 +208,9 @@ class SalehValenzuelaChannelGenerator:
             name=f"{p.name}{name_suffix}")
         return channel.normalized()
 
-    def realize_many(self, count: int) -> list[MultipathChannel]:
-        """Draw ``count`` independent realizations."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return [self.realize(name_suffix=f"_{i}") for i in range(count)]
-
     def average_rms_delay_spread_s(self, num_realizations: int = 20) -> float:
         """Monte-Carlo estimate of the model's mean RMS delay spread."""
+        require_int(num_realizations, "num_realizations", minimum=1)
         spreads = [self.realize().rms_delay_spread_s()
                    for _ in range(num_realizations)]
         return float(np.mean(spreads))

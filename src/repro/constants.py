@@ -179,28 +179,6 @@ class BandPlan:
         half = self.channel_bandwidth_hz / 2.0
         return fc - half, fc + half
 
-    def all_center_frequencies(self) -> tuple[float, ...]:
-        """Return the centre frequencies of every channel in the plan."""
-        return tuple(
-            self.center_frequency(ch) for ch in range(self.num_channels)
-        )
-
-    def channel_for_frequency(self, frequency_hz: float) -> int:
-        """Return the channel index whose band contains ``frequency_hz``.
-
-        Raises ``ValueError`` when the frequency falls outside the plan.
-        """
-        for ch in range(self.num_channels):
-            low, high = self.channel_edges(ch)
-            if low <= frequency_hz < high:
-                return ch
-        last_low, last_high = self.channel_edges(self.num_channels - 1)
-        if frequency_hz == last_high:
-            return self.num_channels - 1
-        raise ValueError(
-            f"frequency {frequency_hz / 1e9:.3f} GHz is outside the band plan"
-        )
-
     def fits_in_fcc_band(self) -> bool:
         """True when every channel lies inside the FCC 3.1-10.6 GHz band."""
         low, _ = self.channel_edges(0)

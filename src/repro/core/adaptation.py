@@ -10,13 +10,10 @@ resolution — and reports the resulting data rate and modelled power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.config import Gen2Config
 from repro.power.budget import gen2_power_budget
-from repro.utils.validation import require_positive
 
 __all__ = ["ChannelConditions", "OperatingMode", "AdaptationController"]
 
@@ -47,12 +44,6 @@ class OperatingMode:
     data_rate_bps: float
     power_w: float
     min_snr_db: float
-
-    def energy_per_bit_j(self) -> float:
-        """Receiver energy spent per delivered bit."""
-        if self.data_rate_bps <= 0:
-            return float("inf")
-        return self.power_w / self.data_rate_bps
 
 
 class AdaptationController:
@@ -123,37 +114,6 @@ class AdaptationController:
             # Fall back to the most robust mode.
             return self.available_modes(conditions)[-1]
         return max(feasible, key=lambda m: m.data_rate_bps)
-
-    def select_min_power(self, conditions: ChannelConditions,
-                         required_rate_bps: float) -> OperatingMode:
-        """Lowest power mode that still delivers ``required_rate_bps``."""
-        require_positive(required_rate_bps, "required_rate_bps")
-        feasible = [m for m in self.available_modes(conditions)
-                    if (conditions.snr_db >= m.min_snr_db
-                        and m.data_rate_bps >= required_rate_bps)]
-        if not feasible:
-            return self.select_max_throughput(conditions)
-        return min(feasible, key=lambda m: m.power_w)
-
-    def select_min_energy_per_bit(self, conditions: ChannelConditions
-                                  ) -> OperatingMode:
-        """Mode with the lowest receiver energy per delivered bit."""
-        feasible = [m for m in self.available_modes(conditions)
-                    if conditions.snr_db >= m.min_snr_db]
-        if not feasible:
-            return self.available_modes(conditions)[-1]
-        return min(feasible, key=lambda m: m.energy_per_bit_j())
-
-    # ------------------------------------------------------------------
-    # Config realization
-    # ------------------------------------------------------------------
-    def config_for_mode(self, mode: OperatingMode) -> Gen2Config:
-        """Instantiate a :class:`Gen2Config` implementing the chosen mode."""
-        return self.base_config.with_changes(
-            pulses_per_bit=mode.pulses_per_bit,
-            rake_fingers=mode.rake_fingers,
-            use_mlse=mode.use_mlse,
-            adc_bits=mode.adc_bits)
 
     def rate_power_frontier(self, conditions: ChannelConditions
                             ) -> list[tuple[float, float]]:

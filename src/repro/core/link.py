@@ -102,29 +102,3 @@ class LinkSimulator:
             stats.record(result.detected, result.timing_error_samples,
                          result.acquisition_time_s)
         return stats
-
-    # ------------------------------------------------------------------
-    # Throughput
-    # ------------------------------------------------------------------
-    def effective_throughput_bps(self, ebn0_db: float, num_packets: int = 10,
-                                 payload_bits_per_packet: int = 64,
-                                 channel_factory: Callable[[], object] | None = None,
-                                 **packet_kwargs) -> float:
-        """Goodput: delivered payload bits per second of air time."""
-        require_int(num_packets, "num_packets", minimum=1)
-        require_int(payload_bits_per_packet, "payload_bits_per_packet",
-                    minimum=1)
-        delivered_bits = 0
-        air_time_s = 0.0
-        for _ in range(num_packets):
-            channel = channel_factory() if channel_factory is not None else None
-            simulation = self.transceiver.simulate_packet(
-                num_payload_bits=payload_bits_per_packet,
-                ebn0_db=ebn0_db,
-                channel=channel,
-                rng=self.rng,
-                **packet_kwargs)
-            air_time_s += simulation.transmit.duration_s
-            if simulation.result.packet_success:
-                delivered_bits += simulation.result.num_payload_bits
-        return delivered_bits / air_time_s

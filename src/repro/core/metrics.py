@@ -57,13 +57,6 @@ class PacketResult:
     extra: dict = field(default_factory=dict)
 
     @property
-    def bit_error_rate(self) -> float:
-        """Payload BER of this packet (1.0 when nothing was recovered)."""
-        if self.num_payload_bits == 0:
-            return 1.0
-        return self.payload_bit_errors / self.num_payload_bits
-
-    @property
     def packet_success(self) -> bool:
         """A packet counts as delivered when detected and CRC-clean."""
         return self.detected and self.crc_ok
@@ -158,35 +151,9 @@ class BERCurve:
         """Append a point to the curve."""
         self.points.append(point)
 
-    def ebn0_values(self) -> np.ndarray:
-        """The swept Eb/N0 values."""
-        return np.asarray([p.ebn0_db for p in self.points])
-
     def ber_values(self) -> np.ndarray:
         """The measured BER values."""
         return np.asarray([p.ber for p in self.points])
-
-    def required_ebn0_for_ber(self, target_ber: float) -> float:
-        """Interpolate the Eb/N0 needed to hit ``target_ber`` (inf if never)."""
-        ebn0 = self.ebn0_values()
-        ber = self.ber_values()
-        if ebn0.size == 0:
-            return float("inf")
-        order = np.argsort(ebn0)
-        ebn0, ber = ebn0[order], ber[order]
-        below = np.where(ber <= target_ber)[0]
-        if below.size == 0:
-            return float("inf")
-        first = below[0]
-        if first == 0:
-            return float(ebn0[0])
-        # Log-linear interpolation between the bracketing points.
-        b0, b1 = ber[first - 1], ber[first]
-        e0, e1 = ebn0[first - 1], ebn0[first]
-        if b0 <= 0 or b1 <= 0 or b0 == b1:
-            return float(e1)
-        t = (np.log10(target_ber) - np.log10(b0)) / (np.log10(b1) - np.log10(b0))
-        return float(e0 + t * (e1 - e0))
 
     def as_rows(self) -> list[tuple[float, float, float]]:
         """Rows of ``(ebn0_db, ber, per)`` for printing."""

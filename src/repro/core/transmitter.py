@@ -93,20 +93,6 @@ class TransmitBatch:
         """Number of transmissions in the batch."""
         return int(self.waveforms.shape[0])
 
-    def output_for(self, index: int) -> TransmitOutput:
-        """Materialize one row as a standalone :class:`TransmitOutput`."""
-        return TransmitOutput(
-            waveform=self.waveforms[index, :self.lengths[index]].copy(),
-            sample_rate_hz=self.sample_rate_hz,
-            packet=self.packets[index],
-            pulse=self.pulse,
-            preamble_start_sample=int(self.preamble_start_samples[index]),
-            body_start_sample=int(self.body_start_samples[index]),
-            num_body_symbols=self.num_body_symbols,
-            samples_per_symbol=self.samples_per_symbol,
-            samples_per_chip=self.samples_per_chip,
-        )
-
 
 class _PulsedTransmitter:
     """Shared machinery of both generations (they differ only in the pulse)."""
@@ -366,20 +352,3 @@ class Gen2Transmitter(_PulsedTransmitter):
     def carrier_frequency_hz(self) -> float:
         """Centre frequency of the configured sub-band."""
         return DEFAULT_BAND_PLAN.center_frequency(self.config.channel_index)
-
-    def passband_waveform(self, output: TransmitOutput) -> np.ndarray:
-        """Up-convert a transmit output to a real passband waveform.
-
-        Only used by the RF-level benchmarks (FCC mask, Fig. 4 style
-        waveforms); link simulations stay at complex baseband.  The
-        returned waveform is sampled at a rate high enough for the carrier.
-        """
-        carrier = self.carrier_frequency_hz()
-        passband_rate = 4.0 * (carrier + self.config.pulse_bandwidth_hz)
-        upsample = int(np.ceil(passband_rate / output.sample_rate_hz))
-        passband_rate = output.sample_rate_hz * upsample
-        envelope = np.repeat(output.waveform, upsample)
-        envelope = dsp.lowpass_filter(envelope,
-                                      self.config.pulse_bandwidth_hz,
-                                      passband_rate)
-        return dsp.upconvert(envelope, carrier, passband_rate)

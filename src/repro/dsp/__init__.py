@@ -10,14 +10,11 @@ from repro.dsp.acquisition import (
 from repro.dsp.agc import AutomaticGainControl
 from repro.dsp.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.dsp.correlator import (
-    Correlator,
-    CorrelatorBank,
     normalized_correlation,
     sliding_correlation,
 )
-from repro.dsp.notch import AdaptiveNotchCanceller, DigitalNotchFilter
+from repro.dsp.notch import DigitalNotchFilter
 from repro.dsp.parallelizer import (
-    Parallelizer,
     acquisition_clock_cycles,
     acquisition_time_s,
 )
@@ -27,7 +24,7 @@ from repro.dsp.spectral_monitor import (
     SpectralMonitor,
     SpectralMonitorConfig,
 )
-from repro.dsp.viterbi import MLSEEqualizer, rake_isi_taps, symbol_spaced_channel
+from repro.dsp.viterbi import MLSEEqualizer, rake_isi_taps
 
 __all__ = [
     "AcquisitionConfig",
@@ -36,13 +33,9 @@ __all__ = [
     "AutomaticGainControl",
     "ChannelEstimate",
     "ChannelEstimator",
-    "Correlator",
-    "CorrelatorBank",
     "normalized_correlation",
     "sliding_correlation",
-    "AdaptiveNotchCanceller",
     "DigitalNotchFilter",
-    "Parallelizer",
     "acquisition_clock_cycles",
     "acquisition_time_s",
     "FINGER_POLICIES",
@@ -53,5 +46,4 @@ __all__ = [
     "SpectralMonitorConfig",
     "MLSEEqualizer",
     "rake_isi_taps",
-    "symbol_spaced_channel",
 ]

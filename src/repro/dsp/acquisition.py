@@ -269,43 +269,6 @@ class CoarseAcquisition:
             search_time_s=search_time,
             correlation_profiles=profiles)
 
-    def first_crossing(self, samples) -> AcquisitionResult:
-        """Early-terminate variant: stop at the first threshold crossing.
-
-        This is how a latency-constrained implementation behaves — it does
-        not wait to see the global maximum.  The reported search time counts
-        only the hypotheses actually evaluated before the crossing.
-        """
-        samples = np.asarray(samples)
-        metric = np.abs(normalized_correlation(samples, self.template))
-        offsets = self._searched_offsets(metric.size)
-        crossing_positions = np.where(metric[offsets] >= self.config.threshold)[0]
-        if crossing_positions.size == 0:
-            # Fall back to the full search result (not detected).
-            full = self.acquire(samples)
-            return full
-        first = int(crossing_positions[0])
-        # Refine within one template length after the crossing.  A repeated
-        # preamble produces partial-alignment sidelobes up to one repetition
-        # early, and multipath delays the strongest path; both land within
-        # one template length of the first crossing.
-        refine_span = max(self.template.size // self.config.search_step_samples, 8)
-        window_end = min(first + refine_span, offsets.size)
-        local = metric[offsets[first:window_end]]
-        refined = first + int(np.argmax(local))
-        hypotheses_evaluated = refined + 1
-        search_time = acquisition_time_s(
-            num_hypotheses=hypotheses_evaluated,
-            parallelism=self.config.parallelism,
-            backend_clock_hz=self.config.backend_clock_hz)
-        return AcquisitionResult(
-            detected=True,
-            timing_offset_samples=int(offsets[refined]),
-            peak_metric=float(metric[offsets[refined]]),
-            num_hypotheses_searched=hypotheses_evaluated,
-            search_time_s=search_time,
-            correlation_profile=metric)
-
     def detection_statistics(self, samples_without_signal) -> tuple[float, float]:
         """False-alarm statistics: (mean, max) of the metric on noise only."""
         metric = np.abs(normalized_correlation(samples_without_signal,

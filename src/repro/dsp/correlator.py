@@ -9,17 +9,13 @@ symbol-aligned correlations against appropriate templates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
-from repro.utils.validation import require_int, require_positive
-
-__all__ = ["Correlator", "CorrelatorBank", "sliding_correlation",
-           "normalized_correlation", "sliding_correlation_batch",
-           "normalized_correlation_batch", "gather_windows"]
+__all__ = ["sliding_correlation", "normalized_correlation",
+           "sliding_correlation_batch", "normalized_correlation_batch",
+           "gather_windows"]
 
 
 def sliding_correlation(samples, template) -> np.ndarray:
@@ -128,88 +124,3 @@ def normalized_correlation_batch(samples, template) -> np.ndarray:
     local_energy = np.maximum(np.real(local_energy), 0.0)
     denom = np.sqrt(np.maximum(local_energy * template_energy, 1e-30))
     return raw / denom
-
-
-@dataclass
-class Correlator:
-    """A single correlator with a fixed template."""
-
-    template: np.ndarray
-    name: str = "correlator"
-
-    def __post_init__(self) -> None:
-        self.template = np.asarray(self.template)
-        if self.template.size == 0:
-            raise ValueError("template must not be empty")
-
-    def correlate(self, samples) -> np.ndarray:
-        """Sliding correlation of the input against the stored template."""
-        return sliding_correlation(samples, self.template)
-
-    def correlate_at(self, samples, offset: int) -> complex | float:
-        """Single correlation at a specific sample alignment.
-
-        If fewer than ``len(template)`` samples remain past ``offset`` the
-        correlation uses the available overlap (the tail of a packet).
-        """
-        samples = np.asarray(samples)
-        require_int(offset, "offset", minimum=0)
-        if offset >= samples.size:
-            return 0.0
-        segment = samples[offset:offset + self.template.size]
-        template = self.template[:segment.size]
-        value = np.sum(segment * np.conj(template))
-        return complex(value) if np.iscomplexobj(value) else float(value)
-
-    def matched_filter_gain(self) -> float:
-        """Processing gain of the correlator (template energy)."""
-        return float(np.sum(np.abs(self.template) ** 2))
-
-
-class CorrelatorBank:
-    """A bank of correlators evaluated in parallel.
-
-    The hardware motivation: the paper's back ends instantiate many
-    correlators so that multiple timing hypotheses (or multiple RAKE
-    fingers) are evaluated simultaneously, trading silicon area for
-    acquisition latency.  ``evaluate`` returns the full hypothesis matrix.
-    """
-
-    def __init__(self, templates, names: list[str] | None = None) -> None:
-        templates = [np.asarray(t) for t in templates]
-        if len(templates) == 0:
-            raise ValueError("need at least one template")
-        if names is not None and len(names) != len(templates):
-            raise ValueError("names must match the number of templates")
-        self.correlators = [
-            Correlator(template=t,
-                       name=names[i] if names else f"corr_{i}")
-            for i, t in enumerate(templates)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.correlators)
-
-    def evaluate(self, samples) -> list[np.ndarray]:
-        """Sliding correlations of every correlator against the input."""
-        return [c.correlate(samples) for c in self.correlators]
-
-    def evaluate_at(self, samples, offset: int) -> np.ndarray:
-        """All correlator outputs at a single alignment."""
-        values = [c.correlate_at(samples, offset) for c in self.correlators]
-        return np.asarray(values)
-
-    def best_match(self, samples) -> tuple[int, int, float]:
-        """Return ``(correlator_index, sample_offset, |peak|)`` of the best match."""
-        best = (-1, -1, -np.inf)
-        for index, correlator in enumerate(self.correlators):
-            output = np.abs(correlator.correlate(samples))
-            if output.size == 0:
-                continue
-            offset = int(np.argmax(output))
-            peak = float(output[offset])
-            if peak > best[2]:
-                best = (index, offset, peak)
-        if best[0] < 0:
-            raise ValueError("input shorter than every template in the bank")
-        return best

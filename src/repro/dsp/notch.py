@@ -2,14 +2,8 @@
 
 Complement of the analog RF notch: once the spectral monitor has estimated
 the interferer frequency, the back end can also (or instead) remove the
-interferer digitally with an adaptive complex notch.  Two flavours:
-
-* :class:`DigitalNotchFilter` — a fixed-coefficient complex one-pole notch
-  placed at the estimated frequency.
-* :class:`AdaptiveNotchCanceller` — an LMS canceller that regresses the
-  received samples onto a locally generated complex exponential at the
-  estimated frequency and subtracts the fit, which tolerates small
-  frequency-estimation errors.
+interferer digitally with :class:`DigitalNotchFilter`, a
+fixed-coefficient complex one-pole notch placed at the estimated frequency.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ import numpy as np
 
 from repro.utils.validation import require_positive
 
-__all__ = ["DigitalNotchFilter", "AdaptiveNotchCanceller"]
+__all__ = ["DigitalNotchFilter"]
 
 
 @dataclass
@@ -71,51 +65,3 @@ class DigitalNotchFilter:
         if magnitude <= 0:
             return float("inf")
         return float(-20.0 * np.log10(magnitude))
-
-
-@dataclass
-class AdaptiveNotchCanceller:
-    """LMS interference canceller referenced to a local complex exponential.
-
-    The canceller synthesizes ``e^{j 2 pi f_est t}``, adapts a single complex
-    weight so the reference matches the interferer component of the input,
-    and subtracts it.  Convergence takes a few hundred samples at the
-    default step size.
-    """
-
-    interferer_frequency_hz: float
-    sample_rate_hz: float
-    step_size: float = 0.01
-
-    def __post_init__(self) -> None:
-        require_positive(self.sample_rate_hz, "sample_rate_hz")
-        require_positive(self.step_size, "step_size")
-
-    def cancel(self, samples) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(cleaned, weight_trajectory)``."""
-        samples = np.asarray(samples, dtype=complex)
-        n = np.arange(samples.size)
-        reference = np.exp(1j * 2.0 * np.pi * self.interferer_frequency_hz
-                           * n / self.sample_rate_hz)
-        weight = 0.0 + 0.0j
-        cleaned = np.zeros_like(samples)
-        weights = np.zeros(samples.size, dtype=complex)
-        # Normalize the step by the (unit) reference power for stability.
-        mu = self.step_size
-        for i in range(samples.size):
-            estimate = weight * reference[i]
-            error = samples[i] - estimate
-            cleaned[i] = error
-            weight = weight + mu * error * np.conj(reference[i])
-            weights[i] = weight
-        return cleaned, weights
-
-    def steady_state_rejection_db(self, samples) -> float:
-        """Measured interferer-power reduction over the second half of the buffer."""
-        cleaned, _ = self.cancel(samples)
-        half = samples.size // 2
-        before = float(np.mean(np.abs(np.asarray(samples)[half:]) ** 2))
-        after = float(np.mean(np.abs(cleaned[half:]) ** 2))
-        if after <= 0:
-            return float("inf")
-        return float(10.0 * np.log10(before / after))

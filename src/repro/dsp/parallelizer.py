@@ -7,24 +7,19 @@ de-multiplexes it into N parallel lanes running at rate/N (Fig. 1's
 "Parallellizer", Fig. 3's "Retiming Block") and instantiates N copies of the
 search hardware.
 
-The model captures the two things that matter at system level:
-
-* the de-interleave / re-interleave bookkeeping (so bit-true processing can
-  be run per lane), and
-* the latency arithmetic: with ``parallelism`` lanes each evaluating one
-  timing hypothesis per back-end clock, searching ``num_hypotheses``
-  hypotheses takes ``ceil(num_hypotheses / parallelism)`` clocks.
+The model captures the latency arithmetic that matters at system level:
+with ``parallelism`` lanes each evaluating one timing hypothesis per
+back-end clock, searching ``num_hypotheses`` hypotheses takes
+``ceil(num_hypotheses / parallelism)`` clocks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.validation import require_int, require_positive
 
-__all__ = ["Parallelizer", "acquisition_clock_cycles", "acquisition_time_s"]
+__all__ = ["acquisition_clock_cycles", "acquisition_time_s"]
 
 
 def acquisition_clock_cycles(num_hypotheses: int, parallelism: int,
@@ -50,51 +45,3 @@ def acquisition_time_s(num_hypotheses: int, parallelism: int,
     cycles = acquisition_clock_cycles(num_hypotheses, parallelism,
                                       integrations_per_hypothesis)
     return cycles / backend_clock_hz
-
-
-@dataclass
-class Parallelizer:
-    """De-multiplex a sample stream into ``num_lanes`` polyphase lanes.
-
-    Lane ``k`` receives samples ``k, k + N, k + 2N, ...`` — exactly the
-    streams a time-interleaved ADC naturally produces (the gen-1 flash ADC
-    "performs an initial 4-way parallelization of the signal"), possibly
-    further split for the back end.
-    """
-
-    num_lanes: int
-    input_rate_hz: float
-
-    def __post_init__(self) -> None:
-        require_int(self.num_lanes, "num_lanes", minimum=1)
-        require_positive(self.input_rate_hz, "input_rate_hz")
-
-    @property
-    def lane_rate_hz(self) -> float:
-        """Clock rate each lane runs at."""
-        return self.input_rate_hz / self.num_lanes
-
-    def split(self, samples) -> list[np.ndarray]:
-        """De-multiplex samples into lanes (last partial frame is dropped)."""
-        samples = np.asarray(samples)
-        usable = (samples.size // self.num_lanes) * self.num_lanes
-        frame = samples[:usable].reshape(-1, self.num_lanes)
-        return [frame[:, lane].copy() for lane in range(self.num_lanes)]
-
-    def merge(self, lanes) -> np.ndarray:
-        """Re-interleave per-lane streams back into one sample stream."""
-        lanes = [np.asarray(lane) for lane in lanes]
-        if len(lanes) != self.num_lanes:
-            raise ValueError(
-                f"expected {self.num_lanes} lanes, got {len(lanes)}")
-        length = min(lane.size for lane in lanes)
-        is_complex = any(np.iscomplexobj(lane) for lane in lanes)
-        merged = np.zeros(length * self.num_lanes,
-                          dtype=complex if is_complex else float)
-        for index, lane in enumerate(lanes):
-            merged[index::self.num_lanes] = lane[:length]
-        return merged
-
-    def search_speedup(self) -> float:
-        """Acquisition-latency speed-up over a single-lane search."""
-        return float(self.num_lanes)

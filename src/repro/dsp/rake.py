@@ -172,11 +172,6 @@ class RakeReceiver:
         return [RakeFinger(delay_samples=int(i), weight=complex(taps[i]))
                 for i in indices]
 
-    @property
-    def num_active_fingers(self) -> int:
-        """Number of fingers actually instantiated."""
-        return len(self.fingers)
-
     def combining_weights(self) -> np.ndarray:
         """The MRC weights (conjugated channel estimates) per finger."""
         return np.asarray([np.conj(f.weight) for f in self.fingers])
@@ -236,15 +231,3 @@ class RakeReceiver:
         return rake_isi_taps(self.channel_estimate, delays, weights,
                              symbol_period_samples,
                              max_symbol_taps=max_symbol_taps)
-
-    def snr_gain_db_over_single_finger(self) -> float:
-        """Ideal MRC SNR gain of the selected fingers over the best single finger.
-
-        With perfect estimates, MRC SNR is proportional to the sum of
-        finger powers; a single-finger receiver gets only the strongest
-        finger's power.
-        """
-        powers = np.array([abs(f.weight) ** 2 for f in self.fingers])
-        if powers.size == 0 or np.max(powers) <= 0:
-            return 0.0
-        return float(10.0 * np.log10(np.sum(powers) / np.max(powers)))

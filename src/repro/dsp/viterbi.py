@@ -16,8 +16,7 @@ import numpy as np
 from repro.dsp.channel_estimation import ChannelEstimate
 from repro.utils.validation import require_int
 
-__all__ = ["MLSEEqualizer", "symbol_spaced_channel", "rake_isi_taps",
-           "equalize_to_bits_batch"]
+__all__ = ["MLSEEqualizer", "rake_isi_taps", "equalize_to_bits_batch"]
 
 
 def rake_isi_taps(channel_estimate: ChannelEstimate,
@@ -60,34 +59,6 @@ def rake_isi_taps(channel_estimate: ChannelEstimate,
     while keep > 1 and abs(taps[keep - 1]) < 0.05:
         keep -= 1
     return taps[:keep]
-
-
-def symbol_spaced_channel(channel_estimate: ChannelEstimate,
-                          symbol_period_samples: int,
-                          max_symbol_taps: int = 4) -> np.ndarray:
-    """Collapse a sample-spaced channel estimate to symbol-spaced ISI taps.
-
-    Tap ``l`` is the correlation mass of the channel estimate in the window
-    ``[l*T, (l+1)*T)`` (T = symbol period in samples).  The result drives
-    the MLSE trellis: ``max_symbol_taps`` of memory covers a delay spread of
-    ``max_symbol_taps`` symbol periods.
-    """
-    require_int(symbol_period_samples, "symbol_period_samples", minimum=1)
-    require_int(max_symbol_taps, "max_symbol_taps", minimum=1)
-    taps = channel_estimate.taps
-    num_symbol_taps = min(
-        max_symbol_taps,
-        int(np.ceil(taps.size / symbol_period_samples)))
-    collapsed = np.zeros(num_symbol_taps, dtype=complex)
-    for l in range(num_symbol_taps):
-        window = taps[l * symbol_period_samples:(l + 1) * symbol_period_samples]
-        collapsed[l] = np.sum(np.abs(window) ** 2)
-    # Normalize so the main tap has unit weight (statistics are scaled by
-    # the RAKE which already applies the channel magnitude).
-    peak = np.max(np.abs(collapsed))
-    if peak > 0:
-        collapsed = collapsed / peak
-    return collapsed
 
 
 class MLSEEqualizer:

@@ -174,29 +174,6 @@ class Recorder:
         """Summed counter values keyed by counter name."""
         return summarize(self._events)["counters"]
 
-    def counter_breakdown(self, attr: str) -> dict[str, dict[str, float]]:
-        """Counter totals split by one attribute's value.
-
-        ``counter_breakdown("backend")`` returns, per counter name, the
-        summed values keyed by each recorded ``backend`` attribute value
-        (events without the attribute land under ``""``) — how the
-        per-store-backend cache metrics (``store.lookup_hits`` with
-        ``backend="jsonl"`` vs ``"sqlite"``) are separated.  Counters
-        never carrying the attribute are omitted.
-        """
-        counters = [event for event in self._events
-                    if event["kind"] == "counter"]
-        tracked = {event["name"] for event in counters
-                   if attr in (event.get("attrs") or {})}
-        breakdown: dict[str, dict[str, float]] = {}
-        for event in counters:
-            if event["name"] not in tracked:
-                continue
-            value = str((event.get("attrs") or {}).get(attr, ""))
-            per_name = breakdown.setdefault(event["name"], {})
-            per_name[value] = per_name.get(value, 0) + event["value"]
-        return breakdown
-
     def gauge_values(self) -> dict[str, float]:
         """Most recent gauge value keyed by gauge name."""
         return {name: entry["last"] for name, entry
@@ -306,10 +283,6 @@ class NullRecorder:
         """No-op."""
 
     def counter_totals(self) -> dict:
-        """Always empty."""
-        return {}
-
-    def counter_breakdown(self, attr: str) -> dict:
         """Always empty."""
         return {}
 

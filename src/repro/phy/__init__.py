@@ -17,7 +17,6 @@ from repro.phy.packet import (
 )
 from repro.phy.preamble import (
     PreambleConfig,
-    barker_sequence,
     bits_to_bipolar,
     build_preamble_symbols,
     gold_code,
@@ -43,7 +42,6 @@ __all__ = [
     "PacketParser",
     "ParseResult",
     "PreambleConfig",
-    "barker_sequence",
     "bits_to_bipolar",
     "build_preamble_symbols",
     "gold_code",

@@ -56,10 +56,6 @@ class Packet:
     config: PacketConfig
 
     @property
-    def num_body_bits(self) -> int:
-        return int(self.body_bits.size)
-
-    @property
     def num_payload_bits(self) -> int:
         return int(self.payload_bits.size)
 

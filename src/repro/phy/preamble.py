@@ -22,7 +22,6 @@ __all__ = [
     "lfsr_sequence",
     "m_sequence",
     "gold_code",
-    "barker_sequence",
     "PreambleConfig",
     "build_preamble_symbols",
 ]
@@ -109,22 +108,6 @@ def gold_code(degree: int, code_index: int = 0) -> np.ndarray:
         return seq_b
     shifted_b = np.roll(seq_b, -code_index)
     return np.bitwise_xor(seq_a, shifted_b)
-
-
-def barker_sequence(length: int = 13) -> np.ndarray:
-    """A Barker sequence (as 0/1 bits) of the requested length."""
-    barker = {
-        2: [1, 0],
-        3: [1, 1, 0],
-        4: [1, 1, 0, 1],
-        5: [1, 1, 1, 0, 1],
-        7: [1, 1, 1, 0, 0, 1, 0],
-        11: [1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0],
-        13: [1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1],
-    }
-    if length not in barker:
-        raise ValueError(f"no Barker sequence of length {length}")
-    return np.asarray(barker[length], dtype=np.int64)
 
 
 def bits_to_bipolar(bits) -> np.ndarray:

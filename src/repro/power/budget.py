@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.power.models import (
     BlockPower,
     DigitalBackEndPowerModel,

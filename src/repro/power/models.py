@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.adc.power import ADCPowerModel, walden_power_w
 from repro.utils.validation import require_int, require_non_negative, require_positive
 
@@ -159,11 +157,6 @@ class RFFrontEndPowerModel:
             # Gen 1 still needs a clock-generation PLL.
             blocks.append(BlockPower("pll", 0.6 * self.synthesizer_w))
         return blocks
-
-    def total_receive_power_w(self, direct_conversion: bool = True) -> float:
-        """Total receive-chain RF power."""
-        return float(sum(b.power_w
-                         for b in self.receive_blocks(direct_conversion)))
 
 
 def adc_block_power(architecture: str, bits: int, sample_rate_hz: float,

@@ -10,7 +10,7 @@ textbook expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +39,6 @@ class SchemeResult:
     ebn0_db: np.ndarray
     measured_ber: np.ndarray
     theoretical_ber: np.ndarray | None = None
-
-    def penalty_db_at(self, target_ber: float) -> float:
-        """Implementation loss versus theory at the given BER (rough estimate)."""
-        if self.theoretical_ber is None:
-            return float("nan")
-        measured = _ebn0_for_ber(self.ebn0_db, self.measured_ber, target_ber)
-        ideal = _ebn0_for_ber(self.ebn0_db, self.theoretical_ber, target_ber)
-        return measured - ideal
-
-
-def _ebn0_for_ber(ebn0_db: np.ndarray, ber: np.ndarray, target: float) -> float:
-    below = np.where(ber <= target)[0]
-    if below.size == 0:
-        return float("inf")
-    return float(ebn0_db[below[0]])
 
 
 class ModulationComparison:

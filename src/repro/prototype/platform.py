@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.awgn import awgn, noise_std_for_snr
 from repro.constants import FIG4_BANDWIDTH_HZ, FIG4_CARRIER_HZ
 from repro.pulses.modulated import ModulatedPulse
 from repro.pulses.shapes import gaussian_pulse
@@ -111,24 +110,3 @@ class DiscretePrototypePlatform:
             sample_rate_hz=passband_rate,
             name="prototype_output",
         )
-
-    # ------------------------------------------------------------------
-    # Test-bench channel
-    # ------------------------------------------------------------------
-    def loopback(self, baseband_waveform, snr_db: float | None = None,
-                 channel=None,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Play a waveform through an optional channel and AWGN back to baseband.
-
-        This is the "complete testing of the algorithms implemented in the
-        digital back end under realistic conditions" loop: generate, impair,
-        and hand the result to whichever receiver algorithm is under test.
-        """
-        shaped = self.shape_baseband(baseband_waveform)
-        received = shaped
-        if channel is not None:
-            received = channel.apply(received, self.baseband_rate_hz)
-        if snr_db is not None:
-            noise_std = noise_std_for_snr(shaped, snr_db)
-            received = awgn(received, noise_std, rng=rng)
-        return received

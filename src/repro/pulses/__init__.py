@@ -23,20 +23,14 @@ from repro.pulses.modulation import (
 )
 from repro.pulses.shapes import (
     Pulse,
-    gaussian_doublet,
     gaussian_derivative_pulse,
-    gaussian_monocycle,
     gaussian_pulse,
-    rectangular_pulse,
-    root_raised_cosine_pulse,
     sigma_for_bandwidth,
-    sinc_pulse,
 )
 from repro.pulses.spectrum import (
     SpectrumSummary,
     bandwidth_at_level,
     fractional_bandwidth,
-    is_uwb_signal,
     summarize_spectrum,
 )
 from repro.pulses.train import PulseTrain, PulseTrainConfig, PulseTrainGenerator
@@ -58,18 +52,12 @@ __all__ = [
     "PAMModulator",
     "make_modulator",
     "Pulse",
-    "gaussian_doublet",
     "gaussian_derivative_pulse",
-    "gaussian_monocycle",
     "gaussian_pulse",
-    "rectangular_pulse",
-    "root_raised_cosine_pulse",
     "sigma_for_bandwidth",
-    "sinc_pulse",
     "SpectrumSummary",
     "bandwidth_at_level",
     "fractional_bandwidth",
-    "is_uwb_signal",
     "summarize_spectrum",
     "PulseTrain",
     "PulseTrainConfig",

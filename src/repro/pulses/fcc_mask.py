@@ -70,11 +70,6 @@ class MaskComplianceReport:
     psd_dbm_per_mhz: np.ndarray
     mask_dbm_per_mhz: np.ndarray
 
-    def margin_at(self, frequency_hz: float) -> float:
-        """Mask margin (mask minus PSD, dB) at the closest analysed frequency."""
-        idx = int(np.argmin(np.abs(self.frequencies_hz - frequency_hz)))
-        return float(self.mask_dbm_per_mhz[idx] - self.psd_dbm_per_mhz[idx])
-
 
 def check_mask_compliance(waveform, sample_rate_hz: float,
                           carrier_hz: float = 0.0,

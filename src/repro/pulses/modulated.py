@@ -18,7 +18,7 @@ from repro.constants import (
     FIG4_NUM_DIVS,
     FIG4_TIME_PER_DIV_S,
 )
-from repro.pulses.shapes import Pulse, gaussian_pulse
+from repro.pulses.shapes import gaussian_pulse
 from repro.utils import dsp
 from repro.utils.validation import require_positive
 
@@ -74,21 +74,6 @@ class ModulatedPulse:
     @property
     def energy(self) -> float:
         return dsp.signal_energy(self.passband)
-
-    def time_axis(self) -> np.ndarray:
-        """Time stamps of each sample, starting at zero."""
-        return dsp.time_vector(self.num_samples, self.sample_rate_hz)
-
-    def occupied_bandwidth_hz(self, power_fraction: float = 0.99) -> float:
-        """Occupied bandwidth of the passband waveform."""
-        nperseg = min(self.num_samples, 4096)
-        return dsp.occupied_bandwidth(self.passband, self.sample_rate_hz,
-                                      power_fraction=power_fraction,
-                                      nperseg=nperseg)
-
-    def as_pulse(self) -> Pulse:
-        """Return the passband waveform wrapped as a :class:`Pulse`."""
-        return Pulse(self.passband, self.sample_rate_hz, name=self.name)
 
 
 def modulated_gaussian_pulse(carrier_hz: float,

@@ -71,10 +71,6 @@ class Modulator:
             )
         return num_bits // self.bits_per_symbol
 
-    def average_symbol_energy(self) -> float:
-        """Average pulse-energy scaling of the constellation (unit pulse)."""
-        raise NotImplementedError
-
 
 def _check_bits(bits) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64).ravel()
@@ -98,9 +94,6 @@ class BPSKModulator(Modulator):
         statistics = np.asarray(statistics, dtype=float)
         return (statistics > 0).astype(np.int64)
 
-    def average_symbol_energy(self) -> float:
-        return 1.0
-
 
 @dataclass
 class OOKModulator(Modulator):
@@ -121,9 +114,6 @@ class OOKModulator(Modulator):
     def demodulate(self, statistics) -> np.ndarray:
         statistics = np.asarray(statistics, dtype=float)
         return (statistics > self.threshold).astype(np.int64)
-
-    def average_symbol_energy(self) -> float:
-        return 0.5
 
 
 @dataclass
@@ -154,9 +144,6 @@ class BinaryPPMModulator(Modulator):
     def demodulate(self, statistics) -> np.ndarray:
         statistics = np.asarray(statistics, dtype=float)
         return (statistics > 0).astype(np.int64)
-
-    def average_symbol_energy(self) -> float:
-        return 1.0
 
 
 @dataclass
@@ -210,9 +197,6 @@ class PAMModulator(Modulator):
         words = np.array([self._word_for_level_index(int(i)) for i in indices],
                          dtype=np.int64)
         return unpack_bits(words, self.bits_per_symbol)
-
-    def average_symbol_energy(self) -> float:
-        return float(np.mean(self._levels ** 2))
 
 
 def make_modulator(scheme: str, **kwargs) -> Modulator:

@@ -1,16 +1,13 @@
 """Baseband UWB pulse shapes.
 
 The paper's signal is "a sequence of 500 MHz bandwidth pulses".  This module
-provides the standard pulse shapes used in pulsed-UWB systems:
+provides the Gaussian pulse and its derivatives, the classic carrier-free
+shapes of pulsed-UWB systems: the first-generation baseband transceiver
+sends them as they are, and the gen-2 transmitter up-converts a Gaussian
+envelope to one of the 14 sub-bands.
 
-* Gaussian pulse and its derivatives (monocycle, doublet) — the classic
-  carrier-free shapes used by the first-generation baseband transceiver.
-* Root-raised-cosine and rectangular envelopes — used as the 500 MHz
-  baseband envelope that the gen-2 transmitter up-converts to one of the
-  14 sub-bands.
-
-All generators return a :class:`Pulse` carrying the waveform, the sample
-rate, and convenience accessors (energy, duration, effective bandwidth).
+Both generators return a :class:`Pulse` carrying the waveform, the sample
+rate, and convenience accessors (energy, peak, duration).
 """
 
 from __future__ import annotations
@@ -25,12 +22,7 @@ from repro.utils.validation import require_positive
 __all__ = [
     "Pulse",
     "gaussian_pulse",
-    "gaussian_monocycle",
-    "gaussian_doublet",
     "gaussian_derivative_pulse",
-    "root_raised_cosine_pulse",
-    "rectangular_pulse",
-    "sinc_pulse",
     "sigma_for_bandwidth",
 ]
 
@@ -81,40 +73,12 @@ class Pulse:
             return 0.0
         return float(np.max(np.abs(self.waveform)))
 
-    def time_axis(self) -> np.ndarray:
-        """Time stamps of each sample, starting at zero."""
-        return dsp.time_vector(self.num_samples, self.sample_rate_hz)
-
-    def normalized_energy(self, target_energy: float = 1.0) -> "Pulse":
-        """Return a copy scaled to the requested energy."""
-        return Pulse(
-            waveform=dsp.normalize_energy(self.waveform, target_energy),
-            sample_rate_hz=self.sample_rate_hz,
-            name=self.name,
-        )
-
-    def normalized_peak(self, target_peak: float = 1.0) -> "Pulse":
-        """Return a copy scaled to the requested peak amplitude."""
-        return Pulse(
-            waveform=dsp.normalize_peak(self.waveform, target_peak),
-            sample_rate_hz=self.sample_rate_hz,
-            name=self.name,
-        )
-
     def scaled(self, factor: float) -> "Pulse":
         """Return a copy multiplied by ``factor``."""
         return Pulse(
             waveform=self.waveform * factor,
             sample_rate_hz=self.sample_rate_hz,
             name=self.name,
-        )
-
-    def effective_bandwidth_hz(self, power_fraction: float = 0.99) -> float:
-        """Occupied bandwidth containing ``power_fraction`` of the pulse power."""
-        nperseg = min(self.num_samples, 4096)
-        return dsp.occupied_bandwidth(
-            self.waveform, self.sample_rate_hz,
-            power_fraction=power_fraction, nperseg=nperseg,
         )
 
 
@@ -172,81 +136,3 @@ def gaussian_derivative_pulse(order: int, bandwidth_hz: float,
     waveform = dsp.normalize_peak(waveform, amplitude)
     return Pulse(waveform=waveform, sample_rate_hz=sample_rate_hz,
                  name=f"gaussian_d{order}")
-
-
-def gaussian_monocycle(bandwidth_hz: float, sample_rate_hz: float,
-                       amplitude: float = 1.0) -> Pulse:
-    """First derivative of a Gaussian (monocycle)."""
-    pulse = gaussian_derivative_pulse(1, bandwidth_hz, sample_rate_hz,
-                                      amplitude=amplitude)
-    return Pulse(pulse.waveform, pulse.sample_rate_hz, name="monocycle")
-
-
-def gaussian_doublet(bandwidth_hz: float, sample_rate_hz: float,
-                     amplitude: float = 1.0) -> Pulse:
-    """Second derivative of a Gaussian (doublet)."""
-    pulse = gaussian_derivative_pulse(2, bandwidth_hz, sample_rate_hz,
-                                      amplitude=amplitude)
-    return Pulse(pulse.waveform, pulse.sample_rate_hz, name="doublet")
-
-
-def root_raised_cosine_pulse(bandwidth_hz: float, sample_rate_hz: float,
-                             rolloff: float = 0.25,
-                             span_symbols: int = 6,
-                             amplitude: float = 1.0) -> Pulse:
-    """A root-raised-cosine pulse occupying roughly ``bandwidth_hz``.
-
-    The symbol rate is chosen as ``bandwidth_hz / (1 + rolloff)`` so that the
-    total occupied bandwidth equals ``bandwidth_hz``.
-    """
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    if not 0.0 <= rolloff <= 1.0:
-        raise ValueError("rolloff must be in [0, 1]")
-    if span_symbols < 1:
-        raise ValueError("span_symbols must be >= 1")
-    symbol_rate = bandwidth_hz / (1.0 + rolloff)
-    ts = 1.0 / symbol_rate
-    t = _symmetric_time(span_symbols * ts, sample_rate_hz)
-
-    beta = rolloff
-    waveform = np.zeros_like(t)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-18:
-            waveform[i] = 1.0 + beta * (4.0 / np.pi - 1.0)
-        elif beta > 0 and abs(abs(ti) - ts / (4.0 * beta)) < 1e-15:
-            waveform[i] = (beta / np.sqrt(2.0)) * (
-                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-            )
-        else:
-            x = ti / ts
-            numerator = (np.sin(np.pi * x * (1.0 - beta))
-                         + 4.0 * beta * x * np.cos(np.pi * x * (1.0 + beta)))
-            denominator = np.pi * x * (1.0 - (4.0 * beta * x) ** 2)
-            waveform[i] = numerator / denominator
-    waveform = dsp.normalize_peak(waveform, amplitude)
-    return Pulse(waveform=waveform, sample_rate_hz=sample_rate_hz, name="rrc")
-
-
-def rectangular_pulse(duration_s: float, sample_rate_hz: float,
-                      amplitude: float = 1.0) -> Pulse:
-    """A rectangular pulse of the given duration."""
-    require_positive(duration_s, "duration_s")
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    num_samples = max(int(round(duration_s * sample_rate_hz)), 1)
-    waveform = amplitude * np.ones(num_samples)
-    return Pulse(waveform=waveform, sample_rate_hz=sample_rate_hz, name="rect")
-
-
-def sinc_pulse(bandwidth_hz: float, sample_rate_hz: float,
-               span_lobes: int = 8, amplitude: float = 1.0) -> Pulse:
-    """A windowed sinc pulse with two-sided bandwidth ``bandwidth_hz``."""
-    require_positive(bandwidth_hz, "bandwidth_hz")
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    if span_lobes < 1:
-        raise ValueError("span_lobes must be >= 1")
-    lobe_duration = 1.0 / bandwidth_hz
-    t = _symmetric_time(2.0 * span_lobes * lobe_duration, sample_rate_hz)
-    waveform = np.sinc(bandwidth_hz * t) * np.hamming(t.size)
-    waveform = dsp.normalize_peak(waveform, amplitude)
-    return Pulse(waveform=waveform, sample_rate_hz=sample_rate_hz, name="sinc")

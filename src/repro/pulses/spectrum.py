@@ -18,7 +18,6 @@ __all__ = [
     "SpectrumSummary",
     "bandwidth_at_level",
     "fractional_bandwidth",
-    "is_uwb_signal",
     "summarize_spectrum",
 ]
 
@@ -87,13 +86,6 @@ def fractional_bandwidth(waveform, sample_rate_hz: float,
     if f_high + f_low <= 0:
         return 0.0
     return 2.0 * (f_high - f_low) / (f_high + f_low)
-
-
-def is_uwb_signal(waveform, sample_rate_hz: float,
-                  carrier_hz: float = 0.0) -> bool:
-    """True when the waveform meets the FCC UWB bandwidth definition."""
-    return summarize_spectrum(waveform, sample_rate_hz,
-                              carrier_hz=carrier_hz).qualifies_as_uwb
 
 
 def summarize_spectrum(waveform, sample_rate_hz: float,

@@ -51,11 +51,6 @@ class PulseTrainConfig:
                 )
 
     @property
-    def pulse_repetition_frequency_hz(self) -> float:
-        """Pulse repetition frequency (PRF)."""
-        return 1.0 / self.pulse_repetition_interval_s
-
-    @property
     def symbol_duration_s(self) -> float:
         """Duration of one modulation symbol."""
         return self.pulses_per_symbol * self.pulse_repetition_interval_s

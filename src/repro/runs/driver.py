@@ -275,19 +275,6 @@ class RunReport:
             text += " [all points served from cache]"
         return text
 
-    def merged_with(self, other: "RunReport") -> "RunReport":
-        """Pool the counters of two reports (used by ``run_pending``)."""
-        return RunReport(
-            shard_index=self.shard_index, num_shards=self.num_shards,
-            points_total=self.points_total + other.points_total,
-            points_cached=self.points_cached + other.points_cached,
-            points_simulated=self.points_simulated + other.points_simulated,
-            packets_cached=self.packets_cached + other.packets_cached,
-            packets_simulated=(self.packets_simulated
-                               + other.packets_simulated),
-            chunks_simulated=(self.chunks_simulated
-                              + other.chunks_simulated))
-
 
 class RunDriver:
     """Executes, resumes and merges one manifest's shards.
@@ -683,17 +670,6 @@ class RunDriver:
                 "packets_stored": packets,
             }
         return progress
-
-    def run_pending(self, max_workers: int | None = None,
-                    on_point=None) -> RunReport:
-        """Execute every shard that has no completion marker (resume)."""
-        report = RunReport(shard_index=0,
-                           num_shards=self.manifest.num_shards)
-        for shard_index in self.pending_shards():
-            report = report.merged_with(
-                self.run_shard(shard_index, max_workers=max_workers,
-                               on_point=on_point))
-        return report
 
     @property
     def is_complete(self) -> bool:

@@ -336,21 +336,6 @@ class SQLiteResultStore(ResultStore):
             raise
         connection.execute("COMMIT")
 
-    def point_info(self, key: str) -> dict | None:
-        """The recorded point metadata for ``key``, or ``None``."""
-        connection = self._connect(create=False)
-        if connection is None:
-            return None
-        row = connection.execute(
-            "SELECT scenario, modulation, adc_bits, ebn0_db, "
-            "config_digest, payload_bits_per_packet FROM points "
-            "WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        return {"scenario": row[0], "modulation": row[1],
-                "adc_bits": row[2], "ebn0_db": row[3],
-                "config_digest": row[4], "payload_bits_per_packet": row[5]}
-
     def register_run(self, name: str, grid_digest: str, num_packets: int,
                      keys) -> int:
         """Record that a run requires ``keys`` (the GC retention unit).
@@ -385,24 +370,6 @@ class SQLiteResultStore(ResultStore):
             raise
         connection.execute("COMMIT")
         return run_id
-
-    def registered_runs(self) -> tuple[dict, ...]:
-        """Every registered run, most recent first.
-
-        Each entry maps ``run_id`` / ``name`` / ``grid_digest`` /
-        ``num_packets`` / ``num_keys``.
-        """
-        connection = self._connect(create=False)
-        if connection is None:
-            return ()
-        rows = connection.execute(
-            "SELECT r.run_id, r.name, r.grid_digest, r.num_packets, "
-            "COUNT(q.key) FROM runs r LEFT JOIN requirements q "
-            "ON q.run_id = r.run_id GROUP BY r.run_id "
-            "ORDER BY r.run_id DESC")
-        return tuple({"run_id": row[0], "name": row[1],
-                      "grid_digest": row[2], "num_packets": row[3],
-                      "num_keys": row[4]} for row in rows)
 
 
 # ----------------------------------------------------------------------

@@ -449,9 +449,9 @@ class Broker:
                         outstanding[task.task_id] = max(
                             outstanding.get(task.task_id, 0) - 1, 0)
                 elif kind == "commit":
-                    # Appended only after the store ingest succeeded, so
-                    # planning already dropped the chunk; the store is
-                    # the truth and nothing needs marking here.
+                    # Written by older versions after the store ingest;
+                    # planning already dropped the committed chunk, so
+                    # its task no longer exists to count as requeued.
                     outstanding.pop(record["task_id"], None)
                 elif kind == "requeue":
                     outstanding.pop(record["task_id"], None)
@@ -585,10 +585,9 @@ class Broker:
             if duplicate:
                 self.recorder.counter("serve.commit_duplicates")
             else:
-                # Journaled after the store ingest above succeeded: a
-                # commit record always implies a durable chunk, so
-                # replay never has to trust the journal over the store.
-                self._journal_record("commit", task_id=task.task_id)
+                # The store ingest above is the commit's one durable
+                # write: replay re-plans against the store, so a
+                # committed chunk needs no journal record.
                 task.state = "done"
                 task.last_error = None
                 for job_id in task.job_ids:

@@ -33,8 +33,11 @@ Record kinds (all carry ``schema`` + ``kind``):
     ``{task_id, lease}`` — a lease grant; ``lease`` is
     :meth:`repro.serve.leases.Lease.to_dict` (the serialized claim).
 ``commit``
-    ``{task_id}`` — appended *after* the store ingest succeeded, so a
-    commit record always implies the chunk is durable in the store.
+    ``{task_id}`` — written by older versions after the store ingest
+    succeeded.  A commit's one durable write is now the store chunk
+    itself: replay plans against the store, which drops a committed
+    chunk and so its task, so the record adds nothing.  Replay still
+    accepts it.
 ``release``
     ``{task_id}`` — a graceful worker shutdown returned the lease; the
     grant's attempt is un-counted on replay.

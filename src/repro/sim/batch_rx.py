@@ -55,7 +55,7 @@ from repro.adc.sar import QuadratureSARADC
 from repro.channel.awgn import awgn, noise_std_for_ebn0
 from repro.channel.interference import accepts_rng
 from repro.channel.multipath import apply_channels_batch
-from repro.core.metrics import BERPoint, PacketResult
+from repro.core.metrics import BERPoint
 from repro.core.receiver import Gen1Receiver, Gen2Receiver, ReceiveResult
 from repro.dsp.acquisition import BatchedAcquisitionResult
 from repro.dsp.channel_estimation import BatchedChannelEstimate
@@ -97,11 +97,6 @@ class FullStackBatchResult:
         if self.total_bits == 0:
             return 1.0
         return self.bit_errors / self.total_bits
-
-    @property
-    def packets_detected(self) -> int:
-        """How many packets coarse acquisition declared."""
-        return int(np.count_nonzero(self.acquisition.detected))
 
     def to_ber_point(self) -> BERPoint:
         """Convert to the BER-curve point container the plots expect."""

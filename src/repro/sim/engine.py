@@ -23,13 +23,13 @@ Parallelism: the schedulable unit is the seeded *packet chunk* — a
 random stream.  ``chunk_packets`` splits every point into chunks of that
 size (ragged tail allowed) and ``max_workers`` fans the chunks of *all*
 points out over one ``concurrent.futures.ProcessPoolExecutor``, so a
-single hot point no longer serializes on one core.  Every call —
-:meth:`SweepEngine.run`, :meth:`~SweepEngine.measure_point` and
-:meth:`~SweepEngine.measure_points` — runs one validate → plan → execute
-body.  The per-point task prototypes reach each pool worker once, through
-the pool initializer, so a chunk submission carries only a few integers;
-results come back through a :class:`repro.sim.shm.ChunkResultBlock`
-(written in place, never pickled).  Each chunk fails independently, and
+single hot point no longer serializes on one core.  Both calls —
+:meth:`SweepEngine.run` and :meth:`~SweepEngine.measure_points` — run one
+validate → plan → execute body.  The per-point task prototypes reach
+each pool worker once, through the pool initializer, so a chunk
+submission carries only a few integers; results come back through a
+:class:`repro.sim.shm.ChunkResultBlock` (written in place, never
+pickled).  Each chunk fails independently, and
 completed chunks are still harvested when a sibling's worker raises or
 dies.  For a fixed chunk layout, results are bitwise identical however
 the chunks are scheduled — serial, any worker count, any completion
@@ -778,22 +778,6 @@ class SweepEngine:
             seed_entropy=self.seed,
             spawn_key=_point_spawn_key(point, packet_offset))
 
-    def measure_point(self, point: SweepPoint, num_packets: int = 32,
-                      payload_bits_per_packet: int = 64,
-                      packet_offset: int = 0) -> BERPoint:
-        """Measure a single grid point (the unit of work ``repro.runs`` caches).
-
-        The point runs as one ``num_packets``-packet chunk of
-        :meth:`measure_points`.  ``packet_offset`` names the chunk:
-        offset 0 is bit-exact with :meth:`run` on a one-point grid, while
-        a positive offset draws an independent stream so escalating a
-        cached measurement from ``n`` to ``n + m`` packets simulates only
-        the ``m``-packet tail chunk.
-        """
-        return self.measure_points([(point, num_packets, packet_offset)],
-                                   payload_bits_per_packet,
-                                   chunk_packets=num_packets)[0]
-
     def _chunk_plan(self, jobs, payload_bits_per_packet: int,
                     chunk_packets: int | None):
         """Decompose ``(point, num_packets, packet_offset)`` jobs into the
@@ -829,8 +813,8 @@ class SweepEngine:
                  collect_errors: bool = False, on_chunk=None) -> tuple[
                      list, BaseException | None]:
         """Validate, plan and execute ``(point, num_packets,
-        packet_offset)`` jobs: the one body behind :meth:`run`,
-        :meth:`measure_point` and :meth:`measure_points`.
+        packet_offset)`` jobs: the one body behind :meth:`run` and
+        :meth:`measure_points`.
 
         Every argument and grid point is checked before anything runs;
         ``chunk_packets=None`` takes the engine's layout.
@@ -939,9 +923,11 @@ class SweepEngine:
                        on_chunk=None) -> list[BERPoint]:
         """Measure a batch of ``(point, num_packets, packet_offset)`` jobs.
 
-        The bulk form of :meth:`measure_point` — with
-        ``chunk_packets >= num_packets`` each job is measured exactly as
-        its :meth:`measure_point` call would be (bit-identical results).
+        ``packet_offset`` names the job's first chunk: with
+        ``chunk_packets >= num_packets``, offset 0 is bit-exact with
+        :meth:`run` on a one-point grid, while a positive offset draws an
+        independent stream, so escalating a cached measurement from ``n``
+        to ``n + m`` packets simulates only the ``m``-packet tail chunk.
         ``chunk_packets`` (``None``: the engine default) splits every job
         into seeded chunks, and the chunks of *all* jobs fan out over one
         ``max_workers`` process pool — the entry point

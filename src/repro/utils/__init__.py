@@ -3,23 +3,18 @@ filesystem helpers."""
 
 from repro.utils import bits, db, dsp, fixed_point, io, validation
 from repro.utils.db import (
-    amplitude_to_db,
-    db_to_amplitude,
     db_to_linear,
-    dbm_to_watts,
     linear_to_db,
     watts_to_dbm,
 )
 from repro.utils.dsp import (
-    downconvert,
     estimate_psd,
-    normalize_energy,
     occupied_bandwidth,
     signal_energy,
     signal_power,
     upconvert,
 )
-from repro.utils.fixed_point import FixedPointFormat, quantize_fixed
+from repro.utils.fixed_point import FixedPointFormat
 
 __all__ = [
     "bits",
@@ -28,19 +23,13 @@ __all__ = [
     "fixed_point",
     "io",
     "validation",
-    "amplitude_to_db",
-    "db_to_amplitude",
     "db_to_linear",
-    "dbm_to_watts",
     "linear_to_db",
     "watts_to_dbm",
-    "downconvert",
     "estimate_psd",
-    "normalize_energy",
     "occupied_bandwidth",
     "signal_energy",
     "signal_power",
     "upconvert",
     "FixedPointFormat",
-    "quantize_fixed",
 ]

@@ -6,17 +6,11 @@ import numpy as np
 
 __all__ = [
     "random_bits",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "int_to_bits",
     "bits_to_int",
     "bit_errors",
-    "bit_error_rate",
-    "hamming_distance",
     "pack_bits",
     "unpack_bits",
-    "gray_encode",
-    "gray_decode",
 ]
 
 
@@ -34,28 +28,6 @@ def _as_bit_array(bits) -> np.ndarray:
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must contain only 0 and 1")
     return bits
-
-
-def bits_to_bytes(bits) -> bytes:
-    """Pack a 0/1 array (MSB first per byte) into a ``bytes`` object.
-
-    The bit count must be a multiple of 8.
-    """
-    bits = _as_bit_array(bits)
-    if bits.size % 8 != 0:
-        raise ValueError("bit count must be a multiple of 8")
-    if bits.size == 0:
-        return b""
-    packed = np.packbits(bits.astype(np.uint8))
-    return packed.tobytes()
-
-
-def bytes_to_bits(data: bytes) -> np.ndarray:
-    """Unpack a ``bytes`` object into a 0/1 array, MSB first per byte."""
-    if len(data) == 0:
-        return np.zeros(0, dtype=np.int64)
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return np.unpackbits(arr).astype(np.int64)
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
@@ -90,19 +62,6 @@ def bit_errors(reference, received) -> int:
     return int(np.sum(ref != rec))
 
 
-def bit_error_rate(reference, received) -> float:
-    """Return the bit error rate between two equal-length bit arrays."""
-    ref = _as_bit_array(reference)
-    if ref.size == 0:
-        return 0.0
-    return bit_errors(reference, received) / ref.size
-
-
-def hamming_distance(a: int, b: int) -> int:
-    """Hamming distance between the binary representations of two integers."""
-    return int(bin(a ^ b).count("1"))
-
-
 def pack_bits(bits, word_width: int) -> np.ndarray:
     """Group a bit array into unsigned integers of ``word_width`` bits each.
 
@@ -131,22 +90,3 @@ def unpack_bits(words, word_width: int) -> np.ndarray:
     for i in range(word_width):
         out[:, word_width - 1 - i] = (words >> i) & 1
     return out.ravel()
-
-
-def gray_encode(value: int) -> int:
-    """Convert a binary integer to its Gray-code representation."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    return value ^ (value >> 1)
-
-
-def gray_decode(gray: int) -> int:
-    """Convert a Gray-code integer back to binary."""
-    if gray < 0:
-        raise ValueError("gray must be non-negative")
-    value = 0
-    mask = gray
-    while mask:
-        value ^= mask
-        mask >>= 1
-    return value

@@ -11,14 +11,7 @@ import numpy as np
 __all__ = [
     "db_to_linear",
     "linear_to_db",
-    "db_to_amplitude",
-    "amplitude_to_db",
-    "dbm_to_watts",
     "watts_to_dbm",
-    "dbm_to_vrms",
-    "vrms_to_dbm",
-    "noise_figure_to_temperature",
-    "temperature_to_noise_figure",
 ]
 
 _MIN_LINEAR = np.finfo(float).tiny
@@ -39,45 +32,6 @@ def linear_to_db(value_linear):
     return 10.0 * np.log10(clipped)
 
 
-def db_to_amplitude(value_db):
-    """Convert dB to a linear amplitude (voltage) ratio."""
-    return np.power(10.0, np.asarray(value_db, dtype=float) / 20.0)
-
-
-def amplitude_to_db(value_linear):
-    """Convert a linear amplitude (voltage) ratio to dB."""
-    clipped = np.maximum(np.abs(np.asarray(value_linear, dtype=float)), _MIN_LINEAR)
-    return 20.0 * np.log10(clipped)
-
-
-def dbm_to_watts(power_dbm):
-    """Convert power in dBm to watts."""
-    return 1e-3 * db_to_linear(power_dbm)
-
-
 def watts_to_dbm(power_watts):
     """Convert power in watts to dBm."""
     return linear_to_db(np.asarray(power_watts, dtype=float) / 1e-3)
-
-
-def dbm_to_vrms(power_dbm, impedance_ohm: float = 50.0):
-    """Convert power in dBm to an RMS voltage across ``impedance_ohm``."""
-    return np.sqrt(dbm_to_watts(power_dbm) * impedance_ohm)
-
-
-def vrms_to_dbm(vrms, impedance_ohm: float = 50.0):
-    """Convert an RMS voltage across ``impedance_ohm`` to power in dBm."""
-    power_watts = np.square(np.asarray(vrms, dtype=float)) / impedance_ohm
-    return watts_to_dbm(power_watts)
-
-
-def noise_figure_to_temperature(noise_figure_db, reference_k: float = 290.0):
-    """Convert a noise figure in dB to an equivalent noise temperature [K]."""
-    factor = db_to_linear(noise_figure_db)
-    return (factor - 1.0) * reference_k
-
-
-def temperature_to_noise_figure(temperature_k, reference_k: float = 290.0):
-    """Convert an equivalent noise temperature [K] to a noise figure in dB."""
-    factor = 1.0 + np.asarray(temperature_k, dtype=float) / reference_k
-    return linear_to_db(factor)

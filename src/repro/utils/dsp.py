@@ -1,7 +1,7 @@
 """Generic DSP helpers shared across the library.
 
-These are deliberately small, explicit functions (energy, power, resampling,
-up/down-conversion, filtering, PSD estimation) so the transceiver models can
+These are deliberately small, explicit functions (energy, power,
+up-conversion, filtering, PSD estimation) so the transceiver models can
 stay readable.
 """
 
@@ -13,21 +13,13 @@ from scipy import signal as sp_signal
 __all__ = [
     "signal_energy",
     "signal_power",
-    "normalize_energy",
     "normalize_peak",
     "rms",
     "upconvert",
-    "downconvert",
     "lowpass_filter",
-    "bandpass_filter",
-    "fractional_delay",
-    "integer_delay",
-    "resample_signal",
     "estimate_psd",
     "occupied_bandwidth",
-    "add_complex_exponential",
     "time_vector",
-    "next_pow2",
 ]
 
 
@@ -48,18 +40,6 @@ def signal_power(x) -> float:
 def rms(x) -> float:
     """Return the RMS value of a signal."""
     return float(np.sqrt(signal_power(x)))
-
-
-def normalize_energy(x, target_energy: float = 1.0) -> np.ndarray:
-    """Scale ``x`` so its discrete energy equals ``target_energy``.
-
-    A zero signal is returned unchanged.
-    """
-    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    energy = signal_energy(x)
-    if energy == 0.0:
-        return x.copy()
-    return x * np.sqrt(target_energy / energy)
 
 
 def normalize_peak(x, target_peak: float = 1.0) -> np.ndarray:
@@ -92,24 +72,6 @@ def upconvert(baseband, carrier_hz: float, sample_rate_hz: float,
     return np.real(x * carrier)
 
 
-def downconvert(passband, carrier_hz: float, sample_rate_hz: float,
-                phase_rad: float = 0.0,
-                lowpass_bandwidth_hz: float | None = None) -> np.ndarray:
-    """Down-convert a real passband signal to complex baseband.
-
-    Multiplies by ``exp(-j*(2*pi*fc*t + phase))`` (factor 2 restores the
-    baseband amplitude) and optionally low-pass filters to reject the
-    double-frequency image.
-    """
-    x = np.asarray(passband, dtype=float)
-    t = time_vector(x.size, sample_rate_hz)
-    lo = np.exp(-1j * (2.0 * np.pi * carrier_hz * t + phase_rad))
-    baseband = 2.0 * x * lo
-    if lowpass_bandwidth_hz is not None:
-        baseband = lowpass_filter(baseband, lowpass_bandwidth_hz, sample_rate_hz)
-    return baseband
-
-
 def _zero_phase_sos(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply ``sosfiltfilt`` with a pad length safe for short inputs."""
     default_padlen = 3 * (2 * sos.shape[0] + 1 - min((sos[:, 2] == 0).sum(),
@@ -136,72 +98,6 @@ def lowpass_filter(x, cutoff_hz: float, sample_rate_hz: float,
         return (_zero_phase_sos(sos, x.real)
                 + 1j * _zero_phase_sos(sos, x.imag))
     return _zero_phase_sos(sos, x)
-
-
-def bandpass_filter(x, low_hz: float, high_hz: float, sample_rate_hz: float,
-                    order: int = 4) -> np.ndarray:
-    """Zero-phase Butterworth band-pass filter for real or complex input."""
-    nyquist = sample_rate_hz / 2.0
-    if not 0 < low_hz < high_hz < nyquist:
-        raise ValueError("require 0 < low < high < Nyquist")
-    sos = sp_signal.butter(order, [low_hz / nyquist, high_hz / nyquist],
-                           btype="band", output="sos")
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        return (_zero_phase_sos(sos, x.real)
-                + 1j * _zero_phase_sos(sos, x.imag))
-    return _zero_phase_sos(sos, x)
-
-
-def integer_delay(x, delay_samples: int) -> np.ndarray:
-    """Delay (or advance, when negative) a signal by an integer number of samples.
-
-    The output has the same length as the input; samples shifted in are zero.
-    """
-    x = np.asarray(x)
-    out = np.zeros_like(x)
-    n = x.size
-    d = int(delay_samples)
-    if d >= n or d <= -n:
-        return out
-    if d >= 0:
-        out[d:] = x[: n - d]
-    else:
-        out[: n + d] = x[-d:]
-    return out
-
-
-def fractional_delay(x, delay_samples: float, num_taps: int = 63) -> np.ndarray:
-    """Delay a signal by a possibly fractional number of samples.
-
-    Uses a windowed-sinc interpolation filter for the fractional part and an
-    integer shift for the whole part.  The output has the same length as the
-    input.
-    """
-    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    int_part = int(np.floor(delay_samples))
-    frac = float(delay_samples) - int_part
-    if abs(frac) < 1e-12:
-        return integer_delay(x, int_part)
-    if num_taps % 2 == 0:
-        num_taps += 1
-    center = (num_taps - 1) // 2
-    n = np.arange(num_taps)
-    h = np.sinc(n - center - frac) * np.hamming(num_taps)
-    h /= np.sum(h)
-    filtered = np.convolve(x, h, mode="full")[center:center + x.size]
-    return integer_delay(filtered, int_part)
-
-
-def resample_signal(x, up: int, down: int) -> np.ndarray:
-    """Polyphase resampling by a rational factor ``up/down``."""
-    if up <= 0 or down <= 0:
-        raise ValueError("up and down must be positive integers")
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        return (sp_signal.resample_poly(x.real, up, down)
-                + 1j * sp_signal.resample_poly(x.imag, up, down))
-    return sp_signal.resample_poly(x, up, down)
 
 
 def estimate_psd(x, sample_rate_hz: float, nperseg: int | None = None,
@@ -249,20 +145,3 @@ def occupied_bandwidth(x, sample_rate_hz: float, power_fraction: float = 0.99,
     f_low = float(np.interp(lo_q, cumulative, freqs))
     f_high = float(np.interp(hi_q, cumulative, freqs))
     return f_high - f_low
-
-
-def add_complex_exponential(x, frequency_hz: float, sample_rate_hz: float,
-                            amplitude: float = 1.0,
-                            phase_rad: float = 0.0) -> np.ndarray:
-    """Return ``x`` plus a complex exponential tone of the given parameters."""
-    x = np.asarray(x, dtype=complex)
-    t = time_vector(x.size, sample_rate_hz)
-    tone = amplitude * np.exp(1j * (2.0 * np.pi * frequency_hz * t + phase_rad))
-    return x + tone
-
-
-def next_pow2(n: int) -> int:
-    """Return the smallest power of two that is >= ``n`` (and >= 1)."""
-    if n <= 1:
-        return 1
-    return 1 << (int(n - 1).bit_length())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FixedPointFormat", "quantize_fixed", "quantization_noise_power"]
+__all__ = ["FixedPointFormat"]
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,3 @@ class FixedPointFormat:
             imag = self.codes_to_values(self.quantize_to_codes(x.imag))
             return real + 1j * imag
         return self.codes_to_values(self.quantize_to_codes(x))
-
-
-def quantize_fixed(x, total_bits: int, full_scale: float = 1.0) -> np.ndarray:
-    """Convenience wrapper: quantize ``x`` with a fresh :class:`FixedPointFormat`."""
-    return FixedPointFormat(total_bits=total_bits, full_scale=full_scale).quantize(x)
-
-
-def quantization_noise_power(total_bits: int, full_scale: float = 1.0) -> float:
-    """Theoretical quantization noise power ``step^2 / 12`` of a uniform quantizer."""
-    fmt = FixedPointFormat(total_bits=total_bits, full_scale=full_scale)
-    return fmt.step ** 2 / 12.0

@@ -12,12 +12,8 @@ import numpy as np
 __all__ = [
     "require_positive",
     "require_non_negative",
-    "require_in_range",
-    "require_probability",
     "require_int",
     "require_json_int",
-    "as_1d_array",
-    "require_same_length",
 ]
 
 
@@ -33,25 +29,6 @@ def require_non_negative(value: float, name: str) -> float:
     if not np.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
     return float(value)
-
-
-def require_in_range(value: float, low: float, high: float, name: str,
-                     inclusive: bool = True) -> float:
-    """Return ``value`` if it lies in ``[low, high]`` (or ``(low, high)``)."""
-    if inclusive:
-        ok = low <= value <= high
-        bounds = f"[{low}, {high}]"
-    else:
-        ok = low < value < high
-        bounds = f"({low}, {high})"
-    if not ok:
-        raise ValueError(f"{name} must be in {bounds}, got {value!r}")
-    return float(value)
-
-
-def require_probability(value: float, name: str) -> float:
-    """Return ``value`` if it is a valid probability in [0, 1]."""
-    return require_in_range(value, 0.0, 1.0, name)
 
 
 def require_int(value, name: str, minimum: int | None = None) -> int:
@@ -70,21 +47,3 @@ def require_json_int(value, name: str, minimum: int | None = None) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     return require_int(value, name, minimum)
-
-
-def as_1d_array(x, name: str, dtype=None) -> np.ndarray:
-    """Return ``x`` as a 1-D numpy array, raising if it has extra dimensions."""
-    arr = np.asarray(x, dtype=dtype)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def require_same_length(a, b, name_a: str, name_b: str) -> None:
-    """Raise ``ValueError`` when two sequences differ in length."""
-    la, lb = len(a), len(b)
-    if la != lb:
-        raise ValueError(f"{name_a} (length {la}) and {name_b} (length {lb}) "
-                         "must have the same length")

@@ -49,12 +49,6 @@ class TestUniformQuantizer:
         out = q.quantize(x)
         assert np.iscomplexobj(out)
 
-    def test_codes_range(self):
-        q = UniformQuantizer(bits=3)
-        codes = q.quantize_codes(np.linspace(-2, 2, 100))
-        assert codes.min() == 0
-        assert codes.max() == 7
-
     @staticmethod
     def _integer_round_trip(q, x):
         """The float -> int64 -> float formula the quantizer used to run;
@@ -78,10 +72,6 @@ class TestUniformQuantizer:
         out = q.quantize(x)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, self._integer_round_trip(q, x))
-        np.testing.assert_array_equal(
-            q.quantize_codes(x),
-            np.round((self._integer_round_trip(q, x) + full_scale) / q.step
-                     - 0.5).astype(np.int64))
         z = x + 1j * rng.permutation(x)
         quantized = q.quantize(z)
         assert quantized.dtype == np.complex128
@@ -101,8 +91,6 @@ class TestUniformQuantizer:
         top, bottom = 1.0 - q.step / 2, -1.0 + q.step / 2
         out = q.quantize([np.inf, 1e300, -np.inf, -1e300])
         np.testing.assert_array_equal(out, [top, top, bottom, bottom])
-        np.testing.assert_array_equal(
-            q.quantize_codes([np.inf, 1e300, -np.inf, -1e300]), [7, 7, 0, 0])
         z = q.quantize(np.array([complex(np.inf, -np.inf),
                                  complex(-1e300, 1e300)]))
         np.testing.assert_array_equal(z, [complex(top, bottom),
@@ -137,11 +125,11 @@ class TestFlashADC:
 
     def test_ideal_thresholds_are_the_uniform_code_boundaries(self):
         flash = FlashADC(bits=3, full_scale=1.0)
-        thresholds = flash.thresholds
-        assert np.allclose(thresholds, -1.0 + 0.25 * np.arange(1, 8))
-        # A copy: editing it must not move the converter's thresholds.
-        thresholds[:] = 0.0
-        assert flash.convert_codes(np.array([-0.9, 0.9])).tolist() == [0, 7]
+        boundaries = -1.0 + 0.25 * np.arange(1, 8)
+        assert flash.convert_codes(boundaries - 1e-9).tolist() == \
+            list(range(7))
+        assert flash.convert_codes(boundaries + 1e-9).tolist() == \
+            list(range(1, 8))
 
     def test_codes_monotone_in_input(self):
         flash = FlashADC(bits=4, comparator_offset_std=0.01,
@@ -149,23 +137,6 @@ class TestFlashADC:
         x = np.linspace(-1, 1, 500)
         codes = flash.convert_codes(x)
         assert np.all(np.diff(codes) >= 0)
-
-    def test_dnl_zero_for_ideal(self):
-        flash = FlashADC(bits=4)
-        assert np.allclose(flash.differential_nonlinearity_lsb(), 0.0,
-                           atol=1e-9)
-
-    def test_offsets_create_dnl(self):
-        flash = FlashADC(bits=4, comparator_offset_std=0.02,
-                         rng=np.random.default_rng(1))
-        assert np.max(np.abs(flash.differential_nonlinearity_lsb())) > 0.01
-
-    def test_inl_matches_threshold_displacement(self):
-        flash = FlashADC(bits=4, comparator_offset_std=0.02,
-                         rng=np.random.default_rng(2))
-        inl = flash.integral_nonlinearity_lsb()
-        assert inl.size == 15
-        assert np.all(np.isfinite(inl))
 
     def test_gain_error_shifts_codes(self):
         ideal = FlashADC(bits=4)
@@ -185,7 +156,6 @@ class TestTimeInterleavedADC:
                                          rng=np.random.default_rng(0))
         assert adc.num_slices == 4
         assert adc.bits == 4
-        assert adc.per_slice_rate_hz == pytest.approx(500e6)
 
     def test_presampled_conversion_matches_single_adc_when_matched(self):
         adc = TimeInterleavedADC.uniform(num_slices=4, bits=4,
@@ -203,35 +173,6 @@ class TestTimeInterleavedADC:
         out = adc.convert_presampled(x)
         per_slice_mean = [np.mean(out[i::4]) for i in range(4)]
         assert np.std(per_slice_mean) > 1e-3
-
-    def test_sample_and_convert_rate(self):
-        adc = TimeInterleavedADC.uniform(num_slices=4, bits=4,
-                                         aggregate_rate_hz=2e9,
-                                         rng=np.random.default_rng(3))
-        waveform = np.sin(2 * np.pi * 100e6 * np.arange(4000) / 4e9)
-        out = adc.sample_and_convert(waveform, 4e9,
-                                     rng=np.random.default_rng(4))
-        # 1 us of waveform at 2 GSPS -> about 2000 samples.
-        assert abs(out.size - 2000) <= 4
-
-    def test_sample_and_convert_tracks_input(self):
-        adc = TimeInterleavedADC.uniform(num_slices=4, bits=6,
-                                         aggregate_rate_hz=2e9,
-                                         rng=np.random.default_rng(5))
-        t = np.arange(8000) / 4e9
-        waveform = 0.8 * np.sin(2 * np.pi * 50e6 * t)
-        out = adc.sample_and_convert(waveform, 4e9,
-                                     rng=np.random.default_rng(6))
-        expected = 0.8 * np.sin(2 * np.pi * 50e6 * np.arange(out.size) / 2e9)
-        assert np.corrcoef(out, expected)[0, 1] > 0.99
-
-    def test_parallel_streams(self):
-        adc = TimeInterleavedADC.uniform(num_slices=4, bits=4,
-                                         rng=np.random.default_rng(7))
-        x = np.linspace(-0.5, 0.5, 64)
-        streams = adc.parallel_streams(x)
-        assert len(streams) == 4
-        assert all(s.size == 16 for s in streams)
 
     def test_requires_slices(self):
         with pytest.raises(ValueError):
@@ -275,11 +216,6 @@ class TestSARADC:
     def test_scalar_input(self):
         sar = SARADC(bits=5)
         assert isinstance(sar.convert(0.3), float)
-
-    def test_conversion_timing(self):
-        sar = SARADC(bits=5, sample_rate_hz=500e6)
-        assert sar.conversion_time_s == pytest.approx(2e-9)
-        assert sar.bit_clock_rate_hz == pytest.approx(2.5e9)
 
 
 class TestQuadratureSAR:

@@ -5,13 +5,12 @@ mismatches, waveform lengths — including lengths not divisible by the
 interleave factor) pin the two contracts the batched gen-1 front end
 stands on:
 
-* ``parallel_streams`` reassembly is the identity with respect to
-  ``convert_presampled``: interleaving the per-slice streams back in
-  round-robin order reproduces the aggregate converted stream exactly;
-* batch equals loop: ``convert_presampled_batch`` /
-  ``sample_and_convert_batch`` are bitwise the per-row methods, row for
-  row, with the jittered sampling consuming a shared generator in the
-  same per-row order.
+* slice reassembly is the identity with respect to
+  ``convert_presampled``: converting each slice's strided share and
+  interleaving the streams back in round-robin order reproduces the
+  aggregate converted stream exactly;
+* batch equals loop: ``convert_presampled_batch`` is bitwise the
+  per-row method, row for row.
 """
 
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 from repro.adc.interleaved import TimeInterleavedADC, interleave_streams
 
 
-def _random_adc(rng, num_slices=None, with_jitter=False):
+def _random_adc(rng, num_slices=None):
     if num_slices is None:
         num_slices = int(rng.integers(1, 6))
     return TimeInterleavedADC.uniform(
@@ -30,9 +29,13 @@ def _random_adc(rng, num_slices=None, with_jitter=False):
         comparator_offset_std=float(rng.uniform(0.0, 0.02)),
         gain_mismatch_std=float(rng.uniform(0.0, 0.05)),
         offset_mismatch_std=float(rng.uniform(0.0, 0.02)),
-        timing_skew_std_s=(4e-12 if with_jitter else 0.0),
-        rms_jitter_s=(2e-12 if with_jitter else 0.0),
         rng=rng)
+
+
+def _slice_streams(adc, samples):
+    """Each slice's conversion of its own strided share of ``samples``."""
+    return [converter.convert(samples[index::adc.num_slices])
+            for index, converter in enumerate(adc.slices)]
 
 
 class TestParallelStreamsIdentity:
@@ -45,8 +48,7 @@ class TestParallelStreamsIdentity:
         # Deliberately include lengths not divisible by the slice count.
         num_samples = int(rng.integers(1, 400))
         samples = rng.uniform(-1.2, 1.2, size=num_samples)
-        streams = adc.parallel_streams(samples)
-        assert len(streams) == adc.num_slices
+        streams = _slice_streams(adc, samples)
         reassembled = np.zeros(num_samples)
         for index, stream in enumerate(streams):
             assert stream.size == len(range(index, num_samples,
@@ -62,13 +64,13 @@ class TestParallelStreamsIdentity:
         adc = _random_adc(rng)
         num_samples = int(rng.integers(1, 300))
         samples = rng.uniform(-1.0, 1.0, size=num_samples)
-        streams = adc.parallel_streams(samples)
+        streams = _slice_streams(adc, samples)
         merged = interleave_streams(streams, num_samples)
         assert np.array_equal(merged, adc.convert_presampled(samples))
 
 
 class TestBatchEqualsLoop:
-    """The batched conversions are the per-row methods, bitwise."""
+    """The batched conversion is the per-row method, bitwise."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_convert_presampled_batch(self, seed):
@@ -97,29 +99,3 @@ class TestBatchEqualsLoop:
             for j in range(3):
                 assert np.array_equal(converted[i, j],
                                       adc.convert_presampled(batch[i, j]))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_sample_and_convert_batch_matches_loop(self, seed):
-        """Jitter + skew: the batch consumes a seeded rng in exactly the
-        per-waveform order, so results are bitwise the loop's."""
-        rng = np.random.default_rng(3000 + seed)
-        adc = _random_adc(rng, with_jitter=True)
-        num_packets = int(rng.integers(1, 5))
-        num_samples = int(rng.integers(50, 400))
-        waveform_rate = 8e9
-        waveforms = rng.uniform(-1.0, 1.0,
-                                size=(num_packets, num_samples))
-        loop_rng = np.random.default_rng(99 + seed)
-        looped = [adc.sample_and_convert(row, waveform_rate, rng=loop_rng)
-                  for row in waveforms]
-        batch_rng = np.random.default_rng(99 + seed)
-        batched = adc.sample_and_convert_batch(waveforms, waveform_rate,
-                                               rng=batch_rng)
-        assert batched.shape == (num_packets, looped[0].size)
-        for row in range(num_packets):
-            assert np.array_equal(batched[row], looped[row]), row
-
-    def test_sample_and_convert_batch_rejects_1d(self):
-        adc = _random_adc(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="2-D"):
-            adc.sample_and_convert_batch(np.zeros(32), 8e9)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.channel.interference import (
-    ModulatedInterferer,
     MultiToneInterferer,
     ToneInterferer,
     interferer_amplitude_for_sir,
@@ -58,35 +57,6 @@ class TestSIRHelper:
     def test_zero_signal_raises(self):
         with pytest.raises(ValueError):
             interferer_amplitude_for_sir(np.zeros(10), 0.0)
-
-
-class TestModulatedInterferer:
-    def test_bandwidth_is_narrow(self):
-        interferer = ModulatedInterferer(frequency_hz=100e6,
-                                         symbol_rate_hz=20e6, amplitude=1.0)
-        wave = interferer.waveform(65536, 1e9, rng=np.random.default_rng(1))
-        bw = dsp.occupied_bandwidth(wave, 1e9, power_fraction=0.9)
-        assert bw < 100e6
-
-    def test_center_frequency(self):
-        interferer = ModulatedInterferer(frequency_hz=200e6, amplitude=1.0)
-        wave = interferer.waveform(65536, 1e9, rng=np.random.default_rng(2))
-        freqs, psd = dsp.estimate_psd(wave, 1e9)
-        assert abs(freqs[np.argmax(psd)] - 200e6) < 20e6
-
-    def test_power_scales_with_amplitude(self):
-        rng = np.random.default_rng(3)
-        small = ModulatedInterferer(frequency_hz=100e6, amplitude=0.1)
-        large = ModulatedInterferer(frequency_hz=100e6, amplitude=1.0)
-        p_small = dsp.signal_power(small.waveform(20000, 1e9, rng=rng))
-        p_large = dsp.signal_power(large.waveform(20000, 1e9, rng=rng))
-        assert p_large / p_small == pytest.approx(100.0, rel=0.05)
-
-    def test_add_to(self):
-        interferer = ModulatedInterferer(frequency_hz=50e6, amplitude=0.5)
-        out = interferer.add_to(np.zeros(1000, dtype=complex), 1e9,
-                                rng=np.random.default_rng(4))
-        assert dsp.signal_power(out) > 0
 
 
 class TestMultiTone:

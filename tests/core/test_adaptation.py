@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.adaptation import (
-    AdaptationController,
-    ChannelConditions,
-    OperatingMode,
-)
+from repro.core.adaptation import AdaptationController, ChannelConditions
 from repro.core.config import Gen2Config
 
 
@@ -59,21 +55,6 @@ class TestAdaptationController:
             ChannelConditions(snr_db=20.0, rms_delay_spread_s=30e-9))
         assert mode.use_mlse
 
-    def test_min_power_meets_rate_requirement(self):
-        controller = self._controller()
-        conditions = ChannelConditions(snr_db=20.0)
-        mode = controller.select_min_power(conditions, required_rate_bps=20e6)
-        assert mode.data_rate_bps >= 20e6
-        # It should not pick a faster (more power hungry) mode than needed.
-        full = controller.select_max_throughput(conditions)
-        assert mode.power_w <= full.power_w + 1e-9
-
-    def test_min_energy_per_bit_prefers_high_rate_at_high_snr(self):
-        controller = self._controller()
-        mode = controller.select_min_energy_per_bit(
-            ChannelConditions(snr_db=20.0))
-        assert mode.data_rate_bps >= 50e6
-
     def test_power_increases_with_robustness_features(self):
         controller = self._controller()
         modes = controller.available_modes(ChannelConditions(snr_db=20.0))
@@ -82,23 +63,9 @@ class TestAdaptationController:
         assert robust.rake_fingers > full.rake_fingers
         assert robust.power_w > full.power_w
 
-    def test_config_for_mode_roundtrip(self):
-        controller = self._controller()
-        mode = controller.select_max_throughput(ChannelConditions(snr_db=9.0))
-        config = controller.config_for_mode(mode)
-        assert config.pulses_per_bit == mode.pulses_per_bit
-        assert config.rake_fingers == mode.rake_fingers
-        assert config.data_rate_bps == pytest.approx(mode.data_rate_bps)
-
     def test_rate_power_frontier_sorted(self):
         controller = self._controller()
         frontier = controller.rate_power_frontier(ChannelConditions(snr_db=20.0))
         rates = [r for r, _ in frontier]
         assert rates == sorted(rates)
         assert len(frontier) == 5
-
-    def test_energy_per_bit_infinite_for_zero_rate(self):
-        mode = OperatingMode(name="x", pulses_per_bit=1, rake_fingers=1,
-                             use_mlse=False, adc_bits=5, notch_enabled=False,
-                             data_rate_bps=0.0, power_w=1.0, min_snr_db=0.0)
-        assert mode.energy_per_bit_j() == float("inf")

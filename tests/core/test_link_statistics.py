@@ -1,13 +1,8 @@
-"""Unit tests for the link simulator's acquisition statistics container
-and argument checks."""
+"""Unit tests for the link simulator's acquisition statistics container."""
 
 import math
 
-import pytest
-
-from repro.core.config import Gen2Config
-from repro.core.link import AcquisitionStatistics, LinkSimulator
-from repro.core.transceiver import Gen2Transceiver
+from repro.core.link import AcquisitionStatistics
 
 
 class TestAcquisitionStatisticsEmpty:
@@ -54,15 +49,3 @@ class TestAcquisitionStatisticsRecording:
                      search_time_s=1.0)
         assert stats.timing_errors_samples == []
         assert stats.search_times_s == []
-
-
-class TestThroughputArguments:
-    @pytest.mark.parametrize("kwargs", [
-        {"num_packets": 0}, {"num_packets": -3},
-        {"payload_bits_per_packet": 0}])
-    def test_no_packets_is_an_error_not_zero_throughput(self, kwargs):
-        """"No data" must not read as "zero goodput"."""
-        simulator = LinkSimulator(Gen2Transceiver(
-            Gen2Config.fast_test_config()))
-        with pytest.raises(ValueError, match="must be >= 1"):
-            simulator.effective_throughput_bps(ebn0_db=16.0, **kwargs)

@@ -70,18 +70,6 @@ class TestCoarseAcquisition:
             parallelism=16, backend_clock_hz=100e6)).acquire(samples)
         assert slow.search_time_s > 10 * fast.search_time_s
 
-    def test_first_crossing_early_termination(self):
-        template = _preamble_waveform()
-        offset = 300
-        samples = np.concatenate((np.zeros(offset), template, np.zeros(500)))
-        acquisition = CoarseAcquisition(template,
-                                        AcquisitionConfig(threshold=0.5))
-        full = acquisition.acquire(samples)
-        early = acquisition.first_crossing(samples)
-        assert early.detected
-        assert abs(early.timing_offset_samples - offset) <= 4
-        assert early.num_hypotheses_searched <= full.num_hypotheses_searched
-
     def test_empty_input(self):
         template = _preamble_waveform()
         result = CoarseAcquisition(template).acquire(np.zeros(4))
@@ -101,4 +89,3 @@ class TestCoarseAcquisition:
             AcquisitionConfig(threshold=0.0)
         with pytest.raises(ValueError):
             AcquisitionConfig(threshold=1.5)
-

@@ -1,4 +1,4 @@
-"""Tests for the correlator bank, the parallelizer, and the AGC."""
+"""Tests for the correlators, the acquisition-latency arithmetic and the AGC."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dsp.agc import AutomaticGainControl
 from repro.dsp.correlator import (
-    Correlator,
-    CorrelatorBank,
     normalized_correlation,
     normalized_correlation_batch,
     sliding_correlation,
     sliding_correlation_batch,
 )
 from repro.dsp.parallelizer import (
-    Parallelizer,
     acquisition_clock_cycles,
     acquisition_time_s,
 )
@@ -120,77 +117,7 @@ class TestBatchedCorrelation:
                                             np.ones(8)).shape == (3, 0)
 
 
-class TestCorrelatorBank:
-    def test_correlate_at_specific_offset(self):
-        template = np.array([1.0, 1.0, -1.0])
-        correlator = Correlator(template)
-        samples = np.array([0.0, 1.0, 1.0, -1.0, 0.0])
-        assert correlator.correlate_at(samples, 1) == pytest.approx(3.0)
-        assert correlator.correlate_at(samples, 100) == 0.0
-
-    def test_matched_filter_gain(self):
-        correlator = Correlator(np.array([2.0, 2.0]))
-        assert correlator.matched_filter_gain() == pytest.approx(8.0)
-
-    def test_bank_best_match(self):
-        rng = np.random.default_rng(5)
-        templates = [rng.standard_normal(16) for _ in range(3)]
-        samples = np.concatenate((np.zeros(20), templates[1], np.zeros(20)))
-        bank = CorrelatorBank(templates)
-        index, offset, peak = bank.best_match(samples)
-        assert index == 1
-        assert offset == 20
-
-    def test_bank_requires_templates(self):
-        with pytest.raises(ValueError):
-            CorrelatorBank([])
-
-    def test_bank_evaluate_at(self):
-        bank = CorrelatorBank([np.ones(4), -np.ones(4)])
-        values = bank.evaluate_at(np.ones(10), 0)
-        assert values[0] == pytest.approx(4.0)
-        assert values[1] == pytest.approx(-4.0)
-
-    def test_empty_template_rejected(self):
-        with pytest.raises(ValueError):
-            Correlator(np.zeros(0))
-
-
-class TestParallelizer:
-    def test_split_and_merge_roundtrip(self):
-        parallelizer = Parallelizer(num_lanes=4, input_rate_hz=2e9)
-        samples = np.arange(32, dtype=float)
-        lanes = parallelizer.split(samples)
-        assert len(lanes) == 4
-        merged = parallelizer.merge(lanes)
-        assert np.array_equal(merged, samples)
-
-    def test_split_drops_partial_frame(self):
-        parallelizer = Parallelizer(num_lanes=4, input_rate_hz=2e9)
-        lanes = parallelizer.split(np.arange(10))
-        assert all(lane.size == 2 for lane in lanes)
-
-    def test_lane_rate(self):
-        parallelizer = Parallelizer(num_lanes=8, input_rate_hz=2e9)
-        assert parallelizer.lane_rate_hz == pytest.approx(250e6)
-
-    def test_lane_contents_are_polyphase(self):
-        parallelizer = Parallelizer(num_lanes=2, input_rate_hz=1e9)
-        lanes = parallelizer.split(np.array([0, 1, 2, 3, 4, 5]))
-        assert np.array_equal(lanes[0], [0, 2, 4])
-        assert np.array_equal(lanes[1], [1, 3, 5])
-
-    def test_merge_wrong_lane_count(self):
-        parallelizer = Parallelizer(num_lanes=3, input_rate_hz=1e9)
-        with pytest.raises(ValueError):
-            parallelizer.merge([np.ones(4), np.ones(4)])
-
-    @pytest.mark.parametrize("num_lanes", [1, 4, 16])
-    def test_search_speedup_is_the_lane_count(self, num_lanes):
-        parallelizer = Parallelizer(num_lanes=num_lanes, input_rate_hz=1e9)
-        assert parallelizer.search_speedup() == num_lanes
-        assert parallelizer.lane_rate_hz * num_lanes == pytest.approx(1e9)
-
+class TestAcquisitionLatency:
     def test_acquisition_cycles(self):
         assert acquisition_clock_cycles(1000, 1) == 1000
         assert acquisition_clock_cycles(1000, 16) == 63

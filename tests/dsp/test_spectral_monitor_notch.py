@@ -1,10 +1,10 @@
-"""Tests for the spectral monitor and the digital notch / canceller."""
+"""Tests for the spectral monitor and the digital notch."""
 
 import numpy as np
 import pytest
 
 from repro.channel.interference import ToneInterferer
-from repro.dsp.notch import AdaptiveNotchCanceller, DigitalNotchFilter
+from repro.dsp.notch import DigitalNotchFilter
 from repro.dsp.spectral_monitor import (
     SpectralMonitor,
     SpectralMonitorConfig,
@@ -115,40 +115,3 @@ class TestDigitalNotch:
     def test_invalid_pole_radius(self):
         with pytest.raises(ValueError):
             DigitalNotchFilter(100e6, SAMPLE_RATE, pole_radius=1.5)
-
-
-class TestAdaptiveCanceller:
-    def test_cancels_interferer(self, rng):
-        n = np.arange(16384)
-        interferer = 2.0 * np.exp(1j * (2 * np.pi * 80e6 * n / SAMPLE_RATE + 0.3))
-        signal = 0.05 * (rng.standard_normal(n.size)
-                         + 1j * rng.standard_normal(n.size))
-        canceller = AdaptiveNotchCanceller(interferer_frequency_hz=80e6,
-                                           sample_rate_hz=SAMPLE_RATE,
-                                           step_size=0.005)
-        rejection = canceller.steady_state_rejection_db(signal + interferer)
-        assert rejection > 10.0
-
-    def test_tolerates_small_frequency_error(self, rng):
-        n = np.arange(16384)
-        interferer = 2.0 * np.exp(1j * 2 * np.pi * 80.3e6 * n / SAMPLE_RATE)
-        canceller = AdaptiveNotchCanceller(interferer_frequency_hz=80e6,
-                                           sample_rate_hz=SAMPLE_RATE,
-                                           step_size=0.02)
-        rejection = canceller.steady_state_rejection_db(interferer)
-        assert rejection > 5.0
-
-    def test_leaves_clean_signal_mostly_alone(self, rng):
-        signal = 0.1 * (rng.standard_normal(8192)
-                        + 1j * rng.standard_normal(8192))
-        canceller = AdaptiveNotchCanceller(interferer_frequency_hz=200e6,
-                                           sample_rate_hz=SAMPLE_RATE,
-                                           step_size=0.005)
-        cleaned, _ = canceller.cancel(signal)
-        assert dsp.signal_power(cleaned) > 0.8 * dsp.signal_power(signal)
-
-    def test_weight_trajectory_returned(self, rng):
-        canceller = AdaptiveNotchCanceller(80e6, SAMPLE_RATE)
-        cleaned, weights = canceller.cancel(np.zeros(100, dtype=complex))
-        assert weights.size == 100
-        assert cleaned.size == 100

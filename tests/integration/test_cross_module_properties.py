@@ -8,7 +8,6 @@ from repro.adc.flash import FlashADC
 from repro.adc.quantizer import UniformQuantizer
 from repro.adc.sar import SARADC
 from repro.channel.multipath import MultipathChannel
-from repro.constants import DEFAULT_BAND_PLAN
 from repro.core.metrics import theoretical_bpsk_ber, theoretical_ook_ber
 from repro.phy.packet import PacketBuilder, PacketConfig, PacketParser
 from repro.phy.preamble import PreambleConfig
@@ -140,17 +139,3 @@ class TestChannelInvariants:
     def test_bpsk_always_beats_ook_in_theory(self, ebn0_db):
         assert theoretical_bpsk_ber(ebn0_db) <= theoretical_ook_ber(ebn0_db)
 
-
-class TestBandPlanInvariants:
-    @given(st.integers(min_value=0, max_value=13))
-    @settings(max_examples=14)
-    def test_channel_frequency_roundtrip(self, channel):
-        frequency = DEFAULT_BAND_PLAN.center_frequency(channel)
-        assert DEFAULT_BAND_PLAN.channel_for_frequency(frequency) == channel
-
-    @given(st.floats(min_value=3.1e9, max_value=10.0999e9))
-    @settings(max_examples=30)
-    def test_every_in_plan_frequency_maps_to_one_channel(self, frequency):
-        channel = DEFAULT_BAND_PLAN.channel_for_frequency(frequency)
-        low, high = DEFAULT_BAND_PLAN.channel_edges(channel)
-        assert low <= frequency < high or frequency == high

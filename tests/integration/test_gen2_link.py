@@ -63,7 +63,8 @@ class TestGen2PacketLevel:
         simulation = transceiver.simulate_packet(
             num_payload_bits=32, ebn0_db=20.0, channel=channel, rng=rng)
         assert simulation.result.detected
-        assert simulation.result.bit_error_rate < 0.2
+        result = simulation.result
+        assert result.payload_bit_errors / result.num_payload_bits < 0.2
 
     def test_cfo_tolerated(self, fast_config):
         config = fast_config.with_changes(carrier_frequency_offset_hz=50e3)
@@ -101,10 +102,3 @@ class TestGen2LinkSimulator:
         assert stats.detection_probability >= 0.8
         assert stats.mean_search_time_s > 0
         assert stats.rms_timing_error_samples < 4
-
-    def test_throughput_positive_at_good_snr(self, fast_config):
-        transceiver = Gen2Transceiver(fast_config, rng=np.random.default_rng(24))
-        simulator = LinkSimulator(transceiver, rng=np.random.default_rng(25))
-        throughput = simulator.effective_throughput_bps(
-            ebn0_db=16.0, num_packets=3, payload_bits_per_packet=48)
-        assert throughput > 1e6

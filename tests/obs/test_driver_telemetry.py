@@ -106,8 +106,10 @@ class TestTelemetryFlush:
         chunk_hook(None)
         resumed = RunDriver.open(driver.run_dir)
         resumed.engine.recorder = Recorder()
-        report = resumed.run_pending()
-        assert report.chunks_simulated == 1  # only the poisoned chunk
+        reports = [resumed.run_shard(index)
+                   for index in resumed.pending_shards()]
+        # Only the poisoned chunk is simulated again.
+        assert [report.chunks_simulated for report in reports] == [1]
         events, _ = EventLedger(driver.run_dir / LEDGER_NAME).read()
         resumed_chunks = sum(event["value"] for event in events
                              if event["name"] == "cache.chunks_resumed")
@@ -148,7 +150,8 @@ class TestCrashLedger:
         chunk_hook(None)
         resumed = RunDriver.open(crashed.run_dir)
         resumed.engine.recorder = Recorder()
-        resumed.run_pending()
+        for index in resumed.pending_shards():
+            resumed.run_shard(index)
         assert resumed.is_complete
         assert resumed.merge() == reference.merge()
         events, corrupt = EventLedger(crashed.run_dir / LEDGER_NAME).read()

@@ -284,7 +284,7 @@ class TestPacketFraming:
         packet = PacketBuilder(config).build(np.zeros(16, dtype=np.int64))
         # 16 payload + 16 CRC bits, rate-1/2 K=3 code with 2 tail bits.
         assert packet.num_payload_bits == 16
-        assert packet.num_body_bits == HEADER_LENGTH_BITS + (32 + 2) * 2
+        assert packet.body_bits.size == HEADER_LENGTH_BITS + (32 + 2) * 2
 
     def test_payload_too_long_raises(self):
         builder = PacketBuilder(self._config())

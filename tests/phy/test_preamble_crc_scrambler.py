@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.phy.crc import CRC16_CCITT, CRC32, append_crc, check_crc
 from repro.phy.preamble import (
     PreambleConfig,
-    barker_sequence,
     bits_to_bipolar,
     build_preamble_symbols,
     gold_code,
@@ -62,7 +61,7 @@ class TestMSequence:
         assert found
 
 
-class TestGoldAndBarker:
+class TestGoldCode:
     def test_gold_code_length(self):
         assert gold_code(7, 0).size == 127
 
@@ -72,15 +71,6 @@ class TestGoldAndBarker:
     def test_gold_invalid_index(self):
         with pytest.raises(ValueError):
             gold_code(7, 200)
-
-    def test_barker_13_autocorrelation(self):
-        seq = bits_to_bipolar(barker_sequence(13))
-        sidelobes = [abs(np.dot(seq[:-k], seq[k:])) for k in range(1, 13)]
-        assert max(sidelobes) <= 1.0
-
-    def test_barker_invalid_length(self):
-        with pytest.raises(ValueError):
-            barker_sequence(6)
 
 
 class TestPreambleConfig:

@@ -69,10 +69,6 @@ class TestRFFrontEndModel:
         assert "mixer" not in names
         assert "pll" in names
 
-    def test_total_positive(self):
-        model = RFFrontEndPowerModel()
-        assert model.total_receive_power_w() > 0
-
 
 class TestADCBlockPower:
     def test_flash_and_sar(self):

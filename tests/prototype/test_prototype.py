@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.channel.multipath import two_ray_channel
 from repro.prototype.comparison import ModulationComparison
 from repro.prototype.platform import DiscretePrototypePlatform
 from repro.pulses.spectrum import bandwidth_at_level
-from repro.utils import dsp
 
 
 class TestPlatform:
@@ -39,22 +37,6 @@ class TestPlatform:
                                             amplitude=0.15)
         assert output.peak_amplitude == pytest.approx(0.15, rel=1e-6)
         assert output.carrier_hz == pytest.approx(5e9)
-
-    def test_loopback_noise_level(self, rng):
-        platform = DiscretePrototypePlatform(dac_bits=None)
-        pulse = platform.reference_pulse()
-        received = platform.loopback(pulse, snr_db=20.0, rng=rng)
-        noise = received - platform.shape_baseband(pulse)
-        snr = 10 * np.log10(dsp.signal_power(platform.shape_baseband(pulse))
-                            / dsp.signal_power(noise))
-        assert snr == pytest.approx(20.0, abs=2.0)
-
-    def test_loopback_with_channel(self, rng):
-        platform = DiscretePrototypePlatform(dac_bits=None)
-        pulse = platform.reference_pulse()
-        channel = two_ray_channel(4e-9, relative_gain_db=-3.0)
-        received = platform.loopback(pulse, snr_db=None, channel=channel)
-        assert received.size == platform.shape_baseband(pulse).size
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):

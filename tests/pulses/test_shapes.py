@@ -7,13 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.pulses.shapes import (
     Pulse,
     gaussian_derivative_pulse,
-    gaussian_doublet,
-    gaussian_monocycle,
     gaussian_pulse,
-    rectangular_pulse,
-    root_raised_cosine_pulse,
     sigma_for_bandwidth,
-    sinc_pulse,
 )
 from repro.pulses.spectrum import bandwidth_at_level
 from repro.utils import dsp
@@ -37,21 +32,9 @@ class TestPulseContainer:
         with pytest.raises(ValueError):
             Pulse(np.ones(4), 0.0)
 
-    def test_normalized_energy(self):
-        pulse = Pulse(np.array([1.0, 2.0, 3.0]), 1e9)
-        assert pulse.normalized_energy(5.0).energy == pytest.approx(5.0)
-
-    def test_normalized_peak(self):
-        pulse = Pulse(np.array([1.0, -4.0]), 1e9)
-        assert pulse.normalized_peak(1.0).peak_amplitude == pytest.approx(1.0)
-
     def test_scaled(self):
         pulse = Pulse(np.ones(4), 1e9)
         assert pulse.scaled(3.0).peak_amplitude == pytest.approx(3.0)
-
-    def test_time_axis(self):
-        pulse = Pulse(np.ones(4), 2e9)
-        assert pulse.time_axis()[1] == pytest.approx(0.5e-9)
 
 
 class TestGaussianPulse:
@@ -88,16 +71,16 @@ class TestGaussianPulse:
 
 class TestDerivativePulses:
     def test_monocycle_has_zero_mean(self):
-        pulse = gaussian_monocycle(500e6, SAMPLE_RATE)
+        pulse = gaussian_derivative_pulse(1, 500e6, SAMPLE_RATE)
         assert abs(np.sum(pulse.waveform)) < 1e-6 * np.sum(np.abs(pulse.waveform))
 
     def test_doublet_is_even_symmetric(self):
-        pulse = gaussian_doublet(500e6, SAMPLE_RATE)
+        pulse = gaussian_derivative_pulse(2, 500e6, SAMPLE_RATE)
         wave = pulse.waveform
         assert np.allclose(wave, wave[::-1], atol=1e-9)
 
     def test_monocycle_is_odd_symmetric(self):
-        pulse = gaussian_monocycle(500e6, SAMPLE_RATE)
+        pulse = gaussian_derivative_pulse(1, 500e6, SAMPLE_RATE)
         wave = pulse.waveform
         assert np.allclose(wave, -wave[::-1], atol=1e-9)
 
@@ -118,33 +101,6 @@ class TestDerivativePulses:
     def test_negative_order_raises(self):
         with pytest.raises(ValueError):
             gaussian_derivative_pulse(-1, 500e6, SAMPLE_RATE)
-
-
-class TestOtherShapes:
-    def test_rectangular_duration(self):
-        pulse = rectangular_pulse(10e-9, 1e9)
-        assert pulse.num_samples == 10
-
-    def test_rrc_peak_at_center(self):
-        pulse = root_raised_cosine_pulse(500e6, SAMPLE_RATE)
-        assert np.argmax(np.abs(pulse.waveform)) == pulse.num_samples // 2
-
-    def test_rrc_invalid_rolloff(self):
-        with pytest.raises(ValueError):
-            root_raised_cosine_pulse(500e6, SAMPLE_RATE, rolloff=1.5)
-
-    def test_sinc_bandwidth(self):
-        # One-sided width of the real baseband sinc is about half the
-        # requested two-sided bandwidth.
-        pulse = sinc_pulse(500e6, SAMPLE_RATE)
-        _, _, bw = bandwidth_at_level(np.pad(pulse.waveform, 2048),
-                                      SAMPLE_RATE, level_db=-10.0,
-                                      nperseg=4096)
-        assert 150e6 < bw < 500e6
-
-    def test_sinc_invalid_span(self):
-        with pytest.raises(ValueError):
-            sinc_pulse(500e6, SAMPLE_RATE, span_lobes=0)
 
 
 class TestProperties:

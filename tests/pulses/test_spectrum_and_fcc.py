@@ -21,9 +21,9 @@ from repro.pulses.spectrum import (
     SpectrumSummary,
     bandwidth_at_level,
     fractional_bandwidth,
-    is_uwb_signal,
     summarize_spectrum,
 )
+from repro.utils import dsp
 
 
 class TestFCCMask:
@@ -90,22 +90,18 @@ class TestCompliance:
         value = in_band_average_psd_dbm_per_mhz(waveform, 2e9, carrier_hz=5e9)
         assert np.isfinite(value)
 
-    def test_margin_at_lookup(self):
-        waveform = self._pulse_train_waveform(1e-4)
-        report = check_mask_compliance(waveform, 2e9, carrier_hz=5e9)
-        assert np.isfinite(report.margin_at(5e9))
-
 
 class TestSpectrumSummary:
     def test_gaussian_pulse_is_uwb(self):
         pulse = gaussian_pulse(600e6, 4e9)
         padded = np.pad(pulse.waveform, 4096)
-        assert is_uwb_signal(padded, 4e9)
+        assert summarize_spectrum(padded, 4e9).qualifies_as_uwb
 
     def test_narrowband_tone_is_not_uwb(self):
         t = np.arange(16384) / 4e9
         tone = np.sin(2 * np.pi * 1e9 * t)
-        assert not is_uwb_signal(tone, 4e9, carrier_hz=0.0)
+        assert not summarize_spectrum(tone, 4e9,
+                                      carrier_hz=0.0).qualifies_as_uwb
 
     @pytest.mark.parametrize("bandwidth_hz, fractional, expected", [
         (500e6, 0.05, True),    # the 500 MHz absolute floor
@@ -150,7 +146,9 @@ class TestModulatedPulses:
 
     def test_fig4_occupied_bandwidth(self):
         pulse = fig4_prototype_pulse()
-        bw = pulse.occupied_bandwidth_hz(power_fraction=0.99)
+        bw = dsp.occupied_bandwidth(pulse.passband, pulse.sample_rate_hz,
+                                    power_fraction=0.99,
+                                    nperseg=min(pulse.num_samples, 4096))
         assert 200e6 < bw < 1.2e9
 
     def test_modulated_pulse_nyquist_check(self):
@@ -169,8 +167,3 @@ class TestModulatedPulses:
         pulse = modulated_gaussian_pulse(5e9, 500e6)
         summary = summarize_spectrum(pulse.passband, pulse.sample_rate_hz)
         assert abs(summary.peak_frequency_hz - 5e9) < 0.5e9
-
-    def test_as_pulse_wrapper(self):
-        pulse = modulated_gaussian_pulse(5e9, 500e6)
-        wrapped = pulse.as_pulse()
-        assert wrapped.num_samples == pulse.num_samples

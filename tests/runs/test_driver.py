@@ -157,14 +157,20 @@ class TestResume:
         store = crashed.store_for_shard(1)
         for point in crashed.manifest.points_for_shard(1)[:2]:
             key = crashed.manifest.key_for(point)
-            chunk = engine.measure_point(point, **GRID_KWARGS)
+            chunk, = engine.measure_points(
+                [(point, GRID_KWARGS["num_packets"], 0)],
+                GRID_KWARGS["payload_bits_per_packet"],
+                chunk_packets=GRID_KWARGS["num_packets"])
             store.add_chunk(key, 0, chunk)
         assert crashed.pending_shards() == (1,)
         assert crashed.shard_status() == {0: "done", 1: "partial"}
 
         resumed = RunDriver.open(tmp_path / "crashed")
-        report = resumed.run_pending()
+        reports = [resumed.run_shard(index)
+                   for index in resumed.pending_shards()]
         assert resumed.is_complete
+        assert [report.shard_index for report in reports] == [1]
+        report, = reports
         assert report.points_cached == 2         # pre-crash work reused
         assert report.points_simulated == len(
             crashed.manifest.points_for_shard(1)) - 2

@@ -13,6 +13,9 @@ re-running exactly the missing chunk and merges bit-identical to an
 unfaulted run on the JSONL backend.
 """
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from store_contract import fresh_merge, make_point
@@ -30,6 +33,13 @@ def _all_lookups(store, keys, max_packets=64):
     """Every (key, num_packets) -> lookup answer, the equivalence probe."""
     return {(key, requested): store.lookup(key, requested)
             for key in keys for requested in range(1, max_packets + 1)}
+
+
+def _registered_run_names(store):
+    """Names of the runs the warehouse retains, most recent first."""
+    with closing(sqlite3.connect(store.database_path)) as connection:
+        return [name for name, in connection.execute(
+            "SELECT name FROM runs ORDER BY run_id DESC")]
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +106,7 @@ class TestMigration:
         migrate_run(run_dir)
         store = ResultStore.open(run_dir / "store")
         try:
-            assert [run["name"] for run in store.registered_runs()] \
-                == [driver.manifest.name]
+            assert _registered_run_names(store) == [driver.manifest.name]
             result = query_store(
                 store, config_digest=driver.manifest.config_digest)
             assert len(result.entries) == len(grid)
@@ -197,7 +206,7 @@ class TestGarbageCollection:
         assert store.keys() == tuple(sorted(live_keys))
         assert _all_lookups(store, live_keys) == before
         assert store.lookup(keys["aa"], 1) is None
-        assert [run["name"] for run in store.registered_runs()] == ["new"]
+        assert _registered_run_names(store) == ["new"]
 
     def test_protected_keys_survive_retention(self, tmp_path):
         store, keys = self._store_with_runs(tmp_path)
@@ -413,7 +422,8 @@ class TestSQLiteFaultResume:
         chunk_hook(None)
         resumed = RunDriver.open(tmp_path / "run")
         assert resumed.manifest.store_format == "sqlite"
-        report = resumed.run_pending(max_workers=2)
+        report, = [resumed.run_shard(index, max_workers=2)
+                   for index in resumed.pending_shards()]
         # Exactly the one missing chunk is simulated on resume, and the
         # merged sweep is bit-identical to the unfaulted JSONL run.
         assert report.chunks_simulated == 1
@@ -428,8 +438,6 @@ class TestSQLiteFaultResume:
 # ----------------------------------------------------------------------
 class TestStoreLocked:
     def test_concurrent_writer_gets_actionable_error(self, tmp_path):
-        import sqlite3
-
         from repro.runs.warehouse import SQLiteResultStore, StoreLockedError
 
         store = SQLiteResultStore(tmp_path, busy_timeout_s=0.2)

@@ -21,6 +21,8 @@ import pytest
 from repro.runs import RunDriver
 from repro.serve.api import create_server
 from repro.serve.broker import Broker, BrokerDrainingError
+from repro.serve.journal import (JOURNAL_NAME, JOURNAL_SCHEMA_VERSION,
+                                 BrokerJournal)
 from repro.serve.worker import BrokerClient, Worker
 from repro.sim import SweepEngine, sweep_grid
 
@@ -198,6 +200,56 @@ class TestRecovery:
         state_three = snapshot(third)
         third.close()
         assert state_two == state_three
+
+    def test_old_journal_commit_records_replay_to_the_same_state(
+            self, tmp_path, clock):
+        # Older versions journaled a ``commit`` record after each store
+        # ingest.  A journal carrying them must recover exactly like the
+        # same history without them.
+        first = make_broker(tmp_path, clock)
+        job = first.submit(SPEC)
+        worker = first.register_worker("w")["worker_id"]
+        simulate = make_simulator()
+        committed = []
+        for _ in range(2):
+            response = first.lease(worker)
+            task = response["task"]
+            first.commit(response["lease_id"], task["task_id"],
+                         simulate(task).to_dict())
+            committed.append(task["task_id"])
+        first.lease(worker)  # leave one lease outstanding
+        first.close()
+        records, corrupt = BrokerJournal(
+            tmp_path / "state" / JOURNAL_NAME).read()
+        assert corrupt == 0
+        assert "commit" not in [record["kind"] for record in records]
+        old_records = []
+        for record in records:
+            old_records.append(record)
+            if record["kind"] == "grant" and record["task_id"] in committed:
+                old_records.append({"schema": JOURNAL_SCHEMA_VERSION,
+                                    "kind": "commit",
+                                    "task_id": record["task_id"]})
+        BrokerJournal(tmp_path / "old" / JOURNAL_NAME).append(old_records)
+
+        def recovered(state_dir):
+            broker = Broker(tmp_path / "store", clock=clock,
+                            lease_timeout_s=10.0, max_attempts=3,
+                            state_dir=state_dir)
+            try:
+                totals = broker.recorder.counter_totals()
+                next_worker = broker.register_worker("w2")["worker_id"]
+                return (broker.job_ids(), broker.job_status(job["job_id"]),
+                        broker.status()["tasks"],
+                        totals["serve.tasks_requeued"],
+                        broker.lease(next_worker))
+            finally:
+                broker.close()
+
+        old = recovered(tmp_path / "old")
+        assert old == recovered(tmp_path / "state")
+        assert old[2] == {"pending": 4, "leased": 0, "done": 0, "failed": 0}
+        assert old[3] == 1
 
     def test_terminal_failure_survives_restart(self, tmp_path, clock):
         first = make_broker(tmp_path, clock)

@@ -204,9 +204,9 @@ class TestChunkLayoutContracts:
             merged = None
             for offset, packets in chunk_spans(num_packets, 4,
                                                 packet_offset):
-                chunk = engine.measure_point(point, num_packets=packets,
-                                             payload_bits_per_packet=32,
-                                             packet_offset=offset)
+                chunk, = engine.measure_points([(point, packets, offset)],
+                                               payload_bits_per_packet=32,
+                                               chunk_packets=packets)
                 merged = chunk if merged is None else merged.merge(chunk)
             manual.append(merged)
         assert chunked == manual
@@ -230,9 +230,9 @@ class TestChunkLayoutContracts:
                 merged = None
                 for offset, packets in chunk_spans(
                         num_packets, chunk_packets, packet_offset):
-                    chunk = engine.measure_point(
-                        point, num_packets=packets,
-                        payload_bits_per_packet=16, packet_offset=offset)
+                    chunk, = engine.measure_points(
+                        [(point, packets, offset)],
+                        payload_bits_per_packet=16, chunk_packets=packets)
                     merged = chunk if merged is None else merged.merge(chunk)
                 manual.append(merged)
             assert chunked == manual, (round_index, chunk_packets, jobs)
@@ -370,7 +370,8 @@ class TestChunkFaultInjection:
 
         chunk_hook(None)
         resumed = RunDriver.open(tmp_path / "run")
-        report = resumed.run_pending(max_workers=2)
+        report, = [resumed.run_shard(index, max_workers=2)
+                   for index in resumed.pending_shards()]
         # Only the one missing chunk is simulated on resume.
         assert report.chunks_simulated == 1
         assert report.packets_simulated == 3
@@ -419,7 +420,8 @@ class TestChunkFaultInjection:
 
         chunk_hook(None)
         resumed = RunDriver.open(tmp_path / "run")
-        resumed.run_pending(max_workers=2)
+        for index in resumed.pending_shards():
+            resumed.run_shard(index, max_workers=2)
         assert resumed.is_complete
         assert resumed.merge() == reference.merge()
 

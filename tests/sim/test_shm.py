@@ -99,17 +99,17 @@ class TestSharedMemoryFanOut:
         assert shared == serial
         assert set(shared.errors_per_packet) == set(small_sweep_grid)
 
-    def test_measure_points_parallel_matches_measure_point(self,
-                                                           engine_factory):
+    def test_measure_points_parallel_matches_one_job_at_a_time(
+            self, engine_factory):
         engine = engine_factory(seed=9)
         jobs = [(SweepPoint(ebn0_db=ebn0), packets, offset)
                 for ebn0, packets, offset in
                 ((2.0, 6, 0), (4.0, 4, 0), (2.0, 3, 6), (8.0, 5, 2))]
         parallel = engine.measure_points(jobs, payload_bits_per_packet=32,
                                          max_workers=3)
-        serial = [engine.measure_point(point, num_packets=packets,
-                                       payload_bits_per_packet=32,
-                                       packet_offset=offset)
+        serial = [engine.measure_points([(point, packets, offset)],
+                                        payload_bits_per_packet=32,
+                                        chunk_packets=packets)[0]
                   for point, packets, offset in jobs]
         assert parallel == serial
 
@@ -187,10 +187,8 @@ class TestWorkerFailureSalvage:
                  (SweepPoint(ebn0_db=4.0, scenario="poison"), 2, 0)],
                 max_workers=2)
 
-    def test_measure_points_validates_like_measure_point(self,
-                                                         engine_factory):
+    def test_measure_points_rejects_a_fractional_packet_count(
+            self, engine_factory):
         engine = engine_factory(seed=1)
         with pytest.raises((TypeError, ValueError)):
             engine.measure_points([(SweepPoint(ebn0_db=2.0), 10.9, 0)])
-        with pytest.raises((TypeError, ValueError)):
-            engine.measure_point(SweepPoint(ebn0_db=2.0), num_packets=10.9)

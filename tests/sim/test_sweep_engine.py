@@ -191,8 +191,6 @@ class TestBatchedVersusPerPacket:
         assert "backend='batch'" in message
         assert seen == [], "validation must precede any simulation"
         with pytest.raises(ValueError, match="BPSK-only"):
-            engine.measure_point(grid[1], num_packets=1)
-        with pytest.raises(ValueError, match="BPSK-only"):
             engine.measure_points([(grid[1], 1, 0)])
 
     def test_batch_backend_accepts_non_bpsk_grids(self, engine_factory):
@@ -290,31 +288,27 @@ class TestRunStoreHooks:
                 (point, measurement)))
         assert seen == result.entries
 
-    def test_measure_point_matches_run(self, engine_factory,
-                                       small_sweep_grid):
+    def test_measure_points_matches_run(self, engine_factory,
+                                        small_sweep_grid):
         engine = engine_factory(seed=7)
         result = engine.run(small_sweep_grid, num_packets=6,
                             payload_bits_per_packet=32)
         for point, measurement in result.entries:
-            assert engine.measure_point(
-                point, num_packets=6,
-                payload_bits_per_packet=32) == measurement
+            assert engine.measure_points(
+                [(point, 6, 0)], payload_bits_per_packet=32,
+                chunk_packets=6) == [measurement]
 
     def test_packet_offset_chunks_are_independent(self, engine_factory):
         engine = engine_factory(seed=7)
         point = SweepPoint(ebn0_db=2.0)
-        base = engine.measure_point(point, num_packets=8,
-                                    payload_bits_per_packet=64)
-        tail = engine.measure_point(point, num_packets=8,
-                                    payload_bits_per_packet=64,
-                                    packet_offset=8)
+        base, tail = engine.measure_points([(point, 8, 0), (point, 8, 8)],
+                                          chunk_packets=8)
         # Deterministic per offset, but a different stream from offset 0.
-        assert tail == engine.measure_point(point, num_packets=8,
-                                            payload_bits_per_packet=64,
-                                            packet_offset=8)
+        assert engine.measure_points([(point, 8, 8)],
+                                     chunk_packets=8) == [tail]
         assert tail.bit_errors != base.bit_errors
         with pytest.raises(ValueError, match="packet_offset"):
-            engine.measure_point(point, num_packets=1, packet_offset=-1)
+            engine.measure_points([(point, 1, -1)])
 
     def test_point_digest_tracks_content_not_position(self):
         point = SweepPoint(ebn0_db=4.0, scenario="cm1", adc_bits=3)

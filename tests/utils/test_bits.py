@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.bits import (
-    bit_error_rate,
     bit_errors,
-    bits_to_bytes,
     bits_to_int,
-    bytes_to_bits,
-    gray_decode,
-    gray_encode,
-    hamming_distance,
     int_to_bits,
     pack_bits,
     random_bits,
@@ -35,24 +29,6 @@ class TestRandomBits:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             random_bits(-1)
-
-
-class TestByteConversions:
-    def test_roundtrip(self):
-        data = bytes([0x00, 0xFF, 0xA5, 0x3C])
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    def test_known_pattern(self):
-        assert np.array_equal(bytes_to_bits(b"\x80"),
-                              [1, 0, 0, 0, 0, 0, 0, 0])
-
-    def test_non_multiple_of_8_raises(self):
-        with pytest.raises(ValueError):
-            bits_to_bytes([1, 0, 1])
-
-    def test_empty(self):
-        assert bits_to_bytes([]) == b""
-        assert bytes_to_bits(b"").size == 0
 
 
 class TestIntConversions:
@@ -82,16 +58,6 @@ class TestErrors:
         with pytest.raises(ValueError):
             bit_errors([1, 0], [1])
 
-    def test_ber(self):
-        assert bit_error_rate([1, 1, 1, 1], [1, 0, 1, 0]) == pytest.approx(0.5)
-
-    def test_ber_empty(self):
-        assert bit_error_rate([], []) == 0.0
-
-    def test_hamming_distance(self):
-        assert hamming_distance(0b1010, 0b0110) == 2
-        assert hamming_distance(7, 7) == 0
-
 
 class TestPacking:
     def test_pack_unpack_roundtrip(self):
@@ -113,20 +79,3 @@ class TestPacking:
     def test_pack_unpack_property(self, bits):
         words = pack_bits(bits, 3)
         assert np.array_equal(unpack_bits(words, 3), bits)
-
-
-class TestGray:
-    def test_adjacent_codes_differ_by_one_bit(self):
-        for value in range(63):
-            assert hamming_distance(gray_encode(value),
-                                    gray_encode(value + 1)) == 1
-
-    @given(st.integers(min_value=0, max_value=2**20))
-    def test_roundtrip(self, value):
-        assert gray_decode(gray_encode(value)) == value
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            gray_encode(-1)
-        with pytest.raises(ValueError):
-            gray_decode(-1)

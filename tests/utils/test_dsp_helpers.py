@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.utils import dsp
 
@@ -30,61 +29,28 @@ class TestEnergyAndPower:
 
 
 class TestNormalization:
-    def test_normalize_energy(self):
-        x = np.random.default_rng(0).standard_normal(64)
-        y = dsp.normalize_energy(x, target_energy=2.5)
-        assert dsp.signal_energy(y) == pytest.approx(2.5)
-
     def test_normalize_peak(self):
         x = np.array([0.1, -0.7, 0.3])
         y = dsp.normalize_peak(x, target_peak=2.0)
         assert np.max(np.abs(y)) == pytest.approx(2.0)
 
-    def test_normalize_zero_signal_is_noop(self):
-        x = np.zeros(8)
-        assert np.array_equal(dsp.normalize_energy(x), x)
-        assert np.array_equal(dsp.normalize_peak(x), x)
 
-    @given(st.integers(min_value=2, max_value=64),
-           st.floats(min_value=0.01, max_value=100.0))
-    @settings(max_examples=30)
-    def test_energy_normalization_property(self, n, target):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 0.1
-        y = dsp.normalize_energy(x, target_energy=target)
-        assert dsp.signal_energy(y) == pytest.approx(target, rel=1e-9)
-
-
-class TestUpDownConversion:
-    def test_roundtrip_recovers_baseband(self):
+class TestUpConversion:
+    def test_upconvert_is_the_real_part_of_the_modulated_envelope(self):
         fs = 20e9
         fc = 5e9
         n = 4000
         t = np.arange(n) / fs
-        envelope = np.exp(-((t - t[n // 2]) / 1e-9) ** 2).astype(complex)
-        passband = dsp.upconvert(envelope, fc, fs)
-        recovered = dsp.downconvert(passband, fc, fs, lowpass_bandwidth_hz=2e9)
-        # Ignore filter edge effects.
-        core = slice(n // 4, 3 * n // 4)
-        assert np.allclose(np.real(recovered[core]), np.real(envelope[core]),
-                           atol=0.05)
+        envelope = np.exp(-((t - t[n // 2]) / 1e-9) ** 2) * np.exp(0.4j)
+        passband = dsp.upconvert(envelope, fc, fs, phase_rad=0.3)
+        expected = np.real(envelope * np.exp(1j * (2 * np.pi * fc * t + 0.3)))
+        assert np.allclose(passband, expected, atol=1e-12)
 
     def test_upconvert_is_real(self):
         fs = 20e9
         envelope = np.ones(100, dtype=complex)
         passband = dsp.upconvert(envelope, 5e9, fs)
         assert np.isrealobj(passband)
-
-    def test_downconvert_rejects_double_frequency(self):
-        fs = 40e9
-        fc = 5e9
-        n = 8000
-        t = np.arange(n) / fs
-        passband = np.cos(2 * np.pi * fc * t)
-        baseband = dsp.downconvert(passband, fc, fs, lowpass_bandwidth_hz=1e9)
-        # A pure carrier downconverts to (approximately) a constant 1.0.
-        core = slice(n // 4, 3 * n // 4)
-        assert np.allclose(np.abs(baseband[core]), 1.0, atol=0.05)
 
 
 class TestFilters:
@@ -102,54 +68,10 @@ class TestFilters:
         with pytest.raises(ValueError):
             dsp.lowpass_filter(np.zeros(64), 600e6, 1e9)
 
-    def test_bandpass_keeps_in_band_tone(self):
-        fs = 10e9
-        n = 8192
-        t = np.arange(n) / fs
-        tone = np.sin(2 * np.pi * 2e9 * t)
-        filtered = dsp.bandpass_filter(tone, 1.5e9, 2.5e9, fs)
-        assert np.std(filtered[1000:-1000] - tone[1000:-1000]) < 0.05
-
-    def test_bandpass_invalid_band_raises(self):
-        with pytest.raises(ValueError):
-            dsp.bandpass_filter(np.zeros(64), 2e9, 1e9, 10e9)
-
     def test_complex_lowpass_preserves_dtype(self):
         x = np.ones(256, dtype=complex)
         out = dsp.lowpass_filter(x, 100e6, 1e9)
         assert np.iscomplexobj(out)
-
-
-class TestDelays:
-    def test_integer_delay_shifts(self):
-        x = np.arange(10, dtype=float)
-        y = dsp.integer_delay(x, 3)
-        assert np.array_equal(y[3:], x[:-3])
-        assert np.all(y[:3] == 0)
-
-    def test_negative_delay_advances(self):
-        x = np.arange(10, dtype=float)
-        y = dsp.integer_delay(x, -2)
-        assert np.array_equal(y[:-2], x[2:])
-
-    def test_delay_larger_than_signal_gives_zeros(self):
-        x = np.ones(5)
-        assert np.all(dsp.integer_delay(x, 10) == 0)
-
-    def test_fractional_delay_half_sample(self):
-        n = 256
-        t = np.arange(n)
-        x = np.sin(2 * np.pi * 0.02 * t)
-        y = dsp.fractional_delay(x, 0.5)
-        expected = np.sin(2 * np.pi * 0.02 * (t - 0.5))
-        core = slice(40, -40)
-        assert np.allclose(y[core], expected[core], atol=1e-3)
-
-    def test_fractional_delay_integer_part(self):
-        x = np.zeros(64)
-        x[10] = 1.0
-        y = dsp.fractional_delay(x, 5.0)
-        assert int(np.argmax(np.abs(y))) == 15
 
 
 class TestSpectral:
@@ -197,23 +119,3 @@ class TestMisc:
             dsp.time_vector(-1, 1e9)
         with pytest.raises(ValueError):
             dsp.time_vector(10, 0.0)
-
-    def test_next_pow2(self):
-        assert dsp.next_pow2(1) == 1
-        assert dsp.next_pow2(2) == 2
-        assert dsp.next_pow2(3) == 4
-        assert dsp.next_pow2(1000) == 1024
-
-    def test_resample_doubles_length(self):
-        x = np.sin(2 * np.pi * 0.01 * np.arange(100))
-        y = dsp.resample_signal(x, 2, 1)
-        assert y.size == 200
-
-    def test_resample_invalid(self):
-        with pytest.raises(ValueError):
-            dsp.resample_signal(np.ones(8), 0, 1)
-
-    def test_add_complex_exponential_power(self):
-        x = np.zeros(1000, dtype=complex)
-        y = dsp.add_complex_exponential(x, 10e6, 1e9, amplitude=2.0)
-        assert dsp.signal_power(y) == pytest.approx(4.0)

@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.utils.fixed_point import (
-    FixedPointFormat,
-    quantization_noise_power,
-    quantize_fixed,
-)
+from repro.utils.fixed_point import FixedPointFormat
 from repro.utils.validation import (
-    as_1d_array,
-    require_in_range,
     require_int,
     require_json_int,
     require_non_negative,
     require_positive,
-    require_probability,
-    require_same_length,
 )
 
 
@@ -72,14 +64,11 @@ class TestFixedPointFormat:
         assert np.all(np.abs(q.real - x.real) <= fmt.step)
         assert np.all(np.abs(q.imag - x.imag) <= fmt.step)
 
-    def test_quantization_noise_power_formula(self):
-        assert quantization_noise_power(4, 1.0) == pytest.approx(0.125 ** 2 / 12)
-
     def test_more_bits_less_error(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-0.9, 0.9, 1000)
-        err4 = np.mean((quantize_fixed(x, 4) - x) ** 2)
-        err8 = np.mean((quantize_fixed(x, 8) - x) ** 2)
+        err4 = np.mean((FixedPointFormat(total_bits=4).quantize(x) - x) ** 2)
+        err8 = np.mean((FixedPointFormat(total_bits=8).quantize(x) - x) ** 2)
         assert err8 < err4 / 10
 
     @given(st.integers(min_value=1, max_value=12),
@@ -106,18 +95,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             require_non_negative(-0.1, "x")
 
-    def test_require_in_range(self):
-        assert require_in_range(5.0, 0.0, 10.0, "x") == 5.0
-        with pytest.raises(ValueError):
-            require_in_range(11.0, 0.0, 10.0, "x")
-        with pytest.raises(ValueError):
-            require_in_range(0.0, 0.0, 10.0, "x", inclusive=False)
-
-    def test_require_probability(self):
-        assert require_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            require_probability(1.5, "p")
-
     def test_require_int(self):
         assert require_int(4, "n") == 4
         with pytest.raises(TypeError):
@@ -142,14 +119,3 @@ class TestValidation:
     def test_require_json_int_rejects(self, value, minimum, error):
         with pytest.raises(error, match="n"):
             require_json_int(value, "n", minimum)
-
-    def test_as_1d_array(self):
-        assert as_1d_array(3.0, "x").shape == (1,)
-        assert as_1d_array([1, 2, 3], "x").shape == (3,)
-        with pytest.raises(ValueError):
-            as_1d_array(np.zeros((2, 2)), "x")
-
-    def test_require_same_length(self):
-        require_same_length([1, 2], [3, 4], "a", "b")
-        with pytest.raises(ValueError):
-            require_same_length([1], [1, 2], "a", "b")
