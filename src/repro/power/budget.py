@@ -120,6 +120,7 @@ def gen2_power_budget(adc_bits: int = 5,
     """
     require_int(adc_bits, "adc_bits", minimum=1)
     require_positive(adc_rate_hz, "adc_rate_hz")
+    require_int(backend_parallelism, "backend_parallelism", minimum=1)
 
     budget = PowerBudget(name="gen2")
     rf = RFFrontEndPowerModel()

@@ -48,6 +48,27 @@ class TestBandPlan:
         with pytest.raises(ValueError):
             DEFAULT_BAND_PLAN.center_frequency(14)
 
+    @pytest.mark.parametrize("channel", [0, 6, 13])
+    def test_channel_edges_are_one_bandwidth_around_the_center(self, channel):
+        low, high = DEFAULT_BAND_PLAN.channel_edges(channel)
+        assert high - low == pytest.approx(500e6)
+        assert (low + high) / 2 == pytest.approx(
+            DEFAULT_BAND_PLAN.center_frequency(channel))
+        assert low == pytest.approx(FCC_UWB_LOW_HZ + channel * 500e6)
+
+    @pytest.mark.parametrize("plan", [
+        BandPlan(num_channels=16),
+        BandPlan(band_low_hz=3.0e9),
+        BandPlan(num_channels=8, channel_bandwidth_hz=1e9)],
+        ids=["past_the_top", "below_the_bottom", "wide_channels"])
+    def test_plan_outside_the_fcc_band_does_not_fit(self, plan):
+        assert not plan.fits_in_fcc_band()
+
+    @pytest.mark.parametrize("channel", [-1, 14])
+    def test_channel_edges_reject_a_channel_outside_the_plan(self, channel):
+        with pytest.raises(ValueError, match="channel"):
+            DEFAULT_BAND_PLAN.channel_edges(channel)
+
     def test_custom_plan(self):
         plan = BandPlan(num_channels=3, channel_bandwidth_hz=1e9,
                         band_low_hz=3.1e9, band_high_hz=10.6e9)
@@ -160,6 +181,62 @@ class TestMetrics:
                          packets_sent=10, packets_failed=2)
         assert point.ber == pytest.approx(0.005)
         assert point.per == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("counts, ber, per", [
+        (dict(bit_errors=0, total_bits=0, packets_sent=0, packets_failed=0),
+         1.0, 1.0),
+        (dict(bit_errors=0, total_bits=0, packets_sent=4, packets_failed=1),
+         1.0, 0.25),
+        (dict(bit_errors=3, total_bits=30, packets_sent=0, packets_failed=0),
+         0.1, 1.0)])
+    def test_empty_measurements_read_as_total_failure(self, counts, ber, per):
+        point = BERPoint(ebn0_db=1.0, **counts)
+        assert (point.ber, point.per) == (pytest.approx(ber),
+                                          pytest.approx(per))
+
+    def test_merge_adds_the_counts(self):
+        a = BERPoint(ebn0_db=4.0, bit_errors=3, total_bits=100,
+                     packets_sent=2, packets_failed=1)
+        b = BERPoint(ebn0_db=4.0, bit_errors=1, total_bits=300,
+                     packets_sent=6, packets_failed=0)
+        assert a.merge(b) == BERPoint(ebn0_db=4.0, bit_errors=4,
+                                      total_bits=400, packets_sent=8,
+                                      packets_failed=1)
+        assert a.merge(b).ber == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("other, error", [
+        (BERPoint(ebn0_db=5.0, bit_errors=0, total_bits=1, packets_sent=1,
+                  packets_failed=0), ValueError),
+        ({"ebn0_db": 4.0}, TypeError)])
+    def test_merge_refuses_another_operating_point(self, other, error):
+        point = BERPoint(ebn0_db=4.0, bit_errors=0, total_bits=1,
+                         packets_sent=1, packets_failed=0)
+        with pytest.raises(error):
+            point.merge(other)
+
+    def test_dict_roundtrip(self):
+        point = BERPoint(ebn0_db=2.5, bit_errors=7, total_bits=640,
+                         packets_sent=5, packets_failed=2)
+        data = point.to_dict()
+        assert data == {"ebn0_db": 2.5, "bit_errors": 7, "total_bits": 640,
+                        "packets_sent": 5, "packets_failed": 2}
+        assert BERPoint.from_dict(data) == point
+
+    @pytest.mark.parametrize("change", [
+        {"bit_errors": None}, {"total_bits": "many"}, {"ebn0_db": "nan"},
+        {"ebn0_db": float("inf")}, {"packets_sent": -1},
+        {"bit_errors": 641}, {"packets_failed": 6}],
+        ids=["missing", "non_numeric", "nan_ebn0", "inf_ebn0",
+             "negative_count", "more_errors_than_bits",
+             "more_failures_than_packets"])
+    def test_from_dict_rejects_a_malformed_record(self, change):
+        data = {"ebn0_db": 2.5, "bit_errors": 7, "total_bits": 640,
+                "packets_sent": 5, "packets_failed": 2}
+        data.update(change)
+        data = {key: value for key, value in data.items()
+                if value is not None}
+        with pytest.raises(ValueError, match="malformed BER point record"):
+            BERPoint.from_dict(data)
 
     def test_count_payload_errors_length_mismatch(self):
         assert count_payload_errors([1, 1, 1, 1], [1, 1]) == 2

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.phy.crc import CRC16_CCITT, CRC32, append_crc, check_crc
 from repro.phy.preamble import (
+    _GOLD_SECOND_TAPS,
+    _PRIMITIVE_TAPS,
     PreambleConfig,
     bits_to_bipolar,
     build_preamble_symbols,
@@ -61,7 +63,83 @@ class TestMSequence:
         assert found
 
 
+def _periodic_correlation(a, b):
+    """Every cyclic lag of the periodic cross-correlation of two +-1 codes."""
+    spectrum = np.fft.fft(a) * np.conj(np.fft.fft(b))
+    return np.rint(np.real(np.fft.ifft(spectrum))).astype(int)
+
+
+class TestLFSR:
+    @pytest.mark.parametrize("degree", sorted(_PRIMITIVE_TAPS))
+    def test_every_tabulated_polynomial_is_maximal_length(self, degree):
+        period = (1 << degree) - 1
+        seq = m_sequence(degree)
+        assert seq.sum() == 1 << (degree - 1)
+        correlation = _periodic_correlation(bits_to_bipolar(seq),
+                                            bits_to_bipolar(seq))
+        assert correlation[0] == period
+        assert np.all(correlation[1:] == -1)
+
+    @pytest.mark.parametrize("initial_state", [0, -1, 1 << 7])
+    def test_initial_state_must_be_a_non_zero_register_state(self,
+                                                             initial_state):
+        with pytest.raises(ValueError, match="initial_state"):
+            lfsr_sequence((7, 6), 10, initial_state=initial_state)
+
+    @pytest.mark.parametrize("num_bits, error", [
+        (0, ValueError), (-4, ValueError), (2.5, TypeError),
+        (True, TypeError)])
+    def test_bit_count_must_be_a_positive_int(self, num_bits, error):
+        with pytest.raises(error, match="num_bits"):
+            lfsr_sequence((7, 6), num_bits)
+
+    def test_output_starts_with_the_register_low_bit_first(self):
+        assert lfsr_sequence((3, 2), 7).tolist() == [1, 0, 0, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize("degree", [3, 8, 11])
+    def test_output_obeys_the_feedback_recurrence(self, degree):
+        # s[i + d] = XOR over taps of s[i + d - tap] (d = the degree).
+        taps = _PRIMITIVE_TAPS[degree]
+        seq = lfsr_sequence(taps, 200, initial_state=0b101)
+        i = np.arange(200 - degree)
+        predicted = np.bitwise_xor.reduce(
+            [seq[i + degree - tap] for tap in taps])
+        assert np.array_equal(seq[degree:], predicted)
+
+
 class TestGoldCode:
+    @pytest.mark.parametrize("degree", sorted(_GOLD_SECOND_TAPS))
+    def test_second_polynomial_is_maximal_length(self, degree):
+        period = (1 << degree) - 1
+        seq = bits_to_bipolar(lfsr_sequence(_GOLD_SECOND_TAPS[degree],
+                                            period))
+        correlation = _periodic_correlation(seq, seq)
+        assert np.all(correlation[1:] == -1)
+
+    @pytest.mark.parametrize("degree", [5, 7])
+    def test_preferred_pair_cross_correlation_is_three_valued(self, degree):
+        # A preferred pair of odd degree n cross-correlates only to -1,
+        # -t and t - 2 with t = 2^((n+1)/2) + 1.
+        t = (1 << ((degree + 1) // 2)) + 1
+        period = (1 << degree) - 1
+        correlation = _periodic_correlation(
+            bits_to_bipolar(gold_code(degree, period)),
+            bits_to_bipolar(gold_code(degree, period + 1)))
+        assert set(correlation.tolist()) == {-1, -t, t - 2}
+
+    @pytest.mark.parametrize("degree", [5, 7])
+    def test_last_two_indices_are_the_generating_pair(self, degree):
+        period = (1 << degree) - 1
+        assert np.array_equal(gold_code(degree, period), m_sequence(degree))
+        assert np.array_equal(
+            gold_code(degree, period + 1),
+            lfsr_sequence(_GOLD_SECOND_TAPS[degree], period))
+
+    @pytest.mark.parametrize("degree", [3, 4, 8])
+    def test_degree_without_a_second_polynomial_raises(self, degree):
+        with pytest.raises(ValueError, match="degree"):
+            gold_code(degree)
+
     def test_gold_code_length(self):
         assert gold_code(7, 0).size == 127
 
@@ -91,6 +169,26 @@ class TestPreambleConfig:
         symbols = build_preamble_symbols(config)
         assert set(np.unique(symbols)) == {-1.0, 1.0}
 
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(sequence_degree=2), ValueError),
+        (dict(sequence_degree=7.0), TypeError),
+        (dict(num_repetitions=0), ValueError),
+        (dict(num_repetitions=True), TypeError)])
+    def test_invalid_structure_raises(self, kwargs, error):
+        with pytest.raises(error, match=next(iter(kwargs))):
+            PreambleConfig(**kwargs)
+
+    @pytest.mark.parametrize("code_index", [0, 5, 30])
+    def test_code_index_picks_a_cyclic_shift_of_the_m_sequence(self,
+                                                               code_index):
+        base = PreambleConfig(sequence_degree=5).base_sequence_bits()
+        shifted = PreambleConfig(sequence_degree=5,
+                                 code_index=code_index).base_sequence_bits()
+        assert np.array_equal(shifted,
+                              m_sequence(5, initial_state=code_index + 1))
+        assert any(np.array_equal(np.roll(base, k), shifted)
+                   for k in range(base.size))
+
     def test_gold_option(self):
         config = PreambleConfig(sequence_degree=7, num_repetitions=1,
                                 use_gold=True, code_index=2)
@@ -118,6 +216,23 @@ class TestCRC:
         assert int("".join(map(str, bits.tolist())), 2) == \
             crc.compute(payload)
         assert np.array_equal(append_crc(payload, crc)[-crc.width:], bits)
+
+    @pytest.mark.parametrize("crc", [CRC16_CCITT, CRC32],
+                             ids=lambda crc: crc.name)
+    def test_empty_payload_leaves_the_initial_register(self, crc):
+        assert crc.compute([]) == crc.initial_value ^ crc.final_xor
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1,
+                    max_size=64), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=30)
+    def test_crc_is_affine_over_gf2(self, a, seed):
+        # CRC(a ^ b) = CRC(a) ^ CRC(b) ^ CRC(0) for equal-length inputs.
+        a = np.asarray(a)
+        b = random_bits(a.size, np.random.default_rng(seed))
+        zero = np.zeros(a.size, dtype=np.int64)
+        for crc in (CRC16_CCITT, CRC32):
+            assert crc.compute(a ^ b) == (crc.compute(a) ^ crc.compute(b)
+                                          ^ crc.compute(zero))
 
     def test_append_and_check(self):
         payload = random_bits(120, np.random.default_rng(0))
@@ -199,6 +314,28 @@ class TestScrambler:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             Scrambler().scramble([0, 1, 2])
+
+    @pytest.mark.parametrize("kwargs", [dict(seed=1 << 7), dict(seed=-1),
+                                        dict(taps=(1,))])
+    def test_invalid_register_raises(self, kwargs):
+        with pytest.raises(ValueError):
+            Scrambler(**kwargs)
+
+    @pytest.mark.parametrize("num_bits, error", [(-1, ValueError),
+                                                 (2.5, TypeError)])
+    def test_keystream_length_must_be_a_non_negative_int(self, num_bits,
+                                                         error):
+        with pytest.raises(error, match="num_bits"):
+            Scrambler().keystream(num_bits)
+
+    def test_keystream_prefix_does_not_depend_on_call_order(self):
+        # The memoized stream must serve a short request after a long one
+        # (and the reverse) with the same leading bits.
+        short_first = Scrambler(seed=0x2A).keystream(10)
+        long_after = Scrambler(seed=0x2A).keystream(300)
+        assert np.array_equal(long_after[:10], short_first)
+        assert np.array_equal(Scrambler(seed=0x2A).keystream(10), short_first)
+        assert Scrambler(seed=0x2A).keystream(0).size == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0,
                     max_size=300))

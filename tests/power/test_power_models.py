@@ -113,6 +113,36 @@ class TestPowerBudgets:
         total = gen1_power_budget().total_w()
         assert 0.02 < total < 2.0
 
+    @pytest.mark.parametrize("build", [gen1_power_budget, gen2_power_budget])
+    def test_groups_partition_the_total(self, build):
+        budget = build()
+        groups = ("rf", "adc", "digital")
+        assert set(budget.groups.values()) == set(groups)
+        assert sum(budget.group_power_w(g) for g in groups) == \
+            pytest.approx(budget.total_w())
+        assert budget.group_power_w("no_such_group") == 0.0
+
+    @pytest.mark.parametrize("build", [gen1_power_budget, gen2_power_budget])
+    def test_table_rows_name_every_block_once(self, build):
+        budget = build()
+        rows = budget.as_table()
+        assert sorted(row[0] for row in rows) == \
+            sorted(block.name for block in budget.blocks)
+        assert sum(row[3] for row in rows) == pytest.approx(1.0)
+        for name, group, power_w, fraction in rows:
+            assert group == budget.groups[name]
+            assert fraction == pytest.approx(power_w / budget.total_w())
+
+    @pytest.mark.parametrize("build", [gen1_power_budget, gen2_power_budget])
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(adc_bits=0), ValueError), (dict(adc_bits=4.0), TypeError),
+        (dict(adc_rate_hz=0.0), ValueError),
+        (dict(backend_parallelism=0), ValueError),
+        (dict(backend_parallelism=1.5), TypeError)])
+    def test_invalid_configuration_raises(self, build, kwargs, error):
+        with pytest.raises(error, match=next(iter(kwargs))):
+            build(**kwargs)
+
     def test_empty_budget_fraction_zero(self):
         budget = PowerBudget(name="empty")
         assert budget.adc_plus_digital_fraction() == 0.0

@@ -104,6 +104,51 @@ class TestPAM:
         assert np.array_equal(mod.demodulate(mod.modulate(bits)), bits)
 
 
+class TestSymbolCount:
+    @pytest.mark.parametrize("scheme, num_bits, expected", [
+        ("bpsk", 12, 12), ("ppm", 12, 12), ("pam4", 12, 6), ("pam8", 12, 4),
+        ("pam16", 12, 3)])
+    def test_symbols_per_bit_count(self, scheme, num_bits, expected):
+        modulator = make_modulator(scheme)
+        assert modulator.num_symbols(num_bits) == expected
+        bits = random_bits(num_bits, np.random.default_rng(4))
+        assert modulator.modulate(bits).size == expected
+
+    @pytest.mark.parametrize("scheme, num_bits", [("pam4", 7), ("pam8", 10)])
+    def test_bit_count_off_the_symbol_grid_raises(self, scheme, num_bits):
+        with pytest.raises(ValueError, match="bits_per_symbol"):
+            make_modulator(scheme).num_symbols(num_bits)
+
+
+class TestPAMLevels:
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    def test_levels_are_symmetric_equally_spaced_and_unit_energy(self, order):
+        levels = PAMModulator(order=order).levels
+        assert levels.size == order
+        assert np.allclose(levels, -levels[::-1])
+        assert np.allclose(np.diff(levels), np.diff(levels)[0])
+        assert np.mean(levels ** 2) == pytest.approx(1.0)
+
+    def test_levels_property_returns_a_copy(self):
+        modulator = PAMModulator(order=4)
+        modulator.levels[0] = 99.0
+        assert modulator.levels[0] < 0
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_nearest_level_error_costs_one_bit(self, order):
+        # Every amplitude level, pushed halfway-plus to its upper
+        # neighbour, decodes to a word one Gray step away.
+        modulator = PAMModulator(order=order)
+        levels = modulator.levels
+        k = modulator.bits_per_symbol
+        for index in range(order - 1):
+            sent = modulator.demodulate(levels[index:index + 1])
+            nudged = levels[index] + 0.6 * (levels[index + 1] - levels[index])
+            received = modulator.demodulate(np.array([nudged]))
+            assert sent.size == received.size == k
+            assert np.sum(sent != received) == 1
+
+
 class TestFactory:
     def test_known_schemes(self):
         assert make_modulator("bpsk").name == "bpsk"
@@ -122,6 +167,27 @@ class TestPulseTrainConfig:
         config = PulseTrainConfig(pulse_repetition_interval_s=10e-9,
                                   pulses_per_symbol=4)
         assert config.symbol_rate_hz() == pytest.approx(25e6)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(pulse_repetition_interval_s=0.0), ValueError),
+        (dict(pulse_repetition_interval_s=-1e-9), ValueError),
+        (dict(pulse_repetition_interval_s=float("nan")), ValueError),
+        (dict(pulse_repetition_interval_s=10e-9, pulses_per_symbol=0),
+         ValueError),
+        (dict(pulse_repetition_interval_s=10e-9, pulses_per_symbol=1.5),
+         TypeError),
+        (dict(pulse_repetition_interval_s=10e-9,
+              time_hopping_codes=(-1e-9,)), ValueError),
+        (dict(pulse_repetition_interval_s=10e-9,
+              time_hopping_codes=(10e-9,)), ValueError)])
+    def test_invalid_timing_raises(self, kwargs, error):
+        with pytest.raises(error):
+            PulseTrainConfig(**kwargs)
+
+    def test_symbol_duration_is_pulses_times_interval(self):
+        config = PulseTrainConfig(pulse_repetition_interval_s=8e-9,
+                                  pulses_per_symbol=5)
+        assert config.symbol_duration_s == pytest.approx(40e-9)
 
     def test_invalid_hopping_offset(self):
         with pytest.raises(ValueError):
@@ -183,6 +249,42 @@ class TestPulseTrainGenerator:
         assert ppm.generate_batch_from_symbols(symbols) is None
         with pytest.raises(ValueError, match="batch"):
             self._generator().generate_batch_from_symbols(np.zeros(4))
+
+    @pytest.mark.parametrize("pulses_per_symbol", [1, 2, 4])
+    def test_zero_hop_loop_matches_the_grid_placement(self, pulses_per_symbol):
+        # A hopping code of all-zero offsets takes the per-pulse loop; it
+        # must place pulses exactly where the vectorized grid path does.
+        pulse = gaussian_pulse(500e6, 2e9)
+        symbols = BPSKModulator().modulate(
+            random_bits(9, np.random.default_rng(pulses_per_symbol)))
+        trains = []
+        for hop in ((), (0.0, 0.0)):
+            config = PulseTrainConfig(pulse_repetition_interval_s=10e-9,
+                                      pulses_per_symbol=pulses_per_symbol,
+                                      time_hopping_codes=hop)
+            gen = PulseTrainGenerator(pulse, config, BPSKModulator())
+            trains.append(gen.generate_from_symbols(symbols))
+        assert np.array_equal(trains[0].waveform, trains[1].waveform)
+
+    def test_train_bookkeeping(self):
+        gen = self._generator(pulses_per_symbol=3)
+        symbols = BPSKModulator().modulate([1, 0, 1, 1])
+        train = gen.generate_from_symbols(symbols)
+        assert train.num_symbols == 4
+        assert train.samples_per_symbol() == gen.samples_per_symbol == 60
+        assert train.duration_s == pytest.approx(4 * 3 * 10e-9)
+        assert np.array_equal(train.symbols, symbols)
+
+    def test_empty_symbol_sequence_gives_an_empty_train(self):
+        train = self._generator().generate_from_symbols(np.zeros(0))
+        assert train.waveform.size == 0
+        assert train.num_symbols == 0
+
+    def test_pri_shorter_than_a_sample_raises(self):
+        pulse = gaussian_pulse(500e6, 2e9)
+        config = PulseTrainConfig(pulse_repetition_interval_s=0.1e-9)
+        with pytest.raises(ValueError, match="one sample"):
+            PulseTrainGenerator(pulse, config, BPSKModulator())
 
     def test_pulse_longer_than_pri_raises(self):
         pulse = gaussian_pulse(100e6, 2e9)   # ~39 ns long

@@ -46,6 +46,14 @@ class TestFCCMask:
         assert mask.shape == freqs.shape
         assert mask[1] == pytest.approx(-41.3)
 
+    @pytest.mark.parametrize("frequency_hz, limit", [
+        (0.959e9, -41.3), (0.96e9, -75.3), (1.61e9, -53.3), (1.99e9, -51.3),
+        (3.09e9, -51.3), (3.1e9, -41.3), (10.59e9, -41.3), (10.6e9, -51.3)])
+    def test_segment_edges(self, frequency_hz, limit):
+        # Each segment is closed at its lower edge and open at its upper.
+        assert fcc_indoor_mask_dbm_per_mhz(frequency_hz) == \
+            pytest.approx(limit)
+
     def test_mask_monotone_segments(self):
         # Inside 3.1-10.6 GHz the mask is flat at the in-band limit.
         freqs = np.linspace(3.2e9, 10.5e9, 50)
@@ -84,6 +92,37 @@ class TestCompliance:
         _, psd2 = psd_dbm_per_mhz(waveform * 10.0, 2e9)
         # 20 dB more amplitude -> 20 dB more PSD.
         assert np.median(psd2 - psd1) == pytest.approx(20.0, abs=0.5)
+
+    @pytest.mark.parametrize("backoff_db", [0.0, 0.5, 3.0])
+    def test_max_compliant_scale_leaves_exactly_the_backoff(self, backoff_db):
+        waveform = self._pulse_train_waveform(1.0)
+        scale = max_compliant_scale(waveform, 2e9, carrier_hz=5e9,
+                                    backoff_db=backoff_db)
+        report = check_mask_compliance(waveform * scale, 2e9, carrier_hz=5e9)
+        assert report.worst_margin_db == pytest.approx(backoff_db, abs=1e-9)
+
+    def test_report_arrays_cover_only_non_negative_frequencies(self):
+        report = check_mask_compliance(self._pulse_train_waveform(1e-3), 2e9,
+                                       carrier_hz=0.5e9)
+        assert report.frequencies_hz.min() >= 0.0
+        assert (report.frequencies_hz.shape == report.psd_dbm_per_mhz.shape
+                == report.mask_dbm_per_mhz.shape)
+        margin = report.mask_dbm_per_mhz - report.psd_dbm_per_mhz
+        assert report.worst_margin_db == pytest.approx(margin.min())
+        assert report.worst_frequency_hz == \
+            report.frequencies_hz[np.argmin(margin)]
+
+    def test_in_band_average_moves_with_the_amplitude_in_db(self):
+        low = in_band_average_psd_dbm_per_mhz(
+            self._pulse_train_waveform(1e-3), 2e9, carrier_hz=5e9)
+        high = in_band_average_psd_dbm_per_mhz(
+            self._pulse_train_waveform(1e-2), 2e9, carrier_hz=5e9)
+        assert high - low == pytest.approx(20.0, abs=1e-6)
+
+    def test_in_band_average_needs_in_band_content(self):
+        with pytest.raises(ValueError, match="3.1-10.6 GHz"):
+            in_band_average_psd_dbm_per_mhz(self._pulse_train_waveform(1.0),
+                                            2e9, carrier_hz=0.0)
 
     def test_in_band_average(self):
         waveform = self._pulse_train_waveform(1e-3)

@@ -77,3 +77,25 @@ class TestAntenna:
         expected_s = 20e-12 * (freqs - antenna.lower_cutoff_hz) / 1e9
         assert np.allclose(group_delay_s, expected_s, atol=1e-14)
         assert isinstance(antenna.transfer_function(5e9), complex)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(length_m=0.0), dict(length_m=-0.04),
+        dict(width_m=float("nan")), dict(width_m=float("inf"))],
+        ids=["zero_length", "negative_length", "nan_width", "inf_width"])
+    def test_non_physical_dimensions_raise(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            PlanarEllipticalAntenna(**kwargs)
+
+    def test_band_below_the_first_resonance_is_not_covered(self):
+        antenna = PlanarEllipticalAntenna()
+        assert not antenna.covers_band(0.5e9, antenna.lower_cutoff_hz)
+
+    def test_impulse_response_has_no_dc_and_a_minimum_length(self):
+        antenna = PlanarEllipticalAntenna()
+        h = antenna.impulse_response(40e9, duration_s=4e-9)
+        assert h.size == 160
+        assert abs(np.sum(h)) < 1e-9 * np.max(np.abs(h))
+        # Shorter than eight samples is padded up to eight.
+        assert antenna.impulse_response(1e9, duration_s=1e-9).size == 8
+        # The peak sits one eighth of the way in (the causal shift).
+        assert int(np.argmax(np.abs(h))) == h.size // 8

@@ -6,6 +6,11 @@ import pytest
 
 from repro.core.metrics import BERPoint
 from repro.runs import ResultStore, StoredChunk, measurement_key
+from repro.runs.store import (
+    SQLITE_FILENAME,
+    detect_store_format,
+    plan_missing_chunks,
+)
 
 
 def make_point(ebn0_db=4.0, bit_errors=3, total_bits=640, packets_sent=10,
@@ -91,6 +96,93 @@ class TestRoundTrip:
         store.add_chunk(KEY_A, 20, make_point(packets_sent=5))
         assert store.chunks_for(KEY_A) == {0: 10, 20: 5}
         assert store.coverage(KEY_A) == 10
+
+
+class TestStoredChunkRecord:
+    def test_record_roundtrip(self):
+        chunk = StoredChunk(key=KEY_A, packet_offset=20,
+                            measurement=make_point(packets_sent=7))
+        record = json.loads(json.dumps(chunk.to_record()))
+        assert StoredChunk.from_record(record) == chunk
+        assert chunk.num_packets == 7
+
+    @pytest.mark.parametrize("change, message", [
+        ({"schema": 2}, "schema"),
+        ({"key": "ab"}, "key"),
+        ({"key": 7}, "key"),
+        ({"packet_offset": -1}, "packet_offset"),
+        ({"packet_offset": 2.0}, "packet_offset"),
+        ({"measurement": {"ebn0_db": 4.0}}, "malformed BER point"),
+        ({"measurement": make_point(bit_errors=0, total_bits=0,
+                                    packets_sent=0,
+                                    packets_failed=0).to_dict()},
+         "zero packets")])
+    def test_malformed_record_raises(self, change, message):
+        record = StoredChunk(key=KEY_A, packet_offset=0,
+                             measurement=make_point()).to_record()
+        record.update(change)
+        with pytest.raises(ValueError, match=message):
+            StoredChunk.from_record(record)
+
+    def test_non_object_record_raises(self):
+        with pytest.raises(ValueError, match="not an object"):
+            StoredChunk.from_record([KEY_A, 0])
+
+
+class TestPlanMissingChunks:
+    def test_empty_store_needs_every_chunk(self, tmp_path):
+        plan = plan_missing_chunks(ResultStore(tmp_path), KEY_A, 25, 10)
+        assert plan.cached is None
+        assert plan.missing == ((0, 10), (10, 10), (20, 5))
+        assert (plan.covered, plan.resumed, plan.packets_stored) == (0, 0, 0)
+
+    def test_covered_request_is_a_cache_hit(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.add_chunk(KEY_A, 0, make_point(packets_sent=10))
+        store.add_chunk(KEY_A, 10, make_point(packets_sent=10))
+        plan = plan_missing_chunks(store, KEY_A, 15, 10)
+        assert plan.cached == store.lookup(KEY_A, 20)
+        assert plan.missing == ()
+        assert plan.covered == plan.packets_stored == 20
+
+    def test_chunk_stored_beyond_a_gap_is_not_rerun(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.add_chunk(KEY_A, 0, make_point(packets_sent=10))
+        store.add_chunk(KEY_A, 20, make_point(packets_sent=10))
+        plan = plan_missing_chunks(store, KEY_A, 40, 10)
+        assert plan.missing == ((10, 10), (30, 10))
+        assert (plan.covered, plan.resumed, plan.packets_stored) == \
+            (10, 1, 20)
+
+    def test_chunk_of_another_layout_is_rerun(self, tmp_path):
+        # A stored span only counts when it is exactly a span of the
+        # requested layout.
+        store = ResultStore(tmp_path)
+        store.add_chunk(KEY_A, 20, make_point(packets_sent=5))
+        plan = plan_missing_chunks(store, KEY_A, 30, 10)
+        assert plan.missing == ((0, 10), (10, 10), (20, 10))
+        assert plan.resumed == 0
+
+    def test_unchunked_layout_is_one_span(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.add_chunk(KEY_A, 0, make_point(packets_sent=10))
+        plan = plan_missing_chunks(store, KEY_A, 50, None)
+        assert plan.missing == ((10, 40),)
+
+
+class TestDetectStoreFormat:
+    def test_empty_or_missing_directory_has_no_format(self, tmp_path):
+        assert detect_store_format(tmp_path) is None
+        assert detect_store_format(tmp_path / "absent") is None
+
+    def test_jsonl_files_make_a_jsonl_store(self, tmp_path):
+        ResultStore(tmp_path).add_chunk(KEY_A, 0, make_point())
+        assert detect_store_format(tmp_path) == "jsonl"
+
+    def test_sqlite_file_wins_over_jsonl_files(self, tmp_path):
+        ResultStore(tmp_path).add_chunk(KEY_A, 0, make_point())
+        (tmp_path / SQLITE_FILENAME).write_bytes(b"")
+        assert detect_store_format(tmp_path) == "sqlite"
 
 
 class TestMultiWriter:
