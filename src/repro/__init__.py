@@ -43,7 +43,7 @@ Quick start::
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 from repro import (
     adc,

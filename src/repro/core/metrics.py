@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from repro.utils.bits import bit_errors
+from repro.utils.validation import require_int
 
 __all__ = [
     "PacketResult",
@@ -117,16 +119,24 @@ class BERPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BERPoint":
-        """Rebuild a point from :meth:`to_dict` output, validating counts."""
+        """Rebuild a point from :meth:`to_dict` output, validating counts.
+
+        Every count must be an integer: a bool, a string or a float (even
+        ``2.0``) is rejected, never truncated.
+        """
         try:
             point = cls(ebn0_db=float(data["ebn0_db"]),
-                        bit_errors=int(data["bit_errors"]),
-                        total_bits=int(data["total_bits"]),
-                        packets_sent=int(data["packets_sent"]),
-                        packets_failed=int(data["packets_failed"]))
+                        bit_errors=require_int(data["bit_errors"],
+                                               "bit_errors"),
+                        total_bits=require_int(data["total_bits"],
+                                               "total_bits"),
+                        packets_sent=require_int(data["packets_sent"],
+                                                 "packets_sent"),
+                        packets_failed=require_int(data["packets_failed"],
+                                                   "packets_failed"))
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"malformed BER point record: {error}") from None
-        if not np.isfinite(point.ebn0_db):
+        if not math.isfinite(point.ebn0_db):
             raise ValueError("malformed BER point record: non-finite ebn0_db")
         if min(point.bit_errors, point.total_bits, point.packets_sent,
                point.packets_failed) < 0:

@@ -20,7 +20,6 @@ from repro.core.config import Gen1Config, Gen2Config
 from repro.core.metrics import PacketResult
 from repro.core.receiver import Gen1Receiver, Gen2Receiver, ReceiveResult
 from repro.core.transmitter import Gen1Transmitter, Gen2Transmitter, TransmitOutput
-from repro.utils import dsp
 from repro.utils.bits import random_bits
 
 __all__ = ["PacketSimulation", "Gen1Transceiver", "Gen2Transceiver"]
@@ -53,9 +52,15 @@ class _Transceiver:
             return np.asarray(waveform)
         return channel.apply(waveform, sample_rate_hz)
 
-    def _apply_impairments(self, waveform,
-                           rng: np.random.Generator) -> np.ndarray:
-        """Hook for generation-specific analog impairments."""
+    def _apply_impairments(self, waveform, rng: np.random.Generator,
+                           decimation: int = 1) -> np.ndarray:
+        """Hook for generation-specific analog impairments.
+
+        ``waveform`` holds every ``decimation``-th simulation-rate sample
+        of a packet (the batched front end impairs only the samples its
+        ADC keeps); the impairments are per sample, so the result is
+        those samples of the impaired simulation-rate waveform.
+        """
         return np.asarray(waveform)
 
     # ------------------------------------------------------------------
@@ -151,14 +156,18 @@ class Gen2Transceiver(_Transceiver):
         super().__init__(Gen2Transmitter(config), Gen2Receiver(config, rng=rng),
                          config)
 
-    def _apply_impairments(self, waveform, rng: np.random.Generator) -> np.ndarray:
-        """Apply the direct-conversion impairments configured for the link."""
+    def _apply_impairments(self, waveform, rng: np.random.Generator,
+                           decimation: int = 1) -> np.ndarray:
+        """Apply the direct-conversion impairments configured for the link
+        (``decimation`` as in the base hook)."""
         config = self.config
         x = np.asarray(waveform, dtype=complex)
         if not config.has_impairments:
             return x
         if abs(config.carrier_frequency_offset_hz) > 0:
-            t = dsp.time_vector(x.size, config.simulation_rate_hz)
+            # The sample times of dsp.time_vector, at the kept samples.
+            t = (np.arange(0, x.size * decimation, decimation)
+                 / config.simulation_rate_hz)
             x = x * np.exp(1j * 2.0 * np.pi
                            * config.carrier_frequency_offset_hz * t)
         if (abs(config.iq_gain_imbalance_db) > 0

@@ -188,6 +188,39 @@ class _PulsedTransmitter:
                 * self.samples_per_symbol)
         return lead_in + preamble + body + lead_out
 
+    def pulse_grid(self, packets) -> tuple[np.ndarray, np.ndarray]:
+        """Built packets as pulse amplitudes on the PRI grid.
+
+        :meth:`transmit` sends a packet as one train of pulses, one
+        pulse repetition interval apart: the preamble chips, then
+        ``pulses_per_bit`` pulses per body bit.  Row ``i`` of the
+        returned ``(packets, pulses)`` amplitudes holds packet ``i``'s
+        train, pulse ``k`` starting ``k * samples_per_chip`` samples
+        after its lead-in, so ``transmit``'s waveform is
+        ``sum_k a_k pulse[n - lead_in - k * samples_per_chip]``.  The
+        second array holds each packet's energy per body bit, bitwise
+        what :meth:`transmit_batch` reports.  Packets must be built from
+        equal-length payloads.
+        """
+        packets = list(packets)
+        chips = self._chip_generator.grid_amplitudes(
+            np.stack([packet.preamble_symbols for packet in packets]))
+        body_symbols = self.modulator.modulate(np.concatenate(
+            [packet.body_bits for packet in packets])).reshape(
+                len(packets), -1)
+        body = self._bit_generator.grid_amplitudes(body_symbols)
+        if chips is None or body is None:
+            raise ValueError("the packets' pulses are off the PRI grid")
+        # BPSK bodies differ only in their pulse signs, so every packet
+        # has the same |body|^2 as the first; summing one synthesized
+        # body row reproduces transmit_batch's per-row sums bit for bit.
+        body_row = self._bit_generator.generate_batch_from_symbols(
+            body_symbols[:1])
+        num_bits = max(packets[0].body_bits.size, 1)
+        energy = np.sum(np.abs(body_row) ** 2, axis=-1) / num_bits
+        return (np.concatenate((chips, body), axis=1),
+                np.repeat(energy, len(packets)))
+
     def transmit_batch(self, payloads, lead_in_s, lead_out_s: float = 0.0,
                        amplitude: float = 1.0,
                        packets=None) -> TransmitBatch:

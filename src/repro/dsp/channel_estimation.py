@@ -24,6 +24,12 @@ from repro.utils.validation import require_int
 
 __all__ = ["ChannelEstimate", "BatchedChannelEstimate", "ChannelEstimator"]
 
+# Taps per gathered block of estimate_averaged_batch: its windows are
+# gathered, multiplied and reduced this many taps at a time, so the
+# gather stays a few megabytes instead of (packets, repetitions * taps,
+# preamble length).  No result depends on it.
+_TAP_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class ChannelEstimate:
@@ -272,20 +278,29 @@ class ChannelEstimator:
                                    dtype=samples.dtype)), axis=-1)
 
         # Window products reduced with sum(axis=-1): bit-identical to the
-        # per-packet per-tap np.sum dots (same pairwise reduction) —
+        # per-packet per-tap np.sum dots (same pairwise reduction over
+        # each contiguous window, whichever block it is gathered in) —
         # load-bearing, because the 4-bit-quantized taps are full of
         # magnitude ties and the downstream selective-RAKE argsort must
         # break them exactly like the per-packet path.  (An FFT
         # correlation here would be faster but epsilon-different, and
         # epsilon flips finger selection.)
-        starts = (rep_offsets[:, :, None]
-                  + np.arange(self.num_taps, dtype=np.int64)[None, None, :])
-        windows = gather_windows(
-            samples, starts.reshape(num_packets, -1), ref_len)
         reference_conj = np.conj(reference)
         reference_energy = float(np.sum(np.abs(reference) ** 2))
-        raw = np.sum(windows * reference_conj, axis=-1) / reference_energy
-        raw = raw.reshape(num_packets, num_repetitions, self.num_taps)
+        dtype = np.result_type(samples.dtype, reference_conj.dtype)
+        raw = np.empty((num_packets, num_repetitions, self.num_taps),
+                       dtype=dtype)
+        for first in range(0, self.num_taps, _TAP_BLOCK):
+            taps = np.arange(first, min(first + _TAP_BLOCK, self.num_taps),
+                             dtype=np.int64)
+            starts = rep_offsets[:, :, None] + taps
+            windows = gather_windows(
+                samples, starts.reshape(num_packets, -1),
+                ref_len).astype(dtype, copy=False)
+            windows *= reference_conj
+            raw[:, :, first:first + taps.size] = windows.sum(
+                axis=-1).reshape(num_packets, num_repetitions, taps.size)
+        raw /= reference_energy
 
         # Zero exactly what the per-packet loop never computes (taps past
         # each repetition's usable window), then accumulate repetitions

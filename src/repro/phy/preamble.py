@@ -40,14 +40,20 @@ _PRIMITIVE_TAPS = {
     11: (11, 9),
 }
 
-# Second (preferred-pair) polynomials used to build Gold codes.
+# Second (preferred-pair) polynomials used to build Gold codes: with the
+# m-sequence of _PRIMITIVE_TAPS each forms a preferred pair, whose
+# periodic cross-correlation takes only the values -1, -t and t - 2
+# (t = 2^floor((n + 2) / 2) + 1).  Degrees 6, 9, 10 and 11 generate the
+# m-sequence decimated by q = 2^k + 1, with gcd(n, k) = 1 for odd n and
+# gcd(n, k) = 2 for n = 2 mod 4 (k = 2 for degrees 6 and 10, k = 1 for 9
+# and 11); degrees divisible by 4 have no preferred pair.
 _GOLD_SECOND_TAPS = {
     5: (5, 4, 3, 2),
-    6: (6, 5, 2, 1),
+    6: (6, 5, 4, 1),
     7: (7, 4),
-    9: (9, 6, 4, 3),
-    10: (10, 9, 8, 5),
-    11: (11, 8, 5, 2),
+    9: (9, 6, 5, 3),
+    10: (10, 8, 7, 2),
+    11: (11, 9, 6, 3),
 }
 
 

@@ -171,28 +171,15 @@ class PulseTrainGenerator:
         """Vectorized placement for amplitude-only trains on the PRI grid.
 
         Valid only when every pulse start lands exactly on its nominal
-        ``pulse_index * samples_per_pri`` position (the float start-time
-        arithmetic of the general path is reproduced and checked, so the
-        output is bit-identical to the per-pulse loop); returns ``None``
-        to fall back to the loop when rounding jitter moves any start.
+        ``pulse_index * samples_per_pri`` position (:meth:`_on_pri_grid`,
+        so the output is bit-identical to the per-pulse loop); returns
+        ``None`` to fall back to the loop when rounding jitter moves any
+        start.
         """
         reps = self.config.pulses_per_symbol
-        num_pulses = symbols.size * reps
-        if num_pulses == 0:
-            return PulseTrain(waveform=waveform,
-                              sample_rate_hz=self.pulse.sample_rate_hz,
-                              config=self.config, symbols=symbols.copy(),
-                              pulse=self.pulse)
-        start_times = (np.arange(symbols.size, dtype=float)[:, None]
-                       * self.config.symbol_duration_s
-                       + np.arange(reps, dtype=float)[None, :]
-                       * self.config.pulse_repetition_interval_s)
-        starts = np.rint(start_times.ravel()
-                         * self.pulse.sample_rate_hz).astype(np.int64)
-        nominal = np.arange(num_pulses, dtype=np.int64) * self._samples_per_pri
-        if not np.array_equal(starts, nominal):
+        if not self._on_pri_grid(symbols.size):
             return None
-        shaped = waveform.reshape(num_pulses, self._samples_per_pri)
+        shaped = waveform.reshape(symbols.size * reps, self._samples_per_pri)
         amp = np.repeat(np.asarray(amplitudes), reps)
         shaped[:, :self.pulse.num_samples] = (amp[:, None]
                                               * self.pulse.waveform)
@@ -200,6 +187,52 @@ class PulseTrainGenerator:
                           sample_rate_hz=self.pulse.sample_rate_hz,
                           config=self.config, symbols=symbols.copy(),
                           pulse=self.pulse)
+
+    def _on_pri_grid(self, num_symbols: int) -> bool:
+        """Whether every pulse of ``num_symbols`` symbols starts exactly
+        on its nominal ``pulse_index * samples_per_pri`` sample.
+
+        Reproduces the float start-time arithmetic of the per-pulse loop
+        in :meth:`generate_from_symbols` (time hopping and position
+        offsets aside, which callers rule out first).
+        """
+        reps = self.config.pulses_per_symbol
+        start_times = (np.arange(num_symbols, dtype=float)[:, None]
+                       * self.config.symbol_duration_s
+                       + np.arange(reps, dtype=float)[None, :]
+                       * self.config.pulse_repetition_interval_s)
+        starts = np.rint(start_times.ravel()
+                         * self.pulse.sample_rate_hz).astype(np.int64)
+        nominal = (np.arange(num_symbols * reps, dtype=np.int64)
+                   * self._samples_per_pri)
+        return bool(np.array_equal(starts, nominal))
+
+    def grid_amplitudes(self, symbols_batch) -> np.ndarray | None:
+        """Per-pulse amplitudes of a batch of trains on the PRI grid.
+
+        ``symbols_batch`` is ``(num_trains, num_symbols)``; the return is
+        ``(num_trains, num_symbols * pulses_per_symbol)``, pulse ``k`` of
+        train ``i`` starting at sample ``k * samples_per_pulse_interval``
+        of that train — what :meth:`generate_batch_from_symbols` places
+        and what an ADC-rate synthesis sums instead.  Time hopping,
+        position modulation, grid rounding jitter or an amplitude map
+        that is not elementwise return ``None`` (exactly the trains the
+        per-pulse loop of :meth:`generate_from_symbols` builds).
+        """
+        symbols_batch = np.asarray(symbols_batch)
+        if symbols_batch.ndim != 2:
+            raise ValueError("grid_amplitudes expects a (num_trains, "
+                             "num_symbols) batch")
+        if self.config.time_hopping_codes \
+                or self.modulator.position_offsets is not None:
+            return None
+        if not self._on_pri_grid(symbols_batch.shape[1]):
+            return None
+        amplitudes = np.asarray(
+            self.modulator.symbols_to_amplitudes(symbols_batch))
+        if amplitudes.shape != symbols_batch.shape:
+            return None
+        return np.repeat(amplitudes, self.config.pulses_per_symbol, axis=1)
 
     def generate_batch_from_symbols(self, symbols_batch) -> np.ndarray | None:
         """Vectorized waveform synthesis for a whole batch of symbol rows.
@@ -210,43 +243,18 @@ class PulseTrainGenerator:
         ``generate_from_symbols(symbols_batch[i]).waveform``, because the
         placement is the same broadcast multiply
         :meth:`_place_amplitude_grid` performs, with the batch axis in
-        front.  Only the amplitude-on-the-PRI-grid fast path batches:
-        time hopping, position modulation, or grid rounding jitter return
-        ``None`` so callers fall back to the per-train loop (exactly when
-        the single-train generator would fall back too).
+        front.  Only the amplitude-on-the-PRI-grid fast path batches
+        (:meth:`grid_amplitudes`); otherwise this returns ``None`` so
+        callers fall back to the per-train loop (exactly when the
+        single-train generator would fall back too).
         """
-        symbols_batch = np.asarray(symbols_batch)
-        if symbols_batch.ndim != 2:
-            raise ValueError("generate_batch_from_symbols expects a "
-                             "(num_trains, num_symbols) batch")
-        if self.config.time_hopping_codes \
-                or self.modulator.position_offsets is not None:
+        amp = self.grid_amplitudes(symbols_batch)
+        if amp is None:
             return None
-        num_trains, num_symbols = symbols_batch.shape
-        reps = self.config.pulses_per_symbol
-        num_pulses = num_symbols * reps
         is_complex = np.iscomplexobj(self.pulse.waveform)
-        dtype = complex if is_complex else float
-        if num_pulses == 0:
-            return np.zeros((num_trains, 0), dtype=dtype)
-        start_times = (np.arange(num_symbols, dtype=float)[:, None]
-                       * self.config.symbol_duration_s
-                       + np.arange(reps, dtype=float)[None, :]
-                       * self.config.pulse_repetition_interval_s)
-        starts = np.rint(start_times.ravel()
-                         * self.pulse.sample_rate_hz).astype(np.int64)
-        nominal = np.arange(num_pulses, dtype=np.int64) * self._samples_per_pri
-        if not np.array_equal(starts, nominal):
-            return None
-        amplitudes = np.asarray(
-            self.modulator.symbols_to_amplitudes(symbols_batch))
-        if amplitudes.shape != symbols_batch.shape:
-            # Modulators whose amplitude map is not elementwise cannot
-            # broadcast over the batch axis; fall back to the loop.
-            return None
+        num_trains, num_pulses = amp.shape
         batch = np.zeros((num_trains, num_pulses, self._samples_per_pri),
-                         dtype=dtype)
-        amp = np.repeat(amplitudes, reps, axis=1)
+                         dtype=complex if is_complex else float)
         batch[:, :, :self.pulse.num_samples] = (amp[:, :, None]
                                                 * self.pulse.waveform)
         return batch.reshape(num_trains, num_pulses * self._samples_per_pri)

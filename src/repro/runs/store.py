@@ -52,6 +52,7 @@ from repro.core.metrics import BERPoint
 from repro.obs.recorder import active
 from repro.sim.engine import chunk_spans
 from repro.utils.io import AppendLog
+from repro.utils.validation import require_int
 
 __all__ = [
     "ChunkPlan",
@@ -180,9 +181,12 @@ class StoredChunk:
         key = record.get("key")
         if not isinstance(key, str) or len(key) != 64:
             raise ValueError("store record has a malformed key")
-        offset = record.get("packet_offset")
-        if not isinstance(offset, int) or offset < 0:
-            raise ValueError("store record has a malformed packet_offset")
+        try:
+            offset = require_int(record.get("packet_offset"),
+                                 "packet_offset", minimum=0)
+        except (TypeError, ValueError):
+            raise ValueError(
+                "store record has a malformed packet_offset") from None
         measurement = BERPoint.from_dict(record.get("measurement", {}))
         if measurement.packets_sent == 0:
             raise ValueError("store record covers zero packets")

@@ -14,11 +14,18 @@ Monte-Carlo batch:
 * the transmit/channel/impairment/noise/ADC front half consumes the
   random streams in exactly the per-packet order (seeded parity with
   ``backend="packet"`` is a hard contract, guarded by
-  ``tests/sim/test_fullstack_parity.py``) while computing the waveform
-  values as whole-batch array passes: batched pulse-train synthesis
-  (:meth:`~repro.core.transmitter._PulsedTransmitter.transmit_batch`),
-  one broadcast FFT for every packet's multipath channel
-  (:func:`~repro.channel.multipath.apply_channels_batch`), batched AGC
+  ``tests/sim/test_fullstack_parity.py``) while computing the sample
+  values as whole-batch array passes at the ADC rate: nothing after the
+  ADC sees the simulation-rate signal, and every stage between the
+  channel and the ADC's decimation is per sample, so the batch is
+  synthesized only at the samples the ADC keeps.  Each packet is a BPSK
+  pulse train on the PRI grid
+  (:meth:`~repro.core.transmitter._PulsedTransmitter.pulse_grid`), so
+  its noiseless samples are one Toeplitz matmul against the decimated
+  phase of its channel-convolved pulse (:func:`pulse_train_rows`); the
+  impairments, interference and noise are added there (drawn at the
+  simulation rate, in stream order, and kept at the ADC samples); then
+  batched AGC
   (:meth:`~repro.dsp.agc.AutomaticGainControl.apply_from_peak_batch`)
   and a batched ADC — the gen-2 SAR pair with pre-drawn comparator
   noise, or the gen-1 4-way time-interleaved flash
@@ -39,9 +46,9 @@ Monte-Carlo batch:
 The full-stack fast path shares the shared-memory fan-out and
 ``repro.runs`` caching the genie kernel already has.  Bit decisions are
 identical to the per-packet loop; intermediate floats can differ at
-rounding level (batched FFT widths and einsum reduction orders), which is
-why the parity suite pins *decisions* and the golden fixture pins the
-batched path's own numbers.
+rounding level (the ADC-rate synthesis against the per-packet channel
+FFT, einsum reduction orders), which is why the parity suite pins
+*decisions* and the golden fixture pins the batched path's own numbers.
 """
 
 from __future__ import annotations
@@ -54,7 +61,9 @@ from repro.adc.interleaved import TimeInterleavedADC
 from repro.adc.sar import QuadratureSARADC
 from repro.channel.awgn import awgn, noise_std_for_ebn0
 from repro.channel.interference import accepts_rng
-from repro.channel.multipath import apply_channels_batch
+# Unused here; perfbench's traced mode patches
+# ``repro.sim.batch_rx.apply_channels_batch`` by name.
+from repro.channel.multipath import apply_channels_batch  # noqa: F401
 from repro.core.metrics import BERPoint
 from repro.core.receiver import Gen1Receiver, Gen2Receiver, ReceiveResult
 from repro.dsp.acquisition import BatchedAcquisitionResult
@@ -104,6 +113,64 @@ class FullStackBatchResult:
                         total_bits=self.total_bits,
                         packets_sent=self.packets_sent,
                         packets_failed=self.packets_failed)
+
+
+@dataclass(frozen=True)
+class _FrontDraws:
+    """Phase 1 of a batched front half: each packet's draws, in order.
+
+    ``lead_ins`` and ``lengths`` are simulation-rate sample counts (the
+    lead-in and the whole transmission, as ``transmit`` would emit
+    them); ``interference`` and ``noise`` hold only the samples the ADC
+    keeps, ``noise`` one real stream or an I/Q pair per packet (``None``
+    without noise); ``adc_noise`` the gen-2 SAR comparator pairs.
+    """
+
+    payloads: list
+    packets: list
+    channels: list
+    interference: list
+    noise: list
+    adc_noise: list
+    lead_ins: np.ndarray
+    lengths: np.ndarray
+
+    def true_starts(self, decimation: int) -> list[int]:
+        """Each packet's preamble start in ADC samples."""
+        return (self.lead_ins // decimation).tolist()
+
+
+def pulse_train_rows(amplitudes, kernels, step: int) -> np.ndarray:
+    """Rows of ``sum_k a[i, k] g_i[n - k * step]``, one kernel per row.
+
+    ``amplitudes`` is ``(rows, pulses)`` real, ``kernels`` ``(rows,
+    length)`` real or complex; the result is ``(rows, (pulses - 1) *
+    step + length)``, the full convolution of each row's impulse train
+    with its kernel.  Cut into ``step``-sample blocks, row ``i``'s output
+    block ``j`` is ``sum_b a[i, j - b] G_i[b]`` over the kernel's
+    blocks ``G_i[b]``, so one batched matmul of a ``(rows, pulses +
+    blocks - 1, blocks)`` Toeplitz gather of the amplitudes against the
+    reversed blocks builds every row (the per-row form of
+    :meth:`repro.sim.batch.BatchedLinkModel.synthesize`).  A complex
+    kernel is multiplied as interleaved real and imaginary parts, so
+    the product is a real BLAS matmul whose output is the complex rows.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    rows, pulses = amplitudes.shape
+    length = int(kernels.shape[-1])
+    blocks = -(-length // step)
+    padded = np.zeros((rows, pulses + 2 * (blocks - 1)))
+    padded[:, blocks - 1:blocks - 1 + pulses] = amplitudes
+    toeplitz = padded[:, np.arange(pulses + blocks - 1)[:, None]
+                      + np.arange(blocks)]
+    blocked = np.zeros((rows, blocks * step), dtype=kernels.dtype)
+    blocked[:, :length] = kernels
+    blocked = np.ascontiguousarray(
+        blocked.reshape(rows, blocks, step)[:, ::-1])
+    product = np.matmul(toeplitz, blocked.view(float))
+    if np.iscomplexobj(kernels):
+        product = product.view(complex)
+    return product.reshape(rows, -1)[:, :(pulses - 1) * step + length]
 
 
 class BatchedFullStackModel:
@@ -156,8 +223,8 @@ class BatchedFullStackModel:
             rng = np.random.default_rng()
         receiver = self.receiver
         if self._gen1_batched_front and not monitor_spectrum:
-            waveform_rows = [np.asarray(waveform) for waveform in waveforms]
-            samples_rows = self._gen1_samples_from_waveforms(waveform_rows)
+            samples_rows = self._gen1_samples_from_waveforms(
+                [np.asarray(waveform) for waveform in waveforms])
             reports = [None] * len(samples_rows)
         else:
             samples_rows = []
@@ -173,25 +240,23 @@ class BatchedFullStackModel:
     def _gen1_samples_from_waveforms(self, waveform_rows):
         """Gen-1 analog-to-codes front half, batched over packets.
 
-        Decimate -> per-row peak AGC -> batched interleaved-flash
-        conversion: the batched equivalent of looping
-        :meth:`~repro.core.receiver._PulsedReceiver.frontend_samples`,
-        sample-identical per packet because the rows are processed on
-        their own lengths (trailing zero padding never moves a peak and
-        never shifts the slice round-robin, which counts from index 0 of
-        every row).  Returns the per-packet quantized ADC-rate streams.
+        Decimate each row into a zero-padded ADC-rate batch, then
+        :meth:`_gen1_samples_from_adc_rows`: the batched equivalent of
+        looping :meth:`~repro.core.receiver._PulsedReceiver
+        .frontend_samples`, sample-identical per packet.  Returns the
+        per-packet quantized ADC-rate streams.
         """
-        lengths = np.asarray([row.size for row in waveform_rows],
-                             dtype=np.int64)
-        if lengths.size == 0:
+        if not waveform_rows:
             return []
-        width = int(lengths.max())
+        decimation = self.config.decimation_factor
+        adc_lengths = np.asarray([-(-row.size // decimation)
+                                  for row in waveform_rows], dtype=np.int64)
         is_complex = any(np.iscomplexobj(row) for row in waveform_rows)
-        batch = np.zeros((len(waveform_rows), width),
+        batch = np.zeros((len(waveform_rows), int(adc_lengths.max())),
                          dtype=complex if is_complex else float)
         for index, row in enumerate(waveform_rows):
-            batch[index, :row.size] = row
-        return self._gen1_samples_from_rows(batch, lengths)
+            batch[index, :adc_lengths[index]] = row[::decimation]
+        return self._gen1_samples_from_adc_rows(batch, adc_lengths)
 
     def _receive_samples_batch(self, samples_rows, reports):
         """The batched DSP back half: ADC streams in, per-packet results
@@ -380,111 +445,185 @@ class BatchedFullStackModel:
 
     def _phase1_draws(self, ebn0_db, num_packets: int,
                       payload_bits_per_packet: int, rng,
-                      make_channel, make_interferer, lead_in_s,
-                      complex_waveform, draw_noise, draw_adc_noise=None):
-        """Timed wrapper over :meth:`_phase1_draws_impl` (the
-        ``rx.synthesis`` telemetry stage: draws + batched TX synthesis).
-        """
-        with active().span("rx.synthesis", packets=int(num_packets)):
-            return self._phase1_draws_impl(
-                ebn0_db, num_packets, payload_bits_per_packet, rng,
-                make_channel, make_interferer, lead_in_s,
-                complex_waveform, draw_noise, draw_adc_noise)
-
-    def _phase1_draws_impl(self, ebn0_db, num_packets: int,
-                           payload_bits_per_packet: int, rng,
-                           make_channel, make_interferer, lead_in_s,
-                           complex_waveform, draw_noise,
-                           draw_adc_noise=None):
+                      make_channel, make_interferer,
+                      lead_in_s) -> _FrontDraws:
         """Phase 1 of both batched front halves: every random draw, in
         exactly the per-packet order the packet oracle performs them.
 
         Per packet: channel and interferer realization, payload bits,
         lead-in, interferer symbols (by the ``add_to == signal +
-        waveform(...)`` convention every built-in rng-consuming
-        interferer follows), then the generation-specific noise draws —
-        all sized from :meth:`~repro.core.transmitter._PulsedTransmitter
+        waveform(...)`` convention every built-in interferer follows),
+        the AWGN draws :func:`~repro.channel.awgn.awgn` would make, then
+        on gen 2 the SAR comparator-noise pair — all sized from
+        :meth:`~repro.core.transmitter._PulsedTransmitter
         .num_transmit_samples` before any waveform exists.  This draw
         order is the parity contract with ``backend="packet"``, so it
-        lives in exactly one place; the generation hooks only decide
-        *what* is drawn, never *when*:
+        lives in exactly one place.  The gen-2 waveform is complex; a
+        gen-1 packet is real unless a complex-gain channel promotes it,
+        which changes every later dtype-sensitive step (interferer tone
+        vs complex exponential, one noise stream vs an I/Q pair).
 
-        ``complex_waveform(channel)``
-            whether this packet's analog waveform is complex (drives the
-            interferer's ``complex_baseband`` flag and the noise shape);
-        ``draw_noise(rng, num_samples, is_complex)``
-            the AWGN draw(s) for one packet (skipped when ``ebn0_db`` is
-            ``None``);
-        ``draw_adc_noise(rng, num_adc_samples)``
-            optional converter-noise draw (the gen-2 SAR comparator
-            pair; gen 1 draws none).
-
-        Returns ``(tx_batch, payloads, channels, interferers,
-        interferer_waves, complex_rows, noise_draws, adc_noise)`` with
-        the transmit waveforms already synthesized as one batch.
+        Interference and noise are drawn at the simulation rate, as the
+        oracle draws them, and only the samples the ADC keeps (every
+        ``decimation``-th) are held.
         """
         transmitter = self.transceiver.transmitter
         config = self.config
         decimation = config.decimation_factor
         sample_rate = config.simulation_rate_hz
+        gen2 = self._gen2_batched_front
 
-        payloads, packets, lead_ins_s = [], [], []
-        channels, interferers, interferer_waves = [], [], []
-        complex_rows, noise_draws, adc_noise = [], [], []
-        for _ in range(num_packets):
-            channel = make_channel() if make_channel is not None else None
-            interferer = (make_interferer() if make_interferer is not None
-                          else None)
-            payload = random_bits(payload_bits_per_packet, rng=rng)
-            if lead_in_s is None:
-                packet_lead_in_s = (float(rng.integers(4, 25))
-                                    * config.pulse_repetition_interval_s)
-            else:
-                packet_lead_in_s = lead_in_s
-            packet = transmitter.builder.build(payload)
-            num_samples = transmitter.num_transmit_samples(
-                packet, lead_in_s=packet_lead_in_s, lead_out_s=2e-8)
-            is_complex = bool(complex_waveform(channel))
-            interferer_wave = None
-            if interferer is not None and accepts_rng(interferer, "add_to"):
-                interferer_wave = interferer.waveform(
-                    num_samples, sample_rate, rng=rng,
-                    complex_baseband=is_complex)
-            noise_draws.append(None if ebn0_db is None
-                               else draw_noise(rng, num_samples, is_complex))
-            if draw_adc_noise is not None:
-                adc_noise.append(
-                    draw_adc_noise(rng, -(-num_samples // decimation)))
-            payloads.append(payload)
-            packets.append(packet)
-            lead_ins_s.append(packet_lead_in_s)
-            channels.append(channel)
-            interferers.append(interferer)
-            interferer_waves.append(interferer_wave)
-            complex_rows.append(is_complex)
+        def kept(samples: np.ndarray) -> np.ndarray:
+            return samples[::decimation].copy()
 
-        tx_batch = transmitter.transmit_batch(payloads, lead_ins_s,
-                                              lead_out_s=2e-8,
-                                              packets=packets)
-        return (tx_batch, payloads, channels, interferers, interferer_waves,
-                complex_rows, noise_draws, adc_noise)
+        payloads, packets, channels, lead_ins_s, lengths = [], [], [], [], []
+        interference, noise, adc_noise = [], [], []
+        with active().span("rx.draws", packets=int(num_packets)):
+            for _ in range(num_packets):
+                channel = (make_channel() if make_channel is not None
+                           else None)
+                interferer = (make_interferer()
+                              if make_interferer is not None else None)
+                payload = random_bits(payload_bits_per_packet, rng=rng)
+                if lead_in_s is None:
+                    packet_lead_in_s = (float(rng.integers(4, 25))
+                                        * config.pulse_repetition_interval_s)
+                else:
+                    packet_lead_in_s = lead_in_s
+                packet = transmitter.builder.build(payload)
+                num_samples = transmitter.num_transmit_samples(
+                    packet, lead_in_s=packet_lead_in_s, lead_out_s=2e-8)
+                is_complex = gen2 or (channel is not None
+                                      and np.iscomplexobj(channel.gains))
+                wave = None
+                if interferer is not None:
+                    rng_kwargs = ({"rng": rng}
+                                  if accepts_rng(interferer, "add_to")
+                                  else {})
+                    wave = kept(interferer.waveform(
+                        num_samples, sample_rate,
+                        complex_baseband=is_complex, **rng_kwargs))
+                interference.append(wave)
+                noise.append(None if ebn0_db is None else tuple(
+                    kept(rng.standard_normal(num_samples))
+                    for _ in range(2 if is_complex else 1)))
+                if gen2:
+                    num_adc = -(-num_samples // decimation)
+                    adc_noise.append(tuple(
+                        adc.draw_comparator_noise(rng, (num_adc,))
+                        for adc in (self.receiver.adc.i_adc,
+                                    self.receiver.adc.q_adc)))
+                payloads.append(payload)
+                packets.append(packet)
+                channels.append(channel)
+                lead_ins_s.append(packet_lead_in_s)
+                lengths.append(num_samples)
+        return _FrontDraws(
+            payloads=payloads, packets=packets, channels=channels,
+            interference=interference, noise=noise, adc_noise=adc_noise,
+            # transmit()'s lead-in rounding, per packet.
+            lead_ins=np.rint(np.asarray(lead_ins_s)
+                             * sample_rate).astype(np.int64),
+            lengths=np.asarray(lengths, dtype=np.int64))
 
-    def _channel_batch(self, channels, tx_batch):
-        """Phase-2 channel pass over the transmit batch, copy-safe.
+    def _noiseless_adc_rows(self, draws: _FrontDraws):
+        """The noiseless received ADC samples of every packet, synthesized
+        at the ADC rate.
 
-        :func:`apply_channels_batch` returns its input array when no row
-        has a channel; the later interference/noise adds write in place,
-        so that case copies first — the (frozen) ``tx_batch`` must keep
-        its clean transmit waveforms.
+        A packet is one pulse train on the PRI grid
+        (:meth:`~repro.core.transmitter._PulsedTransmitter.pulse_grid`):
+        amplitudes ``a_k``, pulse ``k`` at simulation sample ``lead_in +
+        k * D * S`` (``D`` the decimation, ``S`` ADC samples per PRI).
+        Through its channel ``h`` the simulation-rate waveform is
+        ``sum_k a_k (pulse * h)[n - lead_in - k D S]``, and the ADC keeps
+        ``n = m D``.  With ``r = -lead_in mod D`` every kept sample reads
+        the same phase ``g = (pulse * h)[r::D]`` of the response, so the
+        row is ``sum_k a_k g[m - q - k S]`` with ``q = (lead_in + r) /
+        D`` (:func:`pulse_train_rows`, one ``g`` per packet).  Writing
+        ``q = u S + v``, the train starts ``u`` pulses late and ``g``
+        ``v`` samples late, so every row is synthesized in place from
+        ADC sample 0.  The result equals decimating the
+        channel-convolved transmit waveform to rounding (about 1e-15 of
+        the peak), truncated like it to the packet's ``ceil(num_samples
+        / D)`` ADC samples.
+
+        Returns ``(rows, adc_lengths, energies_per_body_bit)``: the
+        zero-padded ``(packets, adc_width)`` rows (complex when any
+        packet's response is), each row's ADC length, and the transmit
+        energies noise levels are set from.
         """
-        with active().span("rx.channel_fft",
-                           packets=int(tx_batch.waveforms.shape[0])):
-            batch = apply_channels_batch(channels, tx_batch.waveforms,
-                                         self.config.simulation_rate_hz,
-                                         valid_lengths=tx_batch.lengths)
-        if batch is tx_batch.waveforms:
-            batch = batch.copy()
-        return batch
+        transmitter = self.transceiver.transmitter
+        decimation = self.config.decimation_factor
+        sample_rate = self.config.simulation_rate_hz
+        step = transmitter.samples_per_chip // decimation
+        amplitudes, energies = transmitter.pulse_grid(draws.packets)
+        num_packets, num_pulses = amplitudes.shape
+        phases = -draws.lead_ins % decimation
+        late_pulses, late_samples = np.divmod(
+            (draws.lead_ins + phases) // decimation, step)
+        pulse = transmitter.pulse.waveform
+        references = [
+            (pulse if channel is None else np.convolve(
+                pulse, channel.discrete_impulse_response(sample_rate))
+             )[phase::decimation]
+            for channel, phase in zip(draws.channels, phases)]
+        is_complex = any(np.iscomplexobj(reference)
+                         for reference in references)
+        kernels = np.zeros(
+            (num_packets, max(int(late) + reference.size for late, reference
+                              in zip(late_samples, references))),
+            dtype=complex if is_complex else float)
+        adc_lengths = -(-draws.lengths // decimation)
+        width = int(adc_lengths.max())
+        # Enough (zero) pulses that every train covers the widest row.
+        trains = np.zeros((num_packets, max(
+            num_pulses + int(late_pulses.max()),
+            -(-(width - kernels.shape[1]) // step) + 1)))
+        for index, reference in enumerate(references):
+            late = int(late_samples[index])
+            kernels[index, late:late + reference.size] = reference
+            first = int(late_pulses[index])
+            trains[index, first:first + num_pulses] = amplitudes[index]
+        rows = pulse_train_rows(trains, kernels, step)[:, :width]
+        for index, stop in enumerate(adc_lengths):
+            # The channel tail past the packet's own buffer, which
+            # transmit + channel.apply (keep_length) never captures.
+            rows[index, stop:] = 0.0
+        return rows, adc_lengths, energies
+
+    def _adc_rate_front(self, draws: _FrontDraws, ebn0_db, rng):
+        """Phase 2 up to the AGC: the analog chain at the kept samples.
+
+        Noiseless rows (:meth:`_noiseless_adc_rows`), then per packet
+        the same elementwise stages the oracle runs at the simulation
+        rate — impairments, interference, noise — on the samples the ADC
+        keeps, with bitwise the oracle's values at those samples.
+        Returns ``(rows, adc_lengths)``.
+        """
+        transceiver = self.transceiver
+        decimation = self.config.decimation_factor
+        # Gen 1 has no analog impairments (its hook is the identity).
+        impaired = self._gen2_batched_front and self.config.has_impairments
+        sqrt2 = np.sqrt(2.0)
+        with active().span("rx.synthesis", packets=len(draws.packets)):
+            rows, adc_lengths, energies = self._noiseless_adc_rows(draws)
+        for index, noise in enumerate(draws.noise):
+            valid = slice(0, int(adc_lengths[index]))
+            if impaired:
+                rows[index, valid] = transceiver._apply_impairments(
+                    rows[index, valid], rng, decimation=decimation)
+            if draws.interference[index] is not None:
+                rows[index, valid] += draws.interference[index]
+            if noise is None:
+                continue
+            noise_std = noise_std_for_ebn0(float(energies[index]), ebn0_db)
+            if len(noise) == 2:
+                in_phase, quadrature = noise
+                rows[index, valid] += ((in_phase + 1j * quadrature)
+                                       * (noise_std / sqrt2))
+            else:
+                rows[index, valid] += noise_std * noise[0]
+        return rows, adc_lengths
 
     def _frontend_batched_gen2(self, ebn0_db, num_packets: int,
                                payload_bits_per_packet: int, rng,
@@ -494,67 +633,26 @@ class BatchedFullStackModel:
         Phase 1 (:meth:`_phase1_draws`) performs every random draw in
         exactly the per-packet order — payload bits, lead-in, interferer
         symbols, the AWGN I/Q pair, SAR comparator noise — while phase 2
-        computes the waveform values as whole-batch array operations:
-        one batched pulse-train synthesis, one FFT pass for every
-        packet's channel, one SAR search for every packet's I/Q streams.
-        Post-ADC streams match the per-packet front end bit for bit
-        except at exact quantizer code boundaries (probability ~0 under
-        continuous noise).
+        computes the values as whole-batch array operations at the 1
+        GS/s ADC rate (:meth:`_adc_rate_front`): one Toeplitz synthesis
+        of every packet's channel-convolved pulse train, the elementwise
+        impairments, interference and noise, then one SAR search for
+        every packet's I/Q streams.  No simulation-rate waveform is
+        formed.  Post-ADC streams match the per-packet front end bit for
+        bit except at exact quantizer code boundaries (probability ~0
+        under continuous noise).
         """
-        transceiver = self.transceiver
         receiver = self.receiver
-        config = self.config
-        decimation = config.decimation_factor
-        sample_rate = config.simulation_rate_hz
-        sqrt2 = np.sqrt(2.0)
-
-        def draw_noise(rng, num_samples, is_complex):
-            return (rng.standard_normal(num_samples),
-                    rng.standard_normal(num_samples))
-
-        def draw_adc_noise(rng, num_adc):
-            return (receiver.adc.i_adc.draw_comparator_noise(rng,
-                                                             (num_adc,)),
-                    receiver.adc.q_adc.draw_comparator_noise(rng,
-                                                             (num_adc,)))
-
-        (tx_batch, payloads, channels, interferers, interferer_waves,
-         _complex_rows, noise_pairs, adc_noise) = self._phase1_draws(
+        draws = self._phase1_draws(
             ebn0_db, num_packets, payload_bits_per_packet, rng,
-            make_channel, make_interferer, lead_in_s,
-            complex_waveform=lambda channel: True,
-            draw_noise=draw_noise, draw_adc_noise=draw_adc_noise)
+            make_channel, make_interferer, lead_in_s)
+        rows, adc_lengths = self._adc_rate_front(draws, ebn0_db, rng)
 
-        lengths = tx_batch.lengths
-        true_starts = [int(start) // decimation
-                       for start in tx_batch.preamble_start_samples]
-        batch = self._channel_batch(channels, tx_batch)
-
-        for index in range(num_packets):
-            valid = slice(0, int(lengths[index]))
-            if config.has_impairments:
-                batch[index, valid] = transceiver._apply_impairments(
-                    batch[index, valid], rng)
-            if interferer_waves[index] is not None:
-                batch[index, valid] += interferer_waves[index]
-            elif interferers[index] is not None:
-                batch[index, valid] = interferers[index].add_to(
-                    batch[index, valid], sample_rate)
-            if noise_pairs[index] is not None:
-                noise_std = noise_std_for_ebn0(
-                    float(tx_batch.energies_per_body_bit[index]), ebn0_db)
-                in_phase, quadrature = noise_pairs[index]
-                batch[index, valid] += ((in_phase + 1j * quadrature)
-                                        * (noise_std / sqrt2))
-
-        # Decimate -> block AGC -> SAR pair, batched (the per-packet
-        # equivalents are frontend_samples' decimate/apply_from_peak/
-        # _digitize with full_scale 1.0 and 1 dB peak backoff).
-        decimated = batch[:, ::decimation]
-        adc_lengths = -(-lengths // decimation)
+        # Block AGC -> SAR pair, batched (the per-packet equivalents are
+        # frontend_samples' apply_from_peak/_digitize with full_scale 1.0
+        # and 1 dB peak backoff).
         scaled, _gains = receiver.agc.apply_from_peak_batch(
-            decimated, full_scale=1.0, peak_backoff_db=1.0)
-
+            rows, full_scale=1.0, peak_backoff_db=1.0)
         bits = receiver.adc.bits
         adc_width = int(scaled.shape[1])
 
@@ -562,10 +660,10 @@ class BatchedFullStackModel:
             # Each SAR path draws (or not) independently of the other, so
             # an asymmetric pair — noisy I comparator, ideal Q — still
             # injects exactly the pre-drawn per-packet streams.
-            if adc_noise[0][side] is None:
+            if draws.adc_noise[0][side] is None:
                 return None
             stacked = np.zeros((bits, num_packets, adc_width))
-            for index, drawn in enumerate(adc_noise):
+            for index, drawn in enumerate(draws.adc_noise):
                 stacked[:, index, :drawn[side].shape[-1]] = drawn[side]
             return stacked
 
@@ -574,7 +672,8 @@ class BatchedFullStackModel:
                                              noise_q=_stack_noise(1))
         samples_rows = [samples_batch[index, :adc_lengths[index]]
                         for index in range(num_packets)]
-        return samples_rows, [None] * num_packets, payloads, true_starts
+        return (samples_rows, [None] * num_packets, draws.payloads,
+                draws.true_starts(self.config.decimation_factor))
 
     def _frontend_batched_gen1(self, ebn0_db, num_packets: int,
                                payload_bits_per_packet: int, rng,
@@ -587,87 +686,32 @@ class BatchedFullStackModel:
         AWGN noise (*one* real stream per packet, or an I/Q pair when a
         complex-gain channel promotes the waveform, exactly the draws
         :func:`~repro.channel.awgn.awgn` would make) — and phase 2 runs
-        the waveform math batched: one pulse-train synthesis pass, one
-        broadcast FFT over every packet's real multipath kernel, batched
-        peak AGC and the batched 4-way interleaved-flash conversion.
-        The gen-1 interleaved flash draws no conversion randomness (its
-        mismatches are frozen at construction), so there is no ADC-noise
-        phase.  Post-ADC streams match the per-packet front end bit for
-        bit except at exact flash threshold crossings (probability ~0
-        under continuous noise).
+        the values batched at the 2 GS/s ADC rate
+        (:meth:`_adc_rate_front`; gen 1 has no analog impairments), then
+        batched peak AGC and the batched 4-way interleaved-flash
+        conversion.  The gen-1 interleaved flash draws no conversion
+        randomness (its mismatches are frozen at construction), so there
+        is no ADC-noise phase.  Post-ADC streams match the per-packet
+        front end bit for bit except at exact flash threshold crossings
+        (probability ~0 under continuous noise).
         """
-        config = self.config
-        sample_rate = config.simulation_rate_hz
-        sqrt2 = np.sqrt(2.0)
-
-        def complex_waveform(channel):
-            # A complex-gain channel promotes this packet's real waveform
-            # to complex, which changes every later dtype-sensitive step
-            # (interferer tone vs complex exponential, one noise stream
-            # vs an I/Q pair) — track it per packet.
-            return channel is not None and np.iscomplexobj(channel.gains)
-
-        def draw_noise(rng, num_samples, is_complex):
-            if is_complex:
-                return (rng.standard_normal(num_samples),
-                        rng.standard_normal(num_samples))
-            return rng.standard_normal(num_samples)
-
-        (tx_batch, payloads, channels, interferers, interferer_waves,
-         complex_rows, noise_draws, _adc_noise) = self._phase1_draws(
+        draws = self._phase1_draws(
             ebn0_db, num_packets, payload_bits_per_packet, rng,
-            make_channel, make_interferer, lead_in_s,
-            complex_waveform=complex_waveform, draw_noise=draw_noise)
+            make_channel, make_interferer, lead_in_s)
+        rows, adc_lengths = self._adc_rate_front(draws, ebn0_db, rng)
+        samples_rows = self._gen1_samples_from_adc_rows(rows, adc_lengths)
+        return (samples_rows, [None] * num_packets, draws.payloads,
+                draws.true_starts(self.config.decimation_factor))
 
-        lengths = tx_batch.lengths
-        decimation = config.decimation_factor
-        true_starts = [int(start) // decimation
-                       for start in tx_batch.preamble_start_samples]
-        batch = self._channel_batch(channels, tx_batch)
-        batch_is_complex = np.iscomplexobj(batch)
-
-        # Gen-1 has no analog impairment hook (``_apply_impairments`` is
-        # the identity), so phase 2 goes straight to interference+noise.
-        for index in range(num_packets):
-            valid = slice(0, int(lengths[index]))
-            if interferer_waves[index] is not None:
-                batch[index, valid] += interferer_waves[index]
-            elif interferers[index] is not None:
-                if batch_is_complex and not complex_rows[index]:
-                    # The batch was promoted by *other* rows' channels;
-                    # this packet is still logically real (zero imag), so
-                    # feed add_to the real view to keep the per-packet
-                    # tone real, not a complex exponential.
-                    batch[index, valid] = interferers[index].add_to(
-                        np.real(batch[index, valid]), sample_rate)
-                else:
-                    batch[index, valid] = interferers[index].add_to(
-                        batch[index, valid], sample_rate)
-            if noise_draws[index] is None:
-                continue
-            noise_std = noise_std_for_ebn0(
-                float(tx_batch.energies_per_body_bit[index]), ebn0_db)
-            if complex_rows[index]:
-                in_phase, quadrature = noise_draws[index]
-                batch[index, valid] += ((in_phase + 1j * quadrature)
-                                        * (noise_std / sqrt2))
-            else:
-                batch[index, valid] += noise_std * noise_draws[index]
-
-        samples_rows = self._gen1_samples_from_rows(batch, lengths)
-        return samples_rows, [None] * num_packets, payloads, true_starts
-
-    def _gen1_samples_from_rows(self, batch, lengths):
-        """Shared gen-1 decimate -> AGC -> interleaved-flash batch tail."""
+    def _gen1_samples_from_adc_rows(self, rows, adc_lengths):
+        """Shared gen-1 AGC -> interleaved-flash batch tail over
+        zero-padded ADC-rate rows."""
         receiver = self.receiver
-        decimation = self.config.decimation_factor
-        decimated = batch[:, ::decimation]
-        adc_lengths = -(-np.asarray(lengths, dtype=np.int64) // decimation)
         scaled, _gains = receiver.agc.apply_from_peak_batch(
-            decimated, full_scale=1.0, peak_backoff_db=1.0)
+            rows, full_scale=1.0, peak_backoff_db=1.0)
         samples_batch = receiver.adc.convert_presampled_batch(np.real(scaled))
         return [samples_batch[index, :adc_lengths[index]]
-                for index in range(batch.shape[0])]
+                for index in range(rows.shape[0])]
 
     # ------------------------------------------------------------------
     # Full Monte-Carlo grid point

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.multipath import MultipathChannel
+from repro.dsp import channel_estimation
 from repro.dsp.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.dsp.rake import RakeReceiver
 from repro.dsp.viterbi import MLSEEqualizer, equalize_to_bits_batch
@@ -102,6 +103,42 @@ class TestChannelEstimator:
         base, estimator = _estimator()
         with pytest.raises(ValueError):
             estimator.estimate(np.zeros(16), 0, SAMPLE_RATE)
+
+    @pytest.mark.parametrize("quantization_bits", [None, 4])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_batch_tap_blocks_change_no_bit(self, monkeypatch,
+                                            quantization_bits, is_complex):
+        """The batched estimator gathers its windows a block of taps at a
+        time; the taps must equal the unblocked (one-block) reduction and
+        the per-packet path bit for bit, on quantized input whose 4-bit
+        taps tie (selective RAKE breaks those ties by array order)."""
+        base, estimator = _estimator(quantization_bits=quantization_bits,
+                                     num_taps=16)
+        rng = np.random.default_rng(11)
+        # Coarse ADC-like codes: few distinct values, so many dots tie.
+        samples = rng.integers(-3, 4, (6, 1100)) / 4.0
+        if is_complex:
+            samples = samples + 1j * rng.integers(-3, 4, (6, 1100)) / 4.0
+        timing = rng.integers(0, 40, 6)
+        # Short rows stop the averaging after fewer repetitions.
+        valid = np.array([1100, 1100, 700, 1000, 560, 1100])
+
+        def estimate(block):
+            monkeypatch.setattr(channel_estimation, "_TAP_BLOCK", block)
+            return estimator.estimate_averaged_batch(
+                samples, timing, SAMPLE_RATE, num_repetitions=4,
+                valid_lengths=valid).taps
+
+        blocked = estimate(5)            # 5 does not divide 16 taps
+        assert np.array_equal(blocked, estimate(16))
+        for index in range(samples.shape[0]):
+            single = estimator.estimate_averaged(
+                samples[index, :valid[index]], int(timing[index]),
+                SAMPLE_RATE, num_repetitions=4)
+            assert np.array_equal(blocked[index], single.taps), index
+        if quantization_bits is not None:
+            magnitudes = np.abs(blocked)
+            assert any(np.unique(row).size < row.size for row in magnitudes)
 
 
 class TestChannelEstimate:

@@ -1,5 +1,7 @@
 """Tests for preamble sequences, CRC, and the scrambler."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,16 +118,28 @@ class TestGoldCode:
         correlation = _periodic_correlation(seq, seq)
         assert np.all(correlation[1:] == -1)
 
-    @pytest.mark.parametrize("degree", [5, 7])
+    @pytest.mark.parametrize("degree", sorted(_GOLD_SECOND_TAPS))
     def test_preferred_pair_cross_correlation_is_three_valued(self, degree):
-        # A preferred pair of odd degree n cross-correlates only to -1,
-        # -t and t - 2 with t = 2^((n+1)/2) + 1.
-        t = (1 << ((degree + 1) // 2)) + 1
+        # A preferred pair of degree n cross-correlates only to -1, -t
+        # and t - 2 with t = 2^floor((n+2)/2) + 1.
+        t = (1 << ((degree + 2) // 2)) + 1
         period = (1 << degree) - 1
         correlation = _periodic_correlation(
             bits_to_bipolar(gold_code(degree, period)),
             bits_to_bipolar(gold_code(degree, period + 1)))
         assert set(correlation.tolist()) == {-1, -t, t - 2}
+
+    @pytest.mark.parametrize("degree, k", [(6, 2), (9, 1), (10, 2), (11, 1)])
+    def test_second_sequence_is_the_m_sequence_decimated(self, degree, k):
+        # q = 2^k + 1 with gcd(n, k) = 1 (n odd) or 2 (n = 2 mod 4)
+        # decimates an m-sequence into its preferred partner.
+        assert math.gcd(degree, k) == (1 if degree % 2 else 2)
+        period = (1 << degree) - 1
+        decimated = m_sequence(degree)[
+            ((1 << k) + 1) * np.arange(period) % period]
+        second = lfsr_sequence(_GOLD_SECOND_TAPS[degree], period)
+        assert any(np.array_equal(np.roll(decimated, -shift), second)
+                   for shift in range(period))
 
     @pytest.mark.parametrize("degree", [5, 7])
     def test_last_two_indices_are_the_generating_pair(self, degree):

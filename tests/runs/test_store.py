@@ -128,6 +128,27 @@ class TestStoredChunkRecord:
         with pytest.raises(ValueError, match="not an object"):
             StoredChunk.from_record([KEY_A, 0])
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("packet_offset", True, "packet_offset"),
+        ("packet_offset", "10", "packet_offset"),
+        ("packet_offset", 2.7, "packet_offset"),
+        ("bit_errors", 2.7, "bit_errors must be an integer"),
+        ("bit_errors", 2.0, "bit_errors must be an integer"),
+        ("bit_errors", "2", "bit_errors must be an integer"),
+        ("bit_errors", True, "bit_errors must be an integer"),
+        ("total_bits", "640", "total_bits must be an integer"),
+        ("packets_sent", 10.5, "packets_sent must be an integer"),
+        ("packets_failed", False, "packets_failed must be an integer")])
+    def test_counts_are_strict_integers(self, field, value, message):
+        # Never truncated (2.7 -> 2) nor coerced ("10" -> 10, True -> 1).
+        record = StoredChunk(key=KEY_A, packet_offset=0,
+                             measurement=make_point()).to_record()
+        target = (record if field == "packet_offset"
+                  else record["measurement"])
+        target[field] = value
+        with pytest.raises(ValueError, match=message):
+            StoredChunk.from_record(record)
+
 
 class TestPlanMissingChunks:
     def test_empty_store_needs_every_chunk(self, tmp_path):
