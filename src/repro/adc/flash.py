@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.dsp import row_blocks
 from repro.utils.validation import require_int, require_non_negative, require_positive
 
 __all__ = ["FlashADC"]
@@ -58,6 +59,12 @@ class FlashADC:
         # comparators fired, so the effective thresholds act in sorted order.
         self._thresholds = np.sort(ideal + offsets)
         self._step = step
+        # The thresholds between NaN sentinels: a NaN compares false both
+        # ways, so the search in convert_codes never steps past code 0 or
+        # 2^bits - 1.
+        self._bounds = np.concatenate(([np.nan], self._thresholds, [np.nan]))
+        # codes_to_values of every code, for converting by table lookup.
+        self._values = self.codes_to_values(np.arange(1 << self.bits))
 
     @property
     def num_levels(self) -> int:
@@ -67,16 +74,59 @@ class FlashADC:
     def convert_codes(self, x) -> np.ndarray:
         """Convert input voltages to output codes in ``[0, 2^bits - 1]``.
 
+        A sample's code is the number of (sorted) thresholds at or below
+        it, ``searchsorted(thresholds, x, side="right")``.  It is found by
+        guessing the code from the ideal threshold grid, then stepping it
+        up or down against the real thresholds until neither neighbour
+        says otherwise — exact for any sorted thresholds, and usually
+        settled by the first check.  NaN maps to the top code and ±inf to
+        the ends, as ``searchsorted`` places them.
+
         ``x`` may carry any leading batch axes — the thresholds broadcast
         against ``(packets, samples)`` input, which is how the batched
         time-interleaved front end converts a whole Monte-Carlo batch in
-        one call.
+        one call, searched a row block at a time
+        (:func:`~repro.utils.dsp.row_blocks`).
         """
         x = np.asarray(x, dtype=float)
-        x = (1.0 + self.gain_error) * x + self.offset_error
-        # Each sample's code is the number of thresholds below it.
-        return np.searchsorted(self._thresholds, x,
-                               side="right").astype(np.int64)
+        shape = x.shape
+        x = np.atleast_1d(x)
+        rows = x.reshape(-1, x.shape[-1]) if x.size else x.reshape(0, 0)
+        codes = np.empty(rows.shape, dtype=np.int64)
+        for block in row_blocks(*rows.shape):
+            codes[block] = self._block_codes(rows[block])
+        return codes.reshape(shape)
+
+    def _block_codes(self, x) -> np.ndarray:
+        """:meth:`convert_codes` of one ``(rows, samples)`` block."""
+        x = (1.0 + self.gain_error) * x
+        x += self.offset_error
+        bounds = self._bounds
+        guess = x + self.full_scale
+        guess /= self._step
+        # fmin first, so NaN (which searchsorted puts last) guesses the top.
+        np.fmin(guess, self.num_levels - 1, out=guess)
+        np.fmax(guess, 0.0, out=guess)
+        codes = guess.astype(np.intp)
+        # bounds[c] is threshold c - 1: code c holds bounds[c] <= x <
+        # bounds[c + 1].  Check every sample in both directions once,
+        # then step only the samples that moved, in the direction they
+        # moved, until none does.
+        up = x >= bounds[1:].take(codes, out=guess, mode="clip")
+        down = x < bounds.take(codes, out=guess, mode="clip")
+        codes += up
+        codes -= down
+        flat_codes, flat_x = codes.reshape(-1), x.reshape(-1)
+        for moved, step in ((up, 1), (down, -1)):
+            index = np.flatnonzero(moved)
+            while index.size:
+                values = flat_x[index]
+                if step > 0:
+                    index = index[values >= bounds[flat_codes[index] + 1]]
+                else:
+                    index = index[values < bounds[flat_codes[index]]]
+                flat_codes[index] += step
+        return codes
 
     def codes_to_values(self, codes) -> np.ndarray:
         """Nominal reconstruction values (ideal bin centres) for codes."""
@@ -91,6 +141,6 @@ class FlashADC:
         """
         x = np.asarray(x)
         if np.iscomplexobj(x):
-            return (self.codes_to_values(self.convert_codes(x.real))
-                    + 1j * self.codes_to_values(self.convert_codes(x.imag)))
-        return self.codes_to_values(self.convert_codes(x))
+            return (self._values.take(self.convert_codes(x.real))
+                    + 1j * self._values.take(self.convert_codes(x.imag)))
+        return self._values.take(self.convert_codes(x))

@@ -18,32 +18,7 @@ import numpy as np
 from repro.adc.flash import FlashADC
 from repro.utils.validation import require_int, require_positive
 
-__all__ = ["TimeInterleavedADC", "interleave_streams"]
-
-
-def interleave_streams(parts, width: int) -> np.ndarray:
-    """Round-robin merge of per-slice streams along the last axis.
-
-    The inverse of the strided de-interleave ``samples[..., k::N]``:
-    given ``N`` arrays ``parts`` (slice ``k`` holding the samples at
-    positions ``k, k + N, k + 2N, ...``), produce the ``(..., width)``
-    aggregate stream with ``out[..., k::N] == parts[k]``.  Slice lengths
-    may differ by one when ``width`` is not a multiple of ``N`` (exactly
-    the ``range(k, width, N)`` counts).  The slices are scattered into a
-    preallocated output, with no stacked temporary.
-    """
-    parts = [np.asarray(part) for part in parts]
-    num_slices = len(parts)
-    if num_slices == 0:
-        raise ValueError("interleave_streams needs at least one stream")
-    if num_slices == 1:
-        return parts[0][..., :width]
-    out = np.empty(parts[0].shape[:-1] + (width,),
-                   dtype=np.result_type(*parts))
-    for index, part in enumerate(parts):
-        out[..., index::num_slices] = part[
-            ..., :len(range(index, width, num_slices))]
-    return out
+__all__ = ["TimeInterleavedADC"]
 
 
 @dataclass
@@ -122,13 +97,9 @@ class TimeInterleavedADC:
 
         Used when the simulation already produced samples on the ADC grid;
         only the quantization and slice gain/offset mismatches apply.
+        Position ``i`` is converted by slice ``i % num_slices``.
         """
-        samples = np.asarray(samples, dtype=float)
-        output = np.zeros_like(samples)
-        for slice_index, adc in enumerate(self.slices):
-            output[slice_index::self.num_slices] = \
-                adc.convert(samples[slice_index::self.num_slices])
-        return output
+        return self.convert_presampled_batch(samples)
 
     def convert_presampled_batch(self, samples) -> np.ndarray:
         """Convert a batch of already-sampled streams in one pass per slice.
@@ -138,9 +109,12 @@ class TimeInterleavedADC:
         slice round-robin is preserved exactly — position ``i`` of every
         row is converted by slice ``i % num_slices``, so each row's codes
         are bitwise what :meth:`convert_presampled` would have produced
-        for it.
+        for it.  Each slice converts its strided share of every row and
+        writes the values straight into its strided view of the output.
         """
         samples = np.asarray(samples, dtype=float)
-        parts = [adc.convert(samples[..., index::self.num_slices])
-                 for index, adc in enumerate(self.slices)]
-        return interleave_streams(parts, int(samples.shape[-1]))
+        output = np.empty(samples.shape)
+        for index, adc in enumerate(self.slices):
+            output[..., index::self.num_slices] = adc.convert(
+                samples[..., index::self.num_slices])
+        return output

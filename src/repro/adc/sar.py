@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.dsp import row_blocks
 from repro.utils.validation import require_int, require_non_negative, require_positive
 
 __all__ = ["SARADC", "QuadratureSARADC"]
@@ -60,8 +61,30 @@ class SARADC:
         else:
             errors = np.zeros(self.bits)
         self._weights = ideal_weights * (1.0 + errors)
+        self._levels = self._trial_levels()
+        # codes_to_values of every code, for converting by table lookup.
+        self._values = self.codes_to_values(np.arange(1 << self.bits))
         self._comparator_rng = (self.rng if self.rng is not None
                                 else np.random.default_rng())
+
+    def _trial_levels(self) -> np.ndarray:
+        """The DAC level each node of the binary search compares against.
+
+        Node ``(1 << d) | p`` is the comparison at bit ``d`` after the
+        MSB-first decisions ``p``: its level is ``-full_scale`` plus
+        ``2 * w_i`` for every kept bit ``i`` of ``p``, then ``2 * w_d``,
+        summed in that order, the same floating-point operations the
+        bit-serial search performs.  Index 0 is unused.
+        """
+        levels = np.zeros(1 << self.bits)
+        estimates = np.full(1, -self.full_scale)
+        for depth in range(self.bits):
+            doubled = 2.0 * self._weights[depth]
+            trials = estimates + doubled
+            levels[1 << depth:2 << depth] = trials
+            # Children of node p: bit rejected (estimate kept), then kept.
+            estimates = np.stack((estimates, trials), axis=-1).ravel()
+        return levels
 
     @property
     def num_levels(self) -> int:
@@ -93,32 +116,55 @@ class SARADC:
                       noise: np.ndarray | None = None) -> np.ndarray:
         """Run the successive-approximation search on each sample.
 
-        Returns unsigned codes in ``[0, 2^bits - 1]``.  ``noise``
-        (optional, shape ``(bits, *x.shape)``) injects pre-drawn
-        comparator noise instead of drawing from ``rng`` — see
-        :meth:`draw_comparator_noise`.
+        Returns unsigned codes in ``[0, 2^bits - 1]``.  The search walks
+        the binary tree of trial levels MSB first: at node ``n`` (the
+        root is 1) the comparator keeps the bit when the input, plus that
+        bit's comparator noise, is at least the node's level, and the walk
+        moves to node ``2 n + kept``; after ``bits`` steps the node minus
+        ``2^bits`` is the code.  The levels are precomputed with the
+        floating-point operations of the bit-serial search (each kept bit
+        adds its doubled weight), so the codes are that search's.  Rows
+        are searched a block at a time (:func:`~repro.utils.dsp
+        .row_blocks`).
+
+        ``noise`` (optional, shape exactly ``(bits, *x.shape)``) injects
+        pre-drawn comparator noise instead of drawing from ``rng`` — see
+        :meth:`draw_comparator_noise`; any other shape raises
+        ``ValueError``.  Without it, a nonzero ``comparator_noise_std``
+        draws the same blocks from ``rng``: one ``x``-shaped block per
+        bit, MSB first.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if rng is None:
-            rng = self._comparator_rng
-        codes = np.zeros(x.shape, dtype=np.int64)
-        # The SAR search: start from -full_scale and add bit weights MSB-first,
-        # keeping a bit when the trial level stays below the input.
-        estimate = np.full(x.shape, -self.full_scale)
-        for bit_index in range(self.bits):
-            weight = self._weights[bit_index]
-            trial = estimate + 2.0 * weight
-            if noise is not None:
-                bit_noise = noise[bit_index]
-            elif self.comparator_noise_std > 0:
-                bit_noise = rng.normal(0.0, self.comparator_noise_std,
-                                       size=x.shape)
-            else:
-                bit_noise = 0.0
-            keep = (x + bit_noise) >= trial
-            estimate = np.where(keep, trial, estimate)
-            codes = codes | (keep.astype(np.int64) << (self.bits - 1 - bit_index))
-        return codes
+        x = np.asarray(x, dtype=float)
+        if noise is not None:
+            noise = np.asarray(noise, dtype=float)
+            if noise.shape != (self.bits,) + x.shape:
+                raise ValueError(
+                    f"noise must have shape {(self.bits,) + x.shape} "
+                    f"(bits, *x.shape), got {noise.shape}")
+        x = np.atleast_1d(x)
+        if noise is None and self.comparator_noise_std > 0:
+            noise = self.draw_comparator_noise(
+                rng if rng is not None else self._comparator_rng, x.shape)
+        rows = x.reshape(-1, x.shape[-1]) if x.size else x.reshape(0, 0)
+        if noise is not None:
+            noise = noise.reshape((self.bits,) + rows.shape)
+        codes = np.empty(rows.shape, dtype=np.int64)
+        for block in row_blocks(*rows.shape):
+            samples = rows[block]
+            node = np.ones(samples.shape, dtype=np.intp)
+            trial = np.empty(samples.shape)
+            kept = np.empty(samples.shape, dtype=bool)
+            compared = (np.ascontiguousarray(samples) if noise is None
+                        else np.empty(samples.shape))
+            for bit_index in range(self.bits):
+                if noise is not None:
+                    np.add(samples, noise[bit_index, block], out=compared)
+                self._levels.take(node, out=trial, mode="clip")
+                np.greater_equal(compared, trial, out=kept)
+                node += node
+                node += kept
+            np.subtract(node, 1 << self.bits, out=codes[block])
+        return codes.reshape(x.shape)
 
     def codes_to_values(self, codes) -> np.ndarray:
         """Nominal reconstruction values (ideal bin centres)."""
@@ -134,8 +180,8 @@ class SARADC:
         """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        values = self.codes_to_values(self.convert_codes(x, rng=rng,
-                                                         noise=noise))
+        values = self._values.take(self.convert_codes(x, rng=rng,
+                                                      noise=noise))
         return float(values[0]) if scalar else values
 
 
@@ -183,6 +229,9 @@ class QuadratureSARADC:
         ``rng`` draws I first then Q, matching the injection order.
         """
         baseband = np.asarray(baseband, dtype=complex)
-        i_out = self.i_adc.convert(baseband.real, rng=rng, noise=noise_i)
-        q_out = self.q_adc.convert(baseband.imag, rng=rng, noise=noise_q)
-        return i_out + 1j * q_out
+        out = np.empty(baseband.shape, dtype=complex)
+        # Reconstruction levels are never zero, so writing the parts is
+        # bitwise ``i + 1j * q``.
+        out.real = self.i_adc.convert(baseband.real, rng=rng, noise=noise_i)
+        out.imag = self.q_adc.convert(baseband.imag, rng=rng, noise=noise_q)
+        return out

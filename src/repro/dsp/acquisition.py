@@ -14,6 +14,7 @@ parallelization buys acquisition speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ from repro.utils.validation import require_int, require_positive
 
 __all__ = ["AcquisitionConfig", "AcquisitionResult",
            "BatchedAcquisitionResult", "CoarseAcquisition"]
+
+#: Rows per FFT correlation call of :meth:`CoarseAcquisition.acquire_batch`.
+_CORRELATION_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,34 @@ class CoarseAcquisition:
             raise ValueError("preamble template must not be empty")
         self.config = config if config is not None else AcquisitionConfig()
 
-    def _searched_offsets(self, num_correlations: int) -> np.ndarray:
-        offsets = np.arange(0, num_correlations, self.config.search_step_samples)
+    def _searched(self, num_correlations: int) -> slice:
+        """The timing offsets searched among ``num_correlations``: every
+        ``search_step_samples``-th from 0, below ``max_search_samples``."""
+        stop = num_correlations
         if self.config.max_search_samples is not None:
-            offsets = offsets[offsets < self.config.max_search_samples]
-        return offsets
+            # Offsets are integers: below a cap is below its ceiling.
+            stop = max(min(stop, math.ceil(self.config.max_search_samples)),
+                       0)
+        return slice(0, stop, self.config.search_step_samples)
+
+    def _detect(self, peaks, raw_peaks, searched_raw) -> np.ndarray:
+        """The detection rule, per packet: the normalized peak reaches
+        ``threshold``, or the raw peak is at least ``cfar_factor`` times
+        the median of the searched raw correlation (infinitely many times
+        a zero median).
+
+        ``peaks`` and ``raw_peaks`` hold each packet's normalized and raw
+        correlation at its timing; ``searched_raw(i)`` returns packet
+        ``i``'s searched raw correlation.  The median is taken only for
+        the packets the threshold leaves undetected.
+        """
+        detected = np.asarray(peaks) >= self.config.threshold
+        for index in np.flatnonzero(~detected):
+            median_raw = float(np.median(searched_raw(index)))
+            cfar_ratio = (raw_peaks[index] / median_raw
+                          if median_raw > 0 else np.inf)
+            detected[index] = cfar_ratio >= self.config.cfar_factor
+        return detected
 
     def acquire(self, samples) -> AcquisitionResult:
         """Search the sample buffer for the preamble.
@@ -160,26 +187,22 @@ class CoarseAcquisition:
                 detected=False, timing_offset_samples=0, peak_metric=0.0,
                 num_hypotheses_searched=0, search_time_s=0.0,
                 correlation_profile=metric)
-        offsets = self._searched_offsets(metric.size)
-        searched_raw = raw[offsets]
+        searched_raw = raw[self._searched(metric.size)]
         best_index = int(np.argmax(searched_raw))
-        timing = int(offsets[best_index])
+        timing = best_index * self.config.search_step_samples
         peak_normalized = float(metric[timing])
-
-        median_raw = float(np.median(searched_raw))
-        cfar_ratio = (searched_raw[best_index] / median_raw
-                      if median_raw > 0 else np.inf)
-        detected = bool(peak_normalized >= self.config.threshold
-                        or cfar_ratio >= self.config.cfar_factor)
+        detected = bool(self._detect([peak_normalized],
+                                     [searched_raw[best_index]],
+                                     lambda _: searched_raw)[0])
         search_time = acquisition_time_s(
-            num_hypotheses=offsets.size,
+            num_hypotheses=searched_raw.size,
             parallelism=self.config.parallelism,
             backend_clock_hz=self.config.backend_clock_hz)
         return AcquisitionResult(
             detected=detected,
             timing_offset_samples=timing,
             peak_metric=peak_normalized,
-            num_hypotheses_searched=int(offsets.size),
+            num_hypotheses_searched=int(searched_raw.size),
             search_time_s=search_time,
             correlation_profile=metric)
 
@@ -188,13 +211,15 @@ class CoarseAcquisition:
         """Search a ``(packets, num_samples)`` batch of buffers at once.
 
         The correlation plane — every packet x every timing hypothesis —
-        is computed in one batched FFT pass; the per-packet decision
-        logic (argmax timing, threshold + CFAR detection) then replicates
-        :meth:`acquire` row by row.  ``valid_lengths`` gives each row's
-        true sample count when rows were zero-padded to a common width, so
-        padding never enters a packet's searched offsets.  Decisions match
-        per-packet :meth:`acquire` calls; the correlation floats can
-        differ at rounding level (the FFT length follows the batch width).
+        is computed in batched FFT passes of a few rows; the per-packet
+        decision logic (argmax timing, threshold + CFAR detection) then
+        replicates :meth:`acquire` row by row, with the same detection
+        rule.
+        ``valid_lengths`` gives each row's true sample count when rows
+        were zero-padded to a common width, so padding never enters a
+        packet's searched offsets.  Decisions match per-packet
+        :meth:`acquire` calls; the correlation floats can differ at
+        rounding level (the FFT length follows the batch width).
         ``keep_profiles`` retains the normalized correlation plane (off by
         default — it is the batch's largest array).
         """
@@ -215,7 +240,16 @@ class CoarseAcquisition:
                                                    > num_samples):
                 raise ValueError("valid_lengths must lie in [0, num_samples]")
 
-        raw = np.abs(sliding_correlation_batch(samples, self.template))
+        template_size = int(self.template.size)
+        # A few rows at a time: each row is its own FFT correlation (the
+        # same floats however the rows are split), and the batch's
+        # padded copies and spectra stay a few rows big.
+        raw = np.empty((num_packets, max(num_samples - template_size + 1,
+                                         0)))
+        for first in range(0, num_packets, _CORRELATION_ROWS):
+            block = slice(first, first + _CORRELATION_ROWS)
+            raw[block] = np.abs(sliding_correlation_batch(samples[block],
+                                                          self.template))
         profiles = None
         if keep_profiles:
             profiles = np.abs(normalized_correlation_batch(samples,
@@ -226,29 +260,21 @@ class CoarseAcquisition:
         peak = np.zeros(num_packets, dtype=float)
         hypotheses = np.zeros(num_packets, dtype=np.int64)
         search_time = np.zeros(num_packets, dtype=float)
-        cfar = np.zeros(num_packets, dtype=float)
         raw_peak = np.zeros(num_packets, dtype=float)
-        template_size = int(self.template.size)
-        any_searched = False
-        for index in range(num_packets):
-            metric_size = max(int(valid_lengths[index]) - template_size + 1, 0)
-            if metric_size == 0:
-                continue
-            any_searched = True
-            offsets = self._searched_offsets(metric_size)
-            searched_raw = raw[index, offsets]
+        rows = np.flatnonzero(valid_lengths >= template_size)
+        spans = [self._searched(int(valid_lengths[index]) - template_size + 1)
+                 for index in rows]
+        for index, span in zip(rows, spans):
+            searched_raw = raw[index, span]
             best_index = int(np.argmax(searched_raw))
-            timing[index] = int(offsets[best_index])
-            raw_peak[index] = float(searched_raw[best_index])
-            median_raw = float(np.median(searched_raw))
-            cfar[index] = (raw_peak[index] / median_raw
-                           if median_raw > 0 else np.inf)
-            hypotheses[index] = int(offsets.size)
+            timing[index] = best_index * self.config.search_step_samples
+            raw_peak[index] = searched_raw[best_index]
+            hypotheses[index] = searched_raw.size
             search_time[index] = acquisition_time_s(
-                num_hypotheses=offsets.size,
+                num_hypotheses=searched_raw.size,
                 parallelism=self.config.parallelism,
                 backend_clock_hz=self.config.backend_clock_hz)
-        if any_searched:
+        if rows.size:
             # The energy-normalized metric is only thresholded at each
             # packet's raw-correlation peak, so normalize those single
             # offsets instead of the whole plane (one small gather rather
@@ -259,10 +285,10 @@ class CoarseAcquisition:
                 self.template)) ** 2))
             denom = np.sqrt(np.maximum(
                 np.maximum(local_energy, 0.0) * template_energy, 1e-30))
-            searched = hypotheses > 0
-            peak[searched] = raw_peak[searched] / denom[searched]
-            detected = searched & ((peak >= self.config.threshold)
-                                   | (cfar >= self.config.cfar_factor))
+            peak[rows] = raw_peak[rows] / denom[rows]
+            detected[rows] = self._detect(
+                peak[rows], raw_peak[rows],
+                lambda slot: raw[rows[slot], spans[slot]])
         return BatchedAcquisitionResult(
             detected=detected, timing_offset_samples=timing,
             peak_metric=peak, num_hypotheses_searched=hypotheses,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.dsp import row_blocks
 from repro.utils.validation import require_positive
 
 __all__ = ["AutomaticGainControl"]
@@ -53,16 +54,37 @@ class AutomaticGainControl:
         gain = self.compute_gain(samples)
         return np.asarray(samples) * gain, gain
 
+    def _gains_from_peaks(self, peaks, full_scale: float,
+                          peak_backoff_db: float) -> np.ndarray:
+        """The gain that puts each peak ``peak_backoff_db`` below full scale.
+
+        Zero peaks (silent buffers) get ``max_gain``.  A non-finite peak
+        raises ``ValueError``: no gain makes a NaN or infinite sample fit
+        the converter's range.
+        """
+        peaks = np.asarray(peaks, dtype=float)
+        if not np.all(np.isfinite(peaks)):
+            raise ValueError("AGC input must be finite: a buffer's peak "
+                             "is NaN or infinite")
+        target_peak = full_scale * 10.0 ** (-peak_backoff_db / 20.0)
+        gains = np.clip(target_peak / np.where(peaks > 0, peaks, 1.0),
+                        self.min_gain, self.max_gain)
+        return np.where(peaks > 0, gains, self.max_gain)
+
     def apply_from_peak(self, samples, full_scale: float,
                         peak_backoff_db: float = 3.0) -> tuple[np.ndarray, float]:
-        """Alternative policy: place the buffer's peak ``peak_backoff_db`` below full scale."""
+        """Alternative policy: place the buffer's peak ``peak_backoff_db`` below full scale.
+
+        Raises ``ValueError`` when the buffer holds a NaN or infinite
+        sample.
+        """
         require_positive(full_scale, "full_scale")
         samples = np.asarray(samples)
         peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+        gain = float(self._gains_from_peaks(peak, full_scale,
+                                            peak_backoff_db))
         if peak <= 0:
-            return samples.copy(), self.max_gain
-        target_peak = full_scale * 10.0 ** (-peak_backoff_db / 20.0)
-        gain = float(np.clip(target_peak / peak, self.min_gain, self.max_gain))
+            return samples.copy(), gain
         return samples * gain, gain
 
     def apply_from_peak_batch(self, samples, full_scale: float,
@@ -76,14 +98,22 @@ class AutomaticGainControl:
         the batched front ends stay sample-identical to the per-packet
         AGC.  Rows padded with trailing zeros are safe — zeros never move
         a peak.  All-zero rows come back unchanged (times ``max_gain``,
-        like the scalar method reports).  Returns ``(scaled, gains)`` with
-        ``gains`` shaped like the leading axes.
+        like the scalar method reports).  A row holding a NaN or infinite
+        sample raises ``ValueError``, as the scalar method does.  Rows are
+        measured and scaled a block at a time
+        (:func:`~repro.utils.dsp.row_blocks`).  Returns ``(scaled,
+        gains)`` with ``gains`` shaped like the leading axes.
         """
         require_positive(full_scale, "full_scale")
         samples = np.asarray(samples)
-        peaks = np.max(np.abs(samples), axis=-1)
-        target_peak = full_scale * 10.0 ** (-peak_backoff_db / 20.0)
-        gains = np.clip(target_peak / np.where(peaks > 0, peaks, 1.0),
-                        self.min_gain, self.max_gain)
-        gains = np.where(peaks > 0, gains, self.max_gain)
-        return samples * gains[..., None], gains
+        rows = samples.reshape(-1, samples.shape[-1])
+        scaled = np.empty(rows.shape,
+                          dtype=np.result_type(samples.dtype, np.float64))
+        gains = np.empty(rows.shape[0])
+        for block in row_blocks(*rows.shape):
+            peaks = np.max(np.abs(rows[block]), axis=-1)
+            gains[block] = self._gains_from_peaks(peaks, full_scale,
+                                                  peak_backoff_db)
+            np.multiply(rows[block], gains[block, None], out=scaled[block])
+        return (scaled.reshape(samples.shape),
+                gains.reshape(samples.shape[:-1]))

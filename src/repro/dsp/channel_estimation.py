@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.correlator import gather_windows
+from repro.dsp.correlator import gather_windows, zero_padded_rows
 from repro.utils.fixed_point import FixedPointFormat
 from repro.utils.validation import require_int
 
@@ -267,15 +267,9 @@ class ChannelEstimator:
         # windows that straddle a packet's tail contribute exactly the
         # truncated sums the per-packet path computes -- then pad the batch
         # so every gathered window is in bounds.
-        column = np.arange(num_samples, dtype=np.int64)
-        samples = np.where(column[None, :] < valid_lengths[:, None],
-                           samples, np.zeros((), dtype=samples.dtype))
-        max_start = int(rep_offsets.max()) + self.num_taps - 1
-        overhang = max(max_start + ref_len - num_samples, 0)
-        if overhang:
-            samples = np.concatenate(
-                (samples, np.zeros((num_packets, overhang),
-                                   dtype=samples.dtype)), axis=-1)
+        samples = zero_padded_rows(
+            samples, valid_lengths,
+            int(rep_offsets.max()) + self.num_taps - 1 + ref_len)
 
         # Window products reduced with sum(axis=-1): bit-identical to the
         # per-packet per-tap np.sum dots (same pairwise reduction over

@@ -15,7 +15,7 @@ from scipy import signal as sp_signal
 
 __all__ = ["sliding_correlation", "normalized_correlation",
            "sliding_correlation_batch", "normalized_correlation_batch",
-           "gather_windows"]
+           "gather_windows", "zero_padded_rows"]
 
 
 def sliding_correlation(samples, template) -> np.ndarray:
@@ -124,3 +124,27 @@ def normalized_correlation_batch(samples, template) -> np.ndarray:
     local_energy = np.maximum(np.real(local_energy), 0.0)
     denom = np.sqrt(np.maximum(local_energy * template_energy, 1e-30))
     return raw / denom
+
+
+def zero_padded_rows(samples, valid_lengths, width: int) -> np.ndarray:
+    """``(rows, n)`` samples in a zeroed ``(rows, max(width, n))`` buffer.
+
+    Row ``b`` keeps its first ``valid_lengths[b]`` samples (all ``n``
+    when ``valid_lengths`` is None) and is zero after them, so windows
+    gathered past a packet's end read exactly the zeros the per-packet
+    truncation implies, and windows up to ``width`` stay in bounds.  One
+    allocation and one copy per row, for the batched correlator stages
+    ahead of :func:`gather_windows`.
+    """
+    samples = np.asarray(samples)
+    num_rows, num_samples = samples.shape
+    out = np.zeros((num_rows, max(int(width), num_samples)),
+                   dtype=samples.dtype)
+    if valid_lengths is None:
+        out[:, :num_samples] = samples
+        return out
+    lengths = np.clip(np.asarray(valid_lengths, dtype=np.int64), 0,
+                      num_samples)
+    for row, length in enumerate(lengths.tolist()):
+        out[row, :length] = samples[row, :length]
+    return out

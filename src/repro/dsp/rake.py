@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dsp.channel_estimation import ChannelEstimate
-from repro.dsp.correlator import gather_windows
+from repro.dsp.correlator import gather_windows, zero_padded_rows
 from repro.utils.validation import require_int
 
 __all__ = ["RakeFinger", "RakeReceiver", "FINGER_POLICIES",
            "combine_streams_batch", "finger_arrays"]
 
 FINGER_POLICIES = ("arake", "srake", "prake")
+# Fingers whose windows combine_streams_batch gathers at once.
+_FINGER_BLOCK = 4
 
 
 def finger_arrays(receivers) -> tuple[np.ndarray, np.ndarray]:
@@ -64,8 +66,9 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
     ``finger_weights`` are the padded ``(packets, max_fingers)`` arrays
     from :func:`finger_arrays`, and ``first_symbol_samples`` holds each
     packet's first symbol start (acquisition timing shifts it per packet).
-    Every finger x symbol correlation of every packet is gathered and
-    reduced in one einsum.  Fingers that start past a
+    The finger x symbol correlations are gathered and reduced a few
+    fingers at a time, then weighted and summed over the fingers in one
+    einsum.  Fingers that start past a
     packet's valid samples contribute exactly zero — the batched
     equivalent of the per-packet skip/truncate — so decisions match the
     per-packet loop, floats at rounding level.
@@ -93,26 +96,28 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
     template = np.asarray(template)
     length = int(template.size)
 
-    if valid_lengths is not None:
-        valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
-        column = np.arange(num_samples, dtype=np.int64)
-        samples = np.where(column[None, :] < valid_lengths[:, None],
-                           samples, np.zeros((), dtype=samples.dtype))
-
     starts = (first_symbol_samples[:, None, None]
               + finger_delays[:, :, None]
               + np.arange(num_symbols, dtype=np.int64)[None, None, :]
               * symbol_period_samples)
-    overhang = max(int(starts.max()) + length - num_samples, 0)
-    if overhang:
-        samples = np.concatenate(
-            (samples, np.zeros((num_packets, overhang),
-                               dtype=samples.dtype)), axis=-1)
+    samples = zero_padded_rows(samples, valid_lengths,
+                               int(starts.max()) + length)
 
-    windows = gather_windows(samples, starts.reshape(num_packets, -1), length)
+    # A few fingers' windows at a time: every finger x symbol
+    # correlation is its own reduction over the template, so the split
+    # changes no float, and the gathered windows stay a few fingers big.
     max_fingers = finger_delays.shape[1]
-    windows = windows.reshape(num_packets, max_fingers, num_symbols, length)
-    correlations = np.einsum("pfkl,l->pfk", windows, np.conj(template))
+    correlations = np.empty((num_packets, max_fingers, num_symbols),
+                            dtype=np.result_type(samples, template))
+    template_conj = np.conj(template)
+    for first in range(0, max_fingers, _FINGER_BLOCK):
+        block = slice(first, first + _FINGER_BLOCK)
+        windows = gather_windows(
+            samples, starts[:, block].reshape(num_packets, -1), length)
+        correlations[:, block] = np.einsum(
+            "pfkl,l->pfk",
+            windows.reshape(num_packets, -1, num_symbols, length),
+            template_conj)
     statistics = np.einsum("pf,pfk->pk", np.conj(finger_weights),
                            correlations)
     return np.asarray(statistics, dtype=complex)

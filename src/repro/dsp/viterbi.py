@@ -42,15 +42,25 @@ def rake_isi_taps(channel_estimate: ChannelEstimate,
     finger_weights = np.asarray(finger_weights).ravel()
     if finger_delays.size != finger_weights.size:
         raise ValueError("finger_delays and finger_weights must match")
-    h = channel_estimate.taps
-    taps = np.zeros(max_symbol_taps, dtype=complex)
-    for l in range(max_symbol_taps):
-        total = 0.0 + 0.0j
-        for delay, weight in zip(finger_delays, finger_weights):
-            index = delay + l * symbol_period_samples
-            if 0 <= index < h.size:
-                total += np.conj(weight) * h[index]
-        taps[l] = total
+    h = np.asarray(channel_estimate.taps, dtype=complex)
+    # The (lag, finger) terms conj(w_f) h[d_f + l T], zero where the index
+    # falls outside the estimate.  The complex products are spelled out in
+    # real arithmetic, the operations (and roundings) of a scalar complex
+    # multiply, and each lag sums its fingers in order from zero with a
+    # cumulative sum, as a loop over the fingers would.
+    index = (finger_delays[None, :]
+             + symbol_period_samples * np.arange(max_symbol_taps)[:, None])
+    inside = (index >= 0) & (index < h.size)
+    h_at = (h[np.where(inside, index, 0)] if h.size
+            else np.zeros(index.shape, dtype=complex))
+    weights = np.conj(finger_weights.astype(complex))
+    terms = np.zeros((max_symbol_taps, finger_delays.size + 1),
+                     dtype=complex)
+    terms.real[:, 1:] = np.where(
+        inside, weights.real * h_at.real - weights.imag * h_at.imag, 0.0)
+    terms.imag[:, 1:] = np.where(
+        inside, weights.real * h_at.imag + weights.imag * h_at.real, 0.0)
+    taps = np.cumsum(terms, axis=1)[:, -1]
     if abs(taps[0]) <= 0:
         return np.array([1.0 + 0.0j])
     taps = taps / taps[0]

@@ -27,19 +27,22 @@ Monte-Carlo batch:
   simulation rate, in stream order, and kept at the ADC samples); then
   batched AGC
   (:meth:`~repro.dsp.agc.AutomaticGainControl.apply_from_peak_batch`)
-  and a batched ADC — the gen-2 SAR pair with pre-drawn comparator
-  noise, or the gen-1 4-way time-interleaved flash
+  and a batched ADC — the gen-2 SAR pair's tree walk with pre-drawn
+  comparator noise, or the gen-1 4-way time-interleaved flash
   (:meth:`~repro.adc.interleaved.TimeInterleavedADC
-  .convert_presampled_batch`, slice round-robin preserved exactly).
+  .convert_presampled_batch`, slice round-robin preserved exactly),
+  both computing the plain searches' codes a row block at a time.  The
+  converted batch, its padding zeroed, goes to the back half as it is.
   Configurations outside both fast paths (e.g. a closed-loop digital
   notch) keep the per-packet front-end loop, whose parity is immediate;
 * everything downstream of the ADC is batched: one correlation plane for
-  acquisition (:meth:`~repro.dsp.acquisition.CoarseAcquisition
-  .acquire_batch`), one einsum for channel estimation
+  acquisition, with the CFAR median taken only for the packets the
+  threshold misses (:meth:`~repro.dsp.acquisition.CoarseAcquisition
+  .acquire_batch`), tap-block gathers for channel estimation
   (:meth:`~repro.dsp.channel_estimation.ChannelEstimator
-  .estimate_averaged_batch`), one gather/einsum for RAKE combining
-  (:func:`~repro.dsp.rake.combine_streams_batch`) and one trellis pass
-  per coded length for Viterbi decoding
+  .estimate_averaged_batch`), finger-block gathers and one finger sum
+  for RAKE combining (:func:`~repro.dsp.rake.combine_streams_batch`)
+  and one trellis pass per coded length for Viterbi decoding
   (:meth:`~repro.phy.coding.ViterbiDecoder.decode_batch` via
   :meth:`~repro.phy.packet.PacketParser.parse_many`).
 
@@ -53,6 +56,7 @@ FFT, einsum reduction orders), which is why the parity suite pins
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +80,11 @@ from repro.utils.bits import random_bits
 from repro.utils.validation import require_int
 
 __all__ = ["FullStackBatchResult", "BatchedFullStackModel"]
+
+#: Rows per block of the gen-1 AGC -> ADC tail: a few MB of scaled
+#: complex samples per block, few enough calls that their overhead is
+#: negligible.
+_GEN1_TAIL_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,47 @@ class _FrontDraws:
     def true_starts(self, decimation: int) -> list[int]:
         """Each packet's preamble start in ADC samples."""
         return (self.lead_ins // decimation).tolist()
+
+
+class _PaddedRows(Sequence):
+    """Per-packet ADC streams held as one zero-padded ``(packets, width)``
+    batch, with each packet's length.
+
+    Indexing and iteration give each packet's own stream (a view of its
+    row), so a front end hands the back half the batch it converted
+    instead of slices the back half would pack again.
+    """
+
+    def __init__(self, batch: np.ndarray, lengths) -> None:
+        self.batch = batch
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+
+    @classmethod
+    def converted(cls, batch: np.ndarray, lengths) -> "_PaddedRows":
+        """Wrap an ADC's output batch, zeroing each row past its length
+        in place (the converter turns the padding into nonzero codes)."""
+        rows = cls(batch, lengths)
+        for index, stop in enumerate(rows.lengths.tolist()):
+            batch[index, stop:] = 0.0
+        return rows
+
+    @classmethod
+    def pack(cls, rows) -> "_PaddedRows":
+        """Pack separate per-packet streams into one padded batch."""
+        rows = [np.asarray(row) for row in rows]
+        lengths = [row.size for row in rows]
+        batch = np.zeros((len(rows), max(lengths, default=0)),
+                         dtype=complex if any(np.iscomplexobj(row)
+                                              for row in rows) else float)
+        for index, row in enumerate(rows):
+            batch[index, :row.size] = row
+        return cls(batch, lengths)
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        return self.batch[index, :self.lengths[index]]
 
 
 def pulse_train_rows(amplitudes, kernels, step: int) -> np.ndarray:
@@ -227,13 +277,14 @@ class BatchedFullStackModel:
                 [np.asarray(waveform) for waveform in waveforms])
             reports = [None] * len(samples_rows)
         else:
-            samples_rows = []
+            rows = []
             reports = []
             for waveform in waveforms:
                 samples, report = receiver.frontend_samples(
                     waveform, rng=rng, monitor_spectrum=monitor_spectrum)
-                samples_rows.append(np.asarray(samples))
+                rows.append(samples)
                 reports.append(report)
+            samples_rows = _PaddedRows.pack(rows)
         results, _, _ = self._receive_samples_batch(samples_rows, reports)
         return results
 
@@ -244,10 +295,10 @@ class BatchedFullStackModel:
         :meth:`_gen1_samples_from_adc_rows`: the batched equivalent of
         looping :meth:`~repro.core.receiver._PulsedReceiver
         .frontend_samples`, sample-identical per packet.  Returns the
-        per-packet quantized ADC-rate streams.
+        per-packet quantized ADC-rate streams (a :class:`_PaddedRows`).
         """
         if not waveform_rows:
-            return []
+            return _PaddedRows.pack([])
         decimation = self.config.decimation_factor
         adc_lengths = np.asarray([-(-row.size // decimation)
                                   for row in waveform_rows], dtype=np.int64)
@@ -258,22 +309,16 @@ class BatchedFullStackModel:
             batch[index, :adc_lengths[index]] = row[::decimation]
         return self._gen1_samples_from_adc_rows(batch, adc_lengths)
 
-    def _receive_samples_batch(self, samples_rows, reports):
-        """The batched DSP back half: ADC streams in, per-packet results
-        plus the batched acquisition/estimate records out."""
+    def _receive_samples_batch(self, samples_rows: _PaddedRows, reports):
+        """The batched DSP back half: ADC streams in (as the front end's
+        padded batch), per-packet results plus the batched
+        acquisition/estimate records out."""
         receiver = self.receiver
         config = self.config
         num_packets = len(samples_rows)
         if num_packets == 0:
             return [], None, None
-        lengths = np.asarray([row.size for row in samples_rows],
-                             dtype=np.int64)
-        width = int(lengths.max())
-        is_complex = any(np.iscomplexobj(row) for row in samples_rows)
-        batch = np.zeros((num_packets, width),
-                         dtype=complex if is_complex else float)
-        for index, row in enumerate(samples_rows):
-            batch[index, :row.size] = row
+        batch, lengths = samples_rows.batch, samples_rows.lengths
 
         with active().span("rx.acquisition", packets=num_packets):
             acquisition = receiver.acquisition.acquire_batch(
@@ -291,12 +336,14 @@ class BatchedFullStackModel:
         if detected.size == 0:
             return results, acquisition, None
 
+        if detected.size < num_packets:
+            batch, lengths = batch[detected], lengths[detected]
         timing = acquisition.timing_offset_samples[detected]
         with active().span("rx.chanest", packets=int(detected.size)):
             estimates = receiver.channel_estimator.estimate_averaged_batch(
-                batch[detected], timing, config.adc_rate_hz,
+                batch, timing, config.adc_rate_hz,
                 num_repetitions=config.packet.preamble.num_repetitions,
-                valid_lengths=lengths[detected])
+                valid_lengths=lengths)
         rakes = [RakeReceiver(estimates.estimate_for(slot),
                               num_fingers=getattr(config, "rake_fingers", 1),
                               policy=getattr(config, "rake_policy", "srake"))
@@ -316,14 +363,14 @@ class BatchedFullStackModel:
         with active().span("rx.rake", packets=int(detected.size),
                            part="header"):
             header_stats = combine_streams_batch(
-                batch[detected], delays, weights, template, period,
+                batch, delays, weights, template, period,
                 body_start, HEADER_LENGTH_BITS,
-                valid_lengths=lengths[detected]) / normalization[:, None]
+                valid_lengths=lengths) / normalization[:, None]
         header_bits = (np.real(header_stats) > 0).astype(np.int64)
 
         # How much payload each packet's (possibly corrupted) header
         # implies, capped by what the capture actually holds.
-        available = (lengths[detected] - body_start
+        available = (lengths - body_start
                      - HEADER_LENGTH_BITS * period)
         remaining = np.asarray(
             [int(min(receiver._coded_payload_bit_count(header_bits[slot]),
@@ -340,9 +387,9 @@ class BatchedFullStackModel:
             with active().span("rx.rake", packets=int(group.size),
                                part="payload"):
                 stats = combine_streams_batch(
-                    batch[detected[group]], delays[group], weights[group],
+                    batch[group], delays[group], weights[group],
                     template, period, payload_start[group], int(count),
-                    valid_lengths=lengths[detected[group]]
+                    valid_lengths=lengths[group]
                 ) / normalization[group, None]
             for row, slot in enumerate(group):
                 payload_stats_rows[slot] = stats[row]
@@ -439,9 +486,10 @@ class BatchedFullStackModel:
             samples, report = receiver.frontend_samples(waveform, rng=rng)
             payloads.append(payload)
             true_starts.append(tx.preamble_start_sample // decimation)
-            samples_rows.append(np.asarray(samples))
+            samples_rows.append(samples)
             reports.append(report)
-        return samples_rows, reports, payloads, true_starts
+        return (_PaddedRows.pack(samples_rows), reports, payloads,
+                true_starts)
 
     def _phase1_draws(self, ebn0_db, num_packets: int,
                       payload_bits_per_packet: int, rng,
@@ -597,8 +645,10 @@ class BatchedFullStackModel:
         Noiseless rows (:meth:`_noiseless_adc_rows`), then per packet
         the same elementwise stages the oracle runs at the simulation
         rate — impairments, interference, noise — on the samples the ADC
-        keeps, with bitwise the oracle's values at those samples.
-        Returns ``(rows, adc_lengths)``.
+        keeps, with bitwise the oracle's values at those samples.  Each
+        packet's ``draws.interference`` and ``draws.noise`` entries are
+        consumed (set to ``None``) once added.  Returns ``(rows,
+        adc_lengths)``.
         """
         transceiver = self.transceiver
         decimation = self.config.decimation_factor
@@ -614,13 +664,19 @@ class BatchedFullStackModel:
                     rows[index, valid], rng, decimation=decimation)
             if draws.interference[index] is not None:
                 rows[index, valid] += draws.interference[index]
+            # Each packet's draws are released once added, so they do not
+            # all stay alive beside the rows through the ADC.
+            draws.interference[index] = draws.noise[index] = None
             if noise is None:
                 continue
             noise_std = noise_std_for_ebn0(float(energies[index]), ebn0_db)
             if len(noise) == 2:
-                in_phase, quadrature = noise
-                rows[index, valid] += ((in_phase + 1j * quadrature)
-                                       * (noise_std / sqrt2))
+                # The parts of (in_phase + 1j * quadrature) * scale, added
+                # in place: the same roundings as the complex product.
+                scale = noise_std / sqrt2
+                row = rows[index, valid]
+                row.real += noise[0] * scale
+                row.imag += noise[1] * scale
             else:
                 rows[index, valid] += noise_std * noise[0]
         return rows, adc_lengths
@@ -667,11 +723,9 @@ class BatchedFullStackModel:
                 stacked[:, index, :drawn[side].shape[-1]] = drawn[side]
             return stacked
 
-        samples_batch = receiver.adc.convert(scaled,
-                                             noise_i=_stack_noise(0),
-                                             noise_q=_stack_noise(1))
-        samples_rows = [samples_batch[index, :adc_lengths[index]]
-                        for index in range(num_packets)]
+        samples_rows = _PaddedRows.converted(
+            receiver.adc.convert(scaled, noise_i=_stack_noise(0),
+                                 noise_q=_stack_noise(1)), adc_lengths)
         return (samples_rows, [None] * num_packets, draws.payloads,
                 draws.true_starts(self.config.decimation_factor))
 
@@ -705,13 +759,23 @@ class BatchedFullStackModel:
 
     def _gen1_samples_from_adc_rows(self, rows, adc_lengths):
         """Shared gen-1 AGC -> interleaved-flash batch tail over
-        zero-padded ADC-rate rows."""
+        zero-padded ADC-rate rows.
+
+        The converter reads only the real part, but the AGC peak is the
+        complex envelope's, so the scaled copy is complex when the rows
+        are; running the tail :data:`_GEN1_TAIL_ROWS` rows at a time keeps
+        that copy a few rows big.  Both stages are per row, so the split
+        changes no sample.
+        """
         receiver = self.receiver
-        scaled, _gains = receiver.agc.apply_from_peak_batch(
-            rows, full_scale=1.0, peak_backoff_db=1.0)
-        samples_batch = receiver.adc.convert_presampled_batch(np.real(scaled))
-        return [samples_batch[index, :adc_lengths[index]]
-                for index in range(rows.shape[0])]
+        samples = np.empty(rows.shape)
+        for first in range(0, rows.shape[0], _GEN1_TAIL_ROWS):
+            block = slice(first, first + _GEN1_TAIL_ROWS)
+            scaled, _gains = receiver.agc.apply_from_peak_batch(
+                rows[block], full_scale=1.0, peak_backoff_db=1.0)
+            samples[block] = receiver.adc.convert_presampled_batch(
+                np.real(scaled))
+        return _PaddedRows.converted(samples, adc_lengths)
 
     # ------------------------------------------------------------------
     # Full Monte-Carlo grid point

@@ -20,7 +20,13 @@ __all__ = [
     "estimate_psd",
     "occupied_bandwidth",
     "time_vector",
+    "row_blocks",
 ]
+
+#: Samples per block of :func:`row_blocks`: 256 kB of float64, so a
+#: block's working arrays stay in cache and are allocated once per block
+#: rather than once per batch-sized pass.
+_ROW_BLOCK_SAMPLES = 1 << 15
 
 
 def signal_energy(x) -> float:
@@ -49,6 +55,19 @@ def normalize_peak(x, target_peak: float = 1.0) -> np.ndarray:
     if peak == 0.0:
         return x.copy()
     return x * (target_peak / peak)
+
+
+def row_blocks(num_rows: int, row_length: int) -> list[slice]:
+    """Slices of whole rows covering about ``_ROW_BLOCK_SAMPLES``
+    samples each (at least one row per block).
+
+    Batched per-sample kernels (the ADC searches, the AGC peaks) run one
+    block at a time: every array a block makes is small, and a stage
+    that treats rows independently gives the same values in any split.
+    """
+    step = max(1, _ROW_BLOCK_SAMPLES // max(int(row_length), 1))
+    return [slice(start, start + step)
+            for start in range(0, int(num_rows), step)]
 
 
 def time_vector(num_samples: int, sample_rate_hz: float) -> np.ndarray:

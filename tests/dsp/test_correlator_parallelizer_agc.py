@@ -202,3 +202,33 @@ class TestAGC:
             assert gain == expected_gain
             assert np.array_equal(row_scaled, expected)
         assert gains[2] == gains[3] == 50.0
+
+    def test_peak_batch_over_many_row_blocks_matches_per_row(self):
+        """Rows wide and many enough to span several row blocks, real
+        and complex, with leading batch axes."""
+        agc = AutomaticGainControl()
+        rng = np.random.default_rng(12)
+        for samples in (rng.standard_normal((2, 37, 3001)),
+                        rng.standard_normal((70, 2001))
+                        + 1j * rng.standard_normal((70, 2001))):
+            scaled, gains = agc.apply_from_peak_batch(samples, 1.0, 1.0)
+            assert gains.shape == samples.shape[:-1]
+            for index in np.ndindex(samples.shape[:-1]):
+                expected, gain = agc.apply_from_peak(samples[index], 1.0, 1.0)
+                assert gains[index] == gain
+                assert np.array_equal(scaled[index], expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_peaks_are_rejected(self, bad):
+        """A NaN or infinite sample has no gain that fits it: both the
+        per-packet and the batched AGC raise instead of returning
+        max_gain (batch) or a NaN gain (scalar)."""
+        agc = AutomaticGainControl()
+        samples = np.ones((3, 16), dtype=complex)
+        samples[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            agc.apply_from_peak(samples[1], full_scale=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            agc.apply_from_peak_batch(samples, full_scale=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            agc.apply_from_peak_batch(samples.real, full_scale=1.0)

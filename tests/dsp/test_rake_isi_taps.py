@@ -101,3 +101,53 @@ class TestRakeReceiverIsiTaps:
         taps = rake.isi_taps(symbol_period_samples=8, max_symbol_taps=3)
         assert taps.size >= 1
         assert abs(taps[0]) == pytest.approx(1.0)
+
+
+def _loop_isi_taps(channel_estimate, finger_delays, finger_weights,
+                   symbol_period_samples, max_symbol_taps):
+    """The per-lag, per-finger scalar loop ``rake_isi_taps`` replaced."""
+    finger_delays = np.asarray(finger_delays, dtype=np.int64).ravel()
+    finger_weights = np.asarray(finger_weights).ravel()
+    h = channel_estimate.taps
+    taps = np.zeros(max_symbol_taps, dtype=complex)
+    for lag in range(max_symbol_taps):
+        total = 0.0 + 0.0j
+        for delay, weight in zip(finger_delays, finger_weights):
+            index = delay + lag * symbol_period_samples
+            if 0 <= index < h.size:
+                total += np.conj(weight) * h[index]
+        taps[lag] = total
+    if abs(taps[0]) <= 0:
+        return np.array([1.0 + 0.0j])
+    taps = taps / taps[0]
+    keep = max_symbol_taps
+    while keep > 1 and abs(taps[keep - 1]) < 0.05:
+        keep -= 1
+    return taps[:keep]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_the_scalar_loop_bit_for_bit(seed):
+    """Every float, sign bits included: the MLSE trellis is built from
+    these taps, and its decisions must not move."""
+    rng = np.random.default_rng(seed)
+    num_taps = int(rng.integers(1, 80))
+    h = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
+    if seed % 3 == 0:
+        h = np.round(4 * h) / 4           # 4-bit-like ties and zeros
+    if seed % 5 == 0:
+        h = h.real.copy()
+    estimate = ChannelEstimate(taps=h, sample_rate_hz=1e9,
+                               quantization_bits=None)
+    fingers = int(rng.integers(0, 17))
+    delays = rng.integers(0, num_taps + 10, fingers)
+    weights = rng.standard_normal(fingers) + 1j * rng.standard_normal(fingers)
+    period = int(rng.integers(1, 30))
+    max_taps = int(rng.integers(1, 7))
+    got = rake_isi_taps(estimate, delays, list(weights), period,
+                        max_symbol_taps=max_taps)
+    expected = _loop_isi_taps(estimate, delays, weights, period, max_taps)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(float), expected.view(float))
+    assert np.array_equal(np.signbit(got.view(float)),
+                          np.signbit(expected.view(float)))

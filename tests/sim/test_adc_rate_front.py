@@ -228,6 +228,23 @@ def test_batched_front_leaves_the_generator_where_the_oracle_does(
     assert states[0] == states[1]
 
 
+@pytest.mark.parametrize("generation", ["gen1", "gen2"])
+def test_batched_front_hands_over_its_batch_zero_padded(generation):
+    """The back half takes the converted batch as it is, so every row
+    must be zero past its packet, as packing the rows would leave it
+    (the converter maps the padding to nonzero codes)."""
+    model = _model(generation)
+    scenario_rng = np.random.default_rng(6)
+    rows, _, _, _ = getattr(model, f"_frontend_batched_{generation}")(
+        8.0, 5, PAYLOAD_BITS, np.random.default_rng(5),
+        lambda: SCENARIOS.get("cm1").make_channel(scenario_rng), None, None)
+    assert len(set(rows.lengths.tolist())) > 1
+    assert rows.batch.shape == (5, int(rows.lengths.max()))
+    for index, length in enumerate(rows.lengths):
+        assert np.array_equal(rows[index], rows.batch[index, :length])
+        assert not np.any(rows.batch[index, length:])
+
+
 @pytest.mark.parametrize("transceiver", [
     lambda: Gen1Transceiver(Gen1Config()),
     lambda: Gen2Transceiver(Gen2Config.fast_test_config())],

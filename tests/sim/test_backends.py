@@ -1,16 +1,15 @@
 """Tests for the batch kernels' array helpers against explicit indexing.
 
-``NumpyBackend.symbol_windows``/``quantize_uniform`` (the genie kernel),
-``gather_windows`` (the batched correlator stages) and
-``interleave_streams`` (the batched interleaved ADC).
+``NumpyBackend.symbol_windows``/``quantize_uniform`` (the genie kernel)
+and ``gather_windows``/``zero_padded_rows`` (the batched correlator
+stages).
 """
 
 import numpy as np
 import pytest
 
-from repro.adc.interleaved import interleave_streams
 from repro.adc.quantizer import UniformQuantizer
-from repro.dsp.correlator import gather_windows
+from repro.dsp.correlator import gather_windows, zero_padded_rows
 from repro.sim.backends import NumpyBackend
 
 HELPERS = NumpyBackend()
@@ -72,28 +71,6 @@ def test_quantize_uniform_matches_reference_quantizer(rng):
         quantizer.quantize(complex_samples))
 
 
-class TestInterleaveStreams:
-    def test_matches_explicit_scatter(self, rng):
-        """Widths not divisible by the slice count and leading batch axes
-        included."""
-        for num_slices in (1, 2, 3, 4, 5):
-            for width in (1, 7, 12, 40, 41, 43):
-                if width < num_slices:
-                    continue
-                parts = [rng.standard_normal(
-                    (3, len(range(k, width, num_slices))))
-                    for k in range(num_slices)]
-                expected = np.empty((3, width))
-                for k, part in enumerate(parts):
-                    expected[:, k::num_slices] = part
-                np.testing.assert_array_equal(
-                    interleave_streams(parts, width), expected)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            interleave_streams([], 4)
-
-
 class TestGatherWindows:
     def test_matches_explicit_gather(self, rng):
         samples = (rng.standard_normal((3, 60))
@@ -117,3 +94,21 @@ class TestGatherWindows:
         for row, start in enumerate(starts[:, 0]):
             np.testing.assert_array_equal(windows[row, 0],
                                           samples[row, start:start + 9])
+
+
+class TestZeroPaddedRows:
+    def test_matches_the_masked_then_concatenated_batch(self, rng):
+        """What the batched stages built before: zero past each valid
+        length (np.where), then a zero overhang (np.concatenate)."""
+        samples = rng.standard_normal((5, 40)) + 1j * rng.standard_normal(
+            (5, 40))
+        lengths = np.array([40, 0, 17, 55, -3])
+        for width in (10, 40, 63):
+            masked = np.where(np.arange(40) < lengths[:, None], samples, 0)
+            expected = np.concatenate(
+                (masked, np.zeros((5, max(width - 40, 0)))), axis=-1)
+            padded = zero_padded_rows(samples, lengths, width)
+            assert padded.dtype == samples.dtype
+            np.testing.assert_array_equal(padded, expected)
+        np.testing.assert_array_equal(
+            zero_padded_rows(samples, None, 45)[:, :40], samples)
