@@ -61,7 +61,7 @@ class UniformQuantizer:
         np.add(x, self.full_scale, out=out, dtype=float)
         out /= self.step
         np.floor(out, out=out)
-        return np.clip(out, 0, self.num_levels - 1, out=out)
+        return out.clip(0, self.num_levels - 1, out=out)
 
     def codes_to_values(self, codes) -> np.ndarray:
         """Reconstruction values (bin centres) for integer codes."""

@@ -34,13 +34,25 @@ def noise_std_for_ebn0(energy_per_bit, ebn0_db):
 
     Both arguments may be arrays (they broadcast against each other), in
     which case an array of standard deviations is returned; scalar inputs
-    return a ``float``.
+    return a ``float``.  ``ebn0_db = +inf`` is a noiseless link (standard
+    deviation 0).  Every input that would make the result NaN or infinite
+    raises ``ValueError`` instead — a NaN, infinite or non-positive
+    energy, a NaN or ``-inf`` Eb/N0 — because callers add ``std * noise``
+    to their samples unchecked.
     """
     energy = np.asarray(energy_per_bit, dtype=float)
-    if bool(np.any(energy <= 0)):
-        raise ValueError("energy_per_bit must be positive")
-    ebn0_linear = np.asarray(db_to_linear(np.asarray(ebn0_db, dtype=float)))
-    std = np.sqrt(energy / (2.0 * ebn0_linear))
+    ebn0_db = np.asarray(ebn0_db, dtype=float)
+    # NaN fails every comparison: this rejects a NaN energy and Eb/N0 too.
+    if not ((energy > 0).all() and (ebn0_db > -np.inf).all()):
+        raise ValueError("energy_per_bit must be positive and ebn0_db not "
+                         "-inf (neither may be NaN): the noise standard "
+                         "deviation would be NaN or infinite")
+    std = np.sqrt(energy / (2.0 * db_to_linear(ebn0_db)))
+    if not np.isfinite(std).all():
+        # An infinite energy, or an Eb/N0 whose linear value underflows.
+        raise ValueError("the noise standard deviation would be infinite "
+                         "or NaN: energy_per_bit must be finite and ebn0_db "
+                         "not so low that 10**(ebn0_db/10) underflows")
     if std.ndim == 0:
         return float(std)
     return std

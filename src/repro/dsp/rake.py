@@ -28,8 +28,11 @@ __all__ = ["RakeFinger", "RakeReceiver", "FINGER_POLICIES",
            "combine_streams_batch", "finger_arrays"]
 
 FINGER_POLICIES = ("arake", "srake", "prake")
-# Fingers whose windows combine_streams_batch gathers at once.
+# Fingers whose windows combine_streams_batch gathers at once, and the
+# most window samples one gather may hold (2 MB of real samples), which
+# splits the packets too when a block of fingers alone holds more.
 _FINGER_BLOCK = 4
+_GATHER_SAMPLES = 1 << 18
 
 
 def finger_arrays(receivers) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +70,8 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
     from :func:`finger_arrays`, and ``first_symbol_samples`` holds each
     packet's first symbol start (acquisition timing shifts it per packet).
     The finger x symbol correlations are gathered and reduced a few
-    fingers at a time, then weighted and summed over the fingers in one
+    fingers and packets at a time (each block's rows zero-padded on
+    their own), then weighted and summed over the fingers in one
     einsum.  Fingers that start past a
     packet's valid samples contribute exactly zero — the batched
     equivalent of the per-packet skip/truncate — so decisions match the
@@ -100,24 +104,36 @@ def combine_streams_batch(samples, finger_delays, finger_weights, template,
               + finger_delays[:, :, None]
               + np.arange(num_symbols, dtype=np.int64)[None, None, :]
               * symbol_period_samples)
-    samples = zero_padded_rows(samples, valid_lengths,
-                               int(starts.max()) + length)
+    width = int(starts.max()) + length
+    if valid_lengths is not None:
+        valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
 
-    # A few fingers' windows at a time: every finger x symbol
-    # correlation is its own reduction over the template, so the split
-    # changes no float, and the gathered windows stay a few fingers big.
+    # A few fingers' and packets' windows at a time: every finger x
+    # symbol correlation is its own reduction over the template, so the
+    # split changes no float, and neither the padded rows nor the
+    # gathered windows grow with the batch.
     max_fingers = finger_delays.shape[1]
     correlations = np.empty((num_packets, max_fingers, num_symbols),
                             dtype=np.result_type(samples, template))
     template_conj = np.conj(template)
-    for first in range(0, max_fingers, _FINGER_BLOCK):
-        block = slice(first, first + _FINGER_BLOCK)
-        windows = gather_windows(
-            samples, starts[:, block].reshape(num_packets, -1), length)
-        correlations[:, block] = np.einsum(
-            "pfkl,l->pfk",
-            windows.reshape(num_packets, -1, num_symbols, length),
-            template_conj)
+    row_samples = max(min(max_fingers, _FINGER_BLOCK) * num_symbols * length,
+                      width)
+    rows_per_block = max(1, _GATHER_SAMPLES // row_samples)
+    for first_row in range(0, num_packets, rows_per_block):
+        rows = slice(first_row, first_row + rows_per_block)
+        # Only the first ``width`` samples of a row are ever read.
+        padded = zero_padded_rows(
+            samples[rows, :width],
+            None if valid_lengths is None else valid_lengths[rows], width)
+        for first in range(0, max_fingers, _FINGER_BLOCK):
+            block = slice(first, first + _FINGER_BLOCK)
+            windows = gather_windows(
+                padded, starts[rows, block].reshape(len(padded), -1),
+                length)
+            correlations[rows, block] = np.einsum(
+                "pfkl,l->pfk",
+                windows.reshape(len(padded), -1, num_symbols, length),
+                template_conj)
     statistics = np.einsum("pf,pfk->pk", np.conj(finger_weights),
                            correlations)
     return np.asarray(statistics, dtype=complex)

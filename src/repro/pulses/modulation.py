@@ -74,7 +74,8 @@ class Modulator:
 
 def _check_bits(bits) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64).ravel()
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
+    # Every int64 but 0 and 1 has a bit set outside the lowest one.
+    if (bits & -2).any():
         raise ValueError("bits must contain only 0 and 1")
     return bits
 

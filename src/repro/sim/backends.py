@@ -8,6 +8,8 @@ matched filter, and the uniform ADC quantizer.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -42,5 +44,12 @@ class NumpyBackend:
     def quantize_uniform(self, samples, bits: int, full_scale: float):
         """Mid-rise uniform quantization with saturation (the batch ADC),
         delegated to :class:`repro.adc.quantizer.UniformQuantizer`."""
-        return UniformQuantizer(bits=bits,
-                                full_scale=full_scale).quantize(samples)
+        return _uniform_quantizer(bits, full_scale).quantize(samples)
+
+
+# Typed, so that a bool never reuses the quantizer of the int it equals.
+@functools.lru_cache(maxsize=16, typed=True)
+def _uniform_quantizer(bits: int, full_scale: float) -> UniformQuantizer:
+    """The validated quantizer of one ``(bits, full_scale)``, built once
+    rather than once per row block."""
+    return UniformQuantizer(bits=bits, full_scale=full_scale)

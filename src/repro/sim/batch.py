@@ -78,6 +78,7 @@ __all__ = ["BatchResult", "BatchedLinkModel", "pulse_for_config"]
 
 _AGC_PEAK_BACKOFF_DB = 1.0
 _AGC_FULL_SCALE = 1.0
+_AGC_TARGET = _AGC_FULL_SCALE * 10.0 ** (-_AGC_PEAK_BACKOFF_DB / 20.0)
 _NOTCH_POLE_RADIUS = 0.995
 # ADC samples per row block of ``simulate`` (at least one row): about a
 # megabyte of complex samples, so a block stays in cache from synthesis
@@ -189,6 +190,12 @@ class BatchedLinkModel:
         # Sim-rate energy of each composite template (energy_per_bit).
         self._template_energies = tuple(
             float(np.sum(np.abs(t) ** 2)) for t in self._sim_templates)
+        # The clean-channel responses, their Toeplitz kernels and energy
+        # are constants of the model: every chunk without a channel
+        # realization reuses them.
+        self._clean_references = self.reference_templates(None)
+        self._clean_kernels = self._toeplitz_kernels(self._clean_references)
+        self._clean_energy = np.sum(np.abs(self._clean_references[0]) ** 2)
 
     def _shifted_template(self, offset_s: float) -> np.ndarray:
         """Host-side symbol template delayed by a PPM position offset."""
@@ -254,24 +261,38 @@ class BatchedLinkModel:
         (tail included), which is never built.
         """
         packets, num_symbols = np.shape(symbols)
-        step = self.samples_per_symbol_adc
         length = int(references[0].shape[-1])
-        blocks = -(-length // step)
+        kernels = (self._clean_kernels
+                   if references is self._clean_references
+                   else self._toeplitz_kernels(references))
+        blocks = kernels[0].shape[0]
         waveform = None
-        for amplitudes, reference in zip(self._amplitudes(symbols),
-                                         references):
+        for amplitudes, kernel in zip(self._amplitudes(symbols), kernels):
             # Row j of the Toeplitz view holds a_{j-blocks+1} .. a_j.
             padded = np.zeros((packets, num_symbols + 2 * (blocks - 1)))
             padded[:, blocks - 1:blocks - 1 + num_symbols] = amplitudes
             toeplitz = _HELPERS.symbol_windows(
                 padded, num_symbols + blocks - 1, 1, blocks)
-            kernel = np.zeros(blocks * step, dtype=reference.dtype)
-            kernel[:length] = reference
-            kernel = np.ascontiguousarray(kernel.reshape(blocks, step)[::-1])
             part = np.matmul(toeplitz, kernel)
             waveform = part if waveform is None else waveform + part
         waveform = waveform.reshape(packets, -1)
-        return waveform[:, :(num_symbols - 1) * step + length]
+        return waveform[:, :(num_symbols - 1) * self.samples_per_symbol_adc
+                        + length]
+
+    def _toeplitz_kernels(self, references) -> tuple[np.ndarray, ...]:
+        """Each reference zero-padded to whole ``S``-sample blocks, as a
+        ``(blocks, S)`` matrix with the blocks reversed: the right-hand
+        side of :meth:`synthesize`'s matmul."""
+        step = self.samples_per_symbol_adc
+        kernels = []
+        for reference in references:
+            length = reference.shape[-1]
+            blocks = -(-length // step)
+            kernel = np.zeros(blocks * step, dtype=reference.dtype)
+            kernel[:length] = reference
+            kernels.append(np.ascontiguousarray(
+                kernel.reshape(blocks, step)[::-1]))
+        return tuple(kernels)
 
     def energy_per_bit(self, symbols: np.ndarray) -> np.ndarray:
         """Per-packet transmitted energy per bit of a symbol batch (host).
@@ -281,7 +302,7 @@ class BatchedLinkModel:
         squares), in closed form: symbols never overlap at the
         transmitter, so it is ``sum_k |a_k|^2 ||template||^2 / bits``.
         """
-        energy = sum(np.sum(np.abs(amplitudes) ** 2, axis=-1) * template
+        energy = sum(np.square(amplitudes).sum(axis=-1) * template
                      for amplitudes, template in zip(
                          self._amplitudes(symbols), self._template_energies))
         return energy / (np.shape(symbols)[1] * self.modulator.bits_per_symbol)
@@ -291,9 +312,9 @@ class BatchedLinkModel:
     # ------------------------------------------------------------------
     def _agc_gains(self, samples):
         """Per-packet feed-forward gains, mirroring the receiver's block AGC."""
-        peaks = np.max(np.abs(samples), axis=-1)
-        target = _AGC_FULL_SCALE * 10.0 ** (-_AGC_PEAK_BACKOFF_DB / 20.0)
-        return np.where(peaks > 0, target / np.maximum(peaks, 1e-300), 1.0)
+        peaks = np.abs(samples).max(axis=-1)
+        return np.where(peaks > 0, _AGC_TARGET / np.maximum(peaks, 1e-300),
+                        1.0)
 
     def _apply_notch(self, samples):
         """Batched complex one-pole notch (same transfer function as
@@ -356,16 +377,22 @@ class BatchedLinkModel:
                             dtype=np.int64)
         symbols = self.modulate(bits)
         num_symbols = symbols.shape[1]
-        references = self.reference_templates(channel)
-        reference_energy = np.sum(np.abs(references[0]) ** 2)
+        if channel is None:
+            references = self._clean_references
+            reference_energy = self._clean_energy
+        else:
+            references = self.reference_templates(channel)
+            reference_energy = np.sum(np.abs(references[0]) ** 2)
         body_adc = (num_symbols - 1) * self.samples_per_symbol_adc + int(
             references[0].shape[-1])
 
         energy = self.energy_per_bit(symbols)
         positive = energy > 0
-        if not np.any(positive):
-            raise ValueError("batch transmitted zero energy; cannot set Eb/N0")
-        energy = np.where(positive, energy, energy[positive].mean())
+        if not positive.all():
+            if not positive.any():
+                raise ValueError("batch transmitted zero energy; cannot set "
+                                 "Eb/N0")
+            energy = np.where(positive, energy, energy[positive].mean())
 
         # The IIR notch needs to settle on the interferer before the body
         # arrives (in the full stack the lead-in and preamble provide that
@@ -432,15 +459,15 @@ class BatchedLinkModel:
             if self.position_templates is not None:
                 # Binary PPM: the modulator expects late-minus-early
                 # statistics.
-                statistic = np.real(statistics[1] - statistics[0])
+                statistic = (statistics[1] - statistics[0]).real
             else:
-                statistic = np.real(statistics[0])
+                statistic = statistics[0].real
             norm = gains[rows, None] * reference_energy
             decision[rows] = statistic / np.maximum(norm, 1e-300)
 
         received = self.modulator.demodulate(
             decision.ravel()).reshape(bits.shape)
-        errors_per_packet = np.sum(received != bits, axis=-1)
+        errors_per_packet = (received != bits).sum(axis=-1)
         packets_failed = int(np.count_nonzero(errors_per_packet))
         return BatchResult(
             ebn0_db=float(ebn0_db) if ebn0_db is not None else float("inf"),

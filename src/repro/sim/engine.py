@@ -46,6 +46,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import struct
 import time
 import warnings
 from collections import Counter
@@ -94,12 +96,25 @@ _FULL_STACK_BPSK_MESSAGE = (
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One operating point of a sweep grid."""
+    """One operating point of a sweep grid.
+
+    ``ebn0_db`` is stored as a finite ``float``, with ``-0.0`` made
+    ``0.0``: points that compare equal then also digest and seed
+    identically.  A NaN or infinite value raises ``ValueError``.
+    """
 
     ebn0_db: float
     scenario: str = "awgn"
     modulation: str = "bpsk"
     adc_bits: int | None = None
+
+    def __post_init__(self) -> None:
+        ebn0_db = float(self.ebn0_db)
+        if not math.isfinite(ebn0_db):
+            raise ValueError(f"ebn0_db must be finite (not NaN or "
+                             f"infinite), got {ebn0_db}")
+        # Adding +0.0 turns -0.0 into 0.0 and leaves every other value.
+        object.__setattr__(self, "ebn0_db", ebn0_db + 0.0)
 
     def curve_key(self) -> tuple[str, str, int | None]:
         """Grouping key: all points sharing it belong to one BER curve."""
@@ -124,12 +139,8 @@ class SweepPoint:
             raise ValueError("each grid point must be an object with "
                              "ebn0_db/scenario/modulation/adc_bits")
         try:
-            ebn0_db = float(data["ebn0_db"])
-            if not np.isfinite(ebn0_db):
-                raise ValueError(f"ebn0_db must be finite (not NaN or "
-                                 f"infinite), got {ebn0_db}")
             adc_bits = data.get("adc_bits")
-            return cls(ebn0_db=ebn0_db,
+            return cls(ebn0_db=data["ebn0_db"],
                        scenario=str(data.get("scenario", "awgn")),
                        modulation=str(data.get("modulation", "bpsk")),
                        adc_bits=(None if adc_bits is None
@@ -232,24 +243,38 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _PointTask:
-    """Everything a worker process needs to measure one grid point."""
+    """Everything a worker process needs to measure one grid point.
+
+    ``config`` is the resolved configuration (the engine's base config,
+    or the generation's ``fast_test_config``, with the point's
+    ``adc_bits`` applied) and ``model`` the genie kernel of the ``batch``
+    backend (``None`` on the full-stack backends).  Both are per-engine
+    constants shared by every chunk and every point that resolves to
+    them; pool workers receive them once, with the prototypes.
+    """
 
     point: SweepPoint
     scenario: Scenario
-    config: object | None
-    generation: str
+    config: object
     backend: str
-    quantize: bool
     num_packets: int
     payload_bits_per_packet: int
     seed_entropy: object
     spawn_key: tuple
+    model: BatchedLinkModel | None = None
 
 
 def _point_digest_text(point: SweepPoint) -> str:
     """Canonical text identifying a point's content (not its grid position)."""
     return repr((float(point.ebn0_db), point.scenario, point.modulation,
                  point.adc_bits))
+
+
+def _chunk_spawn_key(key_base: tuple[int, ...],
+                     packet_offset: int) -> tuple[int, ...]:
+    """The spawn key of a point's chunk at ``packet_offset``: the point's
+    offset-0 key, extended by a non-zero offset."""
+    return key_base + (int(packet_offset),) if packet_offset else key_base
 
 
 def _point_spawn_key(point: SweepPoint,
@@ -264,22 +289,20 @@ def _point_spawn_key(point: SweepPoint,
     """
     digest = hashlib.sha256(
         _point_digest_text(point).encode("utf-8")).digest()
-    key = tuple(int.from_bytes(digest[i:i + 4], "little")
-                for i in range(0, 16, 4))
-    if packet_offset:
-        key += (int(packet_offset),)
-    return key
+    # The first 16 bytes as four little-endian 32-bit words.
+    return _chunk_spawn_key(struct.unpack("<4I", digest[:16]),
+                            packet_offset)
 
 
-def _resolve_config(task: _PointTask):
-    """The effective transceiver configuration for one task."""
-    config = task.config
+def _resolve_config(config, generation: str, adc_bits: int | None):
+    """The effective transceiver configuration of a point: the base
+    ``config`` (``None``: the generation's ``fast_test_config``) with the
+    point's ``adc_bits`` applied."""
     if config is None:
-        config = (Gen1Config.fast_test_config()
-                  if task.generation == "gen1"
+        config = (Gen1Config.fast_test_config() if generation == "gen1"
                   else Gen2Config.fast_test_config())
-    if task.point.adc_bits is not None:
-        config = config.with_changes(adc_bits=task.point.adc_bits)
+    if adc_bits is not None:
+        config = config.with_changes(adc_bits=adc_bits)
     return config
 
 
@@ -299,20 +322,17 @@ def _task_rng(task: _PointTask, child: int) -> np.random.Generator:
 def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
     """Measure one grid point, returning the measurement *and* the
     per-packet bit-error counts (runs in the caller or a worker process)."""
-    scenario_rng = _task_rng(task, 0)
-    noise_rng = _task_rng(task, 1)
-
-    config = _resolve_config(task)
     scenario = task.scenario
     point = task.point
+    config = task.config
+    # Only a scenario that draws a channel or an interferer needs its
+    # stream; the noise stream is independent of it either way.
+    scenario_rng = (_task_rng(task, 0) if scenario.channel is not None
+                    or scenario.interferer is not None else None)
+    noise_rng = _task_rng(task, 1)
 
     if task.backend == "batch":
-        notch = (scenario.notch_frequency_hz
-                 if getattr(config, "enable_digital_notch", False) else None)
-        model = BatchedLinkModel(config, modulation=point.modulation,
-                                 quantize=task.quantize,
-                                 notch_frequency_hz=notch)
-        result = model.simulate(
+        result = task.model.simulate(
             point.ebn0_db, task.num_packets, task.payload_bits_per_packet,
             rng=noise_rng,
             channel=scenario.make_channel(scenario_rng),
@@ -411,10 +431,11 @@ def _install_prototypes(prototypes: tuple) -> None:
 
 def _materialize_chunk(prototype: _PointTask, num_packets: int,
                        packet_offset: int) -> _PointTask:
-    """One chunk task from its point prototype: the chunk's packet budget
-    plus the offset-keyed spawn key that gives it an independent stream."""
+    """One chunk task from its point prototype (which carries the point's
+    offset-0 spawn key): the chunk's packet budget plus the offset-keyed
+    spawn key that gives it an independent stream."""
     return replace(prototype, num_packets=int(num_packets),
-                   spawn_key=_point_spawn_key(prototype.point,
+                   spawn_key=_chunk_spawn_key(prototype.spawn_key,
                                               int(packet_offset)))
 
 
@@ -645,6 +666,9 @@ class SweepEngine:
         # Never part of config_digest(): telemetry is observability, not
         # identity — recording on/off must not split the result cache.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
+        # Per-engine constants of the chunk path (see _resolved).
+        self._configs: dict[tuple, object] = {}
+        self._models: dict[tuple, BatchedLinkModel] = {}
 
     # ------------------------------------------------------------------
     # Identity: the JSON codec and the digests (repro.runs, repro.serve)
@@ -766,17 +790,48 @@ class SweepEngine:
                   packet_offset: int = 0) -> _PointTask:
         """Bundle one grid point into a self-contained worker task."""
         scenario = self.registry.get(point.scenario)
+        config, model = self._resolved(scenario, point)
         return _PointTask(
             point=point,
             scenario=scenario,
-            config=self.config,
-            generation=scenario.generation or self.generation,
+            config=config,
             backend=self.backend,
-            quantize=self.quantize,
             num_packets=num_packets,
             payload_bits_per_packet=payload_bits_per_packet,
             seed_entropy=self.seed,
-            spawn_key=_point_spawn_key(point, packet_offset))
+            spawn_key=_point_spawn_key(point, packet_offset),
+            model=model)
+
+    def _resolved(self, scenario: Scenario, point: SweepPoint):
+        """A point's resolved configuration and, on the ``batch``
+        backend, its genie model (else ``None``).
+
+        Both are memoized on the engine — the configuration per
+        ``(generation, adc_bits)``, the model per ``(generation,
+        adc_bits, modulation, notch)`` — because the service measures
+        one chunk per :meth:`measure_points` call and neither depends on
+        the chunk.  The base config and ``quantize`` are fixed for the
+        engine's lifetime, so these keys determine ``(resolved config,
+        modulation, quantize, notch)``; the memos hold one entry per
+        distinct combination the engine has measured.
+        """
+        generation = scenario.generation or self.generation
+        config_key = (generation, point.adc_bits)
+        config = self._configs.get(config_key)
+        if config is None:
+            config = self._configs[config_key] = _resolve_config(
+                self.config, generation, point.adc_bits)
+        if self.backend != "batch":
+            return config, None
+        notch = (scenario.notch_frequency_hz
+                 if getattr(config, "enable_digital_notch", False) else None)
+        model_key = config_key + (point.modulation, notch)
+        model = self._models.get(model_key)
+        if model is None:
+            model = self._models[model_key] = BatchedLinkModel(
+                config, modulation=point.modulation, quantize=self.quantize,
+                notch_frequency_hz=notch)
+        return config, model
 
     def _chunk_plan(self, jobs, payload_bits_per_packet: int,
                     chunk_packets: int | None):

@@ -80,10 +80,46 @@ class TestAWGN:
             awgn(np.ones(4), float("inf"))
         with pytest.raises(ValueError, match="infinite"):
             awgn(np.ones((2, 4)), np.array([[0.5], [np.inf]]))
-        with np.errstate(divide="ignore"):
-            noise_std = noise_std_for_ebn0(1.0, float("-inf"))
         with pytest.raises(ValueError, match="infinite"):
-            awgn(np.ones(4), noise_std)
+            awgn(np.ones(4), noise_std_for_ebn0(1.0, float("-inf")))
+
+    @pytest.mark.parametrize("energy, ebn0_db", [
+        (float("nan"), 6.0),
+        (float("inf"), 6.0),
+        (-float("inf"), 6.0),
+        (0.0, 6.0),
+        (-1.0, 6.0),
+        (1.0, float("nan")),
+        (1.0, -float("inf")),
+        (1.0, -4000.0),         # 10 ** -400 underflows to 0
+        (1e300, -300.0),        # 1e300 / 2e-30 overflows
+        (float("inf"), float("inf")),
+        (float("nan"), float("inf")),
+        (np.array([1.0, np.nan]), 6.0),
+        (np.array([1.0, 2.0]), np.array([6.0, np.nan])),
+    ])
+    def test_noise_std_for_ebn0_rejects_nan_or_infinite_results(
+            self, energy, ebn0_db):
+        # The underflow and overflow cases may warn on the way; the
+        # ValueError is what counts.
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="NaN|infinite|positive"):
+            noise_std_for_ebn0(energy, ebn0_db)
+
+    @pytest.mark.parametrize("energy, ebn0_db, expected", [
+        (4.0, 0.0, np.sqrt(2.0)),
+        (4.0, float("inf"), 0.0),   # +inf dB: noiseless
+        (1e-300, 300.0, np.sqrt(1e-300 / 2e30)),
+        (1e300, -8.0, np.sqrt(1e300 / (2.0 * 10 ** -0.8))),
+    ])
+    def test_noise_std_for_ebn0_finite_cases(self, energy, ebn0_db,
+                                             expected):
+        std = noise_std_for_ebn0(energy, ebn0_db)
+        assert isinstance(std, float)
+        assert std == pytest.approx(expected, rel=1e-12)
+        both = noise_std_for_ebn0(np.array([energy, energy]),
+                                  np.array([ebn0_db, ebn0_db]))
+        np.testing.assert_allclose(both, [expected, expected], rtol=1e-12)
 
     def test_noise_std_for_ebn0_formula(self):
         # Eb/N0 = Eb / (2 sigma^2).

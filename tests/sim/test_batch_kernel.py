@@ -175,3 +175,26 @@ def test_only_batch_engine_digests_moved(key):
         assert digest != _DIGESTS_AT_BATCH_KERNEL_2[key]
     else:
         assert digest == _DIGESTS_BEFORE_BATCH_KERNEL_2[key]
+
+
+def test_zero_energy_packets_are_noised_at_the_batch_mean(monkeypatch):
+    # OOK packets of all-zero bits transmit nothing; their noise level
+    # comes from the mean energy of the packets that did transmit.
+    model = BatchedLinkModel(Gen2Config.fast_test_config(), modulation="ook")
+    bits = np.random.default_rng(3).integers(0, 2, size=(32, 2),
+                                             dtype=np.int64)
+    silent = bits.sum(axis=1) == 0
+    assert silent.any() and not silent.all()
+    levels = []
+    original = batch_module.noise_std_for_ebn0
+
+    def record(energy, ebn0_db):
+        levels.append(np.array(energy))
+        return original(energy, ebn0_db)
+    monkeypatch.setattr(batch_module, "noise_std_for_ebn0", record)
+    result = model.simulate(6.0, 32, 2, rng=np.random.default_rng(3))
+    assert result.packets_sent == 32
+    (energy,) = levels
+    assert np.all(energy[silent] == energy[~silent].mean())
+    with pytest.raises(ValueError, match="zero energy"):
+        model.simulate(6.0, 1, 1, rng=np.random.default_rng(1))

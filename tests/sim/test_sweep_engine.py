@@ -47,6 +47,38 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="must be finite"):
             SweepPoint.from_dict({"ebn0_db": ebn0_db})
 
+    @pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_point_rejects_non_finite_ebn0_at_construction(self, ebn0_db):
+        # Before, a directly built point failed late, inside its chunk.
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepPoint(ebn0_db)
+
+    def test_negative_zero_is_the_zero_point(self):
+        zero, negative = SweepPoint(0.0), SweepPoint(-0.0)
+        assert zero == negative and hash(zero) == hash(negative)
+        assert str(negative.ebn0_db) == "0.0"
+        assert negative.to_dict() == zero.to_dict()
+        assert SweepPoint.from_dict({"ebn0_db": -0.0}) == zero
+        assert (SweepEngine.point_digest(negative)
+                == SweepEngine.point_digest(zero))
+
+    def test_negative_zero_measures_like_zero_in_one_call(self):
+        # Equal points share a stream: measured together or alone, -0.0
+        # and 0.0 give the 0.0 dB measurement (before, the pair came back
+        # with the first one's stream while each alone differed).
+        engine = SweepEngine(generation="gen2", seed=3)
+        alone = [engine.measure_points([(SweepPoint(value), 64, 0)])[0]
+                 for value in (-0.0, 0.0)]
+        together = engine.measure_points([(SweepPoint(-0.0), 64, 0),
+                                          (SweepPoint(0.0), 64, 0)])
+        assert together == alone == [alone[1], alone[1]]
+
+    def test_point_stores_a_float(self):
+        point = SweepPoint(np.float32(4.5))
+        assert type(point.ebn0_db) is float and point == SweepPoint(4.5)
+        assert type(SweepPoint(4).ebn0_db) is float
+
     def test_cartesian_product_size_and_order(self):
         grid = sweep_grid([0.0, 4.0], scenarios=("awgn", "two_ray"),
                           modulations=("bpsk", "ook"), adc_bits=(1, 5))
