@@ -19,7 +19,7 @@ The package is organized by subsystem:
 * :mod:`repro.core` — the two transceiver generations, link simulation and
   the power/QoS/data-rate adaptation controller.
 * :mod:`repro.sim` — the batched Monte-Carlo sweep engine, the scenario
-  registry and the shared-memory process fan-out (the fast path for BER
+  registry and the process-pool chunk fan-out (the fast path for BER
   grids across many environments).
 * :mod:`repro.runs` — persistent sweep runs: the content-addressed result
   store (append-only JSONL or the queryable SQLite warehouse with ETL
@@ -43,7 +43,7 @@ Quick start::
 
 # Defined before the subpackage imports so modules imported below (e.g.
 # repro.runs.driver) can read the version during package initialization.
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 from repro import (
     adc,

@@ -10,8 +10,8 @@ reads).
   managers, counters, gauges, Prometheus text exposition via
   :meth:`Recorder.render_prom`), the no-op :class:`NullRecorder`, and
   the :func:`active`/:func:`activate` pattern that lets leaf code (the
-  batched receiver stages, the shared-memory blocks, the result store)
-  record against whatever recorder the orchestration layer installed.
+  batched receiver stages, the result store) record against whatever
+  recorder the orchestration layer installed.
 * :mod:`repro.obs.ledger` — the per-run append-only ``events.jsonl``
   ledger and aggregated ``telemetry.json`` summary written next to
   ``manifest.json``, plus the schema validator CI runs against them.

@@ -66,7 +66,7 @@ Grid axes accept comma-separated lists (``--scenario awgn,cm1``); the
 Eb/N0 axis also accepts ``start:stop[:step]`` with an *inclusive* stop
 and a default step of 1 (``--ebn0 0:12:1`` is the thirteen integer
 points 0..12 dB).  ``--workers N`` fans cache misses over worker
-processes with shared-memory chunk transport, and ``--chunk-packets N``
+processes, one future per chunk, and ``--chunk-packets N``
 makes the seeded packet chunk the unit of scheduling and caching so even
 a single hot point spreads over the pool.  ``--progress`` draws a live
 one-line status on stderr and ``--telemetry`` records the run's event
@@ -273,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "python -m repro store migrate)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="simulate cache misses on N worker processes "
-                            "(results return through shared memory, "
-                            "bit-identical to serial; default: serial)")
+                            "(bit-identical to serial; default: serial)")
     _add_obs_arguments(sweep)
 
     resume = commands.add_parser(
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run directory (as printed by sweep)")
     resume.add_argument("--workers", type=int, default=None, metavar="N",
                         help="simulate cache misses on N worker processes "
-                             "(shared-memory transport; default: serial)")
+                             "(bit-identical to serial; default: serial)")
     _add_obs_arguments(resume)
 
     merge = commands.add_parser(

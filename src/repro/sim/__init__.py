@@ -45,10 +45,9 @@ transceiver stack one packet at a time (the reference oracle the
 fullstack backend is pinned against).
 
 Every kernel runs on NumPy/SciPy on the host.  Process fan-out
-(``max_workers``) hands each worker the grid's task prototypes once and
-returns results through a ``multiprocessing.shared_memory`` block
-(:mod:`repro.sim.shm`) instead of pickles, bit-identical to a serial
-run.
+(``max_workers``) hands each worker the grid's task prototypes once;
+each worker runs the serial chunk body and returns the chunk's record
+as its future's result, bit-identical to a serial run.
 """
 
 from repro.sim.batch import BatchedLinkModel, BatchResult, pulse_for_config
@@ -60,14 +59,12 @@ from repro.sim.scenarios import (
     ScenarioRegistry,
     default_registry,
 )
-from repro.sim.shm import ChunkResultBlock
 
 __all__ = [
     "BatchResult",
     "BatchedFullStackModel",
     "BatchedLinkModel",
     "FullStackBatchResult",
-    "ChunkResultBlock",
     "SCENARIOS",
     "Scenario",
     "ScenarioRegistry",

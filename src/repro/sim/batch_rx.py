@@ -46,7 +46,7 @@ Monte-Carlo batch:
   (:meth:`~repro.phy.coding.ViterbiDecoder.decode_batch` via
   :meth:`~repro.phy.packet.PacketParser.parse_many`).
 
-The full-stack fast path shares the shared-memory fan-out and
+The full-stack fast path shares the process-pool chunk fan-out and
 ``repro.runs`` caching the genie kernel already has.  Bit decisions are
 identical to the per-packet loop; intermediate floats can differ at
 rounding level (the ADC-rate synthesis against the per-packet channel

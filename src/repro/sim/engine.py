@@ -27,11 +27,12 @@ single hot point no longer serializes on one core.  Both calls —
 :meth:`SweepEngine.run` and :meth:`~SweepEngine.measure_points` — run one
 validate → plan → execute body.  The per-point task prototypes reach
 each pool worker once, through the pool initializer, so a chunk
-submission carries only a few integers; results come back through a
-:class:`repro.sim.shm.ChunkResultBlock` (written in place, never
-pickled).  Each chunk fails independently, and
-completed chunks are still harvested when a sibling's worker raises or
-dies.  For a fixed chunk layout, results are bitwise identical however
+submission carries only a few integers, and a worker runs the serial
+path's row body and returns its chunk record as the future's result.
+Each chunk fails independently, and completed chunks are still
+harvested when a sibling's worker raises or dies; a ``KeyboardInterrupt``
+(or any other non-``Exception``) stops the schedule instead.  For a
+fixed chunk layout, results are bitwise identical however
 the chunks are scheduled — serial, any worker count, any completion
 order; the default layout (``chunk_packets=None``, one chunk per point
 at offset 0) is bit-exact with the historical unchunked engine.
@@ -63,7 +64,6 @@ from repro.obs.recorder import NULL_RECORDER, Recorder, activate
 from repro.pulses.modulation import make_modulator
 from repro.sim.batch import BatchedLinkModel
 from repro.sim.scenarios import SCENARIOS, Scenario, ScenarioRegistry
-from repro.sim.shm import SLOT_OK, ChunkResultBlock
 from repro.utils.validation import require_int, require_json_int
 
 _logger = logging.getLogger(__name__)
@@ -457,18 +457,24 @@ def _chunk_attrs(task: _PointTask, packet_offset: int) -> dict:
             "packets": int(task.num_packets), "backend": task.backend}
 
 
-def _run_chunk_traced(task: _PointTask, packet_offset: int, recorder,
-                      queue_wait_s: float | None = None):
-    """Run one chunk task under a ``chunk.run`` telemetry span.
+def _run_row(prototypes, row, recorder,
+             queue_wait_s: float | None = None) -> tuple[BERPoint,
+                                                         np.ndarray]:
+    """Run one schedule row ``(prototype_index, num_packets,
+    packet_offset)`` and return its chunk record ``(measurement,
+    errors_per_packet)``: the one row body of the serial and pooled paths.
 
     With the null recorder this *is* :func:`_run_chunk_task` — no clock
     read, no attribute hashing — keeping the disabled path a true no-op.
-    The recorder is also installed as the active one for the chunk body,
+    Otherwise the chunk runs under a ``chunk.run`` span (``failed:
+    true`` when it raises), with the recorder installed as the active one
     so the per-stage receiver spans land in the same event stream.
     """
+    index, packets, offset = row
+    task = _materialize_chunk(prototypes[index], packets, offset)
     if not recorder.enabled:
         return _run_chunk_task(task)
-    attrs = _chunk_attrs(task, packet_offset)
+    attrs = _chunk_attrs(task, offset)
     if queue_wait_s is not None:
         attrs["queue_wait_s"] = float(queue_wait_s)
     with activate(recorder):
@@ -476,113 +482,101 @@ def _run_chunk_traced(task: _PointTask, packet_offset: int, recorder,
             return _run_chunk_task(task)
 
 
-def _run_slot_task(result_block_name: str, slot: int, proto_index: int,
-                   num_packets: int, packet_offset: int,
-                   record_errors: bool, telemetry: bool = False,
-                   submit_t: float | None = None) -> tuple[int, list | None]:
-    """Worker body: simulate one chunk of prototype ``proto_index`` and
-    write its record into ``slot`` of the shared result block.
+#: Attribute a pool worker hangs its drained telemetry on when its chunk
+#: raises: the exception is all a failed future carries back, so the
+#: failed ``chunk.run`` span rides on it and the parent pops it off.
+_FAILURE_EVENTS_ATTR = "_repro_chunk_events"
+
+
+def _run_pooled_row(row, telemetry: bool,
+                    submit_t: float | None) -> tuple[tuple, list]:
+    """Worker body: :func:`_run_row` on the worker's prototypes.
 
     The prototypes arrived once per worker through the pool initializer,
-    so a submission carries only a block name and a few integers.
-    Returns ``(slot, events)`` where ``events`` is the worker-side
-    telemetry batch (``None`` when telemetry is off).
+    so a submission carries only the row's integers.  Returns ``(record,
+    events)``, ``events`` being the drained worker-side telemetry (empty
+    when telemetry is off); a raising chunk re-raises with its events
+    attached under :data:`_FAILURE_EVENTS_ATTR`.
 
     Workers never record into the recorder a fork inherited from the
-    parent — each task gets a fresh one (or the null recorder) and ships
-    its drained events back with the result.  The queue wait is measured
-    against the parent's ``time.monotonic`` submission stamp
-    (``CLOCK_MONOTONIC`` is system-wide on Linux, so the delta is valid
-    across processes); clock adjustments clamp to zero, never negative.
+    parent — each task gets a fresh one (or the null recorder).  The
+    queue wait is measured against the parent's ``time.monotonic``
+    submission stamp (``CLOCK_MONOTONIC`` is system-wide on Linux, so the
+    delta is valid across processes); clock adjustments clamp to zero,
+    never negative.
     """
     recorder = Recorder() if telemetry else NULL_RECORDER
-    queue_wait = None
-    if telemetry and submit_t is not None:
-        queue_wait = max(time.monotonic() - float(submit_t), 0.0)
+    queue_wait = (None if submit_t is None
+                  else max(time.monotonic() - float(submit_t), 0.0))
     with activate(recorder):
-        task = _materialize_chunk(_worker_prototypes[proto_index],
-                                  num_packets, packet_offset)
-        measurement, errors = _run_chunk_traced(task, packet_offset,
-                                                recorder, queue_wait)
-        with ChunkResultBlock.attach(result_block_name) as results:
-            results.write_result(slot, measurement,
-                                 errors if record_errors else None)
-    return slot, (recorder.drain() if telemetry else None)
+        try:
+            record = _run_row(_worker_prototypes, row, recorder, queue_wait)
+        except Exception as error:
+            setattr(error, _FAILURE_EVENTS_ATTR, recorder.drain())
+            raise
+    return record, recorder.drain()
 
 
-def _run_chunks_pooled(prototypes, rows, error_packets: int,
-                       max_workers: int,
+def _run_chunks_pooled(prototypes, rows, max_workers: int,
                        recorder=NULL_RECORDER) -> tuple[list,
                                                         BaseException | None]:
-    """Fan chunk tasks over a process pool, results through shared memory.
+    """Fan the schedule rows over a process pool.
 
     The prototypes reach every worker once, as the pool initializer's
     argument; ``rows`` are ``(prototype_index, num_packets,
-    packet_offset)`` chunk tasks, each submitted as its own future, so
-    chunks from every point interleave freely over the pool and fail
-    independently.  Returns ``(records, failure)``: one ``(measurement,
-    errors_per_packet)`` pair per row in row order — ``None`` for a chunk
-    whose worker raised or died (its slot status never flipped, so a
-    half-written record is never read back as garbage) — and the first
-    failure in submission order, or ``None``.  Completed chunks are
-    always harvested, whatever happened to their siblings, and the
-    result block is torn down in a ``finally``.  A block allocation
-    failure raises a ``RuntimeError`` before any task runs — tasks are
-    never silently dropped.
+    packet_offset)`` chunk tasks, each submitted as its own future whose
+    result is the row's chunk record, so chunks from every point
+    interleave freely over the pool and fail independently.  Returns
+    ``(records, failure)`` like the serial path: one record per row in
+    row order, ``None`` for a chunk whose worker raised or died, and the
+    first failure in row order, or ``None``.  Completed chunks are
+    harvested whatever happened to their siblings; when a worker dies,
+    a sibling that finished but whose result the executor had not yet
+    read may be reported failed too (a resume re-runs it).
 
-    With an enabled ``recorder``, the parent records the block
-    allocation span and size plus the pool fan-out span, each worker
-    records its own ``chunk.run`` span (including pool queue wait) and
-    ships the batch back with its future, and harvested-after-failure
-    slots are counted — telemetry rides the existing transport, never a
-    second channel.
+    Only an ``Exception`` is a chunk failure.  Any other
+    ``BaseException`` (``KeyboardInterrupt``, ``SystemExit``) stops the
+    schedule: the futures that have not started are cancelled, the ones
+    already finished are still harvested, nothing more is waited for,
+    and the interrupt is returned as the failure.
+
+    With an enabled ``recorder``, the parent records the pool fan-out
+    span and each worker records its own ``chunk.run`` span (including
+    pool queue wait), failed ones included, shipped back with its
+    future.
     """
     telemetry = recorder.enabled
-    with recorder.span("shm.alloc", tasks=len(rows)):
-        try:
-            results = ChunkResultBlock.allocate(len(rows), error_packets)
-        except OSError as error:
-            raise RuntimeError(
-                f"failed to allocate the shared-memory result block for "
-                f"{len(rows)} chunk task(s) x {error_packets} error "
-                f"word(s): {error}; no chunk was run "
-                "(is /dev/shm full?)") from error
+    records: list = [None] * len(rows)
     failure: BaseException | None = None
-    try:
-        recorder.gauge("shm.result_block_bytes", results.size_bytes)
-        workers = min(int(max_workers), len(rows))
-        recorder.gauge("pool.workers", workers)
-        with recorder.span("pool.run", workers=workers, tasks=len(rows)):
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_install_prototypes,
-                                     initargs=(tuple(prototypes),)) as pool:
-                futures = [pool.submit(_run_slot_task, results.name, slot,
-                                       index, packets, offset,
-                                       error_packets > 0, telemetry,
-                                       time.monotonic() if telemetry
-                                       else None)
-                           for slot, (index, packets, offset)
-                           in enumerate(rows)]
-                for future in futures:
-                    try:
-                        _, events = future.result()
-                        recorder.absorb(events)
-                    except BaseException as error:  # noqa: BLE001 re-raised
-                        if failure is None:
-                            failure = error
-        records = [results.read_result(slot)
-                   if results.slot_status(slot) == SLOT_OK else None
-                   for slot in range(len(rows))]
-    finally:
-        results.close()
+    interrupted = False
+    workers = min(int(max_workers), len(rows))
+    recorder.gauge("pool.workers", workers)
+    with recorder.span("pool.run", workers=workers, tasks=len(rows)):
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_install_prototypes,
+                                   initargs=(tuple(prototypes),))
         try:
-            results.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-    if failure is not None:
-        harvested = sum(1 for record in records if record is not None)
-        if harvested:
-            recorder.counter("shm.slots_harvested_after_failure", harvested)
+            futures = [pool.submit(_run_pooled_row, row, telemetry,
+                                   time.monotonic() if telemetry else None)
+                       for row in rows]
+            for slot, future in enumerate(futures):
+                if interrupted and not future.done():
+                    continue
+                try:
+                    records[slot], events = future.result()
+                except Exception as error:
+                    events = vars(error).pop(_FAILURE_EVENTS_ATTR, None)
+                    if failure is None:
+                        failure = error
+                except BaseException as error:  # noqa: BLE001 re-raised
+                    # Past an interrupt only finished futures are read,
+                    # then the rest are cancelled, not waited for.
+                    if not interrupted:
+                        interrupted, failure = True, error
+                    continue
+                recorder.absorb(events)
+        finally:
+            pool.shutdown(wait=not interrupted, cancel_futures=True)
     return records, failure
 
 
@@ -631,7 +625,7 @@ class SweepEngine:
         identity — mirroring ``num_packets``).
     recorder:
         Optional :class:`repro.obs.Recorder` collecting run telemetry
-        (chunk latency spans, pool queue waits, shm block sizes,
+        (chunk latency spans, pool queue waits, pool size,
         per-stage receiver timing).  ``None`` (default) installs the
         no-op null recorder: zero clock reads, zero events.  Telemetry
         is *bitwise invisible* — results and :meth:`config_digest` are
@@ -865,8 +859,7 @@ class SweepEngine:
 
     def _measure(self, jobs, payload_bits_per_packet: int,
                  max_workers: int | None, chunk_packets: int | None,
-                 collect_errors: bool = False, on_chunk=None) -> tuple[
-                     list, BaseException | None]:
+                 on_chunk=None) -> tuple[list, BaseException | None]:
         """Validate, plan and execute ``(point, num_packets,
         packet_offset)`` jobs: the one body behind :meth:`run` and
         :meth:`measure_points`.
@@ -899,49 +892,53 @@ class SweepEngine:
                 prototypes, rows, job_rows = self._chunk_plan(
                     jobs, payload_bits_per_packet, chunk_packets)
             recorder.counter("chunks.scheduled", len(rows))
-            error_packets = (max(packets for _, packets, _ in rows)
-                             if collect_errors and rows else 0)
-            records, failure = self._execute_chunks(
-                prototypes, rows, error_packets, max_workers)
+            records, failure = self._execute_chunks(prototypes, rows,
+                                                    max_workers)
         if on_chunk is not None:
             for (index, _, offset), record in zip(rows, records):
                 if record is not None:
                     on_chunk(prototypes[index].point, offset, record[0])
         return [records[job] for job in job_rows], failure
 
-    def _execute_chunks(self, prototypes, rows, error_packets: int,
-                        max_workers: int | None):
+    def _execute_chunks(self, prototypes, rows, max_workers: int | None):
         """Run the chunk-task schedule serially or over the process pool.
 
-        Returns ``(records, failure)`` exactly like
-        :func:`_run_chunks_pooled`; the serial and pooled paths produce
-        the same per-chunk records (same seeds, same layout), so
-        scheduling is bitwise invisible for a fixed chunk layout.  On both
-        paths every chunk fails independently: a failed chunk records
-        ``None``, the remaining rows still run, and the first failure (in
-        row order) is returned.  Before a failure is returned, every
-        failed chunk is logged with its identity — point digest,
-        scenario, Eb/N0, packet offset — and the identities are attached
-        to the exception as a note (Python 3.11+), so a worker traceback
-        never strands the caller without knowing *which* chunk died.
+        Returns ``(records, failure)``: one chunk record ``(measurement,
+        errors_per_packet)`` per row, in row order, and the first failure
+        (in row order) or ``None``.  Both paths run every row through
+        :func:`_run_row` — the pool runs it in a worker — with the same
+        seeds and layout, so scheduling is bitwise invisible for a fixed
+        chunk layout.  On both paths every chunk fails independently: a
+        failed chunk records ``None`` and the remaining rows still run.
+        Before a failure is returned, every failed chunk is logged with
+        its identity — point digest, scenario, Eb/N0, packet offset — and
+        the identities are attached to the exception as a note (Python
+        3.11+), so a worker traceback never strands the caller without
+        knowing *which* chunk died.
+
+        Only an ``Exception`` counts as a chunk failure: a
+        ``KeyboardInterrupt``, ``SystemExit`` or other ``BaseException``
+        stops the schedule (no further row runs) and is returned, not
+        noted, as the failure, so the rows that completed still reach
+        the caller before it propagates.
         """
         recorder = self.recorder
         if max_workers is not None and max_workers > 1 and len(rows) > 1:
             records, failure = _run_chunks_pooled(
-                prototypes, rows, error_packets, max_workers, recorder)
+                prototypes, rows, max_workers, recorder)
         else:
-            records = []
+            records = [None] * len(rows)
             failure = None
-            for index, packets, offset in rows:
+            for slot, row in enumerate(rows):
                 try:
-                    records.append(_run_chunk_traced(
-                        _materialize_chunk(prototypes[index], packets,
-                                           offset), offset, recorder))
-                except BaseException as error:  # noqa: BLE001 - re-raised
-                    records.append(None)
+                    records[slot] = _run_row(prototypes, row, recorder)
+                except Exception as error:
                     if failure is None:
                         failure = error
-        if failure is not None:
+                except BaseException as error:  # noqa: BLE001 re-raised
+                    failure = error
+                    break
+        if isinstance(failure, Exception):
             self._note_chunk_failures(prototypes, rows, records, failure)
         return records, failure
 
@@ -992,9 +989,10 @@ class SweepEngine:
         ``on_chunk`` (optional) is called as ``on_chunk(point,
         packet_offset, measurement)`` for every *completed* chunk, in
         deterministic schedule order (job order, then offset order).  On
-        a chunk failure every completed chunk is still delivered before
-        the exception propagates — that is what lets a result store keep
-        partial progress, so a resume re-runs only the missing chunks.
+        a chunk failure or an interrupt every completed chunk is still
+        delivered before the exception propagates — that is what lets a
+        result store keep partial progress, so a resume re-runs only the
+        missing chunks.
         """
         job_records, failure = self._measure(
             list(jobs), payload_bits_per_packet, max_workers,
@@ -1021,19 +1019,21 @@ class SweepEngine:
             every completed grid point, in grid order — what result
             stores use to persist points without waiting on the caller.
             Delivery happens after the chunk schedule finishes; on a
-            chunk failure every point whose chunks all completed is still
-            delivered before the exception propagates.
+            chunk failure (or an interrupt) every point whose chunks all
+            completed is still delivered before the exception propagates.
         max_workers:
             When above 1, the chunk tasks of all points fan out over that
-            many worker processes, results returning through shared
-            memory (:mod:`repro.sim.shm`).
+            many worker processes, each chunk's record returning as its
+            future's result.
         collect_errors_per_packet:
             Also record each point's per-packet bit-error counts in
-            ``SweepResult.errors_per_packet`` (transported through shared
-            memory on the parallel path, so a million-packet point's
-            error vector never crosses a pickle).  Chunk error vectors
-            concatenate in offset order, identical to the serial order.
+            ``SweepResult.errors_per_packet`` (a bool).  Every chunk
+            record carries its error vector on both paths; the vectors
+            concatenate in offset order.
         """
+        if not isinstance(collect_errors_per_packet, bool):
+            raise TypeError(f"collect_errors_per_packet must be true or "
+                            f"false, not {collect_errors_per_packet!r}")
         points = tuple(points)
         duplicates = [point for point, count in Counter(points).items()
                       if count > 1]
@@ -1046,8 +1046,7 @@ class SweepEngine:
                 stacklevel=2)
         job_records, failure = self._measure(
             [(point, num_packets, 0) for point in points],
-            payload_bits_per_packet, max_workers, None,
-            collect_errors=collect_errors_per_packet)
+            payload_bits_per_packet, max_workers, None)
         result = SweepResult()
         for point, parts in zip(points, job_records):
             if any(part is None for part in parts):

@@ -169,7 +169,7 @@ class TestFailureLogging:
             [(SweepPoint(ebn0_db=2.0), 4, 0),
              (SweepPoint(ebn0_db=4.0), 4, 0)], 16, 2)
         with caplog.at_level(logging.ERROR, logger="repro.sim.engine"):
-            records, failure = engine._execute_chunks(prototypes, rows, 0, 2)
+            records, failure = engine._execute_chunks(prototypes, rows, 2)
         assert isinstance(failure, RuntimeError)
         (message,) = [record.getMessage() for record in caplog.records
                       if "chunk failed" in record.getMessage()]
@@ -187,16 +187,14 @@ class TestFailureLogging:
         prototypes, rows, _ = engine._chunk_plan(
             [(SweepPoint(ebn0_db=2.0), 4, 0)], 16, 2)
         with caplog.at_level(logging.ERROR, logger="repro.sim.engine"):
-            records, failure = engine._execute_chunks(prototypes, rows,
-                                                      0, None)
+            records, failure = engine._execute_chunks(prototypes, rows, None)
         assert isinstance(failure, RuntimeError)
         assert any("chunk failed" in record.getMessage()
                    and "offset 0" in record.getMessage()
                    for record in caplog.records)
         # The serial path isolates the failure like the pool: the rows
         # after the poisoned chunk still run.
-        pooled, pooled_failure = engine._execute_chunks(prototypes, rows,
-                                                        0, 2)
+        pooled, pooled_failure = engine._execute_chunks(prototypes, rows, 2)
         assert isinstance(pooled_failure, RuntimeError)
         assert ([record is None for record in records]
                 == [record is None for record in pooled] == [True, False])
@@ -211,7 +209,7 @@ class TestFailureLogging:
         engine = engine_factory(seed=6)
         prototypes, rows, _ = engine._chunk_plan(
             [(SweepPoint(ebn0_db=4.0), 4, 0)], 16, 2)
-        _, failure = engine._execute_chunks(prototypes, rows, 0, 2)
+        _, failure = engine._execute_chunks(prototypes, rows, 2)
         (note,) = failure.__notes__
         assert "failed chunk(s)" in note
         assert "offset 2" in note

@@ -295,7 +295,7 @@ class TestChunkFaultInjection:
         prototypes, rows, _ = engine._chunk_plan(
             [(SweepPoint(ebn0_db=2.0), 4, 0), (SweepPoint(ebn0_db=4.0), 4, 0)],
             16, 2)
-        records, failure = engine._execute_chunks(prototypes, rows, 0, 2)
+        records, failure = engine._execute_chunks(prototypes, rows, 2)
         assert isinstance(failure, RuntimeError)
         assert len(records) == 4
         poisoned = [record is None for record in records]

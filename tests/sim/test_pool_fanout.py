@@ -1,93 +1,23 @@
-"""Tests for the shared-memory result transport (repro.sim.shm)."""
+"""Tests for the process-pool chunk fan-out (``max_workers``).
 
-import numpy as np
+Each pool worker returns its chunk record as the future's result; these
+pin that the fan-out equals the serial path bit for bit, keeps grid
+order, leaks no segment, and harvests completed chunks when a sibling's
+worker raises.
+"""
+
+import time
+
 import pytest
 
-from repro.core.metrics import BERPoint
-from repro.sim import ChunkResultBlock, SweepEngine, SweepPoint, sweep_grid
-from repro.sim.shm import RECORD_WORDS
+import repro.sim.engine as engine_module
+from repro.obs.recorder import Recorder
+from repro.sim import SweepPoint, sweep_grid
 
 
-def _point(ebn0=6.0, errors=3):
-    return BERPoint(ebn0_db=ebn0, bit_errors=errors, total_bits=64,
-                    packets_sent=8, packets_failed=min(errors, 8))
-
-
-class TestChunkResultBlock:
-    def test_write_read_round_trip_is_lossless(self):
-        errors = np.array([0, 2, 0, 5, 1], dtype=np.int64)
-        with ChunkResultBlock.allocate(num_slots=3, max_packets=5) as block:
-            block.write_result(1, _point(ebn0=7.25, errors=8), errors)
-            measurement, read_errors = block.read_result(1)
-            assert measurement == _point(ebn0=7.25, errors=8)
-            np.testing.assert_array_equal(read_errors, errors)
-
-    def test_float_bit_patterns_survive(self):
-        # inf is what the kernel records for a noiseless point; negative
-        # and fractional Eb/N0 must survive the int64 bit-pattern trip too.
-        for ebn0 in (float("inf"), -3.125, 0.1):
-            with ChunkResultBlock.allocate(1, 0) as block:
-                block.write_result(0, _point(ebn0=ebn0), None)
-                measurement, errors = block.read_result(0)
-                assert measurement.ebn0_db == ebn0 or (
-                    np.isnan(ebn0) and np.isnan(measurement.ebn0_db))
-                assert errors.size == 0
-
-    def test_attach_sees_writes_and_never_unlinks(self):
-        owner = ChunkResultBlock.allocate(2, 4)
-        try:
-            # Dimensions travel in the block header: a reader needs only
-            # the segment name.
-            reader = ChunkResultBlock.attach(owner.name)
-            assert (reader.num_slots, reader.max_packets) == (2, 4)
-            owner.write_result(0, _point(), np.arange(4))
-            measurement, errors = reader.read_result(0)
-            assert measurement == _point()
-            np.testing.assert_array_equal(errors, np.arange(4))
-            with pytest.raises(RuntimeError, match="only the allocating"):
-                reader.unlink()
-            reader.close()
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_slot_and_capacity_validation(self):
-        with ChunkResultBlock.allocate(2, 3) as block:
-            with pytest.raises(ValueError, match="out of range"):
-                block.write_result(2, _point(), None)
-            with pytest.raises(ValueError, match="out of range"):
-                block.read_result(5)
-            with pytest.raises(ValueError, match="sized for 3 packet"):
-                block.write_result(0, _point(), np.zeros(4, dtype=np.int64))
-
-    def test_closed_block_refuses_access(self):
-        block = ChunkResultBlock.allocate(1, 1)
-        block.write_result(0, _point(), [1])
-        block.close()
-        with pytest.raises(ValueError, match="closed"):
-            block.read_result(0)
-        block.close()  # idempotent
-        block.unlink()
-
-    def test_record_layout_constant(self):
-        # The layout is an interprocess contract; changing RECORD_WORDS
-        # silently would corrupt mixed-version reads.  7 = status word +
-        # the six measurement fields.
-        assert RECORD_WORDS == 7
-
-    def test_unwritten_slot_reads_as_empty_not_garbage(self):
-        with ChunkResultBlock.allocate(2, 2) as block:
-            block.write_result(0, _point(), None)
-            from repro.sim.shm import SLOT_EMPTY, SLOT_OK
-            assert block.slot_status(0) == SLOT_OK
-            assert block.slot_status(1) == SLOT_EMPTY
-            with pytest.raises(ValueError, match="no completed record"):
-                block.read_result(1)
-
-
-class TestSharedMemoryFanOut:
-    """Acceptance: shared-memory ``max_workers`` runs are bit-identical
-    to serial ones, through both the engine and the run driver."""
+class TestPoolFanOut:
+    """Acceptance: ``max_workers`` runs are bit-identical to serial ones,
+    through both the engine and the run driver."""
 
     def test_run_max_workers_4_bit_identical_to_serial(self, engine_factory,
                                                        small_sweep_grid):
@@ -192,3 +122,97 @@ class TestWorkerFailureSalvage:
         engine = engine_factory(seed=1)
         with pytest.raises((TypeError, ValueError)):
             engine.measure_points([(SweepPoint(ebn0_db=2.0), 10.9, 0)])
+
+
+@pytest.fixture
+def chunk_hook(monkeypatch):
+    """Install a test-only chunk fault hook (cleared on teardown)."""
+    def install(hook):
+        monkeypatch.setattr(engine_module, "_chunk_task_hook", hook)
+    yield install
+    monkeypatch.setattr(engine_module, "_chunk_task_hook", None)
+
+
+def _task_offset(task):
+    """The packet offset a materialized chunk task was keyed with."""
+    return task.spawn_key[4] if len(task.spawn_key) > 4 else 0
+
+
+class TestInterruptStopsTheSchedule:
+    """Only an ``Exception`` is a chunk failure: a ``KeyboardInterrupt``
+    stops the sweep, after the completed chunks reached ``on_chunk``."""
+
+    def test_serial_interrupt_runs_no_further_chunk(self, engine_factory,
+                                                    chunk_hook):
+        started = []
+
+        def hook(task):
+            started.append(_task_offset(task))
+            if _task_offset(task) == 4:
+                raise KeyboardInterrupt
+
+        chunk_hook(hook)
+        delivered = []
+        with pytest.raises(KeyboardInterrupt):
+            engine_factory(seed=5).measure_points(
+                [(SweepPoint(ebn0_db=4.0), 20, 0)],
+                payload_bits_per_packet=16, chunk_packets=2,
+                on_chunk=lambda point, offset, m: delivered.append(offset))
+        assert started == [0, 2, 4]
+        assert delivered == [0, 2]
+
+    def test_pooled_interrupt_cancels_the_chunks_not_started(
+            self, engine_factory, chunk_hook, tmp_path):
+        # Workers are forked, so each chunk body that starts leaves a
+        # file behind.  Offsets 0 and 2 finish at once, offset 4 raises
+        # once they have, and every later chunk is slow: without the
+        # interrupt all ten chunk bodies would start.
+        def hook(task):
+            offset = _task_offset(task)
+            (tmp_path / f"started-{offset}").touch()
+            if offset == 4:
+                time.sleep(0.2)
+                raise KeyboardInterrupt
+            if offset > 4:
+                time.sleep(0.5)
+
+        chunk_hook(hook)
+        delivered = []
+        with pytest.raises(KeyboardInterrupt):
+            engine_factory(seed=5).measure_points(
+                [(SweepPoint(ebn0_db=4.0), 20, 0)],
+                payload_bits_per_packet=16, chunk_packets=2, max_workers=2,
+                on_chunk=lambda point, offset, m: delivered.append(offset))
+        started = len(list(tmp_path.glob("started-*")))
+        assert started < 10
+        assert delivered[:2] == [0, 2]
+        assert 4 not in delivered
+
+
+class TestFailedChunkTelemetry:
+    def test_failed_spans_reach_the_parent_on_both_paths(
+            self, engine_factory, chunk_hook):
+        # Both chunks of the 4 dB point fail: 2 of the 4 chunks.
+        def hook(task):
+            if task.point.ebn0_db == 4.0:
+                raise RuntimeError("injected chunk fault")
+
+        chunk_hook(hook)
+        tallies = []
+        for workers in (None, 2):
+            recorder = Recorder()
+            with pytest.raises(RuntimeError,
+                               match="injected chunk fault") as caught:
+                engine_factory(seed=6, chunk_packets=2,
+                               recorder=recorder).run(
+                    sweep_grid([2.0, 4.0]), num_packets=4,
+                    max_workers=workers)
+            # The events the worker hung on the failure were taken off.
+            assert not hasattr(caught.value,
+                               engine_module._FAILURE_EVENTS_ATTR)
+            spans = [event for event in recorder.events()
+                     if event["name"] == "chunk.run"]
+            failed = [span for span in spans
+                      if span["attrs"].get("failed") is True]
+            tallies.append((len(spans), len(failed)))
+        assert tallies == [(4, 2), (4, 2)]

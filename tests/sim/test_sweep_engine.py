@@ -292,6 +292,15 @@ class TestBatchedKernel:
         with pytest.raises((TypeError, ValueError), match="seed"):
             SweepEngine(seed=seed)
 
+    @pytest.mark.parametrize("value", ["yes", "", 1, 0, None, np.True_])
+    def test_collect_errors_per_packet_must_be_a_bool(self, value):
+        # A truthy string used to collect error vectors; the flag is
+        # checked like the constructor's quantize, before anything runs.
+        with pytest.raises(TypeError, match="collect_errors_per_packet "
+                                            "must be true or false"):
+            SweepEngine(seed=1).run(sweep_grid([6.0]), num_packets=1,
+                                    collect_errors_per_packet=value)
+
 
 class TestRunStoreHooks:
     """The identity/callback hooks the repro.runs subsystem builds on."""

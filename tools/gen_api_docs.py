@@ -44,7 +44,6 @@ PUBLIC_MODULES = (
     "repro.sim.batch_rx",
     "repro.sim.engine",
     "repro.sim.scenarios",
-    "repro.sim.shm",
     "repro.runs",
     "repro.runs.store",
     "repro.runs.warehouse",
